@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, formats
 from .camera import CameraRig, Pose, gsd
-from .metrics import EvalConfig, PairGroundTruth, PairPrediction, evaluate_pair
+from .metrics import EvalConfig, MetricsReport, PairGroundTruth, PairPrediction, evaluate_pair
 from .pose import pose_accuracy_table
 from .radiometry import HapkeParams, SunConfig
 from .renderer import PointMap, depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
@@ -323,11 +323,8 @@ def cmd_evaluate(args) -> int:
     records = _read_manifest(gt_dir)
     config = EvalConfig(seed=args.seed)
 
-    mean_fields = (
-        "accuracy_m", "completeness_m", "chamfer_m", "accuracy_rel",
-        "completeness_rel", "chamfer_rel", "slope_corr", "slope_mae_deg",
-        "profile_mae_m", "profile_corr", "ssim", "si_loss",
-    )
+    # Pose errors are summarised by the RRA/RTA tables, not by means.
+    mean_fields = tuple(f for f in MetricsReport._FIELDS if f not in ("rra_deg", "rta_deg"))
 
     def score(record):
         pred = _load_prediction(pred_dir, record["pair_id"])

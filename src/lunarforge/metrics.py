@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 from .camera import Pose, relative_pose
 from .pose import (
     DegenerateBaselineError,
+    RansacError,
     RansacParams,
     SimilarityTransform,
     ransac_align,
@@ -338,7 +339,7 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig 
                 RansacParams(iterations=config.align_iterations, inlier_threshold=threshold, seed=config.seed),
             )
             report.alignment = transform
-        except Exception as exc:
+        except (RansacError, ValueError) as exc:  # ValueError covers degenerate geometry
             report.flags["alignment"] = f"failed: {exc}"
     else:
         report.flags["alignment"] = "fewer than 3 shared valid points"

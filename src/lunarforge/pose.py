@@ -34,9 +34,61 @@ class RansacError(RuntimeError):
 
 @dataclass(frozen=True)
 class RansacParams:
+    """Settings shared by every RANSAC estimator in this module.
+
+    The loop stops adaptively: after each new best consensus it needs
+    ceil(log(1 - p) / log(1 - w**s)) hypotheses in total, where w is the best
+    inlier ratio so far, s the minimal sample size and p = 0.999 the
+    confidence of having drawn one all-inlier sample (Fischler & Bolles
+    1981).  It stops at once when every point is an inlier.  ``iterations``
+    is a hard cap on the number of samples drawn, degenerate ones included.
+    """
+
     iterations: int = 2000
     inlier_threshold: float = 1.0  # pixels (essential/PnP) or meters (alignment)
     seed: int = 0
+
+
+_CONFIDENCE = 0.999  # p of the adaptive stopping rule
+_REFIT_ROUNDS = 20  # cap on ransac_align's refit-to-a-fixed-point rounds
+
+
+def _hypotheses_needed(count: int, n: int, sample_size: int) -> float:
+    """Samples needed to draw one all-inlier sample with confidence _CONFIDENCE,
+    given `count` of `n` points are inliers.  inf when no point is."""
+    if count >= n:
+        return 1
+    p_good = (count / n) ** sample_size
+    if p_good <= 0.0:
+        return math.inf
+    return math.ceil(math.log(1.0 - _CONFIDENCE) / math.log1p(-p_good))
+
+
+def _ransac(n: int, sample_size: int, hypothesis, params: RansacParams, tag: int):
+    """Hypothesise-and-score loop shared by the estimators.
+
+    `hypothesis(idx)` fits a model to the sampled indices and returns its
+    boolean inlier mask over all `n` points, or None for a degenerate sample.
+    Samples come from a generator seeded by (params.seed, tag), so a fixed
+    seed gives a fixed hypothesis sequence.  Returns (best mask, its count);
+    the mask is None when every sample was degenerate.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(params.seed, tag)))
+    best_mask = None
+    best_count = -1
+    needed = math.inf
+    drawn = 0
+    while drawn < min(needed, params.iterations):
+        drawn += 1
+        mask = hypothesis(rng.choice(n, size=sample_size, replace=False))
+        if mask is None:
+            continue
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            needed = _hypotheses_needed(count, n, sample_size)
+    return best_mask, best_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,23 +224,15 @@ def estimate_essential(
         )
 
     focal = intr1.focal_px
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(ransac.seed, 0xE55)))
-    best_inliers = None
-    best_count = -1
-    for _ in range(ransac.iterations):
-        idx = rng.choice(n, size=8, replace=False)
+
+    def hypothesis(idx):
         try:
             e = _eight_point(h1[idx], h2[idx])
         except np.linalg.LinAlgError:
-            continue
-        err = _sampson_px(e, h1, h2, focal)
-        inliers = err < ransac.inlier_threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-        if count == n:
-            break
+            return None
+        return _sampson_px(e, h1, h2, focal) < ransac.inlier_threshold
+
+    best_inliers, best_count = _ransac(n, 8, hypothesis, ransac, 0xE55)
     if best_inliers is None or best_count < 8:
         raise RansacError("essential RANSAC found no consensus set")
 
@@ -277,6 +321,25 @@ def _so3_exp(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * kx + (1 - math.cos(theta)) * (kx @ kx)
 
 
+def _pnp_jacobian(pc: np.ndarray) -> np.ndarray:
+    """2n x 6 Jacobian of the normalized projections of camera-frame points
+    `pc` w.r.t. a left rotation increment w and a translation increment t.
+    Rows alternate u, v per point."""
+    n = len(pc)
+    inv_z = 1.0 / pc[:, 2]
+    # d(proj)/d(pc), one row per image axis.
+    j_pc = np.zeros((n, 2, 3))
+    j_pc[:, 0, 0] = inv_z
+    j_pc[:, 0, 2] = -pc[:, 0] * inv_z**2
+    j_pc[:, 1, 1] = inv_z
+    j_pc[:, 1, 2] = -pc[:, 1] * inv_z**2
+    # d(pc)/d(w) = -[pc]x, so a row a maps to a @ -[pc]x = pc x a; d(pc)/d(t) = I.
+    jac = np.empty((n, 2, 6))
+    jac[:, :, 0:3] = np.cross(pc[:, None, :], j_pc)
+    jac[:, :, 3:6] = j_pc
+    return jac.reshape(2 * n, 6)
+
+
 def _gauss_newton_pnp(r, t, xy, pts, iterations=15):
     """Refine (R, t) by minimizing normalized reprojection error."""
     for _ in range(iterations):
@@ -286,20 +349,7 @@ def _gauss_newton_pnp(r, t, xy, pts, iterations=15):
             break
         proj = pc[:, :2] / z[:, None]
         res = (proj - xy).reshape(-1)
-        n = len(pts)
-        jac = np.zeros((2 * n, 6))
-        inv_z = 1.0 / z
-        x, y = pc[:, 0], pc[:, 1]
-        # d(proj)/d(pc)
-        j_pc_u = np.column_stack([inv_z, np.zeros(n), -x * inv_z**2])
-        j_pc_v = np.column_stack([np.zeros(n), inv_z, -y * inv_z**2])
-        # d(pc)/d(w) = -[pc]x, d(pc)/d(t) = I
-        for i in range(n):
-            px = np.array([[0, -pc[i, 2], pc[i, 1]], [pc[i, 2], 0, -pc[i, 0]], [-pc[i, 1], pc[i, 0], 0]])
-            jac[2 * i, 0:3] = j_pc_u[i] @ (-px)
-            jac[2 * i, 3:6] = j_pc_u[i]
-            jac[2 * i + 1, 0:3] = j_pc_v[i] @ (-px)
-            jac[2 * i + 1, 3:6] = j_pc_v[i]
+        jac = _pnp_jacobian(pc)
         jtj = jac.T @ jac
         jtr = jac.T @ res
         try:
@@ -343,27 +393,20 @@ def solve_pnp(
 
     xy = _pnp_normalized(pixels, intr)
     thresh_norm = ransac.inlier_threshold / intr.focal_px
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(ransac.seed, 0x9A9)))
-    best = None
-    best_count = -1
-    for _ in range(ransac.iterations):
-        idx = rng.choice(n, size=6, replace=False)
+
+    def hypothesis(idx):
         try:
             r, t = _dlt_pose(xy[idx], pts[idx])
         except (DegenerateGeometryError, np.linalg.LinAlgError):
-            continue
+            return None
         pc = pts @ r.T + t
         z = pc[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             proj = pc[:, :2] / z[:, None]
             err = np.linalg.norm(proj - xy, axis=1)
-        inliers = (z > 0) & np.isfinite(err) & (err < thresh_norm)
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best = inliers
-        if count == n:
-            break
+        return (z > 0) & np.isfinite(err) & (err < thresh_norm)
+
+    best, best_count = _ransac(n, 6, hypothesis, ransac, 0x9A9)
     if best is None or best_count < 6:
         raise RansacError("PnP RANSAC found no consensus set")
 
@@ -381,11 +424,17 @@ def solve_pnp(
 
 
 def rra(r_gt: np.ndarray, r_pred: np.ndarray) -> float:
-    """Relative rotation angular error in degrees."""
+    """Relative rotation angular error in degrees.
+
+    With M = R_gt^T R_pred, the angle is atan2(|vee(M - M^T)| / 2,
+    (tr M - 1) / 2): sine and cosine of the same angle, so it stays accurate
+    near 0 and 180 degrees where acos of the trace alone does not.
+    """
     r_gt = np.asarray(r_gt, dtype=np.float64)
     r_pred = np.asarray(r_pred, dtype=np.float64)
-    cosang = (np.trace(r_gt.T @ r_pred) - 1) / 2
-    return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
+    m = r_gt.T @ r_pred
+    vee = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    return math.degrees(math.atan2(np.linalg.norm(vee) / 2, (np.trace(m) - 1) / 2))
 
 
 def rta(t_gt, t_pred) -> float:
@@ -456,36 +505,35 @@ def ransac_align(
     """RANSAC over 3-point umeyama hypotheses aligning pred to gt by index.
 
     Returns (SimilarityTransform, inlier mask).  The threshold is in meters.
+    The loop stops adaptively with confidence p = 0.999 (see RansacParams;
+    ``iterations`` is a hard cap).  The winner is then refit to a fixed
+    point: umeyama on its inliers, recompute the mask, repeat until the mask
+    stops changing (at most 20 rounds) or would drop below 3 points.  So the
+    result depends little on which hypothesis found the consensus, and so on
+    where the loop stopped.
     """
     pred = np.asarray(pred_cloud, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_cloud, dtype=np.float64).reshape(-1, 3)
     if pred.shape != gt.shape or len(pred) < 3:
         raise ValueError("alignment needs >= 3 index-paired points")
-    n = len(pred)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(ransac.seed, 0xA116)))
-    best_mask = None
-    best_count = -1
-    for _ in range(ransac.iterations):
-        idx = rng.choice(n, size=3, replace=False)
+
+    def inliers_of(transform):
+        return np.linalg.norm(transform.apply(pred) - gt, axis=1) < ransac.inlier_threshold
+
+    def hypothesis(idx):
         try:
-            hyp = umeyama(pred[idx], gt[idx])
-        except (DegenerateGeometryError, ValueError):
-            continue
-        err = np.linalg.norm(hyp.apply(pred) - gt, axis=1)
-        inliers = err < ransac.inlier_threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = inliers
-        if count == n:
-            break
-    if best_mask is None or best_count < 3:
+            return inliers_of(umeyama(pred[idx], gt[idx]))
+        except ValueError:  # DegenerateGeometryError included
+            return None
+
+    mask, count = _ransac(len(pred), 3, hypothesis, ransac, 0xA116)
+    if mask is None or count < 3:
         raise RansacError("similarity RANSAC found no consensus set")
-    transform = umeyama(pred[best_mask], gt[best_mask])
-    err = np.linalg.norm(transform.apply(pred) - gt, axis=1)
-    final_mask = err < ransac.inlier_threshold
-    if final_mask.sum() >= 3:
-        transform = umeyama(pred[final_mask], gt[final_mask])
-    else:
-        final_mask = best_mask
-    return transform, final_mask
+    transform = umeyama(pred[mask], gt[mask])
+    for _ in range(_REFIT_ROUNDS):
+        refit_mask = inliers_of(transform)
+        if refit_mask.sum() < 3 or np.array_equal(refit_mask, mask):
+            break
+        mask = refit_mask
+        transform = umeyama(pred[mask], gt[mask])
+    return transform, mask

@@ -382,3 +382,39 @@ def test_report_json_never_nan(nadir_gt_pair):
     assert {"accuracy_m", "completeness_m", "chamfer_m", "accuracy_rel", "completeness_rel",
             "chamfer_rel", "slope_corr", "slope_mae_deg", "profile_mae_m", "profile_corr",
             "ssim", "si_loss", "alignment"} <= keys
+
+
+def test_evaluate_all_outlier_prediction_flags_alignment(nadir_gt_pair):
+    gt = nadir_gt_pair["gt"]
+    rng = np.random.default_rng(40)
+
+    def scattered(pm):
+        pts = rng.uniform(-5e4, 5e4, pm.points.shape)
+        return PointMap(points=pts, valid_mask=pm.valid_mask, frame="world",
+                        reference_pose=pm.reference_pose)
+
+    pred = PairPrediction(pointmap_a=scattered(nadir_gt_pair["pm_a"]),
+                          pointmap_b=scattered(nadir_gt_pair["pm_b"]),
+                          pose_a=gt.pose_a, pose_b=gt.pose_b)
+    # At a 1 cm threshold no similarity explains even its own 3-point sample,
+    # so no hypothesis reaches consensus.  (At 3 GSD a similarity that shrinks
+    # the scatter onto the terrain catches a few points by chance.)
+    rep = evaluate_pair(pred, gt, EvalConfig(seed=0, align_iterations=50, align_threshold_m=0.01))
+    assert rep.alignment is None
+    assert rep.flags["alignment"].startswith("failed: ")
+    assert rep.chamfer_m is None
+    assert rep.rra_deg == pytest.approx(0.0, abs=1e-9)
+
+
+def test_evaluate_programming_error_propagates(nadir_gt_pair, monkeypatch):
+    import lunarforge.metrics as metrics_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the aligner")
+
+    monkeypatch.setattr(metrics_mod, "ransac_align", broken)
+    gt = nadir_gt_pair["gt"]
+    pred = PairPrediction(pointmap_a=nadir_gt_pair["pm_a"], pointmap_b=nadir_gt_pair["pm_b"],
+                          pose_a=gt.pose_a, pose_b=gt.pose_b)
+    with pytest.raises(TypeError, match="bug inside the aligner"):
+        evaluate_pair(pred, gt, EvalConfig(seed=0))

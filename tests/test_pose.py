@@ -16,10 +16,12 @@ from lunarforge import (
     umeyama,
 )
 from lunarforge.camera import Intrinsics, relative_pose, rot_x, rot_y, rot_z
+from lunarforge import pose as pose_mod
 from lunarforge.pose import (
     DegenerateBaselineError,
     DegenerateGeometryError,
     InsufficientMatchesError,
+    RansacError,
     essential_from_poses,
     pose_accuracy_table,
 )
@@ -169,13 +171,20 @@ def test_rra_matches_quaternion_oracle():
 
 
 def test_rra_small_perturbation_to_zero():
-    # Limit property: the error decays with the perturbation.  The trace
-    # formula is sqrt(eps)-conditioned near zero, so only order is asserted.
+    # Limit property: the error decays with the perturbation, and the atan2
+    # form keeps its relative accuracy all the way down.
     r = random_rotation(np.random.default_rng(14))
-    assert rra(r, r @ rot_z(1e-3)) == pytest.approx(1e-3, rel=1e-6)
-    for eps in (1e-4, 1e-5, 1e-6):
-        got = rra(r, r @ rot_z(eps))
-        assert 0.0 <= got < 2 * eps
+    for eps in (1e-3, 1e-4, 1e-5, 1e-6):
+        assert rra(r, r @ rot_z(eps)) == pytest.approx(eps, rel=1e-6)
+
+
+def test_rra_resolves_identity_and_extreme_angles():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        r = random_rotation(rng)
+        assert rra(r, r) < 1e-9
+        for angle in (0.001, 90.0, 179.9):
+            assert abs(rra(r, r @ rot_z(angle)) - angle) < 1e-9
 
 
 def test_rta_scale_free():
@@ -317,3 +326,139 @@ def test_ransac_align_deterministic():
     assert np.array_equal(m1, m2)
     assert t1.scale == t2.scale
     assert t1.rotation.tobytes() == t2.rotation.tobytes()
+
+
+def _outlier_problem(seed, outlier_frac, n=400):
+    """src -> 1.8 R src + t with 1 cm noise; a share of dst displaced 50-200 m."""
+    rng = np.random.default_rng(seed)
+    src = rng.normal(0, 8, (n, 3))
+    dst = 1.8 * src @ rot_x(25.0).T + np.array([0.0, 4.0, -7.0]) + rng.normal(0, 0.01, (n, 3))
+    bad = rng.choice(n, size=int(outlier_frac * n), replace=False)
+    dst[bad] += rng.uniform(50, 200, (len(bad), 3)) * rng.choice([-1, 1], (len(bad), 3))
+    truth = np.ones(n, dtype=bool)
+    truth[bad] = False
+    return src, dst, truth
+
+
+@pytest.fixture
+def umeyama_sizes(monkeypatch):
+    """Point counts of every umeyama call ransac_align makes (3 = a hypothesis)."""
+    sizes = []
+    original = pose_mod.umeyama
+
+    def counting(src, dst):
+        sizes.append(len(src))
+        return original(src, dst)
+
+    monkeypatch.setattr(pose_mod, "umeyama", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("outlier_frac", [0.4, 0.5, 0.6])
+def test_ransac_align_recovers_similarity_under_heavy_outliers(outlier_frac):
+    src, dst, truth = _outlier_problem(31, outlier_frac)
+    t, inliers = ransac_align(src, dst, RansacParams(iterations=2000, inlier_threshold=0.5, seed=5))
+    assert np.array_equal(inliers, truth)
+    direct = umeyama(src[truth], dst[truth])
+    assert t.scale == pytest.approx(direct.scale, abs=1e-6)
+    assert np.allclose(t.rotation, direct.rotation, atol=1e-6)
+    assert np.allclose(t.translation, direct.translation, atol=1e-6)
+
+
+def test_ransac_align_refits_to_a_fixed_point():
+    # Inlier noise on the scale of the threshold: the winning hypothesis's
+    # mask is not yet self-consistent, the refit's must be.
+    rng = np.random.default_rng(35)
+    src = rng.normal(0, 8, (400, 3))
+    dst = 1.8 * src @ rot_x(25.0).T + rng.normal(0, 0.3, (400, 3))
+    dst[:120] += rng.uniform(50, 200, (120, 3))
+    t, inliers = ransac_align(src, dst, RansacParams(iterations=2000, inlier_threshold=0.5, seed=9))
+    assert np.array_equal(inliers, np.linalg.norm(t.apply(src) - dst, axis=1) < 0.5)
+    direct = umeyama(src[inliers], dst[inliers])
+    assert t.rotation.tobytes() == direct.rotation.tobytes()
+    assert t.scale == direct.scale
+
+
+def test_ransac_align_stops_long_before_the_cap(umeyama_sizes):
+    src, dst, _ = _outlier_problem(32, 0.4)
+    ransac_align(src, dst, RansacParams(iterations=2000, inlier_threshold=0.5, seed=6))
+    assert len(umeyama_sizes) < 100
+
+
+def test_ransac_align_iterations_is_a_hard_cap(umeyama_sizes):
+    # 5% inliers would need ~55k hypotheses for p = 0.999; the cap binds.
+    src, dst, _ = _outlier_problem(33, 0.95)
+    with pytest.raises(RansacError):
+        ransac_align(src, dst, RansacParams(iterations=300, inlier_threshold=0.5, seed=7))
+    assert len(umeyama_sizes) == 300
+
+
+def test_ransac_align_clean_data_stops_after_one_hypothesis(umeyama_sizes):
+    src, dst, _ = _outlier_problem(34, 0.0)
+    _, inliers = ransac_align(src, dst, RansacParams(iterations=2000, inlier_threshold=0.5, seed=8))
+    assert inliers.all()
+    assert umeyama_sizes.count(3) == 1
+
+
+def test_hypotheses_needed_stopping_rule():
+    assert pose_mod._hypotheses_needed(0, 100, 3) == math.inf
+    assert pose_mod._hypotheses_needed(100, 100, 3) == 1
+    # w = 0.74, s = 3: log(0.001) / log(1 - 0.74**3) = 13.3.
+    assert pose_mod._hypotheses_needed(74, 100, 3) == 14
+    assert pose_mod._hypotheses_needed(60, 100, 3) == 29
+    # w**s underflows to 0 for a tiny ratio and a large sample: no stop.
+    assert pose_mod._hypotheses_needed(1, 10**9, 40) == math.inf
+
+
+def test_essential_and_pnp_deterministic_for_fixed_seed(oblique_scene):
+    rig = oblique_scene["rig"]
+    pairs = oblique_scene["corr"].pairs.copy()
+    rng = np.random.default_rng(9)
+    bad = rng.choice(len(pairs), size=len(pairs) // 3, replace=False)
+    pairs[bad, 2:] += rng.uniform(-20, 20, (len(bad), 2))
+    params = RansacParams(inlier_threshold=1.0, seed=10)
+    e1 = estimate_essential(pairs, rig.intrinsics, rig.intrinsics, params)
+    e2 = estimate_essential(pairs, rig.intrinsics, rig.intrinsics, params)
+    assert e1.E.tobytes() == e2.E.tobytes()
+    assert np.array_equal(e1.inliers, e2.inliers)
+
+    pm = depth_to_pointmap(oblique_scene["prod_b"], frame="world")
+    vv, uu = np.meshgrid(np.arange(0, 96, 6, dtype=float), np.arange(0, 96, 6, dtype=float),
+                         indexing="ij")
+    valid = pm.valid_mask[::6, ::6]
+    pixels = np.column_stack([uu[valid], vv[valid]])
+    pts = pm.points[::6, ::6][valid].copy()
+    bad = rng.choice(len(pts), size=len(pts) // 3, replace=False)
+    pts[bad] += rng.normal(0, 200.0, (len(bad), 3))
+    p1 = solve_pnp((pixels, pts), rig.intrinsics, params)
+    p2 = solve_pnp((pixels, pts), rig.intrinsics, params)
+    assert p1.rotation.tobytes() == p2.rotation.tobytes()
+    assert p1.translation.tobytes() == p2.translation.tobytes()
+
+
+def _per_point_pnp_jacobian(pc):
+    """The per-point loop construction the vectorised Jacobian replaced."""
+    n = len(pc)
+    jac = np.zeros((2 * n, 6))
+    inv_z = 1.0 / pc[:, 2]
+    x, y = pc[:, 0], pc[:, 1]
+    j_pc_u = np.column_stack([inv_z, np.zeros(n), -x * inv_z**2])
+    j_pc_v = np.column_stack([np.zeros(n), inv_z, -y * inv_z**2])
+    for i in range(n):
+        px = np.array([[0, -pc[i, 2], pc[i, 1]], [pc[i, 2], 0, -pc[i, 0]], [-pc[i, 1], pc[i, 0], 0]])
+        jac[2 * i, 0:3] = j_pc_u[i] @ (-px)
+        jac[2 * i, 3:6] = j_pc_u[i]
+        jac[2 * i + 1, 0:3] = j_pc_v[i] @ (-px)
+        jac[2 * i + 1, 3:6] = j_pc_v[i]
+    return jac
+
+
+def test_pnp_jacobian_matches_per_point_construction():
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        pc = rng.normal(0, 50, (37, 3))
+        pc[:, 2] = rng.uniform(10, 500, 37)
+        got = pose_mod._pnp_jacobian(pc)
+        want = _per_point_pnp_jacobian(pc)
+        assert got.shape == (74, 6)
+        assert np.max(np.abs(got - want)) <= 1e-12
