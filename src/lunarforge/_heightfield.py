@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .terrain import DemGrid
+from .terrain import DemGrid, bilinear
 
 _BISECT_TOL_FRAC = 2e-7  # bracket width target, as a fraction of cell_size
 
@@ -22,23 +22,6 @@ _BISECT_TOL_FRAC = 2e-7  # bracket width target, as a fraction of cell_size
 def _cell_max(dem: DemGrid) -> np.ndarray:
     e = dem.elevations
     return np.fmax(np.fmax(e[:-1, :-1], e[:-1, 1:]), np.fmax(e[1:, :-1], e[1:, 1:]))
-
-
-def _bilinear_at(dem: DemGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Clamped bilinear sample; NaN where the neighborhood has nodata."""
-    fx = (x - dem.origin_x) / dem.cell_size
-    fy = (y - dem.origin_y) / dem.cell_size
-    j = np.clip(np.floor(fx).astype(np.int64), 0, dem.width - 2)
-    i = np.clip(np.floor(fy).astype(np.int64), 0, dem.height - 2)
-    u = fx - j
-    v = fy - i
-    e = dem.elevations
-    return (
-        e[i, j] * (1 - u) * (1 - v)
-        + e[i, j + 1] * u * (1 - v)
-        + e[i + 1, j] * (1 - u) * v
-        + e[i + 1, j + 1] * u * v
-    )
 
 
 def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
@@ -96,18 +79,16 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
 
     # Immediate hit when the ray already starts at/below the surface inside
     # the footprint (self-intersection guard for biased shadow rays).
-    px = ox + dx * t_enter
-    py = oy + dy * t_enter
     pz = oz + dz * t_enter
+    fx = (ox + dx * t_enter - dem.origin_x) / cs
+    fy = (oy + dy * t_enter - dem.origin_y) / cs
     with np.errstate(invalid="ignore"):
-        below = alive & ((pz - _bilinear_at(dem, px, py)) < 0)
+        below = alive & ((pz - bilinear(e, fx, fy)) < 0)
     t_hit[below] = t_enter[below]
     hit[below] = True
     alive &= ~below
 
     # DDA state.
-    fx = (px - dem.origin_x) / cs
-    fy = (py - dem.origin_y) / cs
     ix = np.clip(np.floor(fx).astype(np.int64), 0, dem.width - 2)
     iy = np.clip(np.floor(fy).astype(np.int64), 0, dem.height - 2)
     step_x = np.where(dx > 0, 1, -1).astype(np.int64)
@@ -199,10 +180,9 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
             if not wide.any():
                 break
             mid = 0.5 * (blo + bhi)
-            mx = ox[b] + dx[b] * mid
-            my = oy[b] + dy[b] * mid
-            mz = oz[b] + dz[b] * mid
-            fmid = mz - _bilinear_at(dem, mx, my)
+            mfx = (ox[b] + dx[b] * mid - dem.origin_x) / cs
+            mfy = (oy[b] + dy[b] * mid - dem.origin_y) / cs
+            fmid = oz[b] + dz[b] * mid - bilinear(e, mfx, mfy)
             go_hi = wide & (fmid <= 0)
             go_lo = wide & (fmid > 0)
             bhi = np.where(go_hi, mid, bhi)
@@ -213,13 +193,14 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
     return t_hit, hit
 
 
-def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray, bias: float) -> np.ndarray:
-    """True where a point is shadowed: the biased sun ray re-hits the terrain."""
+def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray) -> np.ndarray:
+    """True where a point is shadowed: the sun ray, started half a cell toward
+    the sun to clear its own facet, re-hits the terrain."""
     p = np.asarray(points, dtype=np.float64)
     if p.ndim == 1:
         p = p[None, :]
     s = np.asarray(sun_dir, dtype=np.float64)
-    origins = p + bias * s
+    origins = p + 0.5 * dem.cell_size * s
     dirs = np.broadcast_to(s, origins.shape)
     _, hit = intersect_rays(dem, origins, dirs)
     return hit

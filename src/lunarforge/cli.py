@@ -15,7 +15,7 @@ import math
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +45,6 @@ class PairRecord:
     gsd_m: float
     baseline_m: float
     altitude_m: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "trajectory": self.trajectory,
-            "lighting": self.lighting,
-            "paths": self.paths,
-            "gsd_m": self.gsd_m,
-            "baseline_m": self.baseline_m,
-            "altitude_m": self.altitude_m,
-        }
 
 
 def synth_extent_m(kind: str, band_index: int, fov_deg: float, allow_disjoint: bool) -> float:
@@ -143,7 +132,7 @@ def _pair_artifacts(
             baseline_m=baseline_3d,
             altitude_m=spec.altitude_m,
         )
-        meta = record.to_json_dict()
+        meta = asdict(record)
         meta["intrinsics"] = rig.intrinsics.to_json_dict()
         meta["pose_a"] = rig.pose_a.to_json_dict()
         meta["pose_b"] = rig.pose_b.to_json_dict()
@@ -157,85 +146,87 @@ def _pair_artifacts(
         raise
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind=int) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [kind(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise UsageError(f"bad {what} list: {text!r}") from None
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise UsageError(f"bad {what} list: {text!r}") from None
-
-
-def _load_input_dem(args) -> DemGrid | None:
-    if args.dem:
-        return load_dem(args.dem, args.dem_format)
-    if not args.synth:
-        raise UsageError("either --dem or --synth is required")
-    return None
-
-
-def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bands = _parse_int_list(args.bands, "band")
+def _scene(args, bands: list[int], lightings: list[str]):
+    """Validate the scene flags of generate and render-pair, then build one DEM
+    per band.  Returns ({band: DemGrid}, HapkeParams, sample_pair keyword
+    arguments).  Invalid values raise UsageError before any DEM is built."""
+    if args.trajectory not in KINDS:
+        raise UsageError(f"unknown trajectory kind {args.trajectory!r}")
     for band in bands:
         if not 0 <= band < len(ALTITUDE_BANDS_M):
             raise UsageError(f"band index {band} outside [0, {len(ALTITUDE_BANDS_M) - 1}]")
-    lightings = [tok.strip() for tok in args.lighting.split(",") if tok.strip()]
     for lid in lightings:
         if lid not in LIGHTING_PRESETS:
             raise UsageError(f"unknown lighting preset {lid!r}")
-    if args.trajectory not in KINDS:
-        raise UsageError(f"unknown trajectory kind {args.trajectory!r}")
-    if args.pairs < 1:
-        raise UsageError("--pairs must be >= 1")
-
     res = args.full_res if args.full_res else args.res
-    input_dem = _load_input_dem(args)
-    hapke = HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi)
-    psf_sigma = args.psf_sigma
-    rpp = args.rays_per_pixel if psf_sigma > 0 else 1
+    for message, ok in (
+        ("render resolution must be >= 1", res >= 1),
+        ("--psf-sigma must be >= 0", args.psf_sigma >= 0),
+        # Without a PSF each pixel casts one ray whatever this says.
+        ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
+        ("--stride must be >= 1", args.stride >= 1),
+    ):
+        if not ok:
+            raise UsageError(message)
+    try:
+        hapke = HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi)
+    except ValueError as exc:
+        raise UsageError(f"bad Hapke parameters: {exc}") from None
+    if not args.dem and not args.synth:
+        raise UsageError("either --dem or --synth is required")
 
-    # Build the render task list first so records land in manifest order.
-    tasks = []
-    for band in bands:
-        dem = input_dem or synth_dem_for_band(
+    input_dem = load_dem(args.dem, args.dem_format) if args.dem else None
+    dems = {
+        band: input_dem or synth_dem_for_band(
             args.trajectory, band, args.seed, size=args.synth_size,
             craters=args.synth_craters, octaves=args.synth_octaves,
             allow_disjoint=args.allow_disjoint,
         )
+        for band in bands
+    }
+    rig_args = {
+        "width": res, "height": res, "psf_sigma": args.psf_sigma,
+        "rays_per_pixel": args.rays_per_pixel, "allow_disjoint": args.allow_disjoint,
+    }
+    return dems, hapke, rig_args
+
+
+def _render_tasks(out_dir: Path, tasks: list, hapke: HapkeParams, stride: int, workers: int | None) -> list[PairRecord]:
+    """Render (pair_id, dem, spec, rig, sun, seed) tasks one after another and
+    write their artifacts; each render splits its rows over the workers."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [
+        _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, seed, stride, workers)
+        for pair_id, dem, spec, rig, sun, seed in tasks
+    ]
+
+
+def cmd_generate(args) -> int:
+    bands = _parse_list(args.bands, "band")
+    lightings = [tok.strip() for tok in args.lighting.split(",") if tok.strip()]
+    if args.pairs < 1:
+        raise UsageError("--pairs must be >= 1")
+    dems, hapke, rig_args = _scene(args, bands, lightings)
+
+    # Build the render task list first so records land in manifest order.
+    tasks = []
+    for band in bands:
         for idx in range(args.pairs):
             pair_seed = args.seed * 100003 + band * 101 + idx
-            spec, rig = sample_pair(
-                args.trajectory, pair_seed, band, dem,
-                width=res, height=res, psf_sigma=psf_sigma, rays_per_pixel=rpp,
-                allow_disjoint=args.allow_disjoint,
-            )
+            spec, rig = sample_pair(args.trajectory, pair_seed, band, dems[band], **rig_args)
             for lid in lightings:
                 pair_id = f"{args.trajectory}_b{band:02d}_p{idx:03d}_{lid}"
-                spec_lit = type(spec)(**{**spec.to_json_dict(), "lighting": lid})
-                tasks.append((pair_id, dem, spec_lit, rig, lighting_preset(lid), pair_seed))
+                tasks.append((pair_id, dems[band], replace(spec, lighting=lid), rig, lighting_preset(lid), pair_seed))
 
-    def run(task):
-        pair_id, dem, spec, rig, sun, pair_seed = task
-        return _pair_artifacts(
-            out_dir, pair_id, dem, spec, rig, sun, hapke, pair_seed,
-            args.stride, workers=1,
-        )
-
-    n_workers = resolve_workers(args.workers)
-    if n_workers == 1:
-        records = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(run, tasks))
-
-    manifest = out_dir / "manifest.jsonl"
+    out_dir = Path(args.out)
+    records = _render_tasks(out_dir, tasks, hapke, args.stride, args.workers)
     header = {
         "format": "lunarforge-manifest",
         "version": 1,
@@ -244,8 +235,8 @@ def cmd_generate(args) -> int:
     }
     lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
     for record in sorted(records, key=lambda r: r.pair_id):
-        lines.append(json.dumps(record.to_json_dict(), sort_keys=True, allow_nan=False))
-    manifest.write_text("\n".join(lines) + "\n")
+        lines.append(json.dumps(asdict(record), sort_keys=True, allow_nan=False))
+    (out_dir / "manifest.jsonl").write_text("\n".join(lines) + "\n")
     print(f"generated {len(records)} pairs into {out_dir}")
     return 0
 
@@ -319,7 +310,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"ground-truth directory {gt_dir} does not exist")
     if not pred_dir.is_dir():
         raise UsageError(f"prediction directory {pred_dir} does not exist")
-    thresholds = sorted(_parse_float_list(args.thresholds, "threshold"))
+    thresholds = sorted(_parse_list(args.thresholds, "threshold", float))
     records = _read_manifest(gt_dir)
     config = EvalConfig(seed=args.seed)
 
@@ -400,38 +391,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_render_pair(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.trajectory not in KINDS:
-        raise UsageError(f"unknown trajectory kind {args.trajectory!r}")
-    if not 0 <= args.band < len(ALTITUDE_BANDS_M):
-        raise UsageError(f"band index {args.band} outside [0, {len(ALTITUDE_BANDS_M) - 1}]")
-    if args.lighting not in LIGHTING_PRESETS:
-        raise UsageError(f"unknown lighting preset {args.lighting!r}")
-    dem = _load_input_dem(args) or synth_dem_for_band(
-        args.trajectory, args.band, args.seed, size=args.synth_size,
-        craters=args.synth_craters, octaves=args.synth_octaves,
-        allow_disjoint=args.allow_disjoint,
-    )
-    res = args.full_res if args.full_res else args.res
-    psf_sigma = args.psf_sigma
-    rpp = args.rays_per_pixel if psf_sigma > 0 else 1
-    spec, rig = sample_pair(
-        args.trajectory, args.seed, args.band, dem, lighting=args.lighting,
-        width=res, height=res, psf_sigma=psf_sigma, rays_per_pixel=rpp,
-        allow_disjoint=args.allow_disjoint,
-    )
+    dems, hapke, rig_args = _scene(args, [args.band], [args.lighting])
+    dem = dems[args.band]
+    spec, rig = sample_pair(args.trajectory, args.seed, args.band, dem, lighting=args.lighting, **rig_args)
     if args.zero_baseline:
-        rig = CameraRig(
-            intrinsics=rig.intrinsics, pose_a=rig.pose_a, pose_b=rig.pose_a,
-            psf_sigma=rig.psf_sigma, rays_per_pixel=rig.rays_per_pixel,
-        )
+        rig = replace(rig, pose_b=rig.pose_a)
     pair_id = f"{args.trajectory}_b{args.band:02d}_p000_{args.lighting}"
-    hapke = HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi)
-    record = _pair_artifacts(
-        out_dir, pair_id, dem, spec, rig, lighting_preset(args.lighting), hapke,
-        args.seed, args.stride, workers=args.workers,
-    )
+    task = (pair_id, dem, spec, rig, lighting_preset(args.lighting), args.seed)
+    out_dir = Path(args.out)
+    (record,) = _render_tasks(out_dir, [task], hapke, args.stride, args.workers)
     print(f"rendered {record.pair_id} into {out_dir}")
     return 0
 

@@ -241,7 +241,7 @@ def scale_invariant_loss(pred_points, gt_points, valid_mask=None) -> float:
 class EvalConfig:
     seed: int = 0
     n_profiles: int = 5
-    align_iterations: int = 2000
+    align_iterations: int = 2000  # RANSAC cap; also bounds the certifiable inlier ratio (RansacParams)
     align_threshold_m: float | None = None  # default 3 * gsd_m
 
 

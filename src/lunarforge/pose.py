@@ -42,6 +42,10 @@ class RansacParams:
     confidence of having drawn one all-inlier sample (Fischler & Bolles
     1981).  It stops at once when every point is an inlier.  ``iterations``
     is a hard cap on the number of samples drawn, degenerate ones included.
+    ``ransac_align`` also rejects a final consensus that would need more than
+    ``iterations`` samples, so the cap sets the smallest inlier ratio it can
+    certify: w_min ~ (1 - 0.001**(1/iterations))**(1/3), about 0.15 at the
+    default 2000 and 0.5 at 50.
     """
 
     iterations: int = 2000
@@ -510,7 +514,10 @@ def ransac_align(
     point: umeyama on its inliers, recompute the mask, repeat until the mask
     stops changing (at most 20 rounds) or would drop below 3 points.  So the
     result depends little on which hypothesis found the consensus, and so on
-    where the loop stopped.
+    where the loop stopped.  Raises RansacError when the final consensus is
+    too small to certify: finding it with confidence p would take more than
+    ``iterations`` hypotheses (at the default 2000, an inlier ratio below
+    about 0.15).
     """
     pred = np.asarray(pred_cloud, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_cloud, dtype=np.float64).reshape(-1, 3)
@@ -536,4 +543,10 @@ def ransac_align(
             break
         mask = refit_mask
         transform = umeyama(pred[mask], gt[mask])
+    count = int(mask.sum())
+    if _hypotheses_needed(count, len(pred), 3) > ransac.iterations:
+        raise RansacError(
+            f"consensus of {count}/{len(pred)} points is too small to certify "
+            f"within {ransac.iterations} hypotheses"
+        )
     return transform, mask

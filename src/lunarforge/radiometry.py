@@ -106,7 +106,7 @@ def hapke_brdf(mu0, mu, g, params: HapkeParams):
     p = phase_hg(g, params.xi)
     hh = h_function(mu0, params.w) * h_function(mu, params.w)
     # Reciprocal form: the incidence cosine is applied by the caller
-    # (shade_point multiplies by mu0), keeping mu0 <-> mu symmetry exact.
+    # (_radiance multiplies by mu0), keeping mu0 <-> mu symmetry exact.
     r = (params.w / (4 * np.pi)) / (mu0 + mu) * ((1 + b) * p + hh - 1)
     return float(r) if r.ndim == 0 else r
 
@@ -118,16 +118,33 @@ def sun_direction(cfg: SunConfig) -> np.ndarray:
     return np.array([math.cos(e) * math.sin(a), math.cos(e) * math.cos(a), math.sin(e)])
 
 
-def shadow_test(dem: DemGrid, point, sun_dir, bias: float | None = None) -> bool:
+def shadow_test(dem: DemGrid, point, sun_dir) -> bool:
     """True result means lit.  Marches a biased ray toward the sun with the
     heightfield traversal; shadowed iff it re-hits terrain before exiting."""
     sun_dir = np.asarray(sun_dir, dtype=np.float64)
     if sun_dir[2] <= 0:
         raise ValueError("sun must be above the horizon (sun_dir.z > 0)")
-    if bias is None:
-        bias = 0.5 * dem.cell_size
-    shadowed = _heightfield.shadow_mask(dem, np.asarray(point, dtype=np.float64), sun_dir, bias)
+    shadowed = _heightfield.shadow_mask(dem, np.asarray(point, dtype=np.float64), sun_dir)
     return not bool(shadowed[0])
+
+
+def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: HapkeParams):
+    """Shading of (N, 3) points with given unit normals: the one Hapke
+    radiance expression behind shade_point and shade_points."""
+    s = sun_direction(sun)
+    mu0 = normals @ s
+    mu = np.einsum("ij,ij->i", normals, view_dirs)
+    radiance = np.zeros(len(points))
+    facing = (mu0 > 0) & (mu > 0)
+    if facing.any():
+        lit = ~_heightfield.shadow_mask(dem, points[facing], s)
+        idx = np.flatnonzero(facing)[lit]
+        if idx.size:
+            g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
+            radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
+                mu0[idx], np.minimum(mu[idx], 1.0), g, params
+            )
+    return radiance
 
 
 def shade_point(
@@ -137,24 +154,16 @@ def shade_point(
     sun: SunConfig,
     params: HapkeParams,
     view_dir,
-    bias: float | None = None,
 ) -> float:
     """Radiance (relative units) leaving a surface point toward the camera.
 
     Zero when shadowed, when the sun is below the facet horizon (mu0 <= 0),
     or when the facet faces away from the camera (mu <= 0).
     """
-    normal = np.asarray(normal, dtype=np.float64)
-    view_dir = np.asarray(view_dir, dtype=np.float64)
-    s = sun_direction(sun)
-    mu0 = float(normal @ s)
-    mu = float(normal @ view_dir)
-    if mu0 <= 0 or mu <= 0:
-        return 0.0
-    if not shadow_test(dem, point, s, bias=bias):
-        return 0.0
-    g = math.acos(max(-1.0, min(1.0, float(s @ view_dir))))
-    return sun.irradiance * mu0 * float(hapke_brdf(mu0, min(mu, 1.0), g, params))
+    def row(a):
+        return np.asarray(a, dtype=np.float64).reshape(1, 3)
+
+    return float(_radiance(dem, row(point), row(normal), row(view_dir), sun, params)[0])
 
 
 def shade_points(
@@ -163,32 +172,14 @@ def shade_points(
     view_dirs: np.ndarray,
     sun: SunConfig,
     params: HapkeParams,
-    bias: float | None = None,
 ) -> np.ndarray:
     """Vectorized shading of hit points; view_dirs point from surface to camera."""
     points = np.asarray(points, dtype=np.float64)
     view_dirs = np.asarray(view_dirs, dtype=np.float64)
-    n = points.shape[0]
-    if n == 0:
+    if points.shape[0] == 0:
         return np.zeros(0)
-    if bias is None:
-        bias = 0.5 * dem.cell_size
-    s = sun_direction(sun)
     # Normals need a one-cell margin; clamp queries into it.
     cs = dem.cell_size
     qx = np.clip(points[:, 0], dem.x_min + cs, dem.x_max - cs)
     qy = np.clip(points[:, 1], dem.y_min + cs, dem.y_max - cs)
-    normals = surface_normal(dem, qx, qy)
-    mu0 = normals @ s
-    mu = np.einsum("ij,ij->i", normals, view_dirs)
-    radiance = np.zeros(n)
-    facing = (mu0 > 0) & (mu > 0)
-    if facing.any():
-        lit = ~_heightfield.shadow_mask(dem, points[facing], s, bias)
-        idx = np.flatnonzero(facing)[lit]
-        if idx.size:
-            g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
-            radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
-                mu0[idx], np.minimum(mu[idx], 1.0), g, params
-            )
-    return radiance
+    return _radiance(dem, points, surface_normal(dem, qx, qy), view_dirs, sun, params)

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _heightfield
-from .camera import CameraRig, Intrinsics, Pose, camera_dirs, gsd
+from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, unproject
 from .radiometry import HapkeParams, SunConfig, shade_points
-from .terrain import DemGrid, sample_height
+from .terrain import DemGrid, bilinear, sample_height
 
 DEFAULT_TILE_ROWS = 32
 
@@ -127,18 +127,14 @@ def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image, shadow_bias):
+def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
     """Render one horizontal band of rows; returns (radiance, depth) arrays."""
     h = rows.stop - rows.start
     w = intr.width
     vv, uu = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    center = pose.translation
 
     # Central rays define the depth channel.
-    d_cam = camera_dirs(intr, uu.ravel(), vv.ravel())
-    d_world = d_cam @ pose.rotation.T
-    origins = np.broadcast_to(center, d_world.shape)
-    t, hit = _heightfield.intersect_rays(dem, origins, d_world)
+    t, hit = _heightfield.intersect_rays(dem, *pixel_rays(intr, pose, uu.ravel(), vv.ravel()))
     depth = np.where(hit, t, np.nan).reshape(h, w)
 
     if not compute_image:
@@ -146,36 +142,22 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image, shado
 
     rpp = jitter.shape[2]
     radiance = np.zeros(h * w * rpp)
-    du = jitter[rows, :, :, 0].reshape(-1)
-    dv = jitter[rows, :, :, 1].reshape(-1)
-    us = np.repeat(uu.ravel(), rpp) + du
-    vs = np.repeat(vv.ravel(), rpp) + dv
-    jd_cam = camera_dirs(intr, us, vs)
-    jd_world = jd_cam @ pose.rotation.T
-    jorigins = np.broadcast_to(center, jd_world.shape)
-    jt, jhit = _heightfield.intersect_rays(dem, jorigins, jd_world)
+    us = np.repeat(uu.ravel(), rpp) + jitter[rows, :, :, 0].reshape(-1)
+    vs = np.repeat(vv.ravel(), rpp) + jitter[rows, :, :, 1].reshape(-1)
+    origins, dirs = pixel_rays(intr, pose, us, vs)
+    jt, jhit = _heightfield.intersect_rays(dem, origins, dirs)
     if jhit.any():
-        pts = jorigins[jhit] + jt[jhit, None] * jd_world[jhit]
-        view_dirs = -jd_world[jhit]
-        radiance[jhit] = shade_points(dem, pts, view_dirs, sun, hapke, bias=shadow_bias)
+        pts = origins[jhit] + jt[jhit, None] * dirs[jhit]
+        radiance[jhit] = shade_points(dem, pts, -dirs[jhit], sun, hapke)
     radiance = radiance.reshape(h, w, rpp).mean(axis=2)
     return radiance, depth
 
 
-def _render_arrays(
-    dem: DemGrid,
-    intr: Intrinsics,
-    pose: Pose,
-    sun: SunConfig,
-    hapke: HapkeParams,
-    psf_sigma: float,
-    rays_per_pixel: int,
-    seed: int,
-    view_id: int,
-    compute_image: bool,
-    shadow_bias: float | None,
-    workers: int | None,
-):
+def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, compute_image, workers):
+    """Render one view over row bands; returns (RenderProduct, the gain applied).
+
+    gain None derives it from this view's own radiance (see exposure_gain).
+    """
     center = pose.translation
     if dem.x_min <= center[0] <= dem.x_max and dem.y_min <= center[1] <= dem.y_max:
         if center[2] <= sample_height(dem, center[0], center[1]):
@@ -191,7 +173,7 @@ def _render_arrays(
     n_workers = resolve_workers(workers)
 
     def run(band):
-        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image, shadow_bias)
+        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image)
 
     if n_workers == 1 or len(bands) == 1:
         results = [run(b) for b in bands]
@@ -201,7 +183,18 @@ def _render_arrays(
     for band, (rad, dep) in results:
         radiance[band] = rad
         depth[band] = dep
-    return radiance, depth
+
+    if gain is None:
+        gain = exposure_gain(radiance)
+    product = RenderProduct(
+        image=np.clip(radiance * gain, 0.0, 1.0),
+        depth=depth,
+        valid_mask=np.isfinite(depth),
+        intrinsics=intr,
+        pose=pose,
+        sun=sun,
+    )
+    return product, gain
 
 
 def render_view(
@@ -216,7 +209,6 @@ def render_view(
     view_id: int = 0,
     gain: float | None = None,
     compute_image: bool = True,
-    shadow_bias: float | None = None,
     workers: int | None = None,
 ) -> RenderProduct:
     """Render one view: PSF-averaged radiance image plus central-ray depth.
@@ -224,21 +216,10 @@ def render_view(
     gain scales radiance into [0, 1]; when None it is derived from this
     view's own 99th radiance percentile (stereo pairs share view a's gain).
     """
-    radiance, depth = _render_arrays(
+    return _render(
         dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id,
-        compute_image, shadow_bias, workers,
-    )
-    if gain is None:
-        gain = exposure_gain(radiance)
-    image = np.clip(radiance * gain, 0.0, 1.0)
-    return RenderProduct(
-        image=image,
-        depth=depth,
-        valid_mask=np.isfinite(depth),
-        intrinsics=intr,
-        pose=pose,
-        sun=sun,
-    )
+        gain, compute_image, workers,
+    )[0]
 
 
 def exposure_gain(radiance: np.ndarray) -> float:
@@ -257,23 +238,13 @@ def render_pair(
     workers: int | None = None,
 ):
     """Render both rig views with a shared gain taken from view a."""
-    radiance_a, depth_a = _render_arrays(
-        dem, rig.intrinsics, rig.pose_a, sun, hapke, rig.psf_sigma,
-        rig.rays_per_pixel, seed, 0, compute_image, None, workers,
+    product_a, gain = _render(
+        dem, rig.intrinsics, rig.pose_a, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
+        seed, 0, None, compute_image, workers,
     )
-    shared_gain = exposure_gain(radiance_a)
-    product_a = RenderProduct(
-        image=np.clip(radiance_a * shared_gain, 0.0, 1.0),
-        depth=depth_a,
-        valid_mask=np.isfinite(depth_a),
-        intrinsics=rig.intrinsics,
-        pose=rig.pose_a,
-        sun=sun,
-    )
-    product_b = render_view(
-        dem, rig.intrinsics, rig.pose_b, sun, hapke, rig.psf_sigma,
-        rig.rays_per_pixel, seed, view_id=1, gain=shared_gain,
-        compute_image=compute_image, workers=workers,
+    product_b, _ = _render(
+        dem, rig.intrinsics, rig.pose_b, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
+        seed, 1, gain, compute_image, workers,
     )
     return product_a, product_b
 
@@ -282,9 +253,7 @@ def depth_to_pointmap(product: RenderProduct, frame: str = "view1", reference_po
     """Per-pixel 3D points origin + depth * direction, in the requested frame."""
     intr = product.intrinsics
     vv, uu = np.meshgrid(np.arange(intr.height, dtype=np.float64), np.arange(intr.width, dtype=np.float64), indexing="ij")
-    d_cam = camera_dirs(intr, uu, vv)
-    d_world = d_cam @ product.pose.rotation.T
-    pts = product.pose.translation + product.depth[..., None] * d_world
+    pts = unproject(intr, product.pose, uu, vv, product.depth)
     if reference_pose is None:
         reference_pose = product.pose
     if frame == "view1":
@@ -292,30 +261,6 @@ def depth_to_pointmap(product: RenderProduct, frame: str = "view1", reference_po
     elif frame != "world":
         raise ValueError("frame must be 'view1' or 'world'")
     return PointMap(points=pts, valid_mask=product.valid_mask.copy(), frame=frame, reference_pose=reference_pose)
-
-
-def _bilinear_raster(raster: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear lookup of raster[v, u] in pixel units; NaN outside/invalid."""
-    h, w = raster.shape
-    out = np.full(u.shape, np.nan)
-    eps = 1e-6
-    ok = (u >= -eps) & (u <= w - 1 + eps) & (v >= -eps) & (v <= h - 1 + eps)
-    if not ok.any():
-        return out
-    uu = u[ok]
-    vv = v[ok]
-    j = np.clip(np.floor(uu).astype(int), 0, w - 2)
-    i = np.clip(np.floor(vv).astype(int), 0, h - 2)
-    a = uu - j
-    b = vv - i
-    vals = (
-        raster[i, j] * (1 - a) * (1 - b)
-        + raster[i, j + 1] * a * (1 - b)
-        + raster[i + 1, j] * (1 - a) * b
-        + raster[i + 1, j + 1] * a * b
-    )
-    out[ok] = vals
-    return out
 
 
 def gt_correspondences(
@@ -346,8 +291,7 @@ def gt_correspondences(
     u1 = uu[valid]
     v1 = vv[valid]
     d1 = depth_a[valid]
-    d_cam = camera_dirs(intr, u1, v1)
-    world = product_a.pose.translation + d1[:, None] * (d_cam @ product_a.pose.rotation.T)
+    world = unproject(intr, product_a.pose, u1, v1, d1)
 
     intr_b = product_b.intrinsics
     pc = product_b.pose.world_to_camera(world)
@@ -363,7 +307,12 @@ def gt_correspondences(
     if depth_tol is None:
         med = float(np.nanmedian(product_b.depth)) if np.isfinite(product_b.depth).any() else 0.0
         depth_tol = gsd(med, intr_b.fov_deg, intr_b.width) if med > 0 else np.inf
-    sampled = _bilinear_raster(product_b.depth, u2, v2)
+    # Sample b's depth where the projection lands on its pixel grid.
+    h, w = product_b.depth.shape
+    eps = 1e-6
+    inside = (u2 >= -eps) & (u2 <= w - 1 + eps) & (v2 >= -eps) & (v2 <= h - 1 + eps)
+    sampled = np.full(u2.shape, np.nan)
+    sampled[inside] = bilinear(product_b.depth, u2[inside], v2[inside])
     with np.errstate(invalid="ignore"):
         keep = front & np.isfinite(sampled) & (np.abs(sampled - dist_b) <= depth_tol)
     # Snap float noise at the image border back onto it.

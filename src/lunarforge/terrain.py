@@ -339,41 +339,37 @@ def synth_crater_dem(
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_indices(dem: DemGrid, x, y):
-    """Cell indices and fractional offsets for bilinear interpolation."""
-    fx = (np.asarray(x, dtype=np.float64) - dem.origin_x) / dem.cell_size
-    fy = (np.asarray(y, dtype=np.float64) - dem.origin_y) / dem.cell_size
-    eps = 1e-9
-    if np.any(fx < -eps) or np.any(fx > dem.width - 1 + eps) or np.any(fy < -eps) or np.any(
-        fy > dem.height - 1 + eps
-    ):
-        raise OutOfBoundsError("query outside the grid footprint")
-    j = np.clip(np.floor(fx).astype(int), 0, dem.width - 2)
-    i = np.clip(np.floor(fy).astype(int), 0, dem.height - 2)
-    return i, j, fx - j, fy - i
+def bilinear(grid: np.ndarray, fx, fy):
+    """Bilinear sample of grid[fy, fx] at fractional (column, row) indices.
+
+    The cell is clamped into the grid, so queries past the last row or column
+    extrapolate the border cell; a NaN corner makes the result NaN.
+    """
+    h, w = grid.shape
+    j = np.clip(np.floor(fx).astype(np.int64), 0, w - 2)
+    i = np.clip(np.floor(fy).astype(np.int64), 0, h - 2)
+    u = fx - j
+    v = fy - i
+    return (
+        grid[i, j] * (1 - u) * (1 - v)
+        + grid[i, j + 1] * u * (1 - v)
+        + grid[i + 1, j] * (1 - u) * v
+        + grid[i + 1, j + 1] * u * v
+    )
 
 
 def sample_height(dem: DemGrid, x, y):
     """Bilinear terrain height at world (x, y); accepts scalars or arrays."""
-    i, j, u, v = _bilinear_indices(dem, x, y)
-    e = dem.elevations
-    z00 = e[i, j]
-    z10 = e[i, j + 1]
-    z01 = e[i + 1, j]
-    z11 = e[i + 1, j + 1]
-    if not (
-        np.isfinite(z00).all()
-        and np.isfinite(z10).all()
-        and np.isfinite(z01).all()
-        and np.isfinite(z11).all()
-    ):
+    fx = (np.asarray(x, dtype=np.float64) - dem.origin_x) / dem.cell_size
+    fy = (np.asarray(y, dtype=np.float64) - dem.origin_y) / dem.cell_size
+    eps = 1e-9
+    # Written as "inside" so that a NaN coordinate fails every comparison.
+    inside = (fx >= -eps) & (fx <= dem.width - 1 + eps) & (fy >= -eps) & (fy <= dem.height - 1 + eps)
+    if not np.all(inside):
+        raise OutOfBoundsError("query outside the grid footprint")
+    out = bilinear(dem.elevations, fx, fy)
+    if not np.isfinite(out).all():
         raise NodataError("bilinear neighborhood contains nodata")
-    out = (
-        z00 * (1 - u) * (1 - v)
-        + z10 * u * (1 - v)
-        + z01 * (1 - u) * v
-        + z11 * u * v
-    )
     return float(out) if np.isscalar(x) and np.isscalar(y) else out
 
 

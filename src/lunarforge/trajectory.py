@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .camera import CameraRig, Intrinsics, Pose, camera_dirs, look_at, rot_z
+from .camera import CameraRig, Intrinsics, Pose, look_at, pixel_rays, rot_z
 from .radiometry import SunConfig
 from .terrain import DemGrid
 
@@ -107,7 +107,7 @@ def _footprint_polygon(intr: Intrinsics, pose: Pose, plane_z: float) -> np.ndarr
     """Ground-plane quad hit by the four image corners, as (4, 2) xy points."""
     corners_u = np.array([-0.5, intr.width - 0.5, intr.width - 0.5, -0.5])
     corners_v = np.array([-0.5, -0.5, intr.height - 0.5, intr.height - 0.5])
-    d = camera_dirs(intr, corners_u, corners_v) @ pose.rotation.T
+    _, d = pixel_rays(intr, pose, corners_u, corners_v)
     if np.any(d[:, 2] >= 0):
         raise FootprintTooSmallError("a corner ray does not descend to the ground plane")
     t = (plane_z - pose.translation[2]) / d[:, 2]

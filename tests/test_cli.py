@@ -51,6 +51,81 @@ def test_generate_worker_count_invariance(tmp_path):
     assert tree_digest(d1) == tree_digest(d8)
 
 
+@pytest.fixture
+def render_workers(monkeypatch):
+    """The workers argument of every render_pair call the CLI makes."""
+    import lunarforge.cli as cli
+
+    monkeypatch.delenv("LUNARFORGE_THREADS", raising=False)
+    seen = []
+    real = cli.render_pair
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "render_pair", recording)
+    return seen
+
+
+def test_generate_three_pairs_match_serial(tmp_path, render_workers):
+    # Pairs render one after another, each splitting its 64 rows (two row
+    # bands) over every worker.
+    argv = GEN_ARGS + ["--pairs", "3", "--res", "64", "--lighting", "side"]
+    trees = {}
+    for workers in (1, 8):
+        render_workers.clear()
+        out = tmp_path / f"w{workers}"
+        assert run(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        trees[workers] = tree_digest(out)
+        assert render_workers == [workers] * 3
+    assert sum(name.endswith("meta.json") for name in trees[1]) == 3
+    assert trees[1] == trees[8]
+
+
+def test_render_pair_lone_pair_uses_every_worker(tmp_path, render_workers):
+    assert run(["render-pair", "--synth", "--trajectory", "nadir", "--res", "32",
+                "--synth-size", "96", "--workers", "3", "--out", str(tmp_path / "rp")]) == 0
+    assert render_workers == [3]
+
+
+SCENE_ARGV = {
+    "generate": GEN_ARGS,
+    "render-pair": ["render-pair", "--synth", "--trajectory", "nadir", "--res", "32", "--synth-size", "96"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCENE_ARGV))
+@pytest.mark.parametrize("flag, value", [
+    ("--hapke-w", "2"),
+    ("--psf-sigma", "-1"),
+    ("--rays-per-pixel", "0"),
+    ("--res", "0"),
+    ("--stride", "0"),
+])
+def test_invalid_scene_value_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
+    import lunarforge.cli as cli
+
+    def no_dem(*args, **kwargs):
+        raise AssertionError("a DEM was synthesised before validation")
+
+    monkeypatch.setattr(cli, "synth_crater_dem", no_dem)
+    out = tmp_path / "out"
+    assert run(SCENE_ARGV[command] + [flag, value, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "usage"
+    assert not out.exists()
+
+
+def test_rays_per_pixel_is_not_checked_without_psf(tmp_path):
+    # With --psf-sigma 0 every pixel casts one central ray, so the ray count
+    # is moot and any value renders.
+    argv = SCENE_ARGV["render-pair"] + ["--psf-sigma", "0"]
+    assert run(argv + ["--rays-per-pixel", "0", "--out", str(tmp_path / "r0")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "r4")]) == 0
+    assert tree_digest(tmp_path / "r0") == tree_digest(tmp_path / "r4")
+
+
 def test_generate_lighting_variants(tmp_path):
     out = tmp_path / "lit"
     code = run(GEN_ARGS + ["--lighting", "side,overhead,back", "--out", str(out)])

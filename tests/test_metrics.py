@@ -406,6 +406,29 @@ def test_evaluate_all_outlier_prediction_flags_alignment(nadir_gt_pair):
     assert rep.rra_deg == pytest.approx(0.0, abs=1e-9)
 
 
+def test_evaluate_scatter_prediction_fails_certification_at_default_config(nadir_gt_pair):
+    # At the default 3-GSD threshold a similarity that shrinks the scatter
+    # onto the terrain catches a few points by chance.  So small a consensus
+    # would need far more hypotheses than the cap to be found reliably, so
+    # the alignment is rejected instead of scored.
+    gt = nadir_gt_pair["gt"]
+    rng = np.random.default_rng(40)
+
+    def scattered(pm):
+        pts = rng.uniform(-5e4, 5e4, pm.points.shape)
+        return PointMap(points=pts, valid_mask=pm.valid_mask, frame="world",
+                        reference_pose=pm.reference_pose)
+
+    pred = PairPrediction(pointmap_a=scattered(nadir_gt_pair["pm_a"]),
+                          pointmap_b=scattered(nadir_gt_pair["pm_b"]),
+                          pose_a=gt.pose_a, pose_b=gt.pose_b)
+    rep = evaluate_pair(pred, gt, EvalConfig())
+    assert rep.alignment is None
+    assert rep.flags["alignment"].startswith("failed: ")
+    assert "too small to certify" in rep.flags["alignment"]
+    assert rep.chamfer_m is None
+
+
 def test_evaluate_programming_error_propagates(nadir_gt_pair, monkeypatch):
     import lunarforge.metrics as metrics_mod
 

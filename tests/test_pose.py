@@ -393,6 +393,37 @@ def test_ransac_align_iterations_is_a_hard_cap(umeyama_sizes):
     assert len(umeyama_sizes) == 300
 
 
+def test_ransac_align_recovers_80_percent_outliers_at_the_default_cap():
+    # w = 0.2 needs ~860 hypotheses for p = 0.999, within the default 2000.
+    src, dst, truth = _outlier_problem(36, 0.8)
+    _, inliers = ransac_align(src, dst, RansacParams(inlier_threshold=0.5, seed=10))
+    assert np.array_equal(inliers, truth)
+
+
+def test_ransac_align_rejects_a_consensus_it_cannot_certify():
+    # w = 0.1 needs ~6900 hypotheses, more than the default cap of 2000: the
+    # loop may find the true consensus by luck, but it is not certified.
+    src, dst, _ = _outlier_problem(37, 0.9)
+    with pytest.raises(RansacError, match="too small to certify"):
+        ransac_align(src, dst, RansacParams(inlier_threshold=0.5, seed=11))
+
+
+@pytest.mark.parametrize("outlier_frac, certified", [(0.4, True), (0.6, False)])
+def test_ransac_align_cap_sets_the_certifiable_inlier_ratio(outlier_frac, certified):
+    # At a cap of 50, w = 0.6 needs 29 hypotheses and is certified; w = 0.4
+    # needs 105, so it is rejected even though 50 samples find it most times.
+    src, dst, truth = _outlier_problem(38, outlier_frac)
+    params = RansacParams(iterations=50, inlier_threshold=0.5, seed=12)
+    if certified:
+        _, inliers = ransac_align(src, dst, params)
+        assert np.array_equal(inliers, truth)
+    else:
+        with pytest.raises(RansacError, match="too small to certify"):
+            ransac_align(src, dst, params)
+        _, inliers = ransac_align(src, dst, RansacParams(inlier_threshold=0.5, seed=12))
+        assert np.array_equal(inliers, truth)
+
+
 def test_ransac_align_clean_data_stops_after_one_hypothesis(umeyama_sizes):
     src, dst, _ = _outlier_problem(34, 0.0)
     _, inliers = ransac_align(src, dst, RansacParams(iterations=2000, inlier_threshold=0.5, seed=8))

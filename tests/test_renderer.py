@@ -20,7 +20,7 @@ from lunarforge import (
 from lunarforge.camera import Intrinsics, Pose, camera_dirs
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.pose import essential_from_poses
-from lunarforge.renderer import CameraBelowTerrainError
+from lunarforge.renderer import CameraBelowTerrainError, exposure_gain
 from lunarforge.trajectory import lighting_preset
 
 SUN = SunConfig(azimuth=150.0, elevation=30.0)
@@ -150,6 +150,26 @@ def test_render_deterministic_across_runs_and_workers():
         assert pa.depth.tobytes() == runs[0][0].depth.tobytes()
         assert pb.image.tobytes() == runs[0][1].image.tobytes()
         assert pb.depth.tobytes() == runs[0][1].depth.tobytes()
+
+
+def test_render_pair_is_two_render_views_with_a_shared_gain():
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    spec, rig = sample_pair("nadir", 3, 0, dem, width=48, height=48)
+    sun = lighting_preset("side")
+    pa, pb = render_pair(dem, rig, sun, HAPKE, seed=4)
+
+    def view(pose, view_id, gain=None):
+        return render_view(dem, rig.intrinsics, pose, sun, HAPKE, psf_sigma=rig.psf_sigma,
+                           rays_per_pixel=rig.rays_per_pixel, seed=4, view_id=view_id, gain=gain)
+
+    va = view(rig.pose_a, 0)
+    assert pa.image.tobytes() == va.image.tobytes()
+    assert pa.depth.tobytes() == va.depth.tobytes()
+    # Radiance stays below 1 here, so a unit gain leaves it unclipped.
+    raw_a = view(rig.pose_a, 0, gain=1.0).image
+    raw_b = view(rig.pose_b, 1, gain=1.0).image
+    assert exposure_gain(raw_a) != exposure_gain(raw_b)
+    assert pb.image.tobytes() == np.clip(raw_b * exposure_gain(raw_a), 0.0, 1.0).tobytes()
 
 
 def test_render_seed_changes_psf_image():

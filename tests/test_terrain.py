@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lunarforge import DemGrid, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
-from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, add_crater
+import oracles
+from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, add_crater, bilinear
 
 
 def make_dem(elev, cell=1.0, ox=0.0, oy=0.0):
@@ -197,6 +198,10 @@ def test_sample_out_of_bounds():
         sample_height(dem, -1.0, 0.0)
     with pytest.raises(OutOfBoundsError):
         sample_height(dem, 0.0, 3.5)
+    # A NaN coordinate is a bad query, not a nodata cell.
+    for x, y in ((np.nan, 1.0), (1.0, np.nan), ([0.5, np.nan], [0.5, 0.5])):
+        with pytest.raises(OutOfBoundsError):
+            sample_height(dem, x, y)
 
 
 def test_sample_nodata_neighbor():
@@ -205,6 +210,39 @@ def test_sample_nodata_neighbor():
     dem = make_dem(elev)
     with pytest.raises(NodataError):
         sample_height(dem, 0.6, 0.6)
+
+
+def test_bilinear_matches_oracle():
+    dem = synth_crater_dem(3, 24, 20, 5.0, 2, 3)
+    rng = np.random.default_rng(12)
+    jj, ii = np.meshgrid(np.arange(dem.width, dtype=float), np.arange(dem.height, dtype=float))
+    # Random points, then every grid node (cell edges meet there), then the
+    # far column and the far row.
+    fx = np.concatenate([
+        rng.uniform(0, dem.width - 1, 500), jj.ravel(),
+        np.full(50, dem.width - 1.0), rng.uniform(0, dem.width - 1, 50),
+    ])
+    fy = np.concatenate([
+        rng.uniform(0, dem.height - 1, 500), ii.ravel(),
+        rng.uniform(0, dem.height - 1, 50), np.full(50, dem.height - 1.0),
+    ])
+    x = dem.origin_x + fx * dem.cell_size
+    y = dem.origin_y + fy * dem.cell_size
+    got = bilinear(dem.elevations, (x - dem.origin_x) / dem.cell_size, (y - dem.origin_y) / dem.cell_size)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, oracles.bilinear(dem, x, y), rtol=1e-12, atol=0)
+
+
+def test_bilinear_propagates_nan_corner():
+    grid = np.zeros((4, 4))
+    grid[1, 1] = np.nan
+    # Every query in a cell touching the NaN corner is NaN, even where that
+    # corner's weight is zero; cells clear of it stay finite.
+    fx = np.array([0.0, 0.5, 0.0, 1.0, 2.5, 3.0])
+    fy = np.array([0.0, 0.5, 1.0, 1.0, 2.5, 3.0])
+    got = bilinear(grid, fx, fy)
+    assert np.isnan(got[:4]).all()
+    assert np.array_equal(got[4:], [0.0, 0.0])
 
 
 def test_normal_flat(flat_dem):
