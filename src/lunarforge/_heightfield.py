@@ -1,10 +1,12 @@
 """Vectorized first-hit intersection of rays against a bilinear heightfield.
 
-Traversal is a 2D DDA over the ground-plane cell grid with a per-cell
-max-height early-out.  Inside a crossed cell the surface along the ray is a
-quadratic in the ray parameter; a sign change of (ray_z - terrain_z) at the
-segment ends or at the quadratic's vertex brackets the hit, which is then
-refined by bisection to well below 1e-3 * cell_size.
+Traversal is a 2D DDA over the ground-plane cell grid (Amanatides & Woo
+1987) with a per-cell max-height early-out.  A descending ray starts where it
+drops below the global maximum elevation, since no hit can come before that
+plane.  Inside a crossed cell f = ray_z - terrain_z is a quadratic in the ray
+parameter; a sign change at the segment end or at the quadratic's vertex
+brackets the hit, which is the quadratic's downward root (f' < 0), solved in
+closed form.
 
 All arithmetic is elementwise per ray, so results are bitwise identical
 regardless of how rays are batched or tiled.
@@ -15,8 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .terrain import DemGrid, bilinear
-
-_BISECT_TOL_FRAC = 2e-7  # bracket width target, as a fraction of cell_size
 
 
 def _cell_max(dem: DemGrid) -> np.ndarray:
@@ -60,22 +60,21 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
     txb = np.where(dx == 0, np.where(x_in, np.inf, -np.inf), txb)
     tya = np.where(dy == 0, np.where(y_in, -np.inf, np.inf), tya)
     tyb = np.where(dy == 0, np.where(y_in, np.inf, -np.inf), tyb)
-    t_enter = np.maximum(np.maximum(txa, tya), 0.0)
     t_exit = np.minimum(txb, tyb)
 
-    # Vertical clipping: below the global minimum a descending ray has
-    # certainly crossed; above the global maximum an ascending ray never will.
+    # Vertical clipping: a descending ray cannot hit before it drops below
+    # the global maximum and has certainly crossed below the global minimum;
+    # an ascending ray above the global maximum never will.
     with np.errstate(divide="ignore", invalid="ignore"):
+        t_zmax = (zmax - oz) / dz
         t_zmin = np.where(dz < 0, (zmin - oz) / dz, np.inf)
-        t_zmax = np.where(dz > 0, (zmax - oz) / dz, np.inf)
-    t_stop = np.minimum(t_exit, np.minimum(t_zmin, t_zmax)) + 1e-12
+    t_enter = np.maximum(np.maximum(txa, tya), 0.0)
+    t_enter = np.where(dz < 0, np.maximum(t_enter, t_zmax), t_enter)
+    t_stop = np.minimum(t_exit, np.minimum(t_zmin, np.where(dz > 0, t_zmax, np.inf))) + 1e-12
     alive = t_enter <= t_stop
 
     t_hit = np.full(n, np.nan)
     hit = np.zeros(n, dtype=bool)
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    bracketed = np.zeros(n, dtype=bool)
 
     # Immediate hit when the ray already starts at/below the surface inside
     # the footprint (self-intersection guard for biased shadow rays).
@@ -133,7 +132,6 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
             qb = dz[s] - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
             qc = oz[s] - z00 - alpha * au - beta * av - gamma * au * av
 
-            f0 = (qa * ts0 + qb) * ts0 + qc
             f1 = (qa * ts1 + qb) * ts1 + qc
             with np.errstate(invalid="ignore", divide="ignore"):
                 tv = np.where(qa != 0, -qb / (2 * qa), np.nan)
@@ -143,9 +141,25 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
             found = end_cross | vertex_dip
             if found.any():
                 g = s[found]
-                lo[g] = ts0[found]
-                hi[g] = np.where(end_cross[found], ts1[found], tv[found])
-                bracketed[g] = True
+                qa, qb, qc = qa[found], qb[found], qc[found]
+                lo = ts0[found]
+                hi = np.where(end_cross[found], ts1[found], tv[found])
+                # The hit is the downward root (f' = -sqrt(disc)) of
+                # f(lo + s) = qa s^2 + b s + c, taken from the
+                # cancellation-free form of the quadratic formula; c/q is
+                # also the root of a planar cell (qa = 0).  It is not the
+                # smallest root: for qa < 0 the ray is above the surface
+                # between the two roots.
+                b = 2 * qa * lo + qb
+                c = (qa * lo + qb) * lo + qc
+                up = b > 0
+                sq = np.sqrt(np.maximum(b * b - 4 * qa * c, 0.0))
+                q = -0.5 * (b + np.where(up, sq, -sq))
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    root = lo + np.where(up, q / qa, c / q)
+                # fmax/fmin map a NaN root (f = f' = 0 at lo) to lo.
+                t_hit[g] = np.fmin(np.fmax(root, lo), hi)
+                hit[g] = True
                 alive[g] = False
 
         # Advance the survivors to the next cell boundary.
@@ -168,27 +182,6 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
         t_max_y[gy] += t_delta_y[gy]
         out = (ix[a] < 0) | (ix[a] > dem.width - 2) | (iy[a] < 0) | (iy[a] > dem.height - 2)
         alive[a[out]] = False
-
-    # Bisection refinement of bracketed crossings.
-    if bracketed.any():
-        b = np.flatnonzero(bracketed)
-        blo = lo[b]
-        bhi = hi[b]
-        tol = _BISECT_TOL_FRAC * cs
-        for _ in range(64):
-            wide = (bhi - blo) > tol
-            if not wide.any():
-                break
-            mid = 0.5 * (blo + bhi)
-            mfx = (ox[b] + dx[b] * mid - dem.origin_x) / cs
-            mfy = (oy[b] + dy[b] * mid - dem.origin_y) / cs
-            fmid = oz[b] + dz[b] * mid - bilinear(e, mfx, mfy)
-            go_hi = wide & (fmid <= 0)
-            go_lo = wide & (fmid > 0)
-            bhi = np.where(go_hi, mid, bhi)
-            blo = np.where(go_lo, mid, blo)
-        t_hit[b] = 0.5 * (blo + bhi)
-        hit[b] = True
 
     return t_hit, hit
 

@@ -165,9 +165,10 @@ def _scene(args, bands: list[int], lightings: list[str]):
     for lid in lightings:
         if lid not in LIGHTING_PRESETS:
             raise UsageError(f"unknown lighting preset {lid!r}")
-    res = args.full_res if args.full_res else args.res
+    res = args.full_res if args.full_res is not None else args.res
     for message, ok in (
         ("render resolution must be >= 1", res >= 1),
+        ("--synth-size must be >= 16", not args.synth or args.synth_size >= 16),
         ("--psf-sigma must be >= 0", args.psf_sigma >= 0),
         # Without a PSF each pixel casts one ray whatever this says.
         ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
@@ -256,6 +257,8 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
 
 def _load_pointmap(path: Path) -> PointMap:
     pts, meta = formats.read_f32_raster(path)
+    if pts.ndim != 3 or pts.shape[2] != 3:
+        raise ValueError(f"{path.name} has shape {pts.shape}, expected HxWx3")
     ref = Pose.from_json_dict(meta["reference_pose"])
     valid = np.isfinite(pts).all(axis=-1)
     return PointMap(points=pts, valid_mask=valid, frame=meta["frame"], reference_pose=ref)
@@ -277,20 +280,31 @@ def _load_ground_truth(gt_dir: Path, record: dict) -> PairGroundTruth:
 
 
 def _load_prediction(pred_dir: Path, pair_id: str) -> PairPrediction | None:
+    """One pair's prediction, or None when it has no pointmaps or poses.
+
+    Raises ValueError when only one of pose_a.json and pose_b.json exists or
+    a pose is not finite.
+    """
     pdir = pred_dir / pair_id
     pm_a = pdir / "pointmap_a.f32"
     pm_b = pdir / "pointmap_b.f32"
     if not pm_a.exists() or not pm_b.exists():
         return None
-    if (pdir / "pose_a.json").exists():
-        pose_a = Pose.from_json((pdir / "pose_a.json").read_text())
-        pose_b = Pose.from_json((pdir / "pose_b.json").read_text())
+    pose_files = [pdir / "pose_a.json", pdir / "pose_b.json"]
+    present = [f.exists() for f in pose_files]
+    if any(present) and not all(present):
+        raise ValueError("pose_a.json and pose_b.json must come together")
+    if all(present):
+        pose_a, pose_b = (Pose.from_json(f.read_text()) for f in pose_files)
     elif (pdir / "meta.json").exists():
         meta = formats.read_json(pdir / "meta.json")
         pose_a = Pose.from_json_dict(meta["pose_a"])
         pose_b = Pose.from_json_dict(meta["pose_b"])
     else:
         return None
+    # A non-finite rotation already fails Pose's orthonormality check.
+    if not (np.isfinite(pose_a.translation).all() and np.isfinite(pose_b.translation).all()):
+        raise ValueError("prediction pose translation is not finite")
     return PairPrediction(
         pointmap_a=_load_pointmap(pm_a),
         pointmap_b=_load_pointmap(pm_b),
@@ -318,10 +332,22 @@ def cmd_evaluate(args) -> int:
     mean_fields = tuple(f for f in MetricsReport._FIELDS if f not in ("rra_deg", "rta_deg"))
 
     def score(record):
-        pred = _load_prediction(pred_dir, record["pair_id"])
-        if pred is None:
-            return record, None
-        return record, evaluate_pair(pred, _load_ground_truth(gt_dir, record), config)
+        """(record, report, error): report None when the prediction is missing
+        or failed to load; error describes a load failure."""
+        pair_id = record["pair_id"]
+        try:
+            pred = _load_prediction(pred_dir, pair_id)
+            if pred is None:
+                return record, None, None
+            gt = _load_ground_truth(gt_dir, record)
+            for view in ("a", "b"):
+                shape = getattr(pred, f"pointmap_{view}").points.shape
+                gt_shape = getattr(gt, f"pointmap_{view}").points.shape
+                if shape != gt_shape:
+                    raise ValueError(f"pointmap_{view} has shape {shape}, ground truth {gt_shape}")
+        except (OSError, ValueError, KeyError) as exc:
+            return record, None, {"type": type(exc).__name__, "detail": str(exc)}
+        return record, evaluate_pair(pred, gt, config), None
 
     n_workers = resolve_workers(None)
     if n_workers == 1 or len(records) <= 1:
@@ -335,9 +361,14 @@ def cmd_evaluate(args) -> int:
     rta_errors = []
     rta_degenerate = 0
     missing = []
+    failed = []
     by_kind: dict[str, list] = {}
-    for record, report in results:
+    for record, report, error in results:
         pair_id = record["pair_id"]
+        if error is not None:
+            failed.append(pair_id)
+            lines.append({"pair_id": pair_id, "status": "error", "error": error})
+            continue
         if report is None:
             missing.append(pair_id)
             lines.append({"pair_id": pair_id, "status": "missing"})
@@ -356,9 +387,11 @@ def cmd_evaluate(args) -> int:
     aggregate = {
         "type": "aggregate",
         "pairs_total": len(records),
-        "pairs_evaluated": len(records) - len(missing),
+        "pairs_evaluated": len(records) - len(missing) - len(failed),
         "pairs_missing": len(missing),
         "missing": sorted(missing),
+        "pairs_failed": len(failed),
+        "failed": sorted(failed),
         "rta_degenerate_count": rta_degenerate,
         "all_missing_warning": bool(records) and len(missing) == len(records),
     }
@@ -386,6 +419,8 @@ def cmd_evaluate(args) -> int:
     report_path.write_text("\n".join(out_lines) + "\n")
     if aggregate["all_missing_warning"]:
         print("warning: no predictions found for any pair", file=sys.stderr)
+    if failed:
+        print(f"warning: {len(failed)} predictions failed to load: {', '.join(sorted(failed))}", file=sys.stderr)
     print(f"evaluated {aggregate['pairs_evaluated']}/{aggregate['pairs_total']} pairs -> {report_path}")
     return 0
 

@@ -101,7 +101,9 @@ SCENE_ARGV = {
     ("--psf-sigma", "-1"),
     ("--rays-per-pixel", "0"),
     ("--res", "0"),
+    ("--full-res", "0"),
     ("--stride", "0"),
+    ("--synth-size", "8"),
 ])
 def test_invalid_scene_value_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
     import lunarforge.cli as cli
@@ -124,6 +126,16 @@ def test_rays_per_pixel_is_not_checked_without_psf(tmp_path):
     assert run(argv + ["--rays-per-pixel", "0", "--out", str(tmp_path / "r0")]) == 0
     assert run(argv + ["--out", str(tmp_path / "r4")]) == 0
     assert tree_digest(tmp_path / "r0") == tree_digest(tmp_path / "r4")
+
+
+def test_synth_size_is_not_checked_without_synth(tmp_path):
+    from lunarforge import write_dem
+    from lunarforge.cli import synth_dem_for_band
+
+    dem_path = tmp_path / "dem.f32"
+    write_dem(synth_dem_for_band("nadir", 0, seed=7, size=96), dem_path, "raw_f32")
+    assert run(["render-pair", "--dem", str(dem_path), "--trajectory", "nadir", "--res", "16",
+                "--synth-size", "8", "--out", str(tmp_path / "r")]) == 0
 
 
 def test_generate_lighting_variants(tmp_path):
@@ -199,6 +211,54 @@ def test_evaluate_empty_pred_dir(dataset, tmp_path, capsys):
     assert aggregate["pairs_evaluated"] == 0
     err = capsys.readouterr().err
     assert "warning" in err.lower()
+
+
+def _copy_predictions(dataset, pred):
+    ids = [json.loads(line)["pair_id"] for line in (dataset / "manifest.jsonl").read_text().splitlines()[1:]]
+    for pair_id in ids:
+        shutil.copytree(dataset / pair_id, pred / pair_id)
+    return ids
+
+
+@pytest.fixture(scope="module")
+def two_pair_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds2") / "gt"
+    assert run(GEN_ARGS + ["--lighting", "side,back", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("defect", ["pointmap_rows", "pointmap_channels", "lone_pose_a", "nan_pose"])
+def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, tmp_path, capsys, defect):
+    gt = two_pair_dataset
+    pred = tmp_path / "pred"
+    bad, good = _copy_predictions(gt, pred)
+    bad_dir = pred / bad
+    if defect.startswith("pointmap"):
+        pts, meta = formats.read_f32_raster(bad_dir / "pointmap_a.f32")
+        pts = pts[:16] if defect == "pointmap_rows" else pts[..., :2]
+        formats.write_f32_raster(bad_dir / "pointmap_a.f32", pts, meta)
+    else:
+        meta = formats.read_json(bad_dir / "meta.json")
+        pose_a = dict(meta["pose_a"])
+        if defect == "nan_pose":
+            pose_a["translation"] = [float("nan")] * 3
+            (bad_dir / "pose_b.json").write_text(json.dumps(meta["pose_b"]))
+        (bad_dir / "pose_a.json").write_text(json.dumps(pose_a))
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 0
+    lines = [json.loads(ln) for ln in report.read_text().splitlines()]
+    entries = {ln["pair_id"]: ln for ln in lines[:-1]}
+    assert entries[bad]["status"] == "error"
+    assert entries[bad]["error"]["type"] == "ValueError"
+    assert entries[bad]["error"]["detail"]
+    assert entries[good]["status"] == "ok"
+    assert entries[good]["chamfer_m"] < 1e-4
+    aggregate = lines[-1]
+    assert aggregate["pairs_failed"] == 1
+    assert aggregate["failed"] == [bad]
+    assert aggregate["pairs_evaluated"] == 1
+    assert aggregate["pairs_missing"] == 0
+    assert bad in capsys.readouterr().err
 
 
 def test_evaluate_threshold_override(dataset, tmp_path):
