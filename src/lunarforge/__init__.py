@@ -31,7 +31,7 @@ from .renderer import (
     render_pair,
     render_view,
 )
-from .terrain import DemGrid, SlopeMap, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
+from .terrain import DemGrid, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
 from .trajectory import TrajectorySpec, lighting_preset, sample_pair, sample_site
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     "HapkeParams", "SunConfig", "hapke_brdf", "shade_point", "shadow_test", "sun_direction",
     "CorrespondenceSet", "PointMap", "RenderProduct", "depth_to_pointmap",
     "gt_correspondences", "ray_intersect_dem", "render_pair", "render_view",
-    "DemGrid", "SlopeMap", "hillshade", "load_dem", "sample_height", "slope_map",
+    "DemGrid", "hillshade", "load_dem", "sample_height", "slope_map",
     "surface_normal", "synth_crater_dem", "write_dem",
     "TrajectorySpec", "lighting_preset", "sample_pair", "sample_site",
 ]

@@ -77,14 +77,6 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.translation
-
-    def forward(self) -> np.ndarray:
-        """Viewing direction in world coordinates (camera -z axis)."""
-        return -self.rotation[:, 2]
-
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64)
         return (p - self.translation) @ self.rotation
@@ -181,6 +173,19 @@ class CameraRig:
             raise ValueError("rays_per_pixel must be 1 when psf_sigma is 0")
 
 
+def project_points(intr: Intrinsics, pose: Pose, points: np.ndarray):
+    """(u, v, Euclidean ray depth, in_front) of (N, 3) world points; u and v
+    are NaN where a point is not strictly in front of the camera."""
+    pc = pose.world_to_camera(points)
+    z = pc[:, 2]
+    in_front = z < 0
+    f = intr.focal_px
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(in_front, intr.cx + f * pc[:, 0] / (-z), np.nan)
+        v = np.where(in_front, intr.cy - f * pc[:, 1] / (-z), np.nan)
+    return u, v, np.linalg.norm(pc, axis=1), in_front
+
+
 def project(intr: Intrinsics, pose: Pose, world_point):
     """Project world points to pixel (u, v) and Euclidean ray depth.
 
@@ -188,36 +193,35 @@ def project(intr: Intrinsics, pose: Pose, world_point):
     any point is not strictly in front of the camera.
     """
     p = np.asarray(world_point, dtype=np.float64)
-    single = p.ndim == 1
-    pc = pose.world_to_camera(p.reshape(-1, 3))
-    z = pc[:, 2]
-    if np.any(z >= 0):
+    u, v, depth, in_front = project_points(intr, pose, p.reshape(-1, 3))
+    if not in_front.all():
         raise BehindCameraError("point is behind (or at) the camera center")
-    f = intr.focal_px
-    u = intr.cx + f * pc[:, 0] / (-z)
-    v = intr.cy - f * pc[:, 1] / (-z)
-    depth = np.linalg.norm(pc, axis=1)
-    if single:
+    if p.ndim == 1:
         return float(u[0]), float(v[0]), float(depth[0])
     return u, v, depth
 
 
 def unproject(intr: Intrinsics, pose: Pose, u, v, depth):
     """World point at the given pixel and Euclidean ray depth."""
-    origin, direction = pixel_rays(intr, pose, np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
-    p = origin + np.asarray(depth, dtype=np.float64)[..., None] * direction
-    return p
+    origin, direction = pixel_rays(intr, pose, u, v)
+    return origin + np.asarray(depth, dtype=np.float64)[..., None] * direction
+
+
+def image_plane(intr: Intrinsics, u, v) -> np.ndarray:
+    """Camera-frame points ((u - cx)/f, -(v - cy)/f, -1) of pixels on the
+    z = -1 image plane: un-normalized ray directions."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    f = intr.focal_px
+    return np.stack(
+        np.broadcast_arrays((u - intr.cx) / f, -(v - intr.cy) / f, -np.ones_like(u + v)),
+        axis=-1,
+    )
 
 
 def camera_dirs(intr: Intrinsics, u, v) -> np.ndarray:
     """Unit ray directions through pixels, in the camera frame."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    f = intr.focal_px
-    d = np.stack(
-        np.broadcast_arrays((u - intr.cx) / f, -(v - intr.cy) / f, -np.ones_like(u + v)),
-        axis=-1,
-    )
+    d = image_plane(intr, u, v)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
@@ -227,13 +231,6 @@ def pixel_rays(intr: Intrinsics, pose: Pose, u, v):
     world_d = d @ pose.rotation.T
     origin = np.broadcast_to(pose.translation, world_d.shape)
     return origin, world_d
-
-
-def pixel_ray(intr: Intrinsics, pose: Pose, u: float, v: float, jitter=(0.0, 0.0)):
-    """Single jittered pixel ray as an (origin, unit direction) pair."""
-    du, dv = jitter
-    origin, direction = pixel_rays(intr, pose, u + du, v + dv)
-    return origin, direction
 
 
 def gsd(altitude: float, fov_deg: float, width: int) -> float:

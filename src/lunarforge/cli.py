@@ -165,6 +165,10 @@ def _scene(args, bands: list[int], lightings: list[str]):
     for lid in lightings:
         if lid not in LIGHTING_PRESETS:
             raise UsageError(f"unknown lighting preset {lid!r}")
+    for what, values in (("band", bands), ("lighting preset", lightings)):
+        repeated = sorted({x for x in values if values.count(x) > 1})
+        if repeated:
+            raise UsageError(f"duplicate {what} entries: {repeated}")
     res = args.full_res if args.full_res is not None else args.res
     for message, ok in (
         ("render resolution must be >= 1", res >= 1),
@@ -456,12 +460,13 @@ def cmd_visualize(args) -> int:
         raster = raster[..., 2]  # pointmap input: use the elevation channel
     elif raster.ndim != 2:
         raise UsageError("input raster must be 2D (depth) or HxWx3 (pointmap)")
-    spacing = args.spacing if args.spacing is not None else float(meta.get("spacing_m", 1.0))
+    # A DEM sidecar (see write_dem) carries its cell size; other rasters default to 1 m.
+    spacing = args.spacing if args.spacing is not None else float(meta.get("cell_size", 1.0))
     if args.mode == "hillshade":
         img = hillshade(np.nan_to_num(raster, nan=float(np.nanmean(raster))), spacing,
                         args.azimuth, args.elevation)
     else:
-        slopes = slope_map(np.nan_to_num(raster, nan=float(np.nanmean(raster))), spacing).slopes
+        slopes = slope_map(np.nan_to_num(raster, nan=float(np.nanmean(raster))), spacing)
         img = np.clip(slopes / 45.0, 0.0, 1.0)  # linear 0-45 degree ramp
     formats.write_pgm8(args.out, np.nan_to_num(img, nan=0.0))
     print(f"wrote {args.mode} image to {args.out}")

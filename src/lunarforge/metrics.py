@@ -88,8 +88,8 @@ def slope_metrics(pred_elev: np.ndarray, gt_elev: np.ndarray, spacing: float):
     gt = np.asarray(gt_elev, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError("elevation rasters must share a shape")
-    sp = slope_map(pred, spacing).slopes
-    sg = slope_map(gt, spacing).slopes
+    sp = slope_map(pred, spacing)
+    sg = slope_map(gt, spacing)
     valid = np.isfinite(sp) & np.isfinite(sg)
     if valid.sum() < 2:
         raise DegenerateMetricError("fewer than 2 valid overlapping slope cells")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, Pose, orthonormalized
+from .camera import Intrinsics, Pose, image_plane, orthonormalized, relative_pose
 from .renderer import CorrespondenceSet
 
 
@@ -133,17 +133,7 @@ class SimilarityTransform:
 def _match_rays(matches: np.ndarray, intr1: Intrinsics, intr2: Intrinsics):
     """Projective ray coordinates h = ((u-cx)/f, -(v-cy)/f, -1) per view."""
     m = np.asarray(matches, dtype=np.float64).reshape(-1, 4)
-    h1 = np.column_stack([
-        (m[:, 0] - intr1.cx) / intr1.focal_px,
-        -(m[:, 1] - intr1.cy) / intr1.focal_px,
-        -np.ones(len(m)),
-    ])
-    h2 = np.column_stack([
-        (m[:, 2] - intr2.cx) / intr2.focal_px,
-        -(m[:, 3] - intr2.cy) / intr2.focal_px,
-        -np.ones(len(m)),
-    ])
-    return h1, h2
+    return image_plane(intr1, m[:, 0], m[:, 1]), image_plane(intr2, m[:, 2], m[:, 3])
 
 
 def _eight_point(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -268,9 +258,10 @@ def estimate_essential(
 
 def essential_from_poses(pose_a: Pose, pose_b: Pose) -> np.ndarray:
     """Ground-truth essential matrix (unit Frobenius norm) for two poses."""
-    b = pose_b.translation - pose_a.translation
-    bx = np.array([[0, -b[2], b[1]], [b[2], 0, -b[0]], [-b[1], b[0], 0.0]])
-    e = pose_b.rotation.T @ bx @ pose_a.rotation
+    rel = relative_pose(pose_a, pose_b)
+    t = rel.translation
+    tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0.0]])
+    e = rel.rotation.T @ tx
     n = np.linalg.norm(e)
     if n == 0:
         raise DegenerateBaselineError("zero baseline has no essential matrix")
@@ -282,13 +273,6 @@ def essential_from_poses(pose_a: Pose, pose_b: Pose) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pnp_normalized(pixels: np.ndarray, intr: Intrinsics):
-    """Image points in a +z-forward normalized frame used by the DLT."""
-    x = (pixels[:, 0] - intr.cx) / intr.focal_px
-    y = (pixels[:, 1] - intr.cy) / intr.focal_px
-    return np.column_stack([x, y])
-
-
 def _dlt_pose(xy: np.ndarray, pts: np.ndarray):
     """DLT estimate of [R|t] mapping world points into the +z-forward frame."""
     n = len(xy)
@@ -298,7 +282,7 @@ def _dlt_pose(xy: np.ndarray, pts: np.ndarray):
     a[0::2, 8:12] = -xy[:, 0:1] * xh
     a[1::2, 4:8] = xh
     a[1::2, 8:12] = -xy[:, 1:2] * xh
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[-2] < 1e-10 * s[0]:
         raise DegenerateGeometryError("PnP design matrix is rank deficient")
     p = vt[-1].reshape(3, 4)
@@ -395,7 +379,8 @@ def solve_pnp(
     if svals[1] < 1e-9 * max(svals[0], 1.0):
         raise DegenerateGeometryError("3D points are collinear")
 
-    xy = _pnp_normalized(pixels, intr)
+    # Image-plane points in the +z-forward DLT frame: _FLIP negates y and z.
+    xy = image_plane(intr, pixels[:, 0], pixels[:, 1])[:, :2] * [1.0, -1.0]
     thresh_norm = ransac.inlier_threshold / intr.focal_px
 
     def hypothesis(idx):

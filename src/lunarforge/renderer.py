@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _heightfield
-from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, unproject
+from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points, unproject
 from .radiometry import HapkeParams, SunConfig, shade_points
 from .terrain import DemGrid, bilinear, sample_height
 
@@ -62,17 +62,12 @@ class PointMap:
         if self.frame not in ("view1", "world"):
             raise ValueError("frame must be 'view1' or 'world'")
 
-    def valid_points(self) -> np.ndarray:
-        return self.points[self.valid_mask]
-
 
 @dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
     """Cross-view pixel matches (u1, v1, u2, v2)."""
 
     pairs: np.ndarray  # (N, 4)
-    occlusion_filtered: bool = True
-    source: str = "ground_truth"
 
     def __post_init__(self):
         p = np.asarray(self.pairs, dtype=np.float64).reshape(-1, 4)
@@ -257,7 +252,7 @@ def depth_to_pointmap(product: RenderProduct, frame: str = "view1", reference_po
     if reference_pose is None:
         reference_pose = product.pose
     if frame == "view1":
-        pts = (pts - reference_pose.translation) @ reference_pose.rotation
+        pts = reference_pose.world_to_camera(pts)
     elif frame != "world":
         raise ValueError("frame must be 'view1' or 'world'")
     return PointMap(points=pts, valid_mask=product.valid_mask.copy(), frame=frame, reference_pose=reference_pose)
@@ -294,15 +289,8 @@ def gt_correspondences(
     world = unproject(intr, product_a.pose, u1, v1, d1)
 
     intr_b = product_b.intrinsics
-    pc = product_b.pose.world_to_camera(world)
-    z = pc[:, 2]
-    front = z < 0
-    u2 = np.full(u1.shape, np.nan)
-    v2 = np.full(v1.shape, np.nan)
-    f = intr_b.focal_px
-    u2[front] = intr_b.cx + f * pc[front, 0] / (-z[front])
-    v2[front] = intr_b.cy - f * pc[front, 1] / (-z[front])
-    dist_b = np.linalg.norm(pc, axis=1)
+    # u2, v2 are NaN behind camera b, so those points fall outside its image.
+    u2, v2, dist_b, _ = project_points(intr_b, product_b.pose, world)
 
     if depth_tol is None:
         med = float(np.nanmedian(product_b.depth)) if np.isfinite(product_b.depth).any() else 0.0
@@ -314,7 +302,7 @@ def gt_correspondences(
     sampled = np.full(u2.shape, np.nan)
     sampled[inside] = bilinear(product_b.depth, u2[inside], v2[inside])
     with np.errstate(invalid="ignore"):
-        keep = front & np.isfinite(sampled) & (np.abs(sampled - dist_b) <= depth_tol)
+        keep = np.isfinite(sampled) & (np.abs(sampled - dist_b) <= depth_tol)
     # Snap float noise at the image border back onto it.
     u2k = np.clip(u2[keep], 0.0, intr_b.width - 1)
     v2k = np.clip(v2[keep], 0.0, intr_b.height - 1)

@@ -8,7 +8,6 @@ northward internally.  Nodata cells are stored as NaN.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import formats
+
 # Site-specific plausibility bounds for lunar south-pole elevations (meters).
 LUNAR_ELEVATION_RANGE = (-4350.0, 1850.0)
-
-DEFAULT_FRAME_NOTE = "moon-fixed local tangent plane"
 
 
 class DemFormatError(ValueError):
@@ -44,7 +43,6 @@ class DemGrid:
     origin_x: float
     origin_y: float
     elevations: np.ndarray  # (height, width) float64, NaN = nodata
-    frame_note: str = DEFAULT_FRAME_NOTE
 
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
@@ -119,8 +117,11 @@ def load_dem(path, format: str) -> DemGrid:
 
     format "ascii_grid": 6-line header (ncols, nrows, xllcorner, yllcorner,
     cellsize, nodata_value) followed by row-major floats, north-up row order.
-    format "raw_f32": little-endian float32 row-major with NaN nodata and a
-    JSON sidecar at <path>.json carrying width/height/cell_size/origin.
+    format "raw_f32": the raster format of formats.read_f32_raster (little-endian
+    float32, row-major, south-first rows, NaN nodata) whose JSON sidecar at
+    <path>.json carries shape [height, width], cell_size, origin_x and origin_y.
+    Every read failure, a legacy width/height sidecar included, raises
+    DemFormatError.
     """
     path = Path(path)
     if format == "ascii_grid":
@@ -208,45 +209,25 @@ def _write_ascii_grid(dem: DemGrid, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+_GEOREF_KEYS = ("cell_size", "origin_x", "origin_y")
+
+
 def _load_raw_f32(path: Path) -> DemGrid:
-    sidecar = path.with_name(path.name + ".json")
     try:
-        meta = json.loads(sidecar.read_text())
-    except OSError as exc:
-        raise DemFormatError(f"cannot read sidecar {sidecar}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DemFormatError(f"malformed sidecar JSON: {exc}") from exc
-    for key in ("width", "height", "cell_size", "origin_x", "origin_y"):
-        if key not in meta:
-            raise DemFormatError(f"sidecar missing key {key!r}")
-    width, height = int(meta["width"]), int(meta["height"])
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != width * height:
-        raise DemFormatError(
-            f"dimension mismatch: sidecar declares {width}x{height}="
-            f"{width * height} samples, file has {raw.size}"
-        )
-    return DemGrid(
-        width=width,
-        height=height,
-        cell_size=float(meta["cell_size"]),
-        origin_x=float(meta["origin_x"]),
-        origin_y=float(meta["origin_y"]),
-        elevations=raw.astype(np.float64).reshape(height, width),
-    )
+        elevations, meta = formats.read_f32_raster(path)
+        georef = {key: float(meta[key]) for key in _GEOREF_KEYS}
+    except KeyError as exc:
+        raise DemFormatError(f"sidecar missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise DemFormatError(f"cannot read raw_f32 DEM {path}: {exc}") from exc
+    if elevations.ndim != 2:
+        raise DemFormatError(f"DEM raster must be 2D, sidecar shape is {list(elevations.shape)}")
+    height, width = elevations.shape
+    return DemGrid(width=width, height=height, elevations=elevations, **georef)
 
 
 def _write_raw_f32(dem: DemGrid, path: Path) -> None:
-    sidecar = path.with_name(path.name + ".json")
-    meta = {
-        "width": dem.width,
-        "height": dem.height,
-        "cell_size": dem.cell_size,
-        "origin_x": dem.origin_x,
-        "origin_y": dem.origin_y,
-    }
-    sidecar.write_text(json.dumps(meta, sort_keys=True) + "\n")
-    dem.elevations.astype("<f4").tofile(path)
+    formats.write_f32_raster(path, dem.elevations, {key: getattr(dem, key) for key in _GEOREF_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +369,6 @@ def surface_normal(dem: DemGrid, x, y):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SlopeMap:
-    """Per-cell slope angles in degrees, [0, 90)."""
-
-    width: int
-    height: int
-    slopes: np.ndarray  # (height, width) degrees, NaN where input was nodata
-    source_spacing: float
-
-    def __post_init__(self):
-        s = np.asarray(self.slopes, dtype=np.float64)
-        finite = s[np.isfinite(s)]
-        if finite.size and (finite.min() < 0 or finite.max() >= 90):
-            raise ValueError("slopes must lie in [0, 90)")
-        object.__setattr__(self, "slopes", s)
-
-
 def _gradients(elevation: np.ndarray, spacing: float):
     """d/dx and d/dy: central differences interior, one-sided at borders."""
     z = np.asarray(elevation, dtype=np.float64)
@@ -416,14 +380,12 @@ def _gradients(elevation: np.ndarray, spacing: float):
     return dzdx, dzdy
 
 
-def slope_map(elevation: np.ndarray, spacing: float) -> SlopeMap:
-    """Slope angle arctan |grad z| per cell, degrees; nodata propagates."""
+def slope_map(elevation: np.ndarray, spacing: float) -> np.ndarray:
+    """Slope angle arctan |grad z| per cell, degrees in [0, 90); nodata propagates."""
     dzdx, dzdy = _gradients(elevation, spacing)
     slopes = np.degrees(np.arctan(np.hypot(dzdx, dzdy)))
     # Central differences skip the center value: mask nodata cells explicitly.
-    slopes = np.where(np.isfinite(np.asarray(elevation, dtype=np.float64)), slopes, np.nan)
-    h, w = slopes.shape
-    return SlopeMap(width=w, height=h, slopes=slopes, source_spacing=float(spacing))
+    return np.where(np.isfinite(np.asarray(elevation, dtype=np.float64)), slopes, np.nan)
 
 
 def hillshade(

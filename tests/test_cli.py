@@ -288,6 +288,18 @@ def test_generate_unknown_lighting_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--bands", "0,0"], ["--lighting", "side,side"]])
+def test_generate_duplicate_entries_exit_2(tmp_path, monkeypatch, flags):
+    def no_dem(*args, **kwargs):
+        raise AssertionError("a DEM was built before the usage check")
+
+    monkeypatch.setattr("lunarforge.cli.synth_dem_for_band", no_dem)
+    out = tmp_path / "x"
+    code = run(["generate", "--synth", "--trajectory", "nadir", *flags, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_generate_requires_scene_exit_2(tmp_path):
     code = run(["generate", "--trajectory", "nadir", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -317,6 +329,33 @@ def test_visualize_slope_plane_value(tmp_path):
     header_end = data.index(b"255\n") + 4
     values = set(data[header_end:])
     assert values == {32}  # round(atan(0.1) in deg / 45 * 255)
+
+
+def test_visualize_readme_synth_dem_commands(tmp_path):
+    dem = tmp_path / "dem.f32"
+    assert run(["synth-dem", "--seed", "1", "--width", "192", "--height", "192",
+                "--cell-size", "5", "--out", str(dem)]) == 0
+    assert run(["visualize", "--input", str(dem), "--mode", "hillshade", "--azimuth", "315",
+                "--elevation", "45", "--out", str(tmp_path / "shade.pgm")]) == 0
+    assert run(["visualize", "--input", str(dem), "--mode", "slope", "--spacing", "5",
+                "--out", str(tmp_path / "slope.pgm")]) == 0
+
+
+def test_visualize_dem_spacing_from_cell_size(tmp_path):
+    dem = tmp_path / "dem.f32"
+    assert run(["synth-dem", "--seed", "4", "--width", "32", "--height", "32",
+                "--cell-size", "5", "--out", str(dem)]) == 0
+    bare = tmp_path / "bare.f32"
+    formats.write_f32_raster(bare, formats.read_f32_raster(dem)[0], {})
+
+    def slope_image(path, *spacing):
+        out = tmp_path / f"{path.stem}{len(spacing)}.pgm"
+        assert run(["visualize", "--input", str(path), "--mode", "slope", *spacing,
+                    "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert slope_image(dem) == slope_image(bare, "--spacing", "5")
+    assert slope_image(dem) != slope_image(bare)  # 1 m default without a cell size
 
 
 def test_visualize_unknown_mode_exit_2(tmp_path):

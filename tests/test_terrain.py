@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -91,6 +92,52 @@ def test_raw_f32_round_trip_randomized(tmp_path):
         write_dem(load_dem(p1, "raw_f32"), p2, "raw_f32")
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / f"a{k}.f32.json").read_bytes() == (tmp_path / f"b{k}.f32.json").read_bytes()
+
+
+def test_raw_f32_sidecar_is_the_raster_sidecar(tmp_path):
+    dem = plane_dem(0.3, -0.2, 12.0, n=6, cell=2.5)
+    p = tmp_path / "d.f32"
+    write_dem(dem, p, "raw_f32")
+    assert p.read_bytes() == dem.elevations.astype("<f4").tobytes()
+    assert json.loads((tmp_path / "d.f32.json").read_text()) == {
+        "shape": [6, 6], "cell_size": 2.5, "origin_x": 0.0, "origin_y": 0.0,
+    }
+
+
+def _break_missing_sidecar(p, sidecar, meta):
+    sidecar.unlink()
+
+
+def _break_malformed_json(p, sidecar, meta):
+    sidecar.write_text('{"shape": [4, 4], ')
+
+
+def _break_missing_cell_size(p, sidecar, meta):
+    del meta["cell_size"]
+    sidecar.write_text(json.dumps(meta))
+
+
+def _break_size_mismatch(p, sidecar, meta):
+    p.write_bytes(p.read_bytes()[:-4])
+
+
+def _break_legacy_width_height(p, sidecar, meta):
+    del meta["shape"]
+    meta.update(width=4, height=4)
+    sidecar.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("breaker", [
+    _break_missing_sidecar, _break_malformed_json, _break_missing_cell_size,
+    _break_size_mismatch, _break_legacy_width_height,
+], ids=lambda f: f.__name__[len("_break_"):])
+def test_load_raw_f32_malformed(tmp_path, breaker):
+    p = tmp_path / "d.f32"
+    sidecar = tmp_path / "d.f32.json"
+    write_dem(plane_dem(0.1, 0.2, 5.0, n=4), p, "raw_f32")
+    breaker(p, sidecar, json.loads(sidecar.read_text()))
+    with pytest.raises(DemFormatError):
+        load_dem(p, "raw_f32")
 
 
 def test_ascii_round_trip(tmp_path):
@@ -274,36 +321,36 @@ def test_normal_unit_length_random():
 
 def test_slope_constant_zero():
     s = slope_map(np.full((8, 8), 3.7), 1.0)
-    assert np.all(s.slopes == 0)
+    assert np.all(s == 0)
 
 
 def test_slope_plane_01():
     ys, xs = np.meshgrid(np.arange(10.0), np.arange(10.0), indexing="ij")
     s = slope_map(0.1 * xs, 1.0)
-    assert np.allclose(s.slopes, math.degrees(math.atan(0.1)), atol=1e-9)
-    assert s.slopes[5, 5] == pytest.approx(5.710593137, abs=1e-6)
+    assert np.allclose(s, math.degrees(math.atan(0.1)), atol=1e-9)
+    assert s[5, 5] == pytest.approx(5.710593137, abs=1e-6)
 
 
 def test_slope_plane_xy():
     ys, xs = np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij")
     s = slope_map(xs + ys, 1.0)
-    assert np.allclose(s.slopes, math.degrees(math.atan(math.sqrt(2))), atol=1e-9)
-    assert s.slopes[3, 3] == pytest.approx(54.7356103172, abs=1e-6)
+    assert np.allclose(s, math.degrees(math.atan(math.sqrt(2))), atol=1e-9)
+    assert s[3, 3] == pytest.approx(54.7356103172, abs=1e-6)
 
 
 def test_slope_affine_constant_interior():
     ys, xs = np.meshgrid(np.arange(16.0) * 2.5, np.arange(16.0) * 2.5, indexing="ij")
     s = slope_map(0.25 * xs - 0.4 * ys + 3, 2.5)
-    assert np.ptp(s.slopes) <= 1e-9
+    assert np.ptp(s) <= 1e-9
 
 
 def test_slope_nodata_propagates():
     z = np.zeros((8, 8))
     z[4, 4] = np.nan
     s = slope_map(z, 1.0)
-    assert np.isnan(s.slopes[4, 4])
-    assert np.isnan(s.slopes[4, 5])  # central-difference neighbor
-    assert s.slopes[0, 0] == 0.0
+    assert np.isnan(s[4, 4])
+    assert np.isnan(s[4, 5])  # central-difference neighbor
+    assert s[0, 0] == 0.0
 
 
 def test_slope_rejects_bad_spacing():
