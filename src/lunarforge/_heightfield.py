@@ -8,6 +8,31 @@ parameter; a sign change at the segment end or at the quadratic's vertex
 brackets the hit, which is the quadratic's downward root (f' < 0), solved in
 closed form.
 
+Shadow rays all share the sun direction s, so they also get a sun-ward
+horizon ceiling (horizon mapping, Max 1988).  With h the unit horizontal
+direction of s and k = tan(elevation), a ray from o meets the terrain only if
+o_z < H(o_xy + r h) - k r for some r >= 0.  The ceiling C+ of a cell bounds
+sup_r H(x + r h) - k r over every point x of the cell, with terrain outside
+the footprint and in nodata cells absent, as the traversal treats it; so a
+ray point above its cell's C+ is lit.  C+ is built in one sweep from the
+sun-ward edge (Timonen & Westerholm 2010).  One column along the sun's
+dominant axis the ray goes a horizontal distance L, rises k L and drifts at
+most one cell along the other axis, so from cell (c, r) it crosses cells
+(c, r) and (c, r+1) and then lies in (c+1, r) or (c+1, r+1):
+
+    C+(c, r) = max(M, max(C+(c+1, r), C+(c+1, r+1)) - k L)
+
+with M the larger cellmax of its two column-c cells.  Column c+1 before that
+point needs no term in M: there the terrain is a blend (1 - u) E0 + u E1 of
+a cell's near edge (corners of the two column-c cells) and far edge (at most
+C+ of c+1), and the ray has risen k L u.  Each column reads only its
+sun-ward neighbour, so one pass gives the fixed point.  shadow_mask marks a ray lit
+without tracing when its origin is above C+, and the traversal ends a shadow
+ray as a miss once a segment starts above C+.  Both tests are exact: they
+skip only rays that cannot meet the terrain, with a relative margin
+(1e-9 (1 + |C+|)) that absorbs rounding in the sweep and in the traversal's
+own arithmetic.
+
 All arithmetic is elementwise per ray, so results are bitwise identical
 regardless of how rays are batched or tiled.
 """
@@ -19,15 +44,48 @@ import numpy as np
 from .terrain import DemGrid, bilinear
 
 
-def _cell_max(dem: DemGrid) -> np.ndarray:
-    e = dem.elevations
-    return np.fmax(np.fmax(e[:-1, :-1], e[:-1, 1:]), np.fmax(e[1:, :-1], e[1:, 1:]))
+def sun_ceiling(dem: DemGrid, sun_dir) -> np.ndarray:
+    """(height-1, width-1) sun-ward ceiling C+ per cell, raised by the rounding
+    margin: a point of a cell strictly above it is lit by the sun in the unit
+    direction sun_dir (above the horizon).  -inf where no terrain lies
+    sun-ward."""
+    sx, sy, sz = (float(c) for c in sun_dir)
+    cm = np.where(np.isnan(dem.cell_max), -np.inf, dem.cell_max)
+    # Sweep frame a[c, r]: c along the sun's dominant horizontal axis, r along
+    # the other, both flipped so the sun lies toward increasing c and r.
+    swap = abs(sy) > abs(sx)
+    dom, minor = (sy, sx) if swap else (sx, sy)
+    flips = (slice(None, None, -1 if dom < 0 else 1), slice(None, None, -1 if minor < 0 else 1))
+    a = (cm if swap else cm.T)[flips]
+    kl = sz * dem.cell_size / abs(dom) if dom else np.inf  # at the zenith no ray leaves its column
+    n_c, n_r = a.shape
+    pad = np.full((n_c, n_r + 1), -np.inf)
+    pad[:, :n_r] = a
+    block = np.maximum(pad[:, :-1], pad[:, 1:])  # M
+
+    ceil = np.full((n_c, n_r + 1), -np.inf)
+    ceil[-1, :n_r] = block[-1]
+    nxt = np.empty(n_r)
+    for c in range(n_c - 2, -1, -1):
+        np.maximum(ceil[c + 1, :-1], ceil[c + 1, 1:], out=nxt)
+        nxt -= kl
+        np.maximum(block[c], nxt, out=ceil[c, :n_r])
+
+    ceil = ceil[:, :n_r][flips]
+    ceil = np.ascontiguousarray(ceil if swap else ceil.T)
+    finite = np.isfinite(ceil)
+    ceil[finite] += 1e-9 * (1.0 + np.abs(ceil[finite]))
+    ceil.flags.writeable = False  # shared by every row band's thread
+    return ceil
 
 
-def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
+def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
+                   ceiling: np.ndarray | None = None):
     """First heightfield intersection for a batch of rays.
 
     origins, directions: (N, 3) float64, directions unit length.
+    ceiling: sun_ceiling(dem, s) when every direction is s; a ray then ends
+    as a miss once a cell segment starts above it.
     Returns (t, hit): ray parameters (NaN where miss) and a boolean hit mask.
     """
     o = np.asarray(origins, dtype=np.float64)
@@ -38,9 +96,8 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
     n = o.shape[0]
     cs = dem.cell_size
     e = dem.elevations
-    zmin = float(np.nanmin(e))
-    zmax = float(np.nanmax(e))
-    cellmax = _cell_max(dem)
+    zmin, zmax = dem.z_range
+    cellmax = dem.cell_max
 
     ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
     dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
@@ -109,10 +166,15 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
 
         # Per-cell max-height early-out: skip the crossing test when the ray
         # segment stays above everything the cell can reach.
-        seg_zmin = np.minimum(oz[a] + dz[a] * t0, oz[a] + dz[a] * t1)
+        z0 = oz[a] + dz[a] * t0
+        seg_zmin = np.minimum(z0, oz[a] + dz[a] * t1)
         cmax = cellmax[cy, cx]
         with np.errstate(invalid="ignore"):
             consider = ~(seg_zmin > cmax)
+        if ceiling is not None:
+            clear = z0 > ceiling[cy, cx]
+            alive[a[clear]] = False
+            consider &= ~clear
 
         if consider.any():
             s = a[consider]
@@ -186,14 +248,29 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray):
     return t_hit, hit
 
 
-def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray) -> np.ndarray:
+def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray,
+                ceiling: np.ndarray | None = None) -> np.ndarray:
     """True where a point is shadowed: the sun ray, started half a cell toward
-    the sun to clear its own facet, re-hits the terrain."""
+    the sun to clear its own facet, re-hits the terrain.
+
+    ceiling is sun_ceiling(dem, sun_dir), built here when None.  A ray whose
+    origin lies above its cell's ceiling is lit without tracing; the rest are
+    traced in one intersect_rays call, which may be empty.
+    """
     p = np.asarray(points, dtype=np.float64)
     if p.ndim == 1:
         p = p[None, :]
     s = np.asarray(sun_dir, dtype=np.float64)
-    origins = p + 0.5 * dem.cell_size * s
-    dirs = np.broadcast_to(s, origins.shape)
-    _, hit = intersect_rays(dem, origins, dirs)
-    return hit
+    if ceiling is None:
+        ceiling = sun_ceiling(dem, s)
+    cs = dem.cell_size
+    origins = p + 0.5 * cs * s
+    ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
+    ix = np.clip((ox - dem.origin_x) / cs, 0, dem.width - 2).astype(np.int64)
+    iy = np.clip((oy - dem.origin_y) / cs, 0, dem.height - 2).astype(np.int64)
+    inside = (ox >= dem.x_min) & (ox <= dem.x_max) & (oy >= dem.y_min) & (oy <= dem.y_max)
+    traced = ~(inside & (oz > ceiling[iy, ix]))
+    shadowed = np.zeros(len(p), dtype=bool)
+    rest = origins[traced]
+    _, shadowed[traced] = intersect_rays(dem, rest, np.broadcast_to(s, rest.shape), ceiling)
+    return shadowed

@@ -166,6 +166,8 @@ def _scene(args, bands: list[int], lightings: list[str]):
         if lid not in LIGHTING_PRESETS:
             raise UsageError(f"unknown lighting preset {lid!r}")
     for what, values in (("band", bands), ("lighting preset", lightings)):
+        if not values:
+            raise UsageError(f"empty {what} list")
         repeated = sorted({x for x in values if values.count(x) > 1})
         if repeated:
             raise UsageError(f"duplicate {what} entries: {repeated}")
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--trajectory", required=True, help="nadir | oblique | dynamic")
     g.add_argument("--bands", default="0", help="comma list of altitude band indices 0..9")
     g.add_argument("--pairs", type=int, default=1, help="pairs per band")
-    g.add_argument("--lighting", default="side", help="comma list of side|overhead|back")
+    g.add_argument("--lighting", default="side", help=f"comma list of {'|'.join(LIGHTING_PRESETS)}")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -523,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_flags(r)
     r.add_argument("--trajectory", required=True)
     r.add_argument("--band", type=int, default=0)
-    r.add_argument("--lighting", default="side")
+    r.add_argument("--lighting", default="side", help="|".join(LIGHTING_PRESETS))
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--zero-baseline", action="store_true",
                    help="use the same pose for both views (stress case)")

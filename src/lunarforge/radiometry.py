@@ -128,7 +128,7 @@ def shadow_test(dem: DemGrid, point, sun_dir) -> bool:
     return not bool(shadowed[0])
 
 
-def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: HapkeParams):
+def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: HapkeParams, ceiling=None):
     """Shading of (N, 3) points with given unit normals: the one Hapke
     radiance expression behind shade_point and shade_points."""
     s = sun_direction(sun)
@@ -137,7 +137,7 @@ def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: 
     radiance = np.zeros(len(points))
     facing = (mu0 > 0) & (mu > 0)
     if facing.any():
-        lit = ~_heightfield.shadow_mask(dem, points[facing], s)
+        lit = ~_heightfield.shadow_mask(dem, points[facing], s, ceiling)
         idx = np.flatnonzero(facing)[lit]
         if idx.size:
             g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
@@ -172,8 +172,14 @@ def shade_points(
     view_dirs: np.ndarray,
     sun: SunConfig,
     params: HapkeParams,
+    ceiling: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized shading of hit points; view_dirs point from surface to camera."""
+    """Vectorized shading of hit points; view_dirs point from surface to camera.
+
+    ceiling is _heightfield.sun_ceiling(dem, sun_direction(sun)), which a
+    caller shading many batches under one sun builds once; None builds it
+    here.  It saves work and never changes the result.
+    """
     points = np.asarray(points, dtype=np.float64)
     view_dirs = np.asarray(view_dirs, dtype=np.float64)
     if points.shape[0] == 0:
@@ -182,4 +188,4 @@ def shade_points(
     cs = dem.cell_size
     qx = np.clip(points[:, 0], dem.x_min + cs, dem.x_max - cs)
     qy = np.clip(points[:, 1], dem.y_min + cs, dem.y_max - cs)
-    return _radiance(dem, points, surface_normal(dem, qx, qy), view_dirs, sun, params)
+    return _radiance(dem, points, surface_normal(dem, qx, qy), view_dirs, sun, params, ceiling)

@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from . import _heightfield
 from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points, unproject
-from .radiometry import HapkeParams, SunConfig, shade_points
+from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
 from .terrain import DemGrid, bilinear, sample_height
 
 DEFAULT_TILE_ROWS = 32
@@ -122,7 +122,7 @@ def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
+def _render_band(dem, intr, pose, sun, hapke, jitter, rows, ceiling):
     """Render one horizontal band of rows; returns (radiance, depth) arrays."""
     h = rows.stop - rows.start
     w = intr.width
@@ -132,7 +132,7 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
     t, hit = _heightfield.intersect_rays(dem, *pixel_rays(intr, pose, uu.ravel(), vv.ravel()))
     depth = np.where(hit, t, np.nan).reshape(h, w)
 
-    if not compute_image:
+    if ceiling is None:  # depth only
         return np.zeros((h, w)), depth
 
     rpp = jitter.shape[2]
@@ -143,15 +143,17 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
     jt, jhit = _heightfield.intersect_rays(dem, origins, dirs)
     if jhit.any():
         pts = origins[jhit] + jt[jhit, None] * dirs[jhit]
-        radiance[jhit] = shade_points(dem, pts, -dirs[jhit], sun, hapke)
+        radiance[jhit] = shade_points(dem, pts, -dirs[jhit], sun, hapke, ceiling)
     radiance = radiance.reshape(h, w, rpp).mean(axis=2)
     return radiance, depth
 
 
-def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, compute_image, workers):
+def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, ceiling, workers):
     """Render one view over row bands; returns (RenderProduct, the gain applied).
 
     gain None derives it from this view's own radiance (see exposure_gain).
+    ceiling is the sun's _heightfield.sun_ceiling, shared by every band; None
+    renders depth only.
     """
     center = pose.translation
     if dem.x_min <= center[0] <= dem.x_max and dem.y_min <= center[1] <= dem.y_max:
@@ -168,7 +170,7 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     n_workers = resolve_workers(workers)
 
     def run(band):
-        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image)
+        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, ceiling)
 
     if n_workers == 1 or len(bands) == 1:
         results = [run(b) for b in bands]
@@ -213,8 +215,14 @@ def render_view(
     """
     return _render(
         dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id,
-        gain, compute_image, workers,
+        gain, _ceiling(dem, sun, compute_image), workers,
     )[0]
+
+
+def _ceiling(dem: DemGrid, sun: SunConfig, compute_image: bool):
+    """The sun's shadow-ray ceiling, built once per (DEM, sun) for every band
+    and view that shades under it; None when no image is shaded."""
+    return _heightfield.sun_ceiling(dem, sun_direction(sun)) if compute_image else None
 
 
 def exposure_gain(radiance: np.ndarray) -> float:
@@ -233,13 +241,14 @@ def render_pair(
     workers: int | None = None,
 ):
     """Render both rig views with a shared gain taken from view a."""
+    ceiling = _ceiling(dem, sun, compute_image)
     product_a, gain = _render(
         dem, rig.intrinsics, rig.pose_a, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 0, None, compute_image, workers,
+        seed, 0, None, ceiling, workers,
     )
     product_b, _ = _render(
         dem, rig.intrinsics, rig.pose_b, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 1, gain, compute_image, workers,
+        seed, 1, gain, ceiling, workers,
     )
     return product_a, product_b
 

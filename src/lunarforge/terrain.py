@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,21 @@ class DemGrid:
                 )
         elev.flags.writeable = False
         object.__setattr__(self, "elevations", elev)
+
+    # Bounds that every heightfield traversal reads.  elevations is read-only,
+    # so they are computed once per grid and cannot go stale.
+    @cached_property
+    def cell_max(self) -> np.ndarray:
+        """(height-1, width-1) highest corner of each cell; NaN where all four are nodata."""
+        e = self.elevations
+        m = np.fmax(np.fmax(e[:-1, :-1], e[:-1, 1:]), np.fmax(e[1:, :-1], e[1:, 1:]))
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def z_range(self) -> tuple[float, float]:
+        """(lowest, highest) elevation, ignoring nodata."""
+        return float(np.nanmin(self.elevations)), float(np.nanmax(self.elevations))
 
     # Footprint of valid bilinear interpolation: the rectangle of cell centers.
     @property

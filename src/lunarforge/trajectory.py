@@ -25,11 +25,14 @@ KINDS = ("nadir", "oblique", "dynamic")
 
 # Named illumination presets.  Azimuths follow the reference configurations;
 # elevations are this tool's documented choice (all overridable), with the
-# 360-degree azimuth stored as 0.
+# 360-degree azimuth stored as 0.  "polar" is the grazing sun of the south
+# polar cap: at latitudes -87 to -90 degrees it stays within a few degrees of
+# the horizon.
 LIGHTING_PRESETS = {
     "side": SunConfig(azimuth=150.0, elevation=20.0),
     "overhead": SunConfig(azimuth=250.0, elevation=70.0),
     "back": SunConfig(azimuth=0.0, elevation=15.0),
+    "polar": SunConfig(azimuth=90.0, elevation=3.0),
 }
 
 

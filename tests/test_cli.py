@@ -95,15 +95,24 @@ SCENE_ARGV = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SCENE_ARGV))
-@pytest.mark.parametrize("flag, value", [
-    ("--hapke-w", "2"),
-    ("--psf-sigma", "-1"),
-    ("--rays-per-pixel", "0"),
-    ("--res", "0"),
-    ("--full-res", "0"),
-    ("--stride", "0"),
-    ("--synth-size", "8"),
+INVALID_SCENE_VALUES = [
+    (flag, value, command)
+    for flag, value in [
+        ("--hapke-w", "2"),
+        ("--psf-sigma", "-1"),
+        ("--rays-per-pixel", "0"),
+        ("--res", "0"),
+        ("--full-res", "0"),
+        ("--stride", "0"),
+        ("--synth-size", "8"),
+        ("--lighting", ","),
+    ]
+    for command in sorted(SCENE_ARGV)
+] + [("--bands", "", "generate")]  # render-pair takes one --band
+
+
+@pytest.mark.parametrize("flag, value, command", [
+    pytest.param(*case, id="-".join(case)) for case in INVALID_SCENE_VALUES
 ])
 def test_invalid_scene_value_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
     import lunarforge.cli as cli

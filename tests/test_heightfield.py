@@ -1,5 +1,5 @@
-"""Heightfield traversal: the in-cell root cases and a property test against
-the fine-step oracle."""
+"""Heightfield traversal: the in-cell root cases, a property test against
+the fine-step oracle, and the sun-ward ceiling that shadow rays use."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from lunarforge import DemGrid
-from lunarforge._heightfield import intersect_rays
+from lunarforge._heightfield import intersect_rays, shadow_mask, sun_ceiling
+from lunarforge.radiometry import SunConfig, sun_direction
 from lunarforge.terrain import synth_crater_dem
 
 CELL = 4.0
@@ -139,3 +140,93 @@ def test_intersect_rays_matches_the_oracle(scene):
     assert np.array_equal(hit, hit_ref)
     if hit.any():
         assert np.abs(t[hit] - t_ref[hit]).max() <= tol
+
+
+CEILING_ELEVATIONS = [1.0, 2.0, 5.0, 15.0, 45.0, 89.5, 90.0]
+# Axis-aligned and diagonal suns are the sweep's edge cases (drift 0 and 1);
+# None draws a random azimuth.
+CEILING_AZIMUTHS = [0.0, 45.0, 90.0, 180.0, 270.0, None]
+
+
+def _sun(azimuth, elevation):
+    """Unit sun direction; at 45 degrees azimuth exactly diagonal (equal x and
+    y components), which sun_direction misses by one rounding."""
+    if azimuth == 45.0:
+        e = np.radians(elevation)
+        return np.array([np.cos(e) / np.sqrt(2.0), np.cos(e) / np.sqrt(2.0), np.sin(e)])
+    return sun_direction(SunConfig(azimuth=azimuth, elevation=elevation))
+
+
+def _ceiling_scenes(elevation):
+    """(dem, sun direction, rng) over random crater DEMs: odd seeds have NaN
+    holes, seeds divisible by 3 sit 1.5e6 m from the origin."""
+    for seed in range(4):
+        rng = np.random.default_rng([seed, int(elevation * 10)])
+        base = synth_crater_dem(int(rng.integers(2**16)), int(rng.integers(16, 40)),
+                                int(rng.integers(16, 40)), float(rng.uniform(1.0, 8.0)), 3, 3)
+        e = base.elevations.copy()
+        if seed % 2:
+            e[rng.random(e.shape) < 0.04] = np.nan
+        offset = 1.5e6 if seed % 3 == 0 else 0.0
+        dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
+                      origin_x=base.origin_x + offset, origin_y=base.origin_y - offset, elevations=e)
+        for azimuth in CEILING_AZIMUTHS:
+            if azimuth is None:
+                azimuth = float(rng.uniform(0.0, 360.0))
+            yield dem, _sun(azimuth, elevation), rng
+
+
+def _cell_points(dem, rng, n):
+    """x, y of n random points in random cells."""
+    i = rng.integers(0, dem.height - 1, n)
+    j = rng.integers(0, dem.width - 1, n)
+    return dem.origin_x + (j + rng.random(n)) * dem.cell_size, dem.origin_y + (i + rng.random(n)) * dem.cell_size
+
+
+@pytest.mark.parametrize("elevation", CEILING_ELEVATIONS)
+def test_sun_ceiling_bounds_the_sunward_horizon(elevation):
+    """For points in a cell, H - k r along the sun-ward path, over the
+    footprint and outside nodata, never exceeds the cell's ceiling.  Paths
+    are sampled every 0.02 cell, and half of them start up to two cells
+    before a grid vertex and pass exactly through it, where a cell's maximum
+    is reached."""
+    for dem, s, rng in _ceiling_scenes(elevation):
+        ceiling = sun_ceiling(dem, s)
+        assert ceiling.shape == (dem.height - 1, dem.width - 1)
+        horizontal = np.hypot(s[0], s[1])
+        h, k = s[:2] / horizontal, s[2] / horizontal
+        x, y = _cell_points(dem, rng, 40)
+        vi = rng.integers(0, dem.height, 40)
+        vj = rng.integers(0, dem.width, 40)
+        before = rng.uniform(0.0, 2.0, 40) * dem.cell_size
+        vx = dem.origin_x + vj * dem.cell_size - before * h[0]
+        vy = dem.origin_y + vi * dem.cell_size - before * h[1]
+        start = (vx >= dem.x_min) & (vx <= dem.x_max) & (vy >= dem.y_min) & (vy <= dem.y_max)
+        x, y = np.concatenate([x, vx[start]]), np.concatenate([y, vy[start]])
+        through_vertex = np.concatenate([np.full(40, -np.inf), dem.elevations[vi, vj][start] - k * before[start]])
+
+        reach = np.hypot(dem.x_max - dem.x_min, dem.y_max - dem.y_min)
+        r = np.arange(0.0, reach, 0.02 * dem.cell_size)
+        px = x[:, None] + r * h[0]
+        py = y[:, None] + r * h[1]
+        inside = (px >= dem.x_min) & (px <= dem.x_max) & (py >= dem.y_min) & (py <= dem.y_max)
+        with np.errstate(invalid="ignore"):
+            rise = oracles.bilinear(dem, px, py) - k * r
+        horizon = np.fmax(np.where(inside & ~np.isnan(rise), rise, -np.inf).max(axis=1), through_vertex)
+        i = np.clip(np.floor((y - dem.origin_y) / dem.cell_size).astype(int), 0, dem.height - 2)
+        j = np.clip(np.floor((x - dem.origin_x) / dem.cell_size).astype(int), 0, dem.width - 2)
+        assert (horizon <= ceiling[i, j]).all()
+
+
+@pytest.mark.parametrize("elevation", CEILING_ELEVATIONS)
+def test_shadow_mask_equals_tracing_every_shadow_ray(elevation):
+    """The ceiling's two shortcuts (a lit origin, a walk that ends above the
+    ceiling) change no shadow ray's answer: shadow_mask equals intersect_rays
+    on the same biased origins, bit for bit."""
+    for dem, s, rng in _ceiling_scenes(elevation):
+        x, y = _cell_points(dem, rng, 300)
+        points = np.column_stack([x, y, oracles.bilinear(dem, x, y)])
+        points = points[np.isfinite(points[:, 2])]
+        origins = points + 0.5 * dem.cell_size * s
+        _, traced = intersect_rays(dem, origins, np.broadcast_to(s, origins.shape))
+        assert np.array_equal(shadow_mask(dem, points, s), traced)

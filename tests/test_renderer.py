@@ -138,6 +138,25 @@ def test_shadowed_crater_wall_is_black():
     assert oracles.brute_force_shadowed(dem, p, sun_vec, 0.5 * dem.cell_size)
 
 
+def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
+    from lunarforge._heightfield import shadow_mask
+    from lunarforge.radiometry import sun_direction
+
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)
+    polar = lighting_preset("polar")
+    high = SunConfig(azimuth=polar.azimuth, elevation=15.0)
+    images, cast = {}, {}
+    for sun in (polar, high):
+        prod = render_view(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+        points = depth_to_pointmap(prod, frame="world").points[prod.valid_mask]
+        images[sun] = prod.image[prod.valid_mask]
+        cast[sun] = shadow_mask(dem, points, sun_direction(sun))
+    assert (images[polar][cast[polar]] == 0).all()
+    newly_shadowed = cast[polar] & ~cast[high] & (images[high] > 0)
+    assert newly_shadowed.sum() > 0.05 * images[high].size
+
+
 def test_render_deterministic_across_runs_and_workers():
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     spec, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)

@@ -23,6 +23,7 @@ def test_lighting_presets():
     assert lighting_preset("side").azimuth == 150.0
     assert lighting_preset("overhead").azimuth == 250.0
     assert lighting_preset("back").azimuth == 0.0  # 360 normalized into [0, 360)
+    assert 2.0 <= lighting_preset("polar").elevation <= 4.0  # south polar cap
     with pytest.raises(ValueError):
         lighting_preset("noon")
 
