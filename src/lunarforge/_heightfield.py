@@ -31,13 +31,17 @@ without tracing when its origin is above C+, and the traversal ends a shadow
 ray as a miss once a segment starts above C+.  Both tests are exact: they
 skip only rays that cannot meet the terrain, with a relative margin
 (1e-9 (1 + |C+|)) that absorbs rounding in the sweep and in the traversal's
-own arithmetic.
+own arithmetic.  C+ is a function of (DEM, sun) alone, so shadow_mask derives
+it itself and keeps the last one in a one-slot memo; callers never pass it.
 
 All arithmetic is elementwise per ray, so results are bitwise identical
 regardless of how rays are batched or tiled.
 """
 
 from __future__ import annotations
+
+import threading
+import weakref
 
 import numpy as np
 
@@ -79,6 +83,23 @@ def sun_ceiling(dem: DemGrid, sun_dir) -> np.ndarray:
     return ceil
 
 
+_memo_lock = threading.Lock()  # row bands shade concurrently
+_memo = None  # (weakref to the grid, sun direction, its ceiling)
+
+
+def prepare_shadows(dem: DemGrid, sun_dir) -> np.ndarray:
+    """sun_ceiling(dem, sun_dir) from a one-slot memo of the last (grid, sun).
+    The grid is held by weak reference, so a new grid at a freed one's address
+    never matches, and the old ceiling is dropped before the next is built."""
+    global _memo
+    key = tuple(float(c) for c in sun_dir)
+    with _memo_lock:
+        if _memo is None or _memo[0]() is not dem or _memo[1] != key:
+            _memo = None  # free the old ceiling before the sweep
+            _memo = (weakref.ref(dem), key, sun_ceiling(dem, key))
+        return _memo[2]
+
+
 def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
                    ceiling: np.ndarray | None = None):
     """First heightfield intersection for a batch of rays.
@@ -90,9 +111,6 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
     """
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    if o.ndim == 1:
-        o = o[None, :]
-        d = d[None, :]
     n = o.shape[0]
     cs = dem.cell_size
     e = dem.elevations
@@ -248,21 +266,17 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
     return t_hit, hit
 
 
-def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray,
-                ceiling: np.ndarray | None = None) -> np.ndarray:
-    """True where a point is shadowed: the sun ray, started half a cell toward
-    the sun to clear its own facet, re-hits the terrain.
+def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray) -> np.ndarray:
+    """True where one of the (N, 3) points is shadowed: the sun ray, started
+    half a cell toward the sun to clear its own facet, re-hits the terrain.
 
-    ceiling is sun_ceiling(dem, sun_dir), built here when None.  A ray whose
-    origin lies above its cell's ceiling is lit without tracing; the rest are
-    traced in one intersect_rays call, which may be empty.
+    The sun's ceiling comes from prepare_shadows, once per (DEM, sun).  A ray
+    whose origin lies above its cell's ceiling is lit without tracing; the
+    rest are traced in one intersect_rays call, which may be empty.
     """
     p = np.asarray(points, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
     s = np.asarray(sun_dir, dtype=np.float64)
-    if ceiling is None:
-        ceiling = sun_ceiling(dem, s)
+    ceiling = prepare_shadows(dem, s)
     cs = dem.cell_size
     origins = p + 0.5 * cs * s
     ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]

@@ -133,20 +133,18 @@ def rot_z(deg: float) -> np.ndarray:
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
 
 
-def look_at(center, target, up_hint=(0.0, 1.0, 0.0), roll_deg: float = 0.0) -> Pose:
-    """Pose whose -z axis points from center toward target, rolled about it."""
+def look_at(center, target, roll_deg: float = 0.0) -> Pose:
+    """Pose whose -z axis points from center toward target, rolled about it.
+    Image up is toward +z, or toward +y when looking straight up or down."""
     center = np.asarray(center, dtype=np.float64)
     f = np.asarray(target, dtype=np.float64) - center
     norm = np.linalg.norm(f)
     if norm == 0:
         raise ValueError("look_at target coincides with the camera center")
     f = f / norm
-    hint = np.array([0.0, 0.0, 1.0]) if abs(f[2]) < 0.999999 else np.asarray(up_hint, dtype=np.float64)
-    r = np.cross(f, hint)
-    rn = np.linalg.norm(r)
-    if rn < 1e-12:
-        raise ValueError("degenerate up hint parallel to the view direction")
-    r = r / rn
+    # Neither hint is within 0.08 degrees of f, so the cross product never vanishes.
+    r = np.cross(f, [0.0, 0.0, 1.0] if abs(f[2]) < 0.999999 else [0.0, 1.0, 0.0])
+    r = r / np.linalg.norm(r)
     u = np.cross(r, f)
     rot = np.column_stack([r, u, -f])
     if roll_deg:

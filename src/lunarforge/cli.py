@@ -148,9 +148,17 @@ def _pair_artifacts(
 
 def _parse_list(text: str, what: str, kind=int) -> list:
     try:
-        return [kind(tok) for tok in text.split(",") if tok != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad {what} list: {text!r}") from None
+
+
+def _thread_cap() -> int:
+    """resolve_workers(None); a bad LUNARFORGE_THREADS is a usage error."""
+    try:
+        return resolve_workers(None)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _scene(args, bands: list[int], lightings: list[str]):
@@ -179,9 +187,11 @@ def _scene(args, bands: list[int], lightings: list[str]):
         # Without a PSF each pixel casts one ray whatever this says.
         ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
         ("--stride must be >= 1", args.stride >= 1),
+        ("--workers must be >= 1", args.workers is None or args.workers >= 1),
     ):
         if not ok:
             raise UsageError(message)
+    _thread_cap()
     try:
         hapke = HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi)
     except ValueError as exc:
@@ -217,7 +227,7 @@ def _render_tasks(out_dir: Path, tasks: list, hapke: HapkeParams, stride: int, w
 
 def cmd_generate(args) -> int:
     bands = _parse_list(args.bands, "band")
-    lightings = [tok.strip() for tok in args.lighting.split(",") if tok.strip()]
+    lightings = _parse_list(args.lighting, "lighting preset", str.strip)
     if args.pairs < 1:
         raise UsageError("--pairs must be >= 1")
     dems, hapke, rig_args = _scene(args, bands, lightings)
@@ -330,6 +340,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"ground-truth directory {gt_dir} does not exist")
     if not pred_dir.is_dir():
         raise UsageError(f"prediction directory {pred_dir} does not exist")
+    n_workers = _thread_cap()
     thresholds = sorted(_parse_list(args.thresholds, "threshold", float))
     records = _read_manifest(gt_dir)
     config = EvalConfig(seed=args.seed)
@@ -355,7 +366,6 @@ def cmd_evaluate(args) -> int:
             return record, None, {"type": type(exc).__name__, "detail": str(exc)}
         return record, evaluate_pair(pred, gt, config), None
 
-    n_workers = resolve_workers(None)
     if n_workers == 1 or len(records) <= 1:
         results = [score(r) for r in records]
     else:
@@ -446,6 +456,8 @@ def cmd_render_pair(args) -> int:
 
 
 def cmd_synth_dem(args) -> int:
+    if args.width < 16 or args.height < 16 or not args.cell_size > 0:
+        raise UsageError("--width and --height must be >= 16 and --cell-size > 0")
     dem = synth_crater_dem(
         args.seed, args.width, args.height, args.cell_size, args.craters, args.octaves
     )
@@ -457,6 +469,8 @@ def cmd_synth_dem(args) -> int:
 def cmd_visualize(args) -> int:
     if args.mode not in ("hillshade", "slope"):
         raise UsageError(f"unknown mode {args.mode!r}; expected hillshade or slope")
+    if args.spacing is not None and not args.spacing > 0:
+        raise UsageError("--spacing must be > 0")
     raster, meta = formats.read_f32_raster(args.input)
     if raster.ndim == 3:
         raster = raster[..., 2]  # pointmap input: use the elevation channel

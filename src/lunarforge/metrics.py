@@ -208,15 +208,8 @@ def profile_metrics(pred_depth: np.ndarray, gt_depth: np.ndarray, n_profiles: in
 
 def scale_invariant_loss(pred_points, gt_points, valid_mask=None) -> float:
     """Mean per-pixel distance between pointmaps, each normalized by the mean
-    distance of its own valid points to the origin; invariant to global scale."""
-    if isinstance(pred_points, PointMap):
-        if valid_mask is None:
-            valid_mask = pred_points.valid_mask
-        pred_points = pred_points.points
-    if isinstance(gt_points, PointMap):
-        if valid_mask is None:
-            valid_mask = gt_points.valid_mask
-        gt_points = gt_points.points
+    distance of its own valid points to the origin; invariant to global scale.
+    pred_points, gt_points: (..., 3) arrays; valid_mask, if given, selects pixels."""
     pred = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
     if valid_mask is not None:
@@ -240,7 +233,6 @@ def scale_invariant_loss(pred_points, gt_points, valid_mask=None) -> float:
 @dataclass(frozen=True)
 class EvalConfig:
     seed: int = 0
-    n_profiles: int = 5
     align_iterations: int = 2000  # RANSAC cap; also bounds the certifiable inlier ratio (RansacParams)
     align_threshold_m: float | None = None  # default 3 * gsd_m
 
@@ -385,7 +377,7 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig 
             except DegenerateMetricError as exc:
                 report.flags.setdefault("ssim", str(exc))
             try:
-                mae_p, corr_p = profile_metrics(pred_depth, gt_depth_m, config.n_profiles)
+                mae_p, corr_p = profile_metrics(pred_depth, gt_depth_m)
                 prof_maes.append(mae_p)
                 prof_corrs.append(corr_p)
             except DegenerateMetricError as exc:

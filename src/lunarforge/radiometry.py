@@ -124,11 +124,11 @@ def shadow_test(dem: DemGrid, point, sun_dir) -> bool:
     sun_dir = np.asarray(sun_dir, dtype=np.float64)
     if sun_dir[2] <= 0:
         raise ValueError("sun must be above the horizon (sun_dir.z > 0)")
-    shadowed = _heightfield.shadow_mask(dem, np.asarray(point, dtype=np.float64), sun_dir)
+    shadowed = _heightfield.shadow_mask(dem, np.asarray(point, dtype=np.float64).reshape(1, 3), sun_dir)
     return not bool(shadowed[0])
 
 
-def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: HapkeParams, ceiling=None):
+def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: HapkeParams):
     """Shading of (N, 3) points with given unit normals: the one Hapke
     radiance expression behind shade_point and shade_points."""
     s = sun_direction(sun)
@@ -137,7 +137,7 @@ def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: 
     radiance = np.zeros(len(points))
     facing = (mu0 > 0) & (mu > 0)
     if facing.any():
-        lit = ~_heightfield.shadow_mask(dem, points[facing], s, ceiling)
+        lit = ~_heightfield.shadow_mask(dem, points[facing], s)
         idx = np.flatnonzero(facing)[lit]
         if idx.size:
             g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
@@ -172,13 +172,11 @@ def shade_points(
     view_dirs: np.ndarray,
     sun: SunConfig,
     params: HapkeParams,
-    ceiling: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized shading of hit points; view_dirs point from surface to camera.
 
-    ceiling is _heightfield.sun_ceiling(dem, sun_direction(sun)), which a
-    caller shading many batches under one sun builds once; None builds it
-    here.  It saves work and never changes the result.
+    The shadow test derives its per-(DEM, sun) ceiling itself, once for every
+    batch shaded under one sun; callers pass nothing for it.
     """
     points = np.asarray(points, dtype=np.float64)
     view_dirs = np.asarray(view_dirs, dtype=np.float64)
@@ -188,4 +186,4 @@ def shade_points(
     cs = dem.cell_size
     qx = np.clip(points[:, 0], dem.x_min + cs, dem.x_max - cs)
     qy = np.clip(points[:, 1], dem.y_min + cs, dem.y_max - cs)
-    return _radiance(dem, points, surface_normal(dem, qx, qy), view_dirs, sun, params, ceiling)
+    return _radiance(dem, points, surface_normal(dem, qx, qy), view_dirs, sun, params)

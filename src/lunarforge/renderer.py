@@ -84,9 +84,12 @@ class RayHit:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for tile pools, capped by LUNARFORGE_THREADS."""
-    cap = os.environ.get("LUNARFORGE_THREADS")
-    cap = int(cap) if cap else None
+    """Worker count for tile pools, capped by LUNARFORGE_THREADS (ValueError
+    when that is set but not a positive integer)."""
+    text = os.environ.get("LUNARFORGE_THREADS")
+    cap = int(text) if text and text.strip().isdecimal() else None
+    if text and not cap:
+        raise ValueError(f"LUNARFORGE_THREADS must be a positive integer, got {text!r}")
     if workers is None:
         workers = cap if cap is not None else min(4, os.cpu_count() or 1)
     if cap is not None:
@@ -122,7 +125,7 @@ def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, intr, pose, sun, hapke, jitter, rows, ceiling):
+def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
     """Render one horizontal band of rows; returns (radiance, depth) arrays."""
     h = rows.stop - rows.start
     w = intr.width
@@ -132,7 +135,7 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, ceiling):
     t, hit = _heightfield.intersect_rays(dem, *pixel_rays(intr, pose, uu.ravel(), vv.ravel()))
     depth = np.where(hit, t, np.nan).reshape(h, w)
 
-    if ceiling is None:  # depth only
+    if not compute_image:
         return np.zeros((h, w)), depth
 
     rpp = jitter.shape[2]
@@ -143,23 +146,24 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, ceiling):
     jt, jhit = _heightfield.intersect_rays(dem, origins, dirs)
     if jhit.any():
         pts = origins[jhit] + jt[jhit, None] * dirs[jhit]
-        radiance[jhit] = shade_points(dem, pts, -dirs[jhit], sun, hapke, ceiling)
+        radiance[jhit] = shade_points(dem, pts, -dirs[jhit], sun, hapke)
     radiance = radiance.reshape(h, w, rpp).mean(axis=2)
     return radiance, depth
 
 
-def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, ceiling, workers):
+def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, compute_image, workers):
     """Render one view over row bands; returns (RenderProduct, the gain applied).
 
     gain None derives it from this view's own radiance (see exposure_gain).
-    ceiling is the sun's _heightfield.sun_ceiling, shared by every band; None
-    renders depth only.
+    compute_image False renders depth only.
     """
     center = pose.translation
     if dem.x_min <= center[0] <= dem.x_max and dem.y_min <= center[1] <= dem.y_max:
         if center[2] <= sample_height(dem, center[0], center[1]):
             raise CameraBelowTerrainError("camera center is below the terrain surface")
 
+    if compute_image:  # derive the shadow rays' (DEM, sun) data before this view's buffers
+        _heightfield.prepare_shadows(dem, sun_direction(sun))
     if psf_sigma == 0:
         rays_per_pixel = 1
     jitter = _psf_jitter(seed, view_id, intr.height, intr.width, rays_per_pixel, psf_sigma)
@@ -170,7 +174,7 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     n_workers = resolve_workers(workers)
 
     def run(band):
-        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, ceiling)
+        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image)
 
     if n_workers == 1 or len(bands) == 1:
         results = [run(b) for b in bands]
@@ -205,8 +209,6 @@ def render_view(
     seed: int = 0,
     view_id: int = 0,
     gain: float | None = None,
-    compute_image: bool = True,
-    workers: int | None = None,
 ) -> RenderProduct:
     """Render one view: PSF-averaged radiance image plus central-ray depth.
 
@@ -214,15 +216,8 @@ def render_view(
     view's own 99th radiance percentile (stereo pairs share view a's gain).
     """
     return _render(
-        dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id,
-        gain, _ceiling(dem, sun, compute_image), workers,
+        dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, True, None,
     )[0]
-
-
-def _ceiling(dem: DemGrid, sun: SunConfig, compute_image: bool):
-    """The sun's shadow-ray ceiling, built once per (DEM, sun) for every band
-    and view that shades under it; None when no image is shaded."""
-    return _heightfield.sun_ceiling(dem, sun_direction(sun)) if compute_image else None
 
 
 def exposure_gain(radiance: np.ndarray) -> float:
@@ -241,14 +236,13 @@ def render_pair(
     workers: int | None = None,
 ):
     """Render both rig views with a shared gain taken from view a."""
-    ceiling = _ceiling(dem, sun, compute_image)
     product_a, gain = _render(
         dem, rig.intrinsics, rig.pose_a, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 0, None, ceiling, workers,
+        seed, 0, None, compute_image, workers,
     )
     product_b, _ = _render(
         dem, rig.intrinsics, rig.pose_b, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 1, gain, ceiling, workers,
+        seed, 1, gain, compute_image, workers,
     )
     return product_a, product_b
 
@@ -271,14 +265,13 @@ def gt_correspondences(
     product_a: RenderProduct,
     product_b: RenderProduct,
     stride: int = 1,
-    depth_tol: float | None = None,
 ) -> CorrespondenceSet:
     """Ground-truth matches from view a into view b with an occlusion test.
 
     Each strided valid pixel of a is unprojected to the world and projected
     into b; it is kept when it lands in bounds and b's ray depth there agrees
-    with the point's distance to camera b within depth_tol (default 1 GSD,
-    estimated from b's median depth).
+    with the point's distance to camera b within 1 GSD, estimated from b's
+    median depth.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -301,9 +294,8 @@ def gt_correspondences(
     # u2, v2 are NaN behind camera b, so those points fall outside its image.
     u2, v2, dist_b, _ = project_points(intr_b, product_b.pose, world)
 
-    if depth_tol is None:
-        med = float(np.nanmedian(product_b.depth)) if np.isfinite(product_b.depth).any() else 0.0
-        depth_tol = gsd(med, intr_b.fov_deg, intr_b.width) if med > 0 else np.inf
+    med = float(np.nanmedian(product_b.depth)) if np.isfinite(product_b.depth).any() else 0.0
+    depth_tol = gsd(med, intr_b.fov_deg, intr_b.width) if med > 0 else np.inf
     # Sample b's depth where the projection lands on its pixel grid.
     h, w = product_b.depth.shape
     eps = 1e-6

@@ -102,24 +102,15 @@ class DemGrid:
     def y_max(self) -> float:
         return self.origin_y + (self.height - 1) * self.cell_size
 
-    def x_coords(self) -> np.ndarray:
-        return self.origin_x + np.arange(self.width) * self.cell_size
-
-    def y_coords(self) -> np.ndarray:
-        return self.origin_y + np.arange(self.height) * self.cell_size
-
-    def mean_height(self, x_range=None, y_range=None) -> float:
-        """Mean of non-nodata elevations, optionally restricted to a window."""
+    def mean_height(self, window=None) -> float:
+        """Mean of non-nodata elevations, optionally restricted to the cells
+        whose centers lie in window = (x_lo, x_hi, y_lo, y_hi)."""
         z = self.elevations
-        if x_range is not None or y_range is not None:
-            xs = self.x_coords()
-            ys = self.y_coords()
-            cmask = np.ones(self.width, dtype=bool)
-            rmask = np.ones(self.height, dtype=bool)
-            if x_range is not None:
-                cmask = (xs >= x_range[0]) & (xs <= x_range[1])
-            if y_range is not None:
-                rmask = (ys >= y_range[0]) & (ys <= y_range[1])
+        if window is not None:
+            xs = self.origin_x + np.arange(self.width) * self.cell_size
+            ys = self.origin_y + np.arange(self.height) * self.cell_size
+            cmask = (xs >= window[0]) & (xs <= window[1])
+            rmask = (ys >= window[2]) & (ys <= window[3])
             if not cmask.any() or not rmask.any():
                 raise OutOfBoundsError("window does not intersect the grid")
             z = z[np.ix_(rmask, cmask)]

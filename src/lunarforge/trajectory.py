@@ -236,10 +236,7 @@ def sample_pair(
     mid = np.array([(dem.x_min + dem.x_max) / 2, (dem.y_min + dem.y_max) / 2])
     half_fov = math.radians(fov_deg) / 2
     window = altitude * math.tan(math.radians(tilt) + half_fov) + 0.5 * baseline_frac * altitude
-    ground_z = dem.mean_height(
-        x_range=(mid[0] - window, mid[0] + window),
-        y_range=(mid[1] - window, mid[1] + window),
-    )
+    ground_z = dem.mean_height((mid[0] - window, mid[0] + window, mid[1] - window, mid[1] + window))
 
     h_vec = _heading_vector(heading)
     baseline = baseline_frac * altitude

@@ -106,6 +106,8 @@ INVALID_SCENE_VALUES = [
         ("--stride", "0"),
         ("--synth-size", "8"),
         ("--lighting", ","),
+        ("--workers", "0"),
+        ("--workers", "-3"),
     ]
     for command in sorted(SCENE_ARGV)
 ] + [("--bands", "", "generate")]  # render-pair takes one --band
@@ -123,6 +125,53 @@ def test_invalid_scene_value_is_a_usage_error(tmp_path, monkeypatch, capsys, com
     monkeypatch.setattr(cli, "synth_crater_dem", no_dem)
     out = tmp_path / "out"
     assert run(SCENE_ARGV[command] + [flag, value, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "usage"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "render-pair", "evaluate"])
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_bad_thread_cap_is_a_usage_error(dataset, tmp_path, monkeypatch, capsys, command, threads):
+    import lunarforge.cli as cli
+
+    def no_dem(*args, **kwargs):
+        raise AssertionError("a DEM was synthesised before validation")
+
+    monkeypatch.setattr(cli, "synth_crater_dem", no_dem)
+    monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--gt", str(dataset), "--pred", str(dataset), "--report", str(out)]
+    else:
+        argv = SCENE_ARGV[command] + ["--out", str(out)]
+    assert run(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "usage"
+    assert "LUNARFORGE_THREADS" in payload["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth-dem", "--width", "15"], id="synth-dem-width"),
+    pytest.param(["synth-dem", "--height", "8"], id="synth-dem-height"),
+    pytest.param(["synth-dem", "--cell-size", "0"], id="synth-dem-cell-size-0"),
+    pytest.param(["synth-dem", "--cell-size", "-5"], id="synth-dem-cell-size-negative"),
+    pytest.param(["visualize", "--mode", "slope", "--spacing", "0"], id="visualize-spacing-0"),
+    pytest.param(["visualize", "--mode", "hillshade", "--spacing", "-1"], id="visualize-spacing-negative"),
+])
+def test_bad_raster_geometry_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # The input raster does not exist and synthesis fails the run, so either
+    # one happening before the check would exit 1, not 2.
+    import lunarforge.cli as cli
+
+    def no_dem(*args, **kwargs):
+        raise AssertionError("a DEM was synthesised before validation")
+
+    monkeypatch.setattr(cli, "synth_crater_dem", no_dem)
+    out = tmp_path / "out.f32"
+    io = ["--input", str(tmp_path / "missing.f32")] if argv[0] == "visualize" else []
+    assert run(argv + io + ["--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "usage"
     assert not out.exists()
@@ -149,7 +198,7 @@ def test_synth_size_is_not_checked_without_synth(tmp_path):
 
 def test_generate_lighting_variants(tmp_path):
     out = tmp_path / "lit"
-    code = run(GEN_ARGS + ["--lighting", "side,overhead,back", "--out", str(out)])
+    code = run(GEN_ARGS + ["--lighting", "side, overhead ,back", "--out", str(out)])
     assert code == 0
     lines = (out / "manifest.jsonl").read_text().splitlines()
     records = [json.loads(ln) for ln in lines[1:]]

@@ -1,6 +1,9 @@
 """Heightfield traversal: the in-cell root cases, a property test against
 the fine-step oracle, and the sun-ward ceiling that shadow rays use."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,3 +233,31 @@ def test_shadow_mask_equals_tracing_every_shadow_ray(elevation):
         origins = points + 0.5 * dem.cell_size * s
         _, traced = intersect_rays(dem, origins, np.broadcast_to(s, origins.shape))
         assert np.array_equal(shadow_mask(dem, points, s), traced)
+
+
+def test_shadow_mask_stays_exact_when_threads_switch_grids_and_suns():
+    """Threads that ask for two same-shape grids under two suns at once, with
+    a thread switch forced every microsecond, each get the answer of tracing
+    every ray: no thread reads a ceiling another thread put in the memo."""
+    cases = []
+    for seed in (1, 2):
+        dem = synth_crater_dem(seed, 16, 16, 4.0, 3, 3)
+        x, y = _cell_points(dem, np.random.default_rng(seed), 50)
+        points = np.column_stack([x, y, oracles.bilinear(dem, x, y)])
+        for s in (_sun(90.0, 3.0), _sun(200.0, 10.0)):
+            origins = points + 0.5 * dem.cell_size * s
+            _, traced = intersect_rays(dem, origins, np.broadcast_to(s, origins.shape))
+            cases.append((dem, points, s, traced))
+
+    def worker(i):
+        order = cases[i % 4:] + cases[:i % 4]
+        return all(np.array_equal(shadow_mask(dem, p, s), ref) for _ in range(20) for dem, p, s, ref in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            exact = list(pool.map(worker, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert exact == [True] * 16

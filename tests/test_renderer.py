@@ -191,6 +191,77 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
     assert pb.image.tobytes() == np.clip(raw_b * exposure_gain(raw_a), 0.0, 1.0).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the shadow rays' (DEM, sun) memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Sun direction of every sun_ceiling sweep, from an empty memo."""
+    from lunarforge import _heightfield
+
+    monkeypatch.setattr(_heightfield, "_memo", None)
+    seen = []
+    real = _heightfield.sun_ceiling
+
+    def counting(dem, sun_dir):
+        seen.append(tuple(sun_dir))
+        return real(dem, sun_dir)
+
+    monkeypatch.setattr(_heightfield, "sun_ceiling", counting)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_render_pair_sweeps_one_ceiling(sweeps, workers):
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # two row bands
+    render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1, workers=workers)
+    assert len(sweeps) == 1
+
+
+def test_depth_only_render_sweeps_no_ceiling(sweeps):
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
+    render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1, compute_image=False)
+    assert sweeps == []
+
+
+def test_shadow_tests_under_one_sun_sweep_once(sweeps):
+    from lunarforge import shadow_test
+    from lunarforge.radiometry import sun_direction
+
+    dem = synth_crater_dem(3, 48, 48, 5.0, 3, 3)
+    s = sun_direction(lighting_preset("polar"))
+    rng = np.random.default_rng(0)
+    for x, y in rng.uniform(dem.x_min, dem.x_max, (50, 2)):
+        shadow_test(dem, (x, y, float(oracles.bilinear(dem, x, y)) + 0.1), s)
+    assert len(sweeps) == 1
+
+
+def test_alternating_dems_and_suns_never_reuse_a_stale_ceiling(sweeps):
+    """Two same-shape DEMs under two suns, in an order where a ceiling keyed
+    by anything less than (this grid, this sun) would be reused: each render
+    equals the same render from an empty memo, bit for bit."""
+    from lunarforge import _heightfield
+
+    dems = {name: synth_dem_for_band("nadir", 0, seed=seed, size=96) for name, seed in (("A", 7), ("B", 8))}
+    assert dems["A"].elevations.shape == dems["B"].elevations.shape
+    _, rig = sample_pair("nadir", 3, 0, dems["A"], width=48, height=48)
+    suns = {1: lighting_preset("polar"), 2: lighting_preset("side")}
+
+    def render(name, sun):
+        return render_view(dems[name], rig.intrinsics, rig.pose_a, suns[sun], HAPKE,
+                           psf_sigma=0.0, rays_per_pixel=1, gain=1.0).image
+
+    for name, sun in (("A", 1), ("A", 2), ("B", 1), ("A", 1)):
+        image = render(name, sun)
+        _heightfield._memo = None
+        assert image.tobytes() == render(name, sun).tobytes()
+    assert len(sweeps) == 8
+
+
 def test_render_seed_changes_psf_image():
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     spec, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
