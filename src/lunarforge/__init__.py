@@ -22,8 +22,6 @@ from .pose import (
 )
 from .radiometry import HapkeParams, SunConfig, hapke_brdf, shade_point, shadow_test, sun_direction
 from .renderer import (
-    CorrespondenceSet,
-    PointMap,
     RenderProduct,
     depth_to_pointmap,
     gt_correspondences,
@@ -43,8 +41,8 @@ __all__ = [
     "EssentialEstimate", "RansacParams", "SimilarityTransform", "estimate_essential",
     "ransac_align", "rra", "rta", "solve_pnp", "umeyama",
     "HapkeParams", "SunConfig", "hapke_brdf", "shade_point", "shadow_test", "sun_direction",
-    "CorrespondenceSet", "PointMap", "RenderProduct", "depth_to_pointmap",
-    "gt_correspondences", "ray_intersect_dem", "render_pair", "render_view",
+    "RenderProduct", "depth_to_pointmap", "gt_correspondences", "ray_intersect_dem",
+    "render_pair", "render_view",
     "DemGrid", "hillshade", "load_dem", "sample_height", "slope_map",
     "surface_normal", "synth_crater_dem", "write_dem",
     "TrajectorySpec", "lighting_preset", "sample_pair", "sample_site",

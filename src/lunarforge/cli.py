@@ -25,7 +25,7 @@ from .camera import CameraRig, Pose, gsd
 from .metrics import EvalConfig, MetricsReport, PairGroundTruth, PairPrediction, evaluate_pair
 from .pose import pose_accuracy_table
 from .radiometry import HapkeParams, SunConfig
-from .renderer import PointMap, depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
+from .renderer import depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
 from .terrain import DemGrid, hillshade, load_dem, slope_map, synth_crater_dem, write_dem
 from .trajectory import ALTITUDE_BANDS_M, KINDS, LIGHTING_PRESETS, lighting_preset, sample_pair
 
@@ -93,8 +93,6 @@ def _pair_artifacts(
     pair_dir.mkdir(parents=True, exist_ok=True)
     try:
         prod_a, prod_b = render_pair(dem, rig, sun, hapke, seed=render_seed, workers=workers)
-        pm_a = depth_to_pointmap(prod_a, frame="world")
-        pm_b = depth_to_pointmap(prod_b, frame="world")
         corr = gt_correspondences(prod_a, prod_b, stride=stride)
 
         paths = {
@@ -107,19 +105,17 @@ def _pair_artifacts(
             "correspondences": f"{pair_id}/correspondences.csv",
             "meta": f"{pair_id}/meta.json",
         }
-        formats.write_pgm16(out_dir / paths["image_a"], prod_a.image)
-        formats.write_pgm16(out_dir / paths["image_b"], prod_b.image)
-        for name, prod in (("depth_a", prod_a), ("depth_b", prod_b)):
+        for view, prod in (("a", prod_a), ("b", prod_b)):
+            formats.write_pgm16(out_dir / paths[f"image_{view}"], prod.image)
             formats.write_f32_raster(
-                out_dir / paths[name], prod.depth,
+                out_dir / paths[f"depth_{view}"], prod.depth,
                 {"kind": "ray_depth", "units": "m"},
             )
-        for name, pm, pose in (("pointmap_a", pm_a, prod_a.pose), ("pointmap_b", pm_b, prod_b.pose)):
             formats.write_f32_raster(
-                out_dir / paths[name], pm.points,
-                {"kind": "pointmap", "frame": pm.frame, "reference_pose": pm.reference_pose.to_json_dict()},
+                out_dir / paths[f"pointmap_{view}"], depth_to_pointmap(prod, frame="world"),
+                {"kind": "pointmap", "frame": "world", "reference_pose": prod.pose.to_json_dict()},
             )
-        formats.write_correspondences_csv(out_dir / paths["correspondences"], corr.pairs)
+        formats.write_correspondences_csv(out_dir / paths["correspondences"], corr)
 
         baseline_3d = float(np.linalg.norm(rig.pose_b.translation - rig.pose_a.translation))
         gsd_m = gsd(spec.altitude_m, rig.intrinsics.fov_deg, rig.intrinsics.width)
@@ -153,6 +149,12 @@ def _parse_list(text: str, what: str, kind=int) -> list:
         raise UsageError(f"bad {what} list: {text!r}") from None
 
 
+def _check_distinct(what: str, values: list) -> None:
+    repeated = sorted({x for x in values if values.count(x) > 1})
+    if repeated:
+        raise UsageError(f"duplicate {what} entries: {repeated}")
+
+
 def _thread_cap() -> int:
     """resolve_workers(None); a bad LUNARFORGE_THREADS is a usage error."""
     try:
@@ -176,9 +178,7 @@ def _scene(args, bands: list[int], lightings: list[str]):
     for what, values in (("band", bands), ("lighting preset", lightings)):
         if not values:
             raise UsageError(f"empty {what} list")
-        repeated = sorted({x for x in values if values.count(x) > 1})
-        if repeated:
-            raise UsageError(f"duplicate {what} entries: {repeated}")
+        _check_distinct(what, values)
     res = args.full_res if args.full_res is not None else args.res
     for message, ok in (
         ("render resolution must be >= 1", res >= 1),
@@ -271,22 +271,27 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
     return records
 
 
-def _load_pointmap(path: Path) -> PointMap:
+def _load_pointmap(path: Path) -> tuple[np.ndarray, dict]:
+    """An HxWx3 pointmap raster, NaN where invalid, and its sidecar."""
     pts, meta = formats.read_f32_raster(path)
     if pts.ndim != 3 or pts.shape[2] != 3:
         raise ValueError(f"{path.name} has shape {pts.shape}, expected HxWx3")
-    ref = Pose.from_json_dict(meta["reference_pose"])
-    valid = np.isfinite(pts).all(axis=-1)
-    return PointMap(points=pts, valid_mask=valid, frame=meta["frame"], reference_pose=ref)
+    return pts, meta
 
 
 def _load_ground_truth(gt_dir: Path, record: dict) -> PairGroundTruth:
     meta = formats.read_json(gt_dir / record["paths"]["meta"])
     depth_a, _ = formats.read_f32_raster(gt_dir / record["paths"]["depth_a"])
     depth_b, _ = formats.read_f32_raster(gt_dir / record["paths"]["depth_b"])
+    pointmaps = []
+    for view in ("a", "b"):
+        pts, pm_meta = _load_pointmap(gt_dir / record["paths"][f"pointmap_{view}"])
+        if pm_meta.get("frame") != "world":
+            raise ValueError(f"ground-truth pointmap_{view} frame is {pm_meta.get('frame')!r}, expected 'world'")
+        pointmaps.append(pts)
     return PairGroundTruth(
-        pointmap_a=_load_pointmap(gt_dir / record["paths"]["pointmap_a"]),
-        pointmap_b=_load_pointmap(gt_dir / record["paths"]["pointmap_b"]),
+        pointmap_a=pointmaps[0],
+        pointmap_b=pointmaps[1],
         pose_a=Pose.from_json_dict(meta["pose_a"]),
         pose_b=Pose.from_json_dict(meta["pose_b"]),
         depth_a=depth_a,
@@ -322,8 +327,8 @@ def _load_prediction(pred_dir: Path, pair_id: str) -> PairPrediction | None:
     if not (np.isfinite(pose_a.translation).all() and np.isfinite(pose_b.translation).all()):
         raise ValueError("prediction pose translation is not finite")
     return PairPrediction(
-        pointmap_a=_load_pointmap(pm_a),
-        pointmap_b=_load_pointmap(pm_b),
+        pointmap_a=_load_pointmap(pm_a)[0],
+        pointmap_b=_load_pointmap(pm_b)[0],
         pose_a=pose_a,
         pose_b=pose_b,
     )
@@ -341,7 +346,11 @@ def cmd_evaluate(args) -> int:
     if not pred_dir.is_dir():
         raise UsageError(f"prediction directory {pred_dir} does not exist")
     n_workers = _thread_cap()
-    thresholds = sorted(_parse_list(args.thresholds, "threshold", float))
+    thresholds = _parse_list(args.thresholds, "threshold", float)
+    if not thresholds or not all(math.isfinite(t) and t > 0 for t in thresholds):
+        raise UsageError(f"--thresholds must list finite values > 0, got {args.thresholds!r}")
+    _check_distinct("threshold", thresholds)
+    thresholds.sort()
     records = _read_manifest(gt_dir)
     config = EvalConfig(seed=args.seed)
 
@@ -358,8 +367,8 @@ def cmd_evaluate(args) -> int:
                 return record, None, None
             gt = _load_ground_truth(gt_dir, record)
             for view in ("a", "b"):
-                shape = getattr(pred, f"pointmap_{view}").points.shape
-                gt_shape = getattr(gt, f"pointmap_{view}").points.shape
+                shape = getattr(pred, f"pointmap_{view}").shape
+                gt_shape = getattr(gt, f"pointmap_{view}").shape
                 if shape != gt_shape:
                     raise ValueError(f"pointmap_{view} has shape {shape}, ground truth {gt_shape}")
         except (OSError, ValueError, KeyError) as exc:

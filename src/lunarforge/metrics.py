@@ -24,7 +24,6 @@ from .pose import (
     rra,
     rta,
 )
-from .renderer import PointMap
 from .terrain import slope_map
 
 
@@ -239,10 +238,11 @@ class EvalConfig:
 
 @dataclass(frozen=True, eq=False)
 class PairPrediction:
-    """Predicted geometry for one stereo pair, pointmaps in the view-a frame."""
+    """Predicted geometry for one stereo pair: (H, W, 3) pointmaps in any one
+    frame and scale, NaN where invalid."""
 
-    pointmap_a: PointMap
-    pointmap_b: PointMap
+    pointmap_a: np.ndarray
+    pointmap_b: np.ndarray
     pose_a: Pose
     pose_b: Pose
 
@@ -251,8 +251,8 @@ class PairPrediction:
 class PairGroundTruth:
     """Rendered ground truth for one stereo pair."""
 
-    pointmap_a: PointMap  # world frame
-    pointmap_b: PointMap  # world frame
+    pointmap_a: np.ndarray  # (H, W, 3) world frame, NaN where invalid
+    pointmap_b: np.ndarray
     pose_a: Pose
     pose_b: Pose
     depth_a: np.ndarray
@@ -299,12 +299,6 @@ class MetricsReport:
         return out
 
 
-def _pointmap_world(pm: PointMap) -> np.ndarray:
-    if pm.frame == "world":
-        return pm.points
-    return pm.reference_pose.camera_to_world(pm.points.reshape(-1, 3)).reshape(pm.points.shape)
-
-
 def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig = EvalConfig()) -> MetricsReport:
     """Align the predicted pointmaps to ground truth and score every metric.
 
@@ -315,12 +309,10 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig 
     land in report.flags instead of NaN.
     """
     report = MetricsReport()
-    shared_a = pred.pointmap_a.valid_mask & gt.pointmap_a.valid_mask
-    shared_b = pred.pointmap_b.valid_mask & gt.pointmap_b.valid_mask
-    gt_world_a = _pointmap_world(gt.pointmap_a)
-    gt_world_b = _pointmap_world(gt.pointmap_b)
-    gt_cloud = np.concatenate([gt_world_a[shared_a], gt_world_b[shared_b]])
-    pred_cloud = np.concatenate([pred.pointmap_a.points[shared_a], pred.pointmap_b.points[shared_b]])
+    shared_a = np.isfinite(pred.pointmap_a).all(-1) & np.isfinite(gt.pointmap_a).all(-1)
+    shared_b = np.isfinite(pred.pointmap_b).all(-1) & np.isfinite(gt.pointmap_b).all(-1)
+    gt_cloud = np.concatenate([gt.pointmap_a[shared_a], gt.pointmap_b[shared_b]])
+    pred_cloud = np.concatenate([pred.pointmap_a[shared_a], pred.pointmap_b[shared_b]])
 
     if len(gt_cloud) >= 3:
         threshold = config.align_threshold_m if config.align_threshold_m is not None else 3 * gt.gsd_m
@@ -354,12 +346,12 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig 
         # Dense per-view rasters of the aligned prediction, world frame.
         slope_vals, slope_maes, ssim_vals, prof_maes, prof_corrs, si_vals = [], [], [], [], [], []
         for pred_pm, gt_world, shared, gt_depth, gt_pose in (
-            (pred.pointmap_a, gt_world_a, shared_a, gt.depth_a, gt.pose_a),
-            (pred.pointmap_b, gt_world_b, shared_b, gt.depth_b, gt.pose_b),
+            (pred.pointmap_a, gt.pointmap_a, shared_a, gt.depth_a, gt.pose_a),
+            (pred.pointmap_b, gt.pointmap_b, shared_b, gt.depth_b, gt.pose_b),
         ):
             if not shared.any():
                 continue
-            aligned = transform.apply(pred_pm.points.reshape(-1, 3)).reshape(pred_pm.points.shape)
+            aligned = transform.apply(pred_pm.reshape(-1, 3)).reshape(pred_pm.shape)
             pred_z = np.where(shared, aligned[..., 2], np.nan)
             gt_z = np.where(shared, gt_world[..., 2], np.nan)
             try:

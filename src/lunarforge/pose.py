@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Intrinsics, Pose, image_plane, orthonormalized, relative_pose
-from .renderer import CorrespondenceSet
 
 
 class InsufficientMatchesError(ValueError):
@@ -197,21 +196,21 @@ def _rotation_residual(h1: np.ndarray, h2: np.ndarray) -> float:
 
 
 def estimate_essential(
-    matches: CorrespondenceSet | np.ndarray,
+    matches: np.ndarray,
     intr1: Intrinsics,
     intr2: Intrinsics,
     ransac: RansacParams = RansacParams(),
 ) -> EssentialEstimate:
     """Normalized 8-point solve inside RANSAC with cheirality disambiguation.
 
+    matches holds (u1, v1, u2, v2) rows, as gt_correspondences returns them.
     Returns the pose of camera 2 in camera 1's frame with unit translation.
     Raises DegenerateBaselineError when a pure rotation explains the matches.
     """
-    pairs = matches.pairs if isinstance(matches, CorrespondenceSet) else np.asarray(matches)
-    n = len(pairs)
+    h1, h2 = _match_rays(matches, intr1, intr2)
+    n = len(h1)
     if n < 8:
         raise InsufficientMatchesError(f"essential estimation needs >= 8 matches, got {n}")
-    h1, h2 = _match_rays(pairs, intr1, intr2)
     if _rotation_residual(h1, h2) < 1e-5:
         raise DegenerateBaselineError(
             "matches are consistent with a pure rotation; baseline unobservable"

@@ -33,48 +33,15 @@ class CameraBelowTerrainError(ValueError):
 class RenderProduct:
     """One rendered view with its ray-depth ground truth."""
 
-    image: np.ndarray       # (H, W) in [0, 1]
-    depth: np.ndarray       # (H, W) meters along the central ray, NaN = miss
-    valid_mask: np.ndarray  # (H, W) bool
+    image: np.ndarray  # (H, W) in [0, 1]
+    depth: np.ndarray  # (H, W) meters along the central ray, NaN = miss
     intrinsics: Intrinsics
     pose: Pose
-    sun: SunConfig
 
     def __post_init__(self):
-        finite = np.isfinite(self.depth)
-        if not np.array_equal(finite, self.valid_mask):
-            raise ValueError("depth must be finite exactly where valid_mask is true")
         img = self.image[np.isfinite(self.image)]
         if img.size and (img.min() < 0 or img.max() > 1):
             raise ValueError("image values must lie in [0, 1]")
-
-
-@dataclass(frozen=True, eq=False)
-class PointMap:
-    """Per-pixel 3D coordinates in a declared reference frame."""
-
-    points: np.ndarray      # (H, W, 3)
-    valid_mask: np.ndarray  # (H, W) bool
-    frame: str              # "view1" or "world"
-    reference_pose: Pose
-
-    def __post_init__(self):
-        if self.frame not in ("view1", "world"):
-            raise ValueError("frame must be 'view1' or 'world'")
-
-
-@dataclass(frozen=True, eq=False)
-class CorrespondenceSet:
-    """Cross-view pixel matches (u1, v1, u2, v2)."""
-
-    pairs: np.ndarray  # (N, 4)
-
-    def __post_init__(self):
-        p = np.asarray(self.pairs, dtype=np.float64).reshape(-1, 4)
-        object.__setattr__(self, "pairs", p)
-
-    def __len__(self) -> int:
-        return self.pairs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -162,11 +129,12 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
         if center[2] <= sample_height(dem, center[0], center[1]):
             raise CameraBelowTerrainError("camera center is below the terrain surface")
 
-    if compute_image:  # derive the shadow rays' (DEM, sun) data before this view's buffers
+    jitter = None
+    if compute_image:  # shadow rays' (DEM, sun) data before this view's buffers; PSF jitter
         _heightfield.prepare_shadows(dem, sun_direction(sun))
-    if psf_sigma == 0:
-        rays_per_pixel = 1
-    jitter = _psf_jitter(seed, view_id, intr.height, intr.width, rays_per_pixel, psf_sigma)
+        if psf_sigma == 0:
+            rays_per_pixel = 1
+        jitter = _psf_jitter(seed, view_id, intr.height, intr.width, rays_per_pixel, psf_sigma)
     radiance = np.zeros((intr.height, intr.width))
     depth = np.zeros((intr.height, intr.width))
 
@@ -187,14 +155,7 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
 
     if gain is None:
         gain = exposure_gain(radiance)
-    product = RenderProduct(
-        image=np.clip(radiance * gain, 0.0, 1.0),
-        depth=depth,
-        valid_mask=np.isfinite(depth),
-        intrinsics=intr,
-        pose=pose,
-        sun=sun,
-    )
+    product = RenderProduct(image=np.clip(radiance * gain, 0.0, 1.0), depth=depth, intrinsics=intr, pose=pose)
     return product, gain
 
 
@@ -247,26 +208,26 @@ def render_pair(
     return product_a, product_b
 
 
-def depth_to_pointmap(product: RenderProduct, frame: str = "view1", reference_pose: Pose | None = None) -> PointMap:
-    """Per-pixel 3D points origin + depth * direction, in the requested frame."""
+def depth_to_pointmap(product: RenderProduct, frame: str = "view1") -> np.ndarray:
+    """(H, W, 3) points origin + depth * direction in the view's camera frame
+    ("view1") or the world frame ("world"); NaN where the ray missed."""
     intr = product.intrinsics
     vv, uu = np.meshgrid(np.arange(intr.height, dtype=np.float64), np.arange(intr.width, dtype=np.float64), indexing="ij")
     pts = unproject(intr, product.pose, uu, vv, product.depth)
-    if reference_pose is None:
-        reference_pose = product.pose
     if frame == "view1":
-        pts = reference_pose.world_to_camera(pts)
-    elif frame != "world":
+        return product.pose.world_to_camera(pts)
+    if frame != "world":
         raise ValueError("frame must be 'view1' or 'world'")
-    return PointMap(points=pts, valid_mask=product.valid_mask.copy(), frame=frame, reference_pose=reference_pose)
+    return pts
 
 
 def gt_correspondences(
     product_a: RenderProduct,
     product_b: RenderProduct,
     stride: int = 1,
-) -> CorrespondenceSet:
-    """Ground-truth matches from view a into view b with an occlusion test.
+) -> np.ndarray:
+    """(N, 4) float64 ground-truth matches (u1, v1, u2, v2) from view a into
+    view b with an occlusion test.
 
     Each strided valid pixel of a is unprojected to the world and projected
     into b; it is kept when it lands in bounds and b's ray depth there agrees
@@ -283,8 +244,6 @@ def gt_correspondences(
     )
     depth_a = product_a.depth[::stride, ::stride]
     valid = np.isfinite(depth_a)
-    if not valid.any():
-        return CorrespondenceSet(pairs=np.zeros((0, 4)))
     u1 = uu[valid]
     v1 = vv[valid]
     d1 = depth_a[valid]
@@ -307,5 +266,4 @@ def gt_correspondences(
     # Snap float noise at the image border back onto it.
     u2k = np.clip(u2[keep], 0.0, intr_b.width - 1)
     v2k = np.clip(v2[keep], 0.0, intr_b.height - 1)
-    pairs = np.column_stack([u1[keep], v1[keep], u2k, v2k])
-    return CorrespondenceSet(pairs=pairs)
+    return np.column_stack([u1[keep], v1[keep], u2k, v2k])

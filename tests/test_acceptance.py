@@ -32,7 +32,6 @@ from lunarforge.camera import Intrinsics, Pose, camera_dirs, relative_pose
 from lunarforge.cli import main, synth_dem_for_band
 from lunarforge.metrics import accuracy_completeness
 from lunarforge.pose import DegenerateBaselineError, ransac_align
-from lunarforge.renderer import CorrespondenceSet
 from lunarforge.trajectory import lighting_preset
 
 SUN = lighting_preset("side")
@@ -76,7 +75,7 @@ def test_criterion_02_analytic_flat_render():
         intr = Intrinsics(width=128, height=128, fov_deg=45.0)
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2000.0]))
         prod = render_view(flat, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1, seed=0)
-        assert prod.valid_mask.all()
+        assert np.isfinite(prod.depth).all()
         vv, uu = np.meshgrid(np.arange(128.0), np.arange(128.0), indexing="ij")
         d = camera_dirs(intr, uu, vv)
         analytic = 2000.0 / (-d[..., 2])
@@ -138,11 +137,11 @@ def test_criterion_04_pose_recovery_closed_loop():
 
                 pm_b = depth_to_pointmap(pb, frame="world")
                 stride = 6
-                valid = pm_b.valid_mask[::stride, ::stride]
+                valid = np.isfinite(pm_b).all(-1)[::stride, ::stride]
                 vv, uu = np.meshgrid(np.arange(0, 64, stride, dtype=float),
                                      np.arange(0, 64, stride, dtype=float), indexing="ij")
                 pixels = np.column_stack([uu[valid], vv[valid]])
-                pts = pm_b.points[::stride, ::stride][valid]
+                pts = pm_b[::stride, ::stride][valid]
                 pose = solve_pnp((pixels, pts), rig.intrinsics, RansacParams(seed=i))
                 rot_err_rad = math.radians(rra(rig.pose_b.rotation, pose.rotation))
                 trans_err = float(np.linalg.norm(pose.translation - rig.pose_b.translation))
@@ -190,7 +189,7 @@ def test_criterion_06_alignment_absorption(nadir_gt_pair):
     def check():
         gt = nadir_gt_pair["gt"]
         pm_a, pm_b = nadir_gt_pair["pm_a"], nadir_gt_pair["pm_b"]
-        gt_cloud = np.concatenate([pm_a.points[pm_a.valid_mask], pm_b.points[pm_b.valid_mask]])
+        gt_cloud = np.concatenate([pm_a[np.isfinite(pm_a).all(-1)], pm_b[np.isfinite(pm_b).all(-1)]])
         rng = np.random.default_rng(66)
         for s in (0.5, 2.0):
             from lunarforge.camera import rot_x, rot_z

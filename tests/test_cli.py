@@ -285,13 +285,19 @@ def two_pair_dataset(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("defect", ["pointmap_rows", "pointmap_channels", "lone_pose_a", "nan_pose"])
+@pytest.mark.parametrize("defect", ["pointmap_rows", "pointmap_channels", "lone_pose_a", "nan_pose", "gt_frame"])
 def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, tmp_path, capsys, defect):
     gt = two_pair_dataset
+    if defect == "gt_frame":
+        gt = tmp_path / "gt"
+        shutil.copytree(two_pair_dataset, gt)
     pred = tmp_path / "pred"
     bad, good = _copy_predictions(gt, pred)
     bad_dir = pred / bad
-    if defect.startswith("pointmap"):
+    if defect == "gt_frame":  # ground truth must be world-frame
+        sidecar = gt / bad / "pointmap_b.f32.json"
+        sidecar.write_text(sidecar.read_text().replace('"frame": "world"', '"frame": "view1"'))
+    elif defect.startswith("pointmap"):
         pts, meta = formats.read_f32_raster(bad_dir / "pointmap_a.f32")
         pts = pts[:16] if defect == "pointmap_rows" else pts[..., :2]
         formats.write_f32_raster(bad_dir / "pointmap_a.f32", pts, meta)
@@ -317,6 +323,46 @@ def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, t
     assert aggregate["pairs_evaluated"] == 1
     assert aggregate["pairs_missing"] == 0
     assert bad in capsys.readouterr().err
+
+
+def _evaluate(gt, pred, report):
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 0
+    return report.read_text()
+
+
+def test_evaluate_prediction_needs_only_points_and_shape(two_pair_dataset, tmp_path):
+    # A model's pointmap comes in its own frame and scale: the loader reads
+    # only the raster and its shape, and the alignment absorbs the rest.
+    gt = two_pair_dataset
+    copy, bare = tmp_path / "copy", tmp_path / "bare"
+    for pair_id in _copy_predictions(gt, copy):
+        (bare / pair_id).mkdir(parents=True)
+        meta = formats.read_json(gt / pair_id / "meta.json")
+        for view in ("a", "b"):
+            pts, _ = formats.read_f32_raster(gt / pair_id / f"pointmap_{view}.f32")
+            formats.write_f32_raster(bare / pair_id / f"pointmap_{view}.f32", pts, {})
+            (bare / pair_id / f"pose_{view}.json").write_text(json.dumps(meta[f"pose_{view}"]))
+        assert json.loads((bare / pair_id / "pointmap_a.f32.json").read_text()) == {"shape": list(pts.shape)}
+    expected = _evaluate(gt, copy, tmp_path / "copy.jsonl")
+    assert '"status": "ok"' in expected and '"status": "error"' not in expected
+    assert _evaluate(gt, bare, tmp_path / "bare.jsonl") == expected
+
+
+@pytest.mark.parametrize("thresholds", ["nan", "inf", "1e400", "2,-5", "0", ",", "5,2,2", "2,2.0"])
+def test_bad_thresholds_are_a_usage_error(dataset, tmp_path, monkeypatch, capsys, thresholds):
+    import lunarforge.cli as cli
+
+    scored = []
+    monkeypatch.setattr(cli, "evaluate_pair", lambda *args: scored.append(args))
+    pred = tmp_path / "pred"
+    _copy_predictions(dataset, pred)
+    report = tmp_path / "r.jsonl"
+    code = run(["evaluate", "--gt", str(dataset), "--pred", str(pred),
+                "--thresholds", thresholds, "--report", str(report)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert scored == []
+    assert not report.exists()
 
 
 def test_evaluate_threshold_override(dataset, tmp_path):

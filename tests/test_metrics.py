@@ -16,7 +16,6 @@ from lunarforge.metrics import (
     slope_metrics,
     ssim_depth,
 )
-from lunarforge.renderer import PointMap
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +318,8 @@ def test_evaluate_similarity_absorbed(nadir_gt_pair):
         t = rng.normal(0, 500, 3)
 
         def xform(pm):
-            pts = s * (pm.points.reshape(-1, 3) @ r.T) + t
-            return PointMap(points=pts.reshape(pm.points.shape), valid_mask=pm.valid_mask,
-                            frame="world", reference_pose=pm.reference_pose)
+            pts = s * (pm.reshape(-1, 3) @ r.T) + t
+            return pts.reshape(pm.shape)
 
         pred = PairPrediction(pointmap_a=xform(nadir_gt_pair["pm_a"]),
                               pointmap_b=xform(nadir_gt_pair["pm_b"]),
@@ -341,10 +339,9 @@ def test_evaluate_elevation_noise_band(nadir_gt_pair):
     rng = np.random.default_rng(100)
 
     def noisy(pm):
-        pts = pm.points.copy()
+        pts = pm.copy()
         pts[..., 2] += rng.normal(0, 50.0, pts.shape[:2])
-        return PointMap(points=pts, valid_mask=pm.valid_mask, frame="world",
-                        reference_pose=pm.reference_pose)
+        return pts
 
     pred = PairPrediction(pointmap_a=noisy(nadir_gt_pair["pm_a"]),
                           pointmap_b=noisy(nadir_gt_pair["pm_b"]),
@@ -389,9 +386,7 @@ def test_evaluate_all_outlier_prediction_flags_alignment(nadir_gt_pair):
     rng = np.random.default_rng(40)
 
     def scattered(pm):
-        pts = rng.uniform(-5e4, 5e4, pm.points.shape)
-        return PointMap(points=pts, valid_mask=pm.valid_mask, frame="world",
-                        reference_pose=pm.reference_pose)
+        return rng.uniform(-5e4, 5e4, pm.shape)
 
     pred = PairPrediction(pointmap_a=scattered(nadir_gt_pair["pm_a"]),
                           pointmap_b=scattered(nadir_gt_pair["pm_b"]),
@@ -415,9 +410,7 @@ def test_evaluate_scatter_prediction_fails_certification_at_default_config(nadir
     rng = np.random.default_rng(40)
 
     def scattered(pm):
-        pts = rng.uniform(-5e4, 5e4, pm.points.shape)
-        return PointMap(points=pts, valid_mask=pm.valid_mask, frame="world",
-                        reference_pose=pm.reference_pose)
+        return rng.uniform(-5e4, 5e4, pm.shape)
 
     pred = PairPrediction(pointmap_a=scattered(nadir_gt_pair["pm_a"]),
                           pointmap_b=scattered(nadir_gt_pair["pm_b"]),

@@ -56,7 +56,7 @@ def test_essential_inliers_satisfy_epipolar(oblique_scene):
     assert len(est.inliers) == len(corr)
     from lunarforge.pose import _match_rays
 
-    h1, h2 = _match_rays(corr.pairs[est.inliers], rig.intrinsics, rig.intrinsics)
+    h1, h2 = _match_rays(corr[est.inliers], rig.intrinsics, rig.intrinsics)
     res = np.abs(np.einsum("ni,ni->n", h2, h1 @ est.E.T))
     assert res.max() < 1.0 / rig.intrinsics.focal_px
 
@@ -100,11 +100,11 @@ def test_pnp_recovers_rendered_view(oblique_scene):
     spec = oblique_scene["spec"]
     pm = depth_to_pointmap(prod_b, frame="world")
     stride = 4
-    valid = pm.valid_mask[::stride, ::stride]
+    valid = np.isfinite(pm).all(-1)[::stride, ::stride]
     vv, uu = np.meshgrid(np.arange(0, 96, stride, dtype=float),
                          np.arange(0, 96, stride, dtype=float), indexing="ij")
     pixels = np.column_stack([uu[valid], vv[valid]])
-    pts = pm.points[::stride, ::stride][valid]
+    pts = pm[::stride, ::stride][valid]
     pose = solve_pnp((pixels, pts), rig.intrinsics, RansacParams(seed=4))
     rot_err_rad = math.radians(rra(rig.pose_b.rotation, pose.rotation))
     trans_err = np.linalg.norm(pose.translation - rig.pose_b.translation)
@@ -117,11 +117,11 @@ def test_pnp_with_outliers(oblique_scene):
     prod_b = oblique_scene["prod_b"]
     pm = depth_to_pointmap(prod_b, frame="world")
     stride = 6
-    valid = pm.valid_mask[::stride, ::stride]
+    valid = np.isfinite(pm).all(-1)[::stride, ::stride]
     vv, uu = np.meshgrid(np.arange(0, 96, stride, dtype=float),
                          np.arange(0, 96, stride, dtype=float), indexing="ij")
     pixels = np.column_stack([uu[valid], vv[valid]])
-    pts = pm.points[::stride, ::stride][valid].copy()
+    pts = pm[::stride, ::stride][valid].copy()
     rng = np.random.default_rng(7)
     n = len(pts)
     bad = rng.choice(n, size=int(0.3 * n), replace=False)
@@ -443,7 +443,7 @@ def test_hypotheses_needed_stopping_rule():
 
 def test_essential_and_pnp_deterministic_for_fixed_seed(oblique_scene):
     rig = oblique_scene["rig"]
-    pairs = oblique_scene["corr"].pairs.copy()
+    pairs = oblique_scene["corr"].copy()
     rng = np.random.default_rng(9)
     bad = rng.choice(len(pairs), size=len(pairs) // 3, replace=False)
     pairs[bad, 2:] += rng.uniform(-20, 20, (len(bad), 2))
@@ -456,9 +456,9 @@ def test_essential_and_pnp_deterministic_for_fixed_seed(oblique_scene):
     pm = depth_to_pointmap(oblique_scene["prod_b"], frame="world")
     vv, uu = np.meshgrid(np.arange(0, 96, 6, dtype=float), np.arange(0, 96, 6, dtype=float),
                          indexing="ij")
-    valid = pm.valid_mask[::6, ::6]
+    valid = np.isfinite(pm).all(-1)[::6, ::6]
     pixels = np.column_stack([uu[valid], vv[valid]])
-    pts = pm.points[::6, ::6][valid].copy()
+    pts = pm[::6, ::6][valid].copy()
     bad = rng.choice(len(pts), size=len(pts) // 3, replace=False)
     pts[bad] += rng.normal(0, 200.0, (len(bad), 3))
     p1 = solve_pnp((pixels, pts), rig.intrinsics, params)

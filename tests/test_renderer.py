@@ -94,7 +94,7 @@ def test_flat_nadir_depth_analytic(flat_dem):
     intr = Intrinsics(width=128, height=128, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 200.0]))
     prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1, seed=1)
-    assert prod.valid_mask.all()
+    assert np.isfinite(prod.depth).all()
     vv, uu = np.meshgrid(np.arange(128.0), np.arange(128.0), indexing="ij")
     d = camera_dirs(intr, uu, vv)
     analytic = 200.0 / (-d[..., 2])
@@ -149,8 +149,9 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
     images, cast = {}, {}
     for sun in (polar, high):
         prod = render_view(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
-        points = depth_to_pointmap(prod, frame="world").points[prod.valid_mask]
-        images[sun] = prod.image[prod.valid_mask]
+        valid = np.isfinite(prod.depth)
+        points = depth_to_pointmap(prod, frame="world")[valid]
+        images[sun] = prod.image[valid]
         cast[sun] = shadow_mask(dem, points, sun_direction(sun))
     assert (images[polar][cast[polar]] == 0).all()
     newly_shadowed = cast[polar] & ~cast[high] & (images[high] > 0)
@@ -228,6 +229,24 @@ def test_depth_only_render_sweeps_no_ceiling(sweeps):
     assert sweeps == []
 
 
+@pytest.mark.parametrize("compute_image, calls", [(False, 0), (True, 2)])
+def test_psf_jitter_is_drawn_only_for_shaded_views(monkeypatch, compute_image, calls):
+    from lunarforge import renderer
+
+    real = renderer._psf_jitter
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(renderer, "_psf_jitter", counting)
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
+    render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1, compute_image=compute_image)
+    assert len(seen) == calls
+
+
 def test_shadow_tests_under_one_sun_sweep_once(sweeps):
     from lunarforge import shadow_test
     from lunarforge.radiometry import sun_direction
@@ -274,8 +293,9 @@ def test_render_seed_changes_psf_image():
 
 def test_image_range_and_validity(oblique_scene):
     prod = oblique_scene["prod_a"]
-    assert np.isfinite(prod.depth[prod.valid_mask]).all()
-    assert np.isnan(prod.depth[~prod.valid_mask]).all()
+    valid = np.isfinite(prod.depth)
+    assert np.isfinite(prod.depth[valid]).all()
+    assert np.isnan(prod.depth[~valid]).all()
     assert prod.image.min() >= 0.0 and prod.image.max() <= 1.0
 
 
@@ -289,7 +309,7 @@ def test_pointmap_flat_world_z(flat_dem):
     pose = Pose(rotation=np.eye(3), translation=np.array([5.0, -3.0, 150.0]))
     prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
     pm = depth_to_pointmap(prod, frame="world")
-    assert np.abs(pm.points[pm.valid_mask][:, 2]).max() < 1e-6
+    assert np.abs(pm[np.isfinite(pm).all(-1)][:, 2]).max() < 1e-6
 
 
 def test_pointmap_view1_principal_pixel(flat_dem):
@@ -299,7 +319,7 @@ def test_pointmap_view1_principal_pixel(flat_dem):
     pm = depth_to_pointmap(prod, frame="view1")
     cu, cv = int(intr.cx), int(intr.cy)
     depth = prod.depth[cv, cu]
-    assert np.allclose(pm.points[cv, cu], [0.0, 0.0, -depth], atol=1e-9)
+    assert np.allclose(pm[cv, cu], [0.0, 0.0, -depth], atol=1e-9)
 
 
 def test_pointmap_reprojection_round_trip(oblique_scene):
@@ -307,10 +327,11 @@ def test_pointmap_reprojection_round_trip(oblique_scene):
     pm = depth_to_pointmap(prod, frame="world")
     vv, uu = np.meshgrid(np.arange(prod.depth.shape[0], dtype=np.float64),
                          np.arange(prod.depth.shape[1], dtype=np.float64), indexing="ij")
-    pts = pm.points[pm.valid_mask]
+    valid = np.isfinite(pm).all(-1)
+    pts = pm[valid]
     u, v, _ = project(prod.intrinsics, prod.pose, pts)
-    assert np.max(np.abs(u - uu[pm.valid_mask])) < 1e-3
-    assert np.max(np.abs(v - vv[pm.valid_mask])) < 1e-3
+    assert np.max(np.abs(u - uu[valid])) < 1e-3
+    assert np.max(np.abs(v - vv[valid])) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +345,8 @@ def test_correspondences_identity_poses(flat_dem):
     prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
     corr = gt_correspondences(prod, prod, stride=1)
     assert len(corr) == 32 * 32
-    assert np.max(np.abs(corr.pairs[:, 0] - corr.pairs[:, 2])) < 1e-6
-    assert np.max(np.abs(corr.pairs[:, 1] - corr.pairs[:, 3])) < 1e-6
+    assert np.max(np.abs(corr[:, 0] - corr[:, 2])) < 1e-6
+    assert np.max(np.abs(corr[:, 1] - corr[:, 3])) < 1e-6
 
 
 def test_correspondences_flat_disparity(flat_dem):
@@ -338,18 +359,31 @@ def test_correspondences_flat_disparity(flat_dem):
     pb = render_view(flat_dem, intr, pose_b, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
     corr = gt_correspondences(pa, pb, stride=2)
     assert len(corr) > 100
-    disparity = corr.pairs[:, 0] - corr.pairs[:, 2]
+    disparity = corr[:, 0] - corr[:, 2]
     expect = intr.focal_px * baseline / altitude
     assert np.max(np.abs(disparity - expect)) < 0.5
-    assert np.max(np.abs(corr.pairs[:, 1] - corr.pairs[:, 3])) < 1e-6
+    assert np.max(np.abs(corr[:, 1] - corr[:, 3])) < 1e-6
+
+
+def test_correspondences_empty_when_nothing_matches(flat_dem):
+    from dataclasses import replace
+
+    intr = Intrinsics(width=16, height=16, fov_deg=45.0)
+    pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 100.0]))
+    prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    missed = replace(prod, depth=np.full_like(prod.depth, np.nan))  # every ray missed
+    for a, b in ((prod, missed), (missed, prod)):
+        corr = gt_correspondences(a, b)
+        assert corr.shape == (0, 4)
+        assert corr.dtype == np.float64
 
 
 def test_correspondence_bounds(oblique_scene):
     corr = oblique_scene["corr"]
     intr = oblique_scene["rig"].intrinsics
     assert len(corr) > 0
-    assert (corr.pairs[:, 0] >= 0).all() and (corr.pairs[:, 0] <= intr.width - 1).all()
-    assert (corr.pairs[:, 2] >= 0).all() and (corr.pairs[:, 2] <= intr.width - 1).all()
+    assert (corr[:, 0] >= 0).all() and (corr[:, 0] <= intr.width - 1).all()
+    assert (corr[:, 2] >= 0).all() and (corr[:, 2] <= intr.width - 1).all()
 
 
 def test_correspondence_epipolar_residual(oblique_scene):
@@ -358,7 +392,7 @@ def test_correspondence_epipolar_residual(oblique_scene):
     e = essential_from_poses(rig.pose_a, rig.pose_b)
     from lunarforge.pose import _match_rays
 
-    h1, h2 = _match_rays(corr.pairs, rig.intrinsics, rig.intrinsics)
+    h1, h2 = _match_rays(corr, rig.intrinsics, rig.intrinsics)
     h1 = h1 / np.linalg.norm(h1, axis=1, keepdims=True)
     h2 = h2 / np.linalg.norm(h2, axis=1, keepdims=True)
     res = np.abs(np.einsum("ni,ni->n", h2, h1 @ e.T))
@@ -386,14 +420,14 @@ def test_crater_occlusion_against_visibility_oracle():
     pb = render_view(dem, intr, pose_b, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
     stride = 2
     corr = gt_correspondences(pa, pb, stride=stride)
-    emitted = {(int(p[0]), int(p[1])) for p in corr.pairs}
+    emitted = {(int(p[0]), int(p[1])) for p in corr}
 
     pm = depth_to_pointmap(pa, frame="world")
-    valid = pm.valid_mask[::stride, ::stride]
+    valid = np.isfinite(pm).all(-1)[::stride, ::stride]
     vv, uu = np.meshgrid(np.arange(0, 64, stride), np.arange(0, 64, stride), indexing="ij")
     pix_u = uu[valid]
     pix_v = vv[valid]
-    worlds = pm.points[::stride, ::stride][valid]
+    worlds = pm[::stride, ::stride][valid]
     vecs = worlds - pose_b.translation
     dists = np.linalg.norm(vecs, axis=1)
     t_ref, hit_ref = oracles.brute_force_hits(dem, np.broadcast_to(pose_b.translation, vecs.shape), vecs / dists[:, None])
