@@ -34,8 +34,10 @@ skip only rays that cannot meet the terrain, with a relative margin
 own arithmetic.  C+ is a function of (DEM, sun) alone, so shadow_mask derives
 it itself and keeps the last one in a one-slot memo; callers never pass it.
 
-All arithmetic is elementwise per ray, so results are bitwise identical
-regardless of how rays are batched or tiled.
+The walk keeps its state only for the live rays, cut down on each step that
+ends one, and reads the cell grids through flat indices.  All arithmetic is
+elementwise per ray, so results are bitwise identical regardless of how rays
+are batched or tiled.
 """
 
 from __future__ import annotations
@@ -111,21 +113,26 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
     """
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    n = o.shape[0]
-    cs = dem.cell_size
-    e = dem.elevations
-    zmin, zmax = dem.z_range
-    cellmax = dem.cell_max
+    ids, t_enter, t_stop = _clip(dem, o, d)
+    rows, t_rows = _walk(dem, o[ids], d[ids], t_enter, t_stop, ceiling)
+    t_hit = np.full(len(o), np.nan)
+    hit = np.zeros(len(o), dtype=bool)
+    t_hit[ids[rows]] = t_rows
+    hit[ids[rows]] = True
+    return t_hit, hit
 
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _clip(dem: DemGrid, o: np.ndarray, d: np.ndarray):
+    """(ids, t_enter, t_stop): the rays whose stretch t_enter..t_stop inside
+    the footprint and the elevation range is not empty, and that stretch."""
+    zmin, zmax = dem.z_range
     ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
     dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
 
     # Clip to the footprint rectangle in xy (slab method).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx0 = (dem.x_min - ox) / dx
-        tx1 = (dem.x_max - ox) / dx
-        ty0 = (dem.y_min - oy) / dy
-        ty1 = (dem.y_max - oy) / dy
+    tx0, tx1 = (dem.x_min - ox) / dx, (dem.x_max - ox) / dx
+    ty0, ty1 = (dem.y_min - oy) / dy, (dem.y_max - oy) / dy
     txa, txb = np.fmin(tx0, tx1), np.fmax(tx0, tx1)
     tya, tyb = np.fmin(ty0, ty1), np.fmax(ty0, ty1)
     # Rays parallel to a slab: inside -> unbounded, outside -> empty.
@@ -140,130 +147,127 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
     # Vertical clipping: a descending ray cannot hit before it drops below
     # the global maximum and has certainly crossed below the global minimum;
     # an ascending ray above the global maximum never will.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_zmax = (zmax - oz) / dz
-        t_zmin = np.where(dz < 0, (zmin - oz) / dz, np.inf)
+    t_zmax = (zmax - oz) / dz
+    t_zmin = np.where(dz < 0, (zmin - oz) / dz, np.inf)
     t_enter = np.maximum(np.maximum(txa, tya), 0.0)
     t_enter = np.where(dz < 0, np.maximum(t_enter, t_zmax), t_enter)
     t_stop = np.minimum(t_exit, np.minimum(t_zmin, np.where(dz > 0, t_zmax, np.inf))) + 1e-12
-    alive = t_enter <= t_stop
+    ids = np.flatnonzero(t_enter <= t_stop)
+    return ids, t_enter[ids], t_stop[ids]
 
-    t_hit = np.full(n, np.nan)
-    hit = np.zeros(n, dtype=bool)
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, t: np.ndarray, t_stop: np.ndarray, ceiling):
+    """DDA over the cells each ray crosses from t to t_stop.  Returns (rows,
+    t) of the rays that hit, rows indexing o and d."""
+    cs, w, h = dem.cell_size, dem.width, dem.height
+    e, cellmax = dem.elevations.ravel(), dem.cell_max.ravel()
+    if ceiling is not None:
+        ceiling = ceiling.ravel()
+    ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
 
     # Immediate hit when the ray already starts at/below the surface inside
     # the footprint (self-intersection guard for biased shadow rays).
-    pz = oz + dz * t_enter
-    fx = (ox + dx * t_enter - dem.origin_x) / cs
-    fy = (oy + dy * t_enter - dem.origin_y) / cs
-    with np.errstate(invalid="ignore"):
-        below = alive & ((pz - bilinear(e, fx, fy)) < 0)
-    t_hit[below] = t_enter[below]
-    hit[below] = True
-    alive &= ~below
+    z = oz + dz * t
+    fx = (ox + dx * t - dem.origin_x) / cs
+    fy = (oy + dy * t - dem.origin_y) / cs
+    below = z - bilinear(dem.elevations, fx, fy) < 0
+    hit_rows, hit_t = [np.flatnonzero(below)], [t[below]]
 
-    # DDA state.
-    ix = np.clip(np.floor(fx).astype(np.int64), 0, dem.width - 2)
-    iy = np.clip(np.floor(fy).astype(np.int64), 0, dem.height - 2)
-    step_x = np.where(dx > 0, 1, -1).astype(np.int64)
-    step_y = np.where(dy > 0, 1, -1).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_delta_x = np.abs(cs / dx)
-        t_delta_y = np.abs(cs / dy)
-        next_x = dem.origin_x + (ix + (step_x > 0)) * cs
-        next_y = dem.origin_y + (iy + (step_y > 0)) * cs
-        t_max_x = np.where(dx != 0, (next_x - ox) / dx, np.inf)
-        t_max_y = np.where(dy != 0, (next_y - oy) / dy, np.inf)
-    t_cur = t_enter.copy()
+    # The walk state of the live rays; ray maps them back to rows of o and d.
+    ray = np.arange(len(o))
+    ix = np.clip(np.floor(fx).astype(np.int64), 0, w - 2)
+    iy = np.clip(np.floor(fy).astype(np.int64), 0, h - 2)
+    step_x, step_y = (np.where(c > 0, 1, -1).astype(np.int64) for c in (dx, dy))
+    t_delta_x, t_delta_y = np.abs(cs / dx), np.abs(cs / dy)
+    t_max_x = np.where(dx != 0, (dem.origin_x + (ix + (step_x > 0)) * cs - ox) / dx, np.inf)
+    t_max_y = np.where(dy != 0, (dem.origin_y + (iy + (step_y > 0)) * cs - oy) / dy, np.inf)
+    # The ray in cell units, (pu + bu t, pv + bv t), for the crossing test.
+    pu, pv = (ox - dem.origin_x) / cs, (oy - dem.origin_y) / cs
+    bu, bv = dx / cs, dy / cs
 
-    while alive.any():
-        a = np.flatnonzero(alive)
-        t0 = t_cur[a]
-        t1 = np.minimum(np.minimum(t_max_x[a], t_max_y[a]), t_stop[a])
-        cx, cy = ix[a], iy[a]
+    end = below
+    while True:
+        if end.any():
+            keep = np.flatnonzero(~end)
+            (ray, oz, dz, t, z, t_stop, ix, iy, step_x, step_y, t_delta_x, t_delta_y, t_max_x, t_max_y) = (
+                v[keep] for v in (ray, oz, dz, t, z, t_stop, ix, iy, step_x, step_y,
+                                  t_delta_x, t_delta_y, t_max_x, t_max_y))
+        if not ray.size:
+            break
+        t1 = np.minimum(np.minimum(t_max_x, t_max_y), t_stop)
+        z1 = oz + dz * t1
+        cell = iy * (w - 1) + ix
+        end = t1 >= t_stop
 
         # Per-cell max-height early-out: skip the crossing test when the ray
-        # segment stays above everything the cell can reach.
-        z0 = oz[a] + dz[a] * t0
-        seg_zmin = np.minimum(z0, oz[a] + dz[a] * t1)
-        cmax = cellmax[cy, cx]
-        with np.errstate(invalid="ignore"):
-            consider = ~(seg_zmin > cmax)
+        # segment stays above everything the cell can reach (or the cell is
+        # all nodata).
+        consider = np.minimum(z, z1) <= cellmax[cell]
         if ceiling is not None:
-            clear = z0 > ceiling[cy, cx]
-            alive[a[clear]] = False
+            clear = z > ceiling[cell]
+            end |= clear
             consider &= ~clear
 
-        if consider.any():
-            s = a[consider]
-            ts0, ts1 = t0[consider], t1[consider]
-            z00 = e[iy[s], ix[s]]
-            z10 = e[iy[s], ix[s] + 1]
-            z01 = e[iy[s] + 1, ix[s]]
-            z11 = e[iy[s] + 1, ix[s] + 1]
-            alpha = z10 - z00
-            beta = z01 - z00
-            gamma = z00 + z11 - z10 - z01
-            au = (ox[s] - dem.origin_x) / cs - ix[s]
-            av = (oy[s] - dem.origin_y) / cs - iy[s]
-            bu = dx[s] / cs
-            bv = dy[s] / cs
-            qa = -gamma * bu * bv
-            qb = dz[s] - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
-            qc = oz[s] - z00 - alpha * au - beta * av - gamma * au * av
+        s = np.flatnonzero(consider)
+        if s.size:
+            r = ray[s]
+            found, t_found = _cell_hits(e, w, ix[s], iy[s], pu[r], pv[r], bu[r], bv[r],
+                                        oz[s], dz[s], t[s], t1[s])
+            hit_rows.append(r[found])
+            hit_t.append(t_found)
+            end[s[found]] = True
 
-            f1 = (qa * ts1 + qb) * ts1 + qc
-            with np.errstate(invalid="ignore", divide="ignore"):
-                tv = np.where(qa != 0, -qb / (2 * qa), np.nan)
-                fv = (qa * tv + qb) * tv + qc
-                vertex_dip = (tv > ts0) & (tv < ts1) & (fv < 0)
-                end_cross = f1 < 0
-            found = end_cross | vertex_dip
-            if found.any():
-                g = s[found]
-                qa, qb, qc = qa[found], qb[found], qc[found]
-                lo = ts0[found]
-                hi = np.where(end_cross[found], ts1[found], tv[found])
-                # The hit is the downward root (f' = -sqrt(disc)) of
-                # f(lo + s) = qa s^2 + b s + c, taken from the
-                # cancellation-free form of the quadratic formula; c/q is
-                # also the root of a planar cell (qa = 0).  It is not the
-                # smallest root: for qa < 0 the ray is above the surface
-                # between the two roots.
-                b = 2 * qa * lo + qb
-                c = (qa * lo + qb) * lo + qc
-                up = b > 0
-                sq = np.sqrt(np.maximum(b * b - 4 * qa * c, 0.0))
-                q = -0.5 * (b + np.where(up, sq, -sq))
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    root = lo + np.where(up, q / qa, c / q)
-                # fmax/fmin map a NaN root (f = f' = 0 at lo) to lo.
-                t_hit[g] = np.fmin(np.fmax(root, lo), hi)
-                hit[g] = True
-                alive[g] = False
+        # Advance every ray to its next cell boundary; a ray that leaves the
+        # grid ends (a negative index views as a huge unsigned one).
+        t, z = t1, z1
+        go_x = t_max_x <= t_max_y
+        ix = np.where(go_x, ix + step_x, ix)
+        t_max_x = np.where(go_x, t_max_x + t_delta_x, t_max_x)
+        iy = np.where(go_x, iy, iy + step_y)
+        t_max_y = np.where(go_x, t_max_y, t_max_y + t_delta_y)
+        end |= (ix.view(np.uint64) > w - 2) | (iy.view(np.uint64) > h - 2)
+    return np.concatenate(hit_rows), np.concatenate(hit_t)
 
-        # Advance the survivors to the next cell boundary.
-        a = np.flatnonzero(alive)
-        if a.size == 0:
-            break
-        t1 = np.minimum(np.minimum(t_max_x[a], t_max_y[a]), t_stop[a])
-        done = t1 >= t_stop[a]
-        alive[a[done]] = False
-        a = a[~done]
-        if a.size == 0:
-            break
-        t_cur[a] = t1[~done]
-        go_x = t_max_x[a] <= t_max_y[a]
-        gx = a[go_x]
-        gy = a[~go_x]
-        ix[gx] += step_x[gx]
-        t_max_x[gx] += t_delta_x[gx]
-        iy[gy] += step_y[gy]
-        t_max_y[gy] += t_delta_y[gy]
-        out = (ix[a] < 0) | (ix[a] > dem.width - 2) | (iy[a] < 0) | (iy[a] > dem.height - 2)
-        alive[a[out]] = False
 
-    return t_hit, hit
+def _cell_hits(e, w, cx, cy, pu, pv, bu, bv, oz, dz, t0, t1):
+    """Crossing test of ray segments t0..t1 in cells (cx, cy) of a grid w
+    wide with flat elevations e; in cell units the ray is (pu + bu t,
+    pv + bv t), at height oz + dz t.  Returns (found, t): the segments that
+    dip below the cell's bilinear patch, and where each first does."""
+    k = cy * w + cx
+    z00, z10, z01, z11 = e[k], e[k + 1], e[k + w], e[k + w + 1]
+    alpha = z10 - z00
+    beta = z01 - z00
+    gamma = z00 + z11 - z10 - z01
+    au, av = pu - cx, pv - cy
+    qa = -gamma * bu * bv
+    qb = dz - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
+    qc = oz - z00 - alpha * au - beta * av - gamma * au * av
+
+    f1 = (qa * t1 + qb) * t1 + qc
+    tv = np.where(qa != 0, -qb / (2 * qa), np.nan)
+    fv = (qa * tv + qb) * tv + qc
+    end_cross = f1 < 0
+    found = end_cross | ((tv > t0) & (tv < t1) & (fv < 0))
+    if not found.any():
+        return found, t0[found]
+    qa, qb, qc, lo = qa[found], qb[found], qc[found], t0[found]
+    hi = np.where(end_cross[found], t1[found], tv[found])
+    # The hit is the downward root (f' = -sqrt(disc)) of
+    # f(lo + s) = qa s^2 + b s + c, taken from the cancellation-free form of
+    # the quadratic formula; c/q is also the root of a planar cell (qa = 0).
+    # It is not the smallest root: for qa < 0 the ray is above the surface
+    # between the two roots.
+    b = 2 * qa * lo + qb
+    c = (qa * lo + qb) * lo + qc
+    up = b > 0
+    sq = np.sqrt(np.maximum(b * b - 4 * qa * c, 0.0))
+    q = -0.5 * (b + np.where(up, sq, -sq))
+    root = lo + np.where(up, q / qa, c / q)
+    # fmax/fmin map a NaN root (f = f' = 0 at lo) to lo.
+    return found, np.fmin(np.fmax(root, lo), hi)
 
 
 def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray) -> np.ndarray:

@@ -253,13 +253,9 @@ def _value_noise(rng, width: int, height: int, lattice: int) -> np.ndarray:
     vf = v - vi
     uf = uf * uf * (3 - 2 * uf)
     vf = vf * vf * (3 - 2 * vf)
-    n00 = nodes[np.ix_(vi, ui)]
-    n10 = nodes[np.ix_(vi, ui + 1)]
-    n01 = nodes[np.ix_(vi + 1, ui)]
-    n11 = nodes[np.ix_(vi + 1, ui + 1)]
-    top = n00 * (1 - uf[None, :]) + n10 * uf[None, :]
-    bot = n01 * (1 - uf[None, :]) + n11 * uf[None, :]
-    return top * (1 - vf[:, None]) + bot * vf[:, None]
+    # Blend along u once per lattice row, then pick and blend rows along v.
+    rows = nodes[:, ui] * (1 - uf) + nodes[:, ui + 1] * uf
+    return rows[vi] * (1 - vf[:, None]) + rows[vi + 1] * vf[:, None]
 
 
 def add_crater(

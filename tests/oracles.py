@@ -1,7 +1,7 @@
 """Independent reference implementations used only by tests.
 
 Nothing here shares traversal or search code with the package: the ray
-marcher uses fixed fine stepping, nearest neighbors are O(n^2), rotation
+oracle visits every cell a ray crosses, nearest neighbors are O(n^2), rotation
 angles go through quaternions, and Pearson is a direct scalar transcription.
 """
 
@@ -29,85 +29,91 @@ def bilinear(dem, x, y):
     )
 
 
-def brute_force_hits(dem, origins, directions, step_frac=0.01, refine_tol_frac=1e-8):
-    """Fixed-step ray marching oracle; origins must lie inside the footprint.
+def brute_force_hits(dem, origins, directions):
+    """Exhaustive per-cell first-hit oracle; origins must lie inside the
+    footprint.  Returns (t, hit) like the production intersector.
 
-    Returns (t, hit) like the production intersector.  Steps cell_size *
-    step_frac along each ray until the footprint or the elevation range is
-    left, then bisects the first sign change of (ray_z - terrain_z).
+    Each ray runs from its origin until it leaves the footprint, drops below
+    the lowest terrain or climbs above the highest.  That stretch is cut at
+    every grid line it crosses, so each piece lies in one cell, where
+    g = ray_z - terrain_z is an exact quadratic; it is fitted through samples
+    of bilinear at 1/4, 1/2 and 3/4 of the piece.  The first piece on which
+    g goes negative holds the hit, found by bisection on the fitted quadratic
+    between the piece's start (g >= 0) and its lowest point.  A ray whose
+    origin is below the surface hits at t = 0; nodata cells give NaN samples
+    and never hit.
     """
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    n = len(o)
-    dt = dem.cell_size * step_frac
+    t_hit = np.full(len(o), np.nan)
+    hit = np.zeros(len(o), dtype=bool)
+    lines = dem.width + dem.height
+    chunk = max(1, 2**17 // lines)
+    for a in range(0, len(o), chunk):
+        t_hit[a:a + chunk], hit[a:a + chunk] = _first_hits(dem, o[a:a + chunk], d[a:a + chunk])
+    return t_hit, hit
+
+
+def _first_hits(dem, o, d):
+    """brute_force_hits for one chunk of rays."""
+    cs = dem.cell_size
     zmin = float(np.nanmin(dem.elevations))
     zmax = float(np.nanmax(dem.elevations))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Where the stretch ends: footprint exit and leaving the elevation range.
+        t_end = np.full(len(o), np.inf)
+        for k, lo, hi in ((0, dem.x_min, dem.x_max), (1, dem.y_min, dem.y_max), (2, zmin, zmax)):
+            t_end = np.fmin(t_end, np.where(d[:, k] > 0, (hi - o[:, k]) / d[:, k],
+                                            np.where(d[:, k] < 0, (lo - o[:, k]) / d[:, k], np.inf)))
+        t_end = np.maximum(t_end, 0.0)
+        # Every grid-line crossing inside (0, t_end), sorted: the pieces.
+        xs = dem.origin_x + cs * np.arange(dem.width)
+        ys = dem.origin_y + cs * np.arange(dem.height)
+        cuts = np.concatenate([(xs[None, :] - o[:, :1]) / d[:, :1], (ys[None, :] - o[:, 1:2]) / d[:, 1:2]], axis=1)
+        cuts = np.where((cuts > 0) & (cuts < t_end[:, None]), cuts, t_end[:, None])
+        bounds = np.sort(np.concatenate([np.zeros((len(o), 1)), cuts, t_end[:, None]], axis=1), axis=1)
+    t0, t1 = bounds[:, :-1], bounds[:, 1:]
 
-    t = np.zeros(n)
-    f_prev = (o[:, 2] - bilinear(dem, o[:, 0], o[:, 1]))
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    hit = np.zeros(n, dtype=bool)
-    # A ray that starts at or below the surface hits immediately.
-    hit0 = f_prev < 0
-    t_hit = np.full(n, np.nan)
-    t_hit[hit0] = 0.0
-    hit[hit0] = True
-    alive = ~hit0
+    def g(t):  # t: (rays, pieces)
+        p = o[:, None, :] + t[..., None] * d[:, None, :]
+        return p[..., 2] - bilinear(dem, p[..., 0], p[..., 1])
 
-    # March one cell beyond the footprint so a crossing inside the last
-    # partial step at the boundary is not lost; refined hits outside the
-    # true footprint are discarded afterwards.
-    pad = dem.cell_size
-    while alive.any():
-        t_next = t + dt
-        p = o + t_next[:, None] * d
-        inside = (
-            (p[:, 0] >= dem.x_min - pad) & (p[:, 0] <= dem.x_max + pad)
-            & (p[:, 1] >= dem.y_min - pad) & (p[:, 1] <= dem.y_max + pad)
-        )
-        # Out of play vertically: descending below zmin means any crossing
-        # already happened; climbing above zmax means it never will.
-        out_z = ((d[:, 2] < 0) & (p[:, 2] < zmin)) | ((d[:, 2] > 0) & (p[:, 2] > zmax))
-        idx = np.flatnonzero(alive)
-        f_next = np.full(n, np.nan)
-        ins = idx[inside[idx]]
-        f_next[ins] = p[ins, 2] - bilinear(dem, p[ins, 0], p[ins, 1])
-        crossed = np.zeros(n, dtype=bool)
-        crossed[ins] = (f_prev[ins] >= 0) & (f_next[ins] < 0)
-        lo[crossed] = t[crossed]
-        hi[crossed] = t_next[crossed]
-        hit |= crossed
-        alive &= ~crossed
-        dead = alive & (~inside | out_z)
-        alive &= ~dead
-        t = t_next
-        f_prev = np.where(np.isnan(f_next), f_prev, f_next)
+    # g = c2 x^2 + c1 x + c0 in x = (t - t0) / (t1 - t0) - 1/2, in [-1/2, 1/2].
+    span = t1 - t0
+    g1, g2, g3 = g(t0 + 0.25 * span), g(t0 + 0.5 * span), g(t0 + 0.75 * span)
+    c2 = 8.0 * (g1 - 2.0 * g2 + g3)
+    c1 = 2.0 * (g3 - g1)
+    c0 = g2
 
-    refine = hit & np.isnan(t_hit)
-    if refine.any():
-        r = np.flatnonzero(refine)
-        blo, bhi = lo[r], hi[r]
-        tol = refine_tol_frac * dem.cell_size
-        while np.any(bhi - blo > tol):
-            mid = 0.5 * (blo + bhi)
-            p = o[r] + mid[:, None] * d[r]
-            f = p[:, 2] - bilinear(dem, p[:, 0], p[:, 1])
-            blo = np.where(f > 0, mid, blo)
-            bhi = np.where(f <= 0, mid, bhi)
-        tr = 0.5 * (blo + bhi)
-        pr = o[r] + tr[:, None] * d[r]
-        genuine = (
-            (pr[:, 0] >= dem.x_min) & (pr[:, 0] <= dem.x_max)
-            & (pr[:, 1] >= dem.y_min) & (pr[:, 1] <= dem.y_max)
-        )
-        t_hit[r[genuine]] = tr[genuine]
-        hit[r[~genuine]] = False
+    def q(x):
+        return (c2 * x + c1) * x + c0
+
+    # The lowest point of the piece: the vertex of a convex g, else an end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lowest = np.where(c2 > 0, np.clip(-c1 / (2.0 * c2), -0.5, 0.5), 0.5)
+    with np.errstate(invalid="ignore"):
+        dips = (span > 0) & ((q(-0.5) < 0) | (q(lowest) < 0))
+    starts_below = g(np.zeros((len(o), 1)))[:, 0] < 0
+
+    hit = starts_below | dips.any(axis=1)
+    t_hit = np.where(starts_below, 0.0, np.nan)
+    rows = np.flatnonzero(~starts_below & hit)
+    piece = np.argmax(dips[rows], axis=1)
+    c2, c1, c0 = c2[rows, piece], c1[rows, piece], c0[rows, piece]
+    # Bisect for the first x with g < 0 between the start (g >= 0 unless the
+    # piece starts below) and the lowest point (g < 0).
+    lo, hi = np.full(len(rows), -0.5), lowest[rows, piece]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = (c2 * mid + c1) * mid + c0 >= 0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    x = np.where((c2 * -0.5 + c1) * -0.5 + c0 < 0, -0.5, 0.5 * (lo + hi))
+    t_hit[rows] = t0[rows, piece] + (x + 0.5) * span[rows, piece]
     return t_hit, hit
 
 
 def brute_force_shadowed(dem, point, sun_dir, bias):
-    """Oracle shadow test via fine stepping."""
+    """Oracle shadow test: the biased sun ray through brute_force_hits."""
     origin = np.asarray(point, dtype=np.float64) + bias * np.asarray(sun_dir)
     _, hit = brute_force_hits(dem, origin[None, :], np.asarray(sun_dir)[None, :])
     return bool(hit[0])

@@ -111,7 +111,7 @@ def test_criterion_03_intersection_oracle():
             err = np.abs(t_fast[hit_fast] - t_ref[hit_ref])
             assert err.max() <= 2e-3 * dem.cell_size, err.max()
 
-    report(3, "10,000 random rays per crater DEM agree with the fine-step marcher", check)
+    report(3, "10,000 random rays per crater DEM agree with the per-cell oracle", check)
 
 
 def test_criterion_04_pose_recovery_closed_loop():

@@ -1,5 +1,6 @@
 """Heightfield traversal: the in-cell root cases, a property test against
-the fine-step oracle, and the sun-ward ceiling that shadow rays use."""
+the per-cell oracle, batching independence, and the sun-ward ceiling that
+shadow rays use."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +87,18 @@ def test_root_cases_are_what_they_claim():
     assert exit_point[2] > oracles.bilinear(dem, exit_point[0], exit_point[1])
 
 
+def test_oracle_finds_a_dip_shorter_than_a_hundredth_of_a_cell():
+    """A grazing ray that is below the saddle for only 0.0017 cell of its
+    path (f = 2 (w - 0.2) (w - 0.201) in the ray's cell units, 5e-7 cell
+    deep), which a 0.01-cell march from its origin steps over, is a hit for
+    the oracle and for intersect_rays, at the analytic point."""
+    dem, origin, direction, t_exact = _designed_ray(SADDLE, (0.0, 0.1), (1.0, 1.0, 0.998), 0.2, 0.1)
+    t_ref, hit_ref = oracles.brute_force_hits(dem, origin[None, :], direction[None, :])
+    t, hit = intersect_rays(dem, origin[None, :], direction[None, :])
+    assert hit_ref[0] and hit[0]
+    assert abs(t_ref[0] - t_exact) <= 1e-9 * CELL and abs(t[0] - t_exact) <= 1e-9 * CELL
+
+
 @st.composite
 def crater_scenes(draw):
     seed = draw(st.integers(0, 2**16))
@@ -98,14 +111,9 @@ def crater_scenes(draw):
 @given(crater_scenes())
 def test_intersect_rays_matches_the_oracle(scene):
     """Descending rays from above zmax and ascending rays started half a
-    cell off the surface, as shadow rays are, agree with the fine-step
-    marcher on hit/miss exactly and on t to 2e-3 cell (acceptance 03).
-
-    The marcher samples every 0.01 cell, so on a grazing ray it can step
-    over a short dip below the surface and report a later crossing or none.
-    A hit that it puts later or misses must be found again by a marcher
-    100x finer, started 0.01 cell before that hit.
-    """
+    cell off the surface, as shadow rays are, grazing ones among them, agree
+    with the per-cell oracle on hit/miss exactly and on t to 2e-3 cell
+    (acceptance 03)."""
     seed, offset, min_zenith = scene
     base = synth_crater_dem(seed, 32, 32, 5.0, 2, 3)
     dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
@@ -132,17 +140,61 @@ def test_intersect_rays_matches_the_oracle(scene):
     tol = 2e-3 * dem.cell_size
     t, hit = intersect_rays(dem, origins, dirs)
     t_ref, hit_ref = oracles.brute_force_hits(dem, origins, dirs)
-    with np.errstate(invalid="ignore"):
-        early = hit & ~(t >= t_ref - tol)
-    if early.any():
-        back = t[early] - 0.01 * dem.cell_size
-        t_fine, hit_ref[early] = oracles.brute_force_hits(
-            dem, origins[early] + back[:, None] * dirs[early], dirs[early], step_frac=1e-4
-        )
-        t_ref[early] = back + t_fine
     assert np.array_equal(hit, hit_ref)
     if hit.any():
         assert np.abs(t[hit] - t_ref[hit]).max() <= tol
+
+
+def _assert_batching_free(dem, origins, dirs, ceiling, rng):
+    """intersect_rays on the whole batch, on a permutation of it and on an
+    uneven split of it (batches of 0 and 1 rays among them) agrees bit for
+    bit."""
+    t, hit = intersect_rays(dem, origins, dirs, ceiling)
+    assert hit.any() and not hit.all()
+    perm = rng.permutation(len(origins))
+    t_perm, hit_perm = intersect_rays(dem, origins[perm], dirs[perm], ceiling)
+    assert t_perm.tobytes() == t[perm].tobytes() and np.array_equal(hit_perm, hit[perm])
+    cuts = [0, 0, 1, 2, 2, 5, *sorted(rng.choice(np.arange(6, len(origins)), 6, replace=False)), len(origins)]
+    parts = [intersect_rays(dem, origins[a:b], dirs[a:b], ceiling) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.concatenate([p[0] for p in parts]).tobytes() == t.tobytes()
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), hit)
+
+
+def test_intersect_rays_does_not_depend_on_batching():
+    """Batching independence over a DEM with NaN holes, for descending rays
+    from above zmax, rays from outside the footprint, rays with dx == 0 or
+    dy == 0, vertical rays, and shadow rays traced with the sun's ceiling."""
+    rng = np.random.default_rng(11)
+    base = synth_crater_dem(4, 37, 29, 4.0, 3, 3)
+    e = base.elevations.copy()
+    e[rng.random(e.shape) < 0.05] = np.nan
+    dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
+                  origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    zmax = float(np.nanmax(e))
+    n = 400
+    pad = 4 * dem.cell_size
+    x = rng.uniform(dem.x_min - pad, dem.x_max + pad, n)
+    y = rng.uniform(dem.y_min - pad, dem.y_max + pad, n)
+    origins = np.column_stack([x, y, zmax + rng.uniform(0.1, 20.0, n) * dem.cell_size])
+    zen = np.radians(rng.uniform(0.0, 89.0, n))
+    az = rng.uniform(0.0, 2 * np.pi, n)
+    dirs = np.column_stack([np.sin(zen) * np.cos(az), np.sin(zen) * np.sin(az), -np.cos(zen)])
+    dirs[:40, 0] = 0.0
+    dirs[40:80, 1] = 0.0
+    dirs[80:100] = [0.0, 0.0, -1.0]
+    dirs[100:110] = [0.0, 0.0, 1.0]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    inside = (x > dem.x_min) & (x < dem.x_max) & (y > dem.y_min) & (y < dem.y_max)
+    assert inside.any() and not inside.all()
+    _assert_batching_free(dem, origins, dirs, None, rng)
+
+    s = _sun(200.0, 8.0)
+    px, py = _cell_points(dem, rng, n)
+    points = np.column_stack([px, py, oracles.bilinear(dem, px, py)])
+    points = points[np.isfinite(points[:, 2])]
+    shadow_origins = points + 0.5 * dem.cell_size * s
+    _assert_batching_free(dem, shadow_origins, np.broadcast_to(s, shadow_origins.shape),
+                          sun_ceiling(dem, s), rng)
 
 
 CEILING_ELEVATIONS = [1.0, 2.0, 5.0, 15.0, 45.0, 89.5, 90.0]

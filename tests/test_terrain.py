@@ -6,7 +6,7 @@ import pytest
 
 from lunarforge import DemGrid, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
 import oracles
-from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, add_crater, bilinear
+from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, _value_noise, add_crater, bilinear
 
 
 def make_dem(elev, cell=1.0, ox=0.0, oy=0.0):
@@ -178,6 +178,38 @@ def test_synth_deterministic():
     assert a.elevations.tobytes() == b.elevations.tobytes()
     c = synth_crater_dem(10, 48, 40, 2.0, 4, 3)
     assert a.elevations.tobytes() != c.elevations.tobytes()
+
+
+def _value_noise_four_gathers(rng, width, height, lattice):
+    """Value noise as each output cell's blend of its four lattice nodes,
+    gathered per cell."""
+    nodes = rng.uniform(-1.0, 1.0, size=(lattice + 1, lattice + 1))
+    u = np.linspace(0.0, lattice, width)
+    v = np.linspace(0.0, lattice, height)
+    ui = np.minimum(u.astype(int), lattice - 1)
+    vi = np.minimum(v.astype(int), lattice - 1)
+    uf = u - ui
+    vf = v - vi
+    uf = uf * uf * (3 - 2 * uf)
+    vf = vf * vf * (3 - 2 * vf)
+    n00 = nodes[np.ix_(vi, ui)]
+    n10 = nodes[np.ix_(vi, ui + 1)]
+    n01 = nodes[np.ix_(vi + 1, ui)]
+    n11 = nodes[np.ix_(vi + 1, ui + 1)]
+    top = n00 * (1 - uf[None, :]) + n10 * uf[None, :]
+    bot = n01 * (1 - uf[None, :]) + n11 * uf[None, :]
+    return top * (1 - vf[:, None]) + bot * vf[:, None]
+
+
+# (width, height, lattice): the lattice of synth_crater_dem's octaves reaches
+# max(width, height) on small DEMs.
+@pytest.mark.parametrize("shape", [(16, 16, 4), (40, 23, 8), (23, 40, 32), (17, 31, 31), (31, 17, 31), (640, 640, 32)])
+def test_value_noise_equals_the_four_gather_formula(shape):
+    width, height, lattice = shape
+    got = _value_noise(np.random.default_rng(lattice), width, height, lattice)
+    want = _value_noise_four_gathers(np.random.default_rng(lattice), width, height, lattice)
+    assert got.shape == (height, width)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_synth_has_no_nodata():
