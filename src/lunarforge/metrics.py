@@ -36,6 +36,20 @@ class DegenerateMetricError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _nn_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact distance from each query to its nearest point.
+
+    The k-d tree splits at the sliding midpoint with leaves of up to 32
+    points and keeps its cells' full boxes instead of shrinking them to the
+    points.  On terrain clouds of 32k points that builds in under half the
+    time of scipy's default tree, and the queries cost about the same.  The
+    tree's shape does not enter the distance arithmetic, so the distances
+    are the same with any tree.
+    """
+    tree = cKDTree(points, leafsize=32, compact_nodes=False, balanced_tree=False)
+    return tree.query(queries, k=1)[0]
+
+
 def accuracy_completeness(pred_cloud: np.ndarray, gt_cloud: np.ndarray):
     """Mean nearest-neighbor distances pred->gt (accuracy) and gt->pred
     (completeness); chamfer is their average.  Clouds must be pre-aligned."""
@@ -43,8 +57,8 @@ def accuracy_completeness(pred_cloud: np.ndarray, gt_cloud: np.ndarray):
     gt = np.asarray(gt_cloud, dtype=np.float64).reshape(-1, 3)
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("point clouds must be non-empty")
-    d_pred, _ = cKDTree(gt).query(pred, k=1)
-    d_gt, _ = cKDTree(pred).query(gt, k=1)
+    d_pred = _nn_distances(gt, pred)
+    d_gt = _nn_distances(pred, gt)
     accuracy = float(np.mean(d_pred))
     completeness = float(np.mean(d_gt))
     return accuracy, completeness, (accuracy + completeness) / 2
@@ -107,18 +121,27 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2
-    g = np.exp(-(ax**2) / (2 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+# The normalized 1-D Gaussian; the window is its outer product with itself.
+_SSIM_TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2) ** 2) / (2 * SSIM_SIGMA**2))
+_SSIM_TAPS /= _SSIM_TAPS.sum()
+
+
+def _window_mean(img: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted mean of img over the SSIM window centred on each
+    pixel, zero outside the image.  The window is separable, so this is two
+    passes of the 11-tap 1-D Gaussian, down the columns and then along the
+    rows: 22 taps per pixel instead of 121.  The means match the 2-D sum up
+    to rounding (~1e-15 relative)."""
+    cols = ndimage.correlate1d(img, _SSIM_TAPS, axis=0, mode="constant", cval=0.0)
+    return ndimage.correlate1d(cols, _SSIM_TAPS, axis=1, mode="constant", cval=0.0)
 
 
 def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
     """Mean windowed SSIM over windows whose full support is valid.
 
-    11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03, dynamic range
-    L = max - min of the ground-truth depths.
+    11x11 Gaussian window (sigma 1.5) applied as two separable 11-tap
+    passes, K1=0.01, K2=0.03, dynamic range L = max - min of the
+    ground-truth depths.
     """
     pred = np.asarray(pred_depth, dtype=np.float64)
     gt = np.asarray(gt_depth, dtype=np.float64)
@@ -132,23 +155,18 @@ def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
     if dr == 0:
         raise DegenerateMetricError("constant ground-truth depth: L = 0")
 
-    kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
     x = np.where(valid, pred, 0.0)
     y = np.where(valid, gt, 0.0)
-
-    def win(img):
-        return ndimage.correlate(img, kernel, mode="constant", cval=0.0)
-
-    support = win(valid.astype(np.float64))
+    support = _window_mean(valid.astype(np.float64))
     full = support > 1 - 1e-9
     if not full.any():
         raise DegenerateMetricError("no window has full valid support")
 
-    mu_x = win(x)
-    mu_y = win(y)
-    var_x = win(x * x) - mu_x**2
-    var_y = win(y * y) - mu_y**2
-    cov = win(x * y) - mu_x * mu_y
+    mu_x = _window_mean(x)
+    mu_y = _window_mean(y)
+    var_x = _window_mean(x * x) - mu_x**2
+    var_y = _window_mean(y * y) - mu_y**2
+    cov = _window_mean(x * y) - mu_x * mu_y
     c1 = (SSIM_K1 * dr) ** 2
     c2 = (SSIM_K2 * dr) ** 2
     ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (

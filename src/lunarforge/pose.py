@@ -119,7 +119,10 @@ class SimilarityTransform:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.scale * (np.asarray(points, dtype=np.float64) @ self.rotation.T) + self.translation
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        out *= self.scale
+        out += self.translation
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -485,6 +488,16 @@ def umeyama(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
     return SimilarityTransform(scale=scale, rotation=orthonormalized(r), translation=t)
 
 
+def _residual_inliers(transform: SimilarityTransform, src: np.ndarray, dst: np.ndarray, threshold: float) -> np.ndarray:
+    """Rows where |transform(src) - dst| < threshold.  The norm sums
+    (x*x + y*y) + z*z, in the order np.linalg.norm(axis=1) does, so the mask
+    is the same bit for bit, without norm's (n, 3) temporaries."""
+    d = transform.apply(src)
+    d -= dst
+    x, y, z = d.T
+    return np.sqrt(x * x + y * y + z * z) < threshold
+
+
 def ransac_align(
     pred_cloud: np.ndarray,
     gt_cloud: np.ndarray,
@@ -509,7 +522,7 @@ def ransac_align(
         raise ValueError("alignment needs >= 3 index-paired points")
 
     def inliers_of(transform):
-        return np.linalg.norm(transform.apply(pred) - gt, axis=1) < ransac.inlier_threshold
+        return _residual_inliers(transform, pred, gt, ransac.inlier_threshold)
 
     def hypothesis(idx):
         try:

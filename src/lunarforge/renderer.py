@@ -20,7 +20,7 @@ from scipy.special import ndtri
 from . import _heightfield
 from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points, unproject
 from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
-from .terrain import DemGrid, bilinear, sample_height
+from .terrain import DemGrid, NodataError, bilinear, sample_height
 
 DEFAULT_TILE_ROWS = 32
 
@@ -126,7 +126,11 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     """
     center = pose.translation
     if dem.x_min <= center[0] <= dem.x_max and dem.y_min <= center[1] <= dem.y_max:
-        if center[2] <= sample_height(dem, center[0], center[1]):
+        try:
+            ground = sample_height(dem, center[0], center[1])
+        except NodataError:  # no terrain under the camera to be below
+            ground = -np.inf
+        if center[2] <= ground:
             raise CameraBelowTerrainError("camera center is below the terrain surface")
 
     jitter = None

@@ -323,6 +323,20 @@ def synth_crater_dem(
 # ---------------------------------------------------------------------------
 
 
+def _cell(f, n: int):
+    """Cell index along an axis of n nodes, clamped into the grid, and the
+    fraction of the way across it (outside [0, 1] past the border cells)."""
+    c = np.clip(np.floor(f).astype(np.int64), 0, n - 2)
+    return c, f - c
+
+
+def _blend(flat: np.ndarray, k, w: int, u, v):
+    """Bilinear blend of the cell whose low corner is flat[k], on a grid of
+    row length w, at fractions (u, v); NaN if a corner is."""
+    cu, cv = 1 - u, 1 - v
+    return flat[k] * cu * cv + flat[k + 1] * u * cv + flat[k + w] * cu * v + flat[k + w + 1] * u * v
+
+
 def bilinear(grid: np.ndarray, fx, fy):
     """Bilinear sample of grid[fy, fx] at fractional (column, row) indices.
 
@@ -330,16 +344,9 @@ def bilinear(grid: np.ndarray, fx, fy):
     extrapolate the border cell; a NaN corner makes the result NaN.
     """
     h, w = grid.shape
-    j = np.clip(np.floor(fx).astype(np.int64), 0, w - 2)
-    i = np.clip(np.floor(fy).astype(np.int64), 0, h - 2)
-    u = fx - j
-    v = fy - i
-    return (
-        grid[i, j] * (1 - u) * (1 - v)
-        + grid[i, j + 1] * u * (1 - v)
-        + grid[i + 1, j] * (1 - u) * v
-        + grid[i + 1, j + 1] * u * v
-    )
+    j, u = _cell(fx, w)
+    i, v = _cell(fy, h)
+    return _blend(grid.ravel(), i * w + j, w, u, v)
 
 
 def sample_height(dem: DemGrid, x, y):
@@ -357,14 +364,68 @@ def sample_height(dem: DemGrid, x, y):
     return float(out) if np.isscalar(x) and np.isscalar(y) else out
 
 
+def _patch_gradient(flat: np.ndarray, w: int, j, i, fx, fy, spacing: float):
+    """(dz/dx, dz/dy) of the bilinear patch of cell (j, i) at fractional
+    grid coordinates (fx, fy); NaN where a corner of the cell is nodata."""
+    k = i * w + j
+    z00, z10, z01, z11 = flat[k], flat[k + 1], flat[k + w], flat[k + w + 1]
+    u, v = fx - j, fy - i
+    dzdx = ((z10 - z00) * (1 - v) + (z11 - z01) * v) / spacing
+    dzdy = ((z01 - z00) * (1 - u) + (z11 - z10) * u) / spacing
+    return dzdx, dzdy
+
+
 def surface_normal(dem: DemGrid, x, y):
-    """Unit upward normal from central differences of sample_height, step = cell_size."""
+    """Unit upward normal at world (x, y); accepts scalars or arrays.
+
+    The gradient is the central difference of sample_height, step =
+    cell_size, along each axis.  Where one of an axis's two samples falls on
+    nodata, that axis's gradient is instead the slope of the bilinear patch
+    of the cell holding (x, y).  A point on the edge of a nodata cell, such
+    as a ray hit on the wall of a hole, may round into that cell, so the
+    nearer neighbouring cells are tried next; NodataError if none of them
+    is complete.
+    """
     s = dem.cell_size
-    dzdx = (sample_height(dem, np.asarray(x) + s, y) - sample_height(dem, np.asarray(x) - s, y)) / (2 * s)
-    dzdy = (sample_height(dem, x, np.asarray(y) + s) - sample_height(dem, x, np.asarray(y) - s)) / (2 * s)
-    n = np.stack(np.broadcast_arrays(-dzdx, -dzdy, np.ones_like(np.asarray(dzdx, dtype=np.float64))), axis=-1)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    fx, fy = (x - dem.origin_x) / s, (y - dem.origin_y) / s
+    fx_lo, fx_hi = (x - s - dem.origin_x) / s, (x + s - dem.origin_x) / s
+    fy_lo, fy_hi = (y - s - dem.origin_y) / s, (y + s - dem.origin_y) / s
+    eps = 1e-9
+    # Written as "inside" so that a NaN coordinate fails every comparison.
+    inside = (fx_lo >= -eps) & (fx_hi <= dem.width - 1 + eps) & (fy_lo >= -eps) & (fy_hi <= dem.height - 1 + eps)
+    if not np.all(inside):
+        raise OutOfBoundsError("query outside the grid footprint")
+    e, w, h = np.ravel(dem.elevations), dem.width, dem.height
+    j, u = _cell(fx, w)
+    i, v = _cell(fy, h)
+
+    def on_row(f):  # sample_height at column coordinate f, on (x, y)'s row
+        jj, uu = _cell(f, w)
+        return _blend(e, i * w + jj, w, uu, v)
+
+    def on_column(f):  # and at row coordinate f, on its column
+        ii, vv = _cell(f, h)
+        return _blend(e, ii * w + j, w, u, vv)
+
+    dzdx = (on_row(fx_hi) - on_row(fx_lo)) / (2 * s)
+    dzdy = (on_column(fy_hi) - on_column(fy_lo)) / (2 * s)
+    nodata_x, nodata_y = np.isnan(dzdx), np.isnan(dzdy)
+    if nodata_x.any() or nodata_y.any():
+        gx = gy = np.full(np.shape(fx), np.nan)
+        dj, di = np.where(u < 0.5, -1, 1), np.where(v < 0.5, -1, 1)
+        for jj, ii in ((j, i), (j + dj, i), (j, i + di), (j + dj, i + di)):
+            jj, ii = np.clip(jj, 0, w - 2), np.clip(ii, 0, h - 2)
+            px, py = _patch_gradient(e, w, jj, ii, fx, fy, s)
+            gx, gy = np.where(np.isnan(gx), px, gx), np.where(np.isnan(gy), py, gy)
+        dzdx = np.where(nodata_x, gx, dzdx)
+        dzdy = np.where(nodata_y, gy, dzdy)
+        if np.isnan(dzdx).any() or np.isnan(dzdy).any():
+            raise NodataError("bilinear neighborhood contains nodata")
+    n = np.stack(np.broadcast_arrays(-dzdx, -dzdy, np.ones_like(dzdx)), axis=-1)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return n[()] if n.ndim > 1 else n
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -551,3 +551,33 @@ def test_workers_env_cap(tmp_path, monkeypatch):
     ref = tmp_path / "ref"
     assert run(GEN_ARGS + ["--lighting", "side", "--workers", "2", "--out", str(ref)]) == 0
     assert tree_digest(out) == tree_digest(ref)
+
+
+@pytest.mark.parametrize("hole", [(slice(30, 42), slice(54, 66)), (slice(42, 54), slice(42, 54))],
+                         ids=["beside-nadir", "under-camera"])
+def test_generate_over_a_dem_with_a_nodata_hole(tmp_path, hole):
+    # Rays that pass through the hole hit its walls, on the edges of nodata
+    # cells; their normals and the camera-height check must not need the
+    # missing heights.
+    from lunarforge import DemGrid, write_dem
+    from lunarforge.cli import synth_dem_for_band
+
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    elevations = dem.elevations.copy()
+    elevations[hole] = np.nan
+    dem_path = tmp_path / "holed.f32"
+    write_dem(DemGrid(width=dem.width, height=dem.height, cell_size=dem.cell_size, origin_x=dem.origin_x,
+                      origin_y=dem.origin_y, elevations=elevations), dem_path, "raw_f32")
+    out = tmp_path / "out"
+    assert run(["generate", "--dem", str(dem_path), "--trajectory", "nadir", "--bands", "0",
+                "--pairs", "2", "--res", "32", "--seed", "3", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()[1:]]
+    assert len(records) == 2
+    missed = 0
+    for record in records:
+        for view in ("a", "b"):
+            image = formats.read_pgm16(out / record["paths"][f"image_{view}"])
+            assert image.shape == (32, 32) and image.max() > 0
+            depth, _ = formats.read_f32_raster(out / record["paths"][f"depth_{view}"])
+            missed += int(np.isnan(depth).sum())
+    assert missed > 0  # the hole is in view

@@ -8,6 +8,7 @@ from lunarforge import EvalConfig, PairPrediction, evaluate_pair, scale_invarian
 from lunarforge.camera import rot_y, rot_z
 from lunarforge.metrics import (
     DegenerateMetricError,
+    _window_mean,
     accuracy_completeness,
     profile_metrics,
     profile_rows,
@@ -55,6 +56,23 @@ def test_chamfer_matches_brute_force():
     for _ in range(10):
         pred = rng.normal(0, 50, (200, 3))
         gt = rng.normal(0, 50, (200, 3))
+        fast = accuracy_completeness(pred, gt)
+        ref = oracles.brute_force_nn_means(pred, gt)
+        assert fast == pytest.approx(ref, abs=1e-9)
+
+
+def test_chamfer_matches_brute_force_on_terrain_with_outliers():
+    # A 2.5-D terrain cloud with 40% of the prediction thrown 200 m off, as
+    # evaluate scores it: the k-d tree's leaves and boxes must not change
+    # a single nearest neighbor.
+    rng = np.random.default_rng(41)
+    ys, xs = np.meshgrid(np.arange(36) * 4.0, np.arange(40) * 4.0, indexing="ij")
+    zs = 30 * np.sin(xs / 40) * np.cos(ys / 25) + rng.normal(0, 0.5, xs.shape)
+    gt = np.stack([xs, ys, zs], axis=-1).reshape(-1, 3) + [1.5e5, -2.0e4, -1.7e3]
+    for trial in range(3):
+        pred = gt + rng.normal(0, 2.0, gt.shape)
+        outliers = rng.random(len(gt)) < 0.4
+        pred[outliers] += rng.normal(0, 200.0, (int(outliers.sum()), 3))
         fast = accuracy_completeness(pred, gt)
         ref = oracles.brute_force_nn_means(pred, gt)
         assert fast == pytest.approx(ref, abs=1e-9)
@@ -170,6 +188,20 @@ def test_ssim_mean_shift_closed_form():
     mu_x = mu_y + d
     expect = np.mean((2 * mu_x * mu_y + c1) / (mu_x**2 + mu_y**2 + c1))
     assert got == pytest.approx(float(expect), abs=1e-9)
+
+
+def test_ssim_window_means_match_the_oracle():
+    # The separable window against the brute-force 2-D sum, on a masked
+    # depth-like raster: same fully-supported windows, same means to 1e-12.
+    rng = np.random.default_rng(15)
+    img = random_terrain(15, n=40) + 1500.0
+    valid = rng.random(img.shape) > 0.01
+    valid[8:14, 20:31] = False
+    mu, full = oracles.gaussian_window_means(img, valid)
+    assert full.sum() > 100
+    assert np.array_equal(_window_mean(valid.astype(np.float64)) > 1 - 1e-9, full)
+    got = _window_mean(np.where(valid, img, 0.0))
+    np.testing.assert_allclose(got[full], mu[full], rtol=1e-12, atol=0)
 
 
 def test_ssim_random_uncorrelated_small():

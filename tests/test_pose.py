@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lunarforge import (
@@ -429,6 +431,75 @@ def test_ransac_align_clean_data_stops_after_one_hypothesis(umeyama_sizes):
     _, inliers = ransac_align(src, dst, RansacParams(iterations=2000, inlier_threshold=0.5, seed=8))
     assert inliers.all()
     assert umeyama_sizes.count(3) == 1
+
+
+@st.composite
+def similarity_problems(draw):
+    """A non-degenerate cloud (flattened like terrain, far from the origin)
+    and a random similarity: (src, scale, rotation, translation)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 80))
+    spread = draw(st.floats(0.1, 1e3))
+    flatness = draw(st.floats(0.02, 1.0))
+    src = rng.normal(0, spread, (n, 3)) * [1.0, 1.0, flatness] + rng.normal(0, 1e4, 3)
+    centered = src - src.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    assume(sv[2] > 1e-2 * sv[0])
+    scale = 10 ** draw(st.floats(-3.0, 3.0))
+    return src, scale, random_rotation(rng), rng.normal(0, 1e4, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(similarity_problems())
+def test_umeyama_round_trips_random_similarities(problem):
+    src, scale, rotation, shift = problem
+    dst = scale * src @ rotation.T + shift
+    t = umeyama(src, dst)
+    assert t.scale == pytest.approx(scale, rel=1e-9)
+    assert np.allclose(t.rotation, rotation, rtol=0, atol=1e-9)
+    extent = scale * np.abs(src).max() + np.abs(shift).max()
+    assert np.abs(t.apply(src) - dst).max() <= 1e-10 * extent
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(similarity_problems(), st.floats(0.0, 0.5), st.integers(0, 2**16))
+def test_ransac_align_recovers_random_similarities_under_outliers(problem, outlier_frac, seed):
+    src, scale, rotation, shift = problem
+    rng = np.random.default_rng(seed)
+    n = len(src)
+    src = np.concatenate([src, src[rng.integers(0, n, 4 * n)] + rng.normal(0, 1.0, (4 * n, 3)) * src.std(axis=0)])
+    dst = scale * src @ rotation.T + shift
+    threshold = 1e-6 * (scale * np.abs(src - src.mean(axis=0)).max())
+    dst += rng.normal(0, threshold / 20, dst.shape)
+    bad = rng.random(len(src)) < outlier_frac
+    dst[bad] += rng.uniform(50, 200, (int(bad.sum()), 3)) * rng.choice([-1, 1], (int(bad.sum()), 3)) * threshold
+    assume(bad.sum() <= len(src) - 4)
+    t, inliers = ransac_align(src, dst, RansacParams(inlier_threshold=threshold, seed=seed))
+    assert np.array_equal(inliers, ~bad)
+    assert t.scale == pytest.approx(scale, rel=1e-6)
+    assert np.allclose(t.rotation, rotation, rtol=0, atol=1e-6)
+
+
+def test_residual_inliers_equal_linalg_norm_bit_for_bit():
+    # RANSAC's scoring against the formula it replaced: SimilarityTransform.apply
+    # as one expression and np.linalg.norm, including residuals exactly at
+    # the threshold (strictly below counts).
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        src = rng.normal(0, 50, (500, 3)) + rng.normal(0, 1e4, 3)
+        t = pose_mod.SimilarityTransform(scale=10 ** rng.uniform(-2, 2), rotation=random_rotation(rng),
+                                         translation=rng.normal(0, 1e3, 3))
+        applied = t.scale * (src @ t.rotation.T) + t.translation
+        assert t.apply(src).tobytes() == applied.tobytes()
+        dst = applied + rng.normal(0, 1, src.shape) * rng.choice([0.01, 1.0, 100.0], (500, 1))
+        dist = np.linalg.norm(applied - dst, axis=1)
+        for threshold in (np.median(dist), *dist[:5], np.nextafter(dist[0], np.inf)):
+            assert np.array_equal(pose_mod._residual_inliers(t, src, dst, threshold), dist < threshold)
+    identity = pose_mod.SimilarityTransform(scale=1.0, rotation=np.eye(3), translation=np.zeros(3))
+    zeros = np.zeros((3, 3))
+    at_five = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [4.0, 0.0, 3.0]])
+    assert not pose_mod._residual_inliers(identity, zeros, at_five, 5.0).any()
+    assert pose_mod._residual_inliers(identity, zeros, at_five, np.nextafter(5.0, 6.0)).all()
 
 
 def test_hypotheses_needed_stopping_rule():

@@ -346,6 +346,49 @@ def test_normal_unit_length_random():
     assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1)) < 1e-12
 
 
+def test_normal_is_the_central_difference_of_sample_height():
+    # Bit for bit: the normal reads its four samples through one flat-index
+    # blend, and must do the same arithmetic as sample_height.
+    dem = synth_crater_dem(5, 40, 56, 7.5, 3, 3)
+    rng = np.random.default_rng(9)
+    s = dem.cell_size
+    xs = rng.uniform(dem.x_min + s, dem.x_max - s, 500)
+    ys = rng.uniform(dem.y_min + s, dem.y_max - s, 500)
+    xs[:3] = dem.x_min + s, dem.x_max - s, 3 * s  # on the margin and on grid lines
+    ys[:3] = dem.y_max - s, 4 * s, dem.y_min + s
+    dzdx = (sample_height(dem, xs + s, ys) - sample_height(dem, xs - s, ys)) / (2 * s)
+    dzdy = (sample_height(dem, xs, ys + s) - sample_height(dem, xs, ys - s)) / (2 * s)
+    ref = np.stack([-dzdx, -dzdy, np.ones_like(dzdx)], axis=-1)
+    ref /= np.linalg.norm(ref, axis=-1, keepdims=True)
+    assert surface_normal(dem, xs, ys).tobytes() == ref.tobytes()
+    assert surface_normal(dem, float(xs[5]), float(ys[5])).tobytes() == ref[5].tobytes()
+
+
+def test_normal_beside_nodata_is_the_cell_slope():
+    # On a plane every cell's patch has the plane's slope, so a point whose
+    # central difference reaches into the hole still gets the plane normal.
+    dem = plane_dem(0.3, -0.2, 5.0, n=24)
+    z = dem.elevations.copy()
+    z[10:14, 10:14] = np.nan  # nodes 10-13: cells 9-13 touch the hole
+    holed = make_dem(z)
+    expect = np.array([-0.3, 0.2, 1.0]) / np.linalg.norm([-0.3, 0.2, 1.0])
+    # x samples in the hole; y samples in it; both; the hole's wall at
+    # x = 9, which rounds into nodata cell 9; the corner (14, 14) of cell 13.
+    xs = np.array([8.5, 11.5, 8.5, 9.0, 14.0, 14.0 + 1e-12])
+    ys = np.array([11.5, 8.5, 8.5, 11.0, 14.0, 14.0])
+    got = surface_normal(holed, xs, ys)
+    assert np.allclose(got, expect, rtol=0, atol=1e-12)
+    clear = surface_normal(holed, 4.5, 17.5)  # the hole is out of reach
+    assert clear.tobytes() == surface_normal(dem, 4.5, 17.5).tobytes()
+    with pytest.raises(NodataError):
+        surface_normal(holed, 11.5, 11.5)  # inside the hole
+    # Node (4, 4) with nodata at (5, 5), (3, 5) and (5, 3): of the four cells
+    # around it only the diagonal one, (3, 3), is complete.
+    z = dem.elevations.copy()
+    z[5, 5] = z[5, 3] = z[3, 5] = np.nan
+    assert np.allclose(surface_normal(make_dem(z), 4.0, 4.0), expect, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # slope and hillshade
 # ---------------------------------------------------------------------------
