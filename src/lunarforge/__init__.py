@@ -2,7 +2,6 @@
 
 from .camera import CameraRig, Intrinsics, Pose, gsd, project, relative_pose, unproject
 from .metrics import (
-    EvalConfig,
     MetricsReport,
     PairGroundTruth,
     PairPrediction,
@@ -25,25 +24,23 @@ from .renderer import (
     RenderProduct,
     depth_to_pointmap,
     gt_correspondences,
-    ray_intersect_dem,
     render_pair,
     render_view,
 )
 from .terrain import DemGrid, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
-from .trajectory import TrajectorySpec, lighting_preset, sample_pair, sample_site
+from .trajectory import TrajectorySpec, lighting_preset, sample_pair
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CameraRig", "Intrinsics", "Pose", "gsd", "project", "relative_pose", "unproject",
-    "EvalConfig", "MetricsReport", "PairGroundTruth", "PairPrediction", "evaluate_pair",
+    "MetricsReport", "PairGroundTruth", "PairPrediction", "evaluate_pair",
     "scale_invariant_loss",
     "EssentialEstimate", "RansacParams", "SimilarityTransform", "estimate_essential",
     "ransac_align", "rra", "rta", "solve_pnp", "umeyama",
     "HapkeParams", "SunConfig", "hapke_brdf", "shade_point", "shadow_test", "sun_direction",
-    "RenderProduct", "depth_to_pointmap", "gt_correspondences", "ray_intersect_dem",
-    "render_pair", "render_view",
+    "RenderProduct", "depth_to_pointmap", "gt_correspondences", "render_pair", "render_view",
     "DemGrid", "hillshade", "load_dem", "sample_height", "slope_map",
     "surface_normal", "synth_crater_dem", "write_dem",
-    "TrajectorySpec", "lighting_preset", "sample_pair", "sample_site",
+    "TrajectorySpec", "lighting_preset", "sample_pair",
 ]

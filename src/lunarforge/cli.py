@@ -3,8 +3,8 @@ rendering, synthetic DEM creation, and visualization.
 
 Subcommands: generate, evaluate, render-pair, synth-dem, visualize.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  All artifacts are
-byte-deterministic for a fixed seed, independent of worker count
-(LUNARFORGE_THREADS caps workers).
+byte-deterministic for a fixed seed, independent of the thread count
+(LUNARFORGE_THREADS sets it; the default is min(4, cores)).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, formats
 from .camera import CameraRig, Pose, gsd
-from .metrics import EvalConfig, MetricsReport, PairGroundTruth, PairPrediction, evaluate_pair
+from .metrics import MetricsReport, PairGroundTruth, PairPrediction, evaluate_pair
 from .pose import pose_accuracy_table
 from .radiometry import HapkeParams, SunConfig
 from .renderer import depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
@@ -86,13 +86,12 @@ def _pair_artifacts(
     hapke: HapkeParams,
     render_seed: int,
     stride: int,
-    workers: int | None,
 ) -> PairRecord:
     """Render one pair and write every artifact; returns its manifest record."""
     pair_dir = out_dir / pair_id
     pair_dir.mkdir(parents=True, exist_ok=True)
     try:
-        prod_a, prod_b = render_pair(dem, rig, sun, hapke, seed=render_seed, workers=workers)
+        prod_a, prod_b = render_pair(dem, rig, sun, hapke, seed=render_seed)
         corr = gt_correspondences(prod_a, prod_b, stride=stride)
 
         paths = {
@@ -112,7 +111,7 @@ def _pair_artifacts(
                 {"kind": "ray_depth", "units": "m"},
             )
             formats.write_f32_raster(
-                out_dir / paths[f"pointmap_{view}"], depth_to_pointmap(prod, frame="world"),
+                out_dir / paths[f"pointmap_{view}"], depth_to_pointmap(prod),
                 {"kind": "pointmap", "frame": "world", "reference_pose": prod.pose.to_json_dict()},
             )
         formats.write_correspondences_csv(out_dir / paths["correspondences"], corr)
@@ -155,10 +154,10 @@ def _check_distinct(what: str, values: list) -> None:
         raise UsageError(f"duplicate {what} entries: {repeated}")
 
 
-def _thread_cap() -> int:
-    """resolve_workers(None); a bad LUNARFORGE_THREADS is a usage error."""
+def _thread_count() -> int:
+    """resolve_workers(); a bad LUNARFORGE_THREADS is a usage error."""
     try:
-        return resolve_workers(None)
+        return resolve_workers()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -179,19 +178,17 @@ def _scene(args, bands: list[int], lightings: list[str]):
         if not values:
             raise UsageError(f"empty {what} list")
         _check_distinct(what, values)
-    res = args.full_res if args.full_res is not None else args.res
     for message, ok in (
-        ("render resolution must be >= 1", res >= 1),
+        ("--res must be >= 1", args.res >= 1),
         ("--synth-size must be >= 16", not args.synth or args.synth_size >= 16),
         ("--psf-sigma must be >= 0", args.psf_sigma >= 0),
         # Without a PSF each pixel casts one ray whatever this says.
         ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
         ("--stride must be >= 1", args.stride >= 1),
-        ("--workers must be >= 1", args.workers is None or args.workers >= 1),
     ):
         if not ok:
             raise UsageError(message)
-    _thread_cap()
+    _thread_count()
     try:
         hapke = HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi)
     except ValueError as exc:
@@ -209,18 +206,18 @@ def _scene(args, bands: list[int], lightings: list[str]):
         for band in bands
     }
     rig_args = {
-        "width": res, "height": res, "psf_sigma": args.psf_sigma,
+        "width": args.res, "height": args.res, "psf_sigma": args.psf_sigma,
         "rays_per_pixel": args.rays_per_pixel, "allow_disjoint": args.allow_disjoint,
     }
     return dems, hapke, rig_args
 
 
-def _render_tasks(out_dir: Path, tasks: list, hapke: HapkeParams, stride: int, workers: int | None) -> list[PairRecord]:
+def _render_tasks(out_dir: Path, tasks: list, hapke: HapkeParams, stride: int) -> list[PairRecord]:
     """Render (pair_id, dem, spec, rig, sun, seed) tasks one after another and
-    write their artifacts; each render splits its rows over the workers."""
+    write their artifacts; each render splits its rows over the threads."""
     out_dir.mkdir(parents=True, exist_ok=True)
     return [
-        _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, seed, stride, workers)
+        _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, seed, stride)
         for pair_id, dem, spec, rig, sun, seed in tasks
     ]
 
@@ -243,7 +240,7 @@ def cmd_generate(args) -> int:
                 tasks.append((pair_id, dems[band], replace(spec, lighting=lid), rig, lighting_preset(lid), pair_seed))
 
     out_dir = Path(args.out)
-    records = _render_tasks(out_dir, tasks, hapke, args.stride, args.workers)
+    records = _render_tasks(out_dir, tasks, hapke, args.stride)
     header = {
         "format": "lunarforge-manifest",
         "version": 1,
@@ -281,21 +278,23 @@ def _load_pointmap(path: Path) -> tuple[np.ndarray, dict]:
 
 def _load_ground_truth(gt_dir: Path, record: dict) -> PairGroundTruth:
     meta = formats.read_json(gt_dir / record["paths"]["meta"])
-    depth_a, _ = formats.read_f32_raster(gt_dir / record["paths"]["depth_a"])
-    depth_b, _ = formats.read_f32_raster(gt_dir / record["paths"]["depth_b"])
-    pointmaps = []
+    pointmaps, depths = [], []
     for view in ("a", "b"):
         pts, pm_meta = _load_pointmap(gt_dir / record["paths"][f"pointmap_{view}"])
         if pm_meta.get("frame") != "world":
             raise ValueError(f"ground-truth pointmap_{view} frame is {pm_meta.get('frame')!r}, expected 'world'")
+        depth, _ = formats.read_f32_raster(gt_dir / record["paths"][f"depth_{view}"])
+        if depth.shape != pts.shape[:2]:
+            raise ValueError(f"ground-truth depth_{view} has shape {depth.shape}, pointmap {pts.shape[:2]}")
         pointmaps.append(pts)
+        depths.append(depth)
     return PairGroundTruth(
         pointmap_a=pointmaps[0],
         pointmap_b=pointmaps[1],
         pose_a=Pose.from_json_dict(meta["pose_a"]),
         pose_b=Pose.from_json_dict(meta["pose_b"]),
-        depth_a=depth_a,
-        depth_b=depth_b,
+        depth_a=depths[0],
+        depth_b=depths[1],
         gsd_m=float(record["gsd_m"]),
     )
 
@@ -345,14 +344,13 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"ground-truth directory {gt_dir} does not exist")
     if not pred_dir.is_dir():
         raise UsageError(f"prediction directory {pred_dir} does not exist")
-    n_workers = _thread_cap()
+    n_workers = _thread_count()
     thresholds = _parse_list(args.thresholds, "threshold", float)
     if not thresholds or not all(math.isfinite(t) and t > 0 for t in thresholds):
         raise UsageError(f"--thresholds must list finite values > 0, got {args.thresholds!r}")
     _check_distinct("threshold", thresholds)
     thresholds.sort()
     records = _read_manifest(gt_dir)
-    config = EvalConfig(seed=args.seed)
 
     # Pose errors are summarised by the RRA/RTA tables, not by means.
     mean_fields = tuple(f for f in MetricsReport._FIELDS if f not in ("rra_deg", "rta_deg"))
@@ -373,7 +371,7 @@ def cmd_evaluate(args) -> int:
                     raise ValueError(f"pointmap_{view} has shape {shape}, ground truth {gt_shape}")
         except (OSError, ValueError, KeyError) as exc:
             return record, None, {"type": type(exc).__name__, "detail": str(exc)}
-        return record, evaluate_pair(pred, gt, config), None
+        return record, evaluate_pair(pred, gt, seed=args.seed), None
 
     if n_workers == 1 or len(records) <= 1:
         results = [score(r) for r in records]
@@ -459,7 +457,7 @@ def cmd_render_pair(args) -> int:
     pair_id = f"{args.trajectory}_b{args.band:02d}_p000_{args.lighting}"
     task = (pair_id, dem, spec, rig, lighting_preset(args.lighting), args.seed)
     out_dir = Path(args.out)
-    (record,) = _render_tasks(out_dir, [task], hapke, args.stride, args.workers)
+    (record,) = _render_tasks(out_dir, [task], hapke, args.stride)
     print(f"rendered {record.pair_id} into {out_dir}")
     return 0
 
@@ -505,16 +503,12 @@ def _add_scene_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth-size", type=int, default=160, help="synthetic DEM cells per side")
     p.add_argument("--synth-craters", type=int, default=6)
     p.add_argument("--synth-octaves", type=int, default=4)
-    p.add_argument("--res", type=int, default=128, help="render resolution (desk-scale default)")
-    p.add_argument("--full-res", type=int, nargs="?", const=512, default=None,
-                   help="full-resolution override; bare flag means 512")
+    p.add_argument("--res", type=int, default=128, help="render resolution (desk-scale default; full is 512)")
     p.add_argument("--psf-sigma", type=float, default=0.5, help="Gaussian PSF sigma in pixels")
     p.add_argument("--rays-per-pixel", type=int, default=4)
     p.add_argument("--stride", type=int, default=4, help="correspondence sampling stride")
     p.add_argument("--allow-disjoint", action="store_true",
                    help="permit non-overlapping stereo footprints (stress case)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (LUNARFORGE_THREADS caps this)")
     p.add_argument("--hapke-w", type=float, default=0.25)
     p.add_argument("--hapke-b0", type=float, default=1.0)
     p.add_argument("--hapke-h", type=float, default=0.05)

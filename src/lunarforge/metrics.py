@@ -149,7 +149,7 @@ def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
         raise ValueError("depth rasters must share a shape")
     valid = np.isfinite(pred) & np.isfinite(gt)
     if not valid.any():
-        raise ValueError("shared valid mask is empty")
+        raise DegenerateMetricError("shared valid mask is empty")
     gvals = gt[valid]
     dr = float(gvals.max() - gvals.min())
     if dr == 0:
@@ -223,16 +223,13 @@ def profile_metrics(pred_depth: np.ndarray, gt_depth: np.ndarray, n_profiles: in
 # ---------------------------------------------------------------------------
 
 
-def scale_invariant_loss(pred_points, gt_points, valid_mask=None) -> float:
+def scale_invariant_loss(pred_points, gt_points) -> float:
     """Mean per-pixel distance between pointmaps, each normalized by the mean
-    distance of its own valid points to the origin; invariant to global scale.
-    pred_points, gt_points: (..., 3) arrays; valid_mask, if given, selects pixels."""
+    distance of its own points to the origin; invariant to global scale.
+    pred_points, gt_points: (..., 3) arrays of valid points only (index a
+    pointmap by its validity mask first)."""
     pred = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
-    if valid_mask is not None:
-        flat = np.asarray(valid_mask, dtype=bool).reshape(-1)
-        pred = pred[flat]
-        gt = gt[flat]
     if len(pred) == 0 or pred.shape != gt.shape:
         raise ValueError("pointmaps must share >= 1 valid pixel")
     z_gt = float(np.mean(np.linalg.norm(gt, axis=1)))
@@ -247,11 +244,8 @@ def scale_invariant_loss(pred_points, gt_points, valid_mask=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    seed: int = 0
-    align_iterations: int = 2000  # RANSAC cap; also bounds the certifiable inlier ratio (RansacParams)
-    align_threshold_m: float | None = None  # default 3 * gsd_m
+ALIGN_ITERATIONS = 2000  # RANSAC cap; also bounds the certifiable inlier ratio (RansacParams)
+ALIGN_THRESHOLD_GSD = 3.0  # alignment inlier threshold, in ground-truth GSDs
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,14 +311,15 @@ class MetricsReport:
         return out
 
 
-def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig = EvalConfig()) -> MetricsReport:
+def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> MetricsReport:
     """Align the predicted pointmaps to ground truth and score every metric.
 
     The prediction is aligned to the ground-truth world frame with a RANSAC
-    similarity transform (index-paired points, threshold 3 GSD); distances,
-    slope, SSIM, profile and pointmap-loss metrics are computed on the
-    aligned prediction, and RRA/RTA compare relative poses.  Degeneracies
-    land in report.flags instead of NaN.
+    similarity transform (index-paired points, ALIGN_THRESHOLD_GSD, at most
+    ALIGN_ITERATIONS hypotheses drawn from seed); distances, slope, SSIM,
+    profile and pointmap-loss metrics are computed on the aligned
+    prediction, and RRA/RTA compare relative poses.  Degeneracies land in
+    report.flags instead of NaN.
     """
     report = MetricsReport()
     shared_a = np.isfinite(pred.pointmap_a).all(-1) & np.isfinite(gt.pointmap_a).all(-1)
@@ -333,12 +328,11 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, config: EvalConfig 
     pred_cloud = np.concatenate([pred.pointmap_a[shared_a], pred.pointmap_b[shared_b]])
 
     if len(gt_cloud) >= 3:
-        threshold = config.align_threshold_m if config.align_threshold_m is not None else 3 * gt.gsd_m
         try:
             transform, _ = ransac_align(
                 pred_cloud,
                 gt_cloud,
-                RansacParams(iterations=config.align_iterations, inlier_threshold=threshold, seed=config.seed),
+                RansacParams(iterations=ALIGN_ITERATIONS, inlier_threshold=ALIGN_THRESHOLD_GSD * gt.gsd_m, seed=seed),
             )
             report.alignment = transform
         except (RansacError, ValueError) as exc:  # ValueError covers degenerate geometry

@@ -361,16 +361,13 @@ def solve_pnp(
     intr: Intrinsics,
     ransac: RansacParams = RansacParams(),
 ) -> Pose:
-    """Camera-to-world pose from (pixel, world point) matches.
+    """Camera-to-world pose from (pixel, world point) matches, given as the
+    tuple ((N, 2) pixels, (N, 3) world points).
 
     DLT initialization inside RANSAC followed by Gauss-Newton refinement on
     the inlier set.  Needs >= 6 non-degenerate matches.
     """
-    if isinstance(matches_2d3d, tuple):
-        pixels, pts = matches_2d3d
-    else:
-        pixels = np.asarray([m[0] for m in matches_2d3d], dtype=np.float64)
-        pts = np.asarray([m[1] for m in matches_2d3d], dtype=np.float64)
+    pixels, pts = matches_2d3d
     pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     n = len(pts)

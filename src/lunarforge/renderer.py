@@ -44,34 +44,16 @@ class RenderProduct:
             raise ValueError("image values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RayHit:
-    point: np.ndarray
-    depth: float
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for tile pools, capped by LUNARFORGE_THREADS (ValueError
-    when that is set but not a positive integer)."""
+def resolve_workers() -> int:
+    """Thread count of the tile and pair pools: LUNARFORGE_THREADS when set,
+    else min(4, cores).  ValueError when it is set but not a positive
+    integer."""
     text = os.environ.get("LUNARFORGE_THREADS")
-    cap = int(text) if text and text.strip().isdecimal() else None
-    if text and not cap:
+    if not text:
+        return min(4, os.cpu_count() or 1)
+    if not text.strip().isdecimal() or int(text) < 1:
         raise ValueError(f"LUNARFORGE_THREADS must be a positive integer, got {text!r}")
-    if workers is None:
-        workers = cap if cap is not None else min(4, os.cpu_count() or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
-
-
-def ray_intersect_dem(dem: DemGrid, origin, direction) -> RayHit | None:
-    """First intersection of one ray with the bilinear heightfield, or None."""
-    o = np.asarray(origin, dtype=np.float64).reshape(1, 3)
-    d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-    t, hit = _heightfield.intersect_rays(dem, o, d)
-    if not hit[0]:
-        return None
-    return RayHit(point=(o[0] + t[0] * d[0]), depth=float(t[0]))
+    return int(text)
 
 
 def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigma: float) -> np.ndarray:
@@ -118,7 +100,7 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
     return radiance, depth
 
 
-def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, compute_image, workers):
+def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, compute_image):
     """Render one view over row bands; returns (RenderProduct, the gain applied).
 
     gain None derives it from this view's own radiance (see exposure_gain).
@@ -143,7 +125,7 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     depth = np.zeros((intr.height, intr.width))
 
     bands = [slice(r, min(r + DEFAULT_TILE_ROWS, intr.height)) for r in range(0, intr.height, DEFAULT_TILE_ROWS)]
-    n_workers = resolve_workers(workers)
+    n_workers = resolve_workers()
 
     def run(band):
         return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image)
@@ -181,7 +163,7 @@ def render_view(
     view's own 99th radiance percentile (stereo pairs share view a's gain).
     """
     return _render(
-        dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, True, None,
+        dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, True,
     )[0]
 
 
@@ -198,31 +180,25 @@ def render_pair(
     hapke: HapkeParams,
     seed: int = 0,
     compute_image: bool = True,
-    workers: int | None = None,
 ):
     """Render both rig views with a shared gain taken from view a."""
     product_a, gain = _render(
         dem, rig.intrinsics, rig.pose_a, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 0, None, compute_image, workers,
+        seed, 0, None, compute_image,
     )
     product_b, _ = _render(
         dem, rig.intrinsics, rig.pose_b, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 1, gain, compute_image, workers,
+        seed, 1, gain, compute_image,
     )
     return product_a, product_b
 
 
-def depth_to_pointmap(product: RenderProduct, frame: str = "view1") -> np.ndarray:
-    """(H, W, 3) points origin + depth * direction in the view's camera frame
-    ("view1") or the world frame ("world"); NaN where the ray missed."""
+def depth_to_pointmap(product: RenderProduct) -> np.ndarray:
+    """(H, W, 3) world points origin + depth * direction; NaN where the ray
+    missed."""
     intr = product.intrinsics
     vv, uu = np.meshgrid(np.arange(intr.height, dtype=np.float64), np.arange(intr.width, dtype=np.float64), indexing="ij")
-    pts = unproject(intr, product.pose, uu, vv, product.depth)
-    if frame == "view1":
-        return product.pose.world_to_camera(pts)
-    if frame != "world":
-        raise ValueError("frame must be 'view1' or 'world'")
-    return pts
+    return unproject(intr, product.pose, uu, vv, product.depth)
 
 
 def gt_correspondences(

@@ -23,11 +23,11 @@ ALTITUDE_BANDS_M = (3500.0, 6200.0, 9500.0, 12800.0, 16100.0, 19400.0, 22700.0, 
 
 KINDS = ("nadir", "oblique", "dynamic")
 
-# Named illumination presets.  Azimuths follow the reference configurations;
-# elevations are this tool's documented choice (all overridable), with the
-# 360-degree azimuth stored as 0.  "polar" is the grazing sun of the south
-# polar cap: at latitudes -87 to -90 degrees it stays within a few degrees of
-# the horizon.
+# Named illumination presets, the only suns the CLI takes.  Azimuths follow
+# the reference configurations; elevations are this tool's documented choice,
+# with the 360-degree azimuth stored as 0.  Other suns need a SunConfig in the
+# library.  "polar" is the grazing sun of the south polar cap: at latitudes
+# -87 to -90 degrees it stays within a few degrees of the horizon.
 LIGHTING_PRESETS = {
     "side": SunConfig(azimuth=150.0, elevation=20.0),
     "overhead": SunConfig(azimuth=250.0, elevation=70.0),
@@ -91,14 +91,6 @@ def lighting_preset(preset_id: str) -> SunConfig:
     except KeyError:
         raise ValueError(f"unknown lighting preset {preset_id!r}; "
                          f"expected one of {sorted(LIGHTING_PRESETS)}") from None
-
-
-def sample_site(seed: int):
-    """South-polar-cap site: latitude uniform in [-90, -87], longitude in [0, 360)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x517E)))
-    lat = rng.uniform(-90.0, -87.0)
-    lon = rng.uniform(0.0, 360.0)
-    return float(lat), float(lon % 360.0)
 
 
 def _heading_vector(heading_deg: float) -> np.ndarray:

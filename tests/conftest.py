@@ -42,8 +42,8 @@ def nadir_gt_pair():
     prod_a, prod_b = render_pair(
         dem, rig, lighting_preset("side"), HapkeParams(), seed=5, compute_image=False
     )
-    pm_a = depth_to_pointmap(prod_a, frame="world")
-    pm_b = depth_to_pointmap(prod_b, frame="world")
+    pm_a = depth_to_pointmap(prod_a)
+    pm_b = depth_to_pointmap(prod_b)
     gt = PairGroundTruth(
         pointmap_a=pm_a, pointmap_b=pm_b, pose_a=rig.pose_a, pose_b=rig.pose_b,
         depth_a=prod_a.depth, depth_b=prod_b.depth,

@@ -43,50 +43,59 @@ def test_generate_deterministic_trees(tmp_path):
     assert tree_digest(d1) == tree_digest(d2)
 
 
-def test_generate_worker_count_invariance(tmp_path):
-    d1 = tmp_path / "w1"
-    d8 = tmp_path / "w8"
-    assert run(GEN_ARGS + ["--lighting", "side", "--workers", "1", "--out", str(d1)]) == 0
-    assert run(GEN_ARGS + ["--lighting", "side", "--workers", "8", "--out", str(d8)]) == 0
-    assert tree_digest(d1) == tree_digest(d8)
+def test_generate_worker_count_invariance(tmp_path, monkeypatch):
+    # 64 rows make two row bands, so every count above 1 opens the pool.
+    trees = []
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+        out = tmp_path / f"w{threads}"
+        assert run(GEN_ARGS + ["--res", "64", "--lighting", "side", "--out", str(out)]) == 0
+        trees.append(tree_digest(out))
+    assert trees[0] == trees[1] == trees[2]
 
 
 @pytest.fixture
-def render_workers(monkeypatch):
-    """The workers argument of every render_pair call the CLI makes."""
-    import lunarforge.cli as cli
+def renderer_pools(monkeypatch):
+    """max_workers of every thread pool the renderer opens."""
+    import lunarforge.renderer as renderer
 
-    monkeypatch.delenv("LUNARFORGE_THREADS", raising=False)
     seen = []
-    real = cli.render_pair
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["workers"])
-        return real(*args, **kwargs)
+    class Recording(renderer.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "render_pair", recording)
+    monkeypatch.setattr(renderer, "ThreadPoolExecutor", Recording)
     return seen
 
 
-def test_generate_three_pairs_match_serial(tmp_path, render_workers):
-    # Pairs render one after another, each splitting its 64 rows (two row
-    # bands) over every worker.
+def test_generate_three_pairs_match_serial(tmp_path, monkeypatch, renderer_pools):
+    # Pairs render one after another, each view splitting its 64 rows (two
+    # row bands) over LUNARFORGE_THREADS threads.
     argv = GEN_ARGS + ["--pairs", "3", "--res", "64", "--lighting", "side"]
     trees = {}
-    for workers in (1, 8):
-        render_workers.clear()
-        out = tmp_path / f"w{workers}"
-        assert run(argv + ["--workers", str(workers), "--out", str(out)]) == 0
-        trees[workers] = tree_digest(out)
-        assert render_workers == [workers] * 3
+    for threads in (1, 8):
+        renderer_pools.clear()
+        monkeypatch.setenv("LUNARFORGE_THREADS", str(threads))
+        out = tmp_path / f"w{threads}"
+        assert run(argv + ["--out", str(out)]) == 0
+        trees[threads] = tree_digest(out)
+        assert renderer_pools == ([] if threads == 1 else [threads] * 6)
     assert sum(name.endswith("meta.json") for name in trees[1]) == 3
     assert trees[1] == trees[8]
 
 
-def test_render_pair_lone_pair_uses_every_worker(tmp_path, render_workers):
-    assert run(["render-pair", "--synth", "--trajectory", "nadir", "--res", "32",
-                "--synth-size", "96", "--workers", "3", "--out", str(tmp_path / "rp")]) == 0
-    assert render_workers == [3]
+def test_render_pair_lone_pair_uses_every_worker(tmp_path, monkeypatch, renderer_pools):
+    argv = ["render-pair", "--synth", "--trajectory", "nadir", "--res", "64", "--synth-size", "96"]
+    trees = []
+    for threads in ("1", "2", "8"):
+        renderer_pools.clear()
+        monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+        assert run(argv + ["--out", str(tmp_path / threads)]) == 0
+        trees.append(tree_digest(tmp_path / threads))
+    assert renderer_pools == [8, 8]  # both views of the one pair
+    assert trees[0] == trees[1] == trees[2]
 
 
 SCENE_ARGV = {
@@ -102,12 +111,9 @@ INVALID_SCENE_VALUES = [
         ("--psf-sigma", "-1"),
         ("--rays-per-pixel", "0"),
         ("--res", "0"),
-        ("--full-res", "0"),
         ("--stride", "0"),
         ("--synth-size", "8"),
         ("--lighting", ","),
-        ("--workers", "0"),
-        ("--workers", "-3"),
     ]
     for command in sorted(SCENE_ARGV)
 ] + [("--bands", "", "generate")]  # render-pair takes one --band
@@ -325,6 +331,35 @@ def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, t
     assert bad in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("defect", ["depth_shape", "depth_nan"])
+def test_evaluate_flags_a_bad_ground_truth_depth_and_scores_the_rest(two_pair_dataset, tmp_path, defect):
+    gt = tmp_path / "gt"
+    shutil.copytree(two_pair_dataset, gt)
+    pred = tmp_path / "pred"
+    bad, good = _copy_predictions(gt, pred)
+    depth, meta = formats.read_f32_raster(gt / bad / "depth_a.f32")
+    depth = np.zeros((10, 10)) if defect == "depth_shape" else np.full(depth.shape, np.nan)
+    formats.write_f32_raster(gt / bad / "depth_a.f32", depth, meta)
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 0
+    lines = [json.loads(ln) for ln in report.read_text().splitlines()]
+    entries = {ln["pair_id"]: ln for ln in lines[:-1]}
+    if defect == "depth_shape":  # the pair cannot be scored
+        assert entries[bad]["status"] == "error"
+        assert entries[bad]["error"]["type"] == "ValueError"
+        assert "depth_a" in entries[bad]["error"]["detail"]
+        assert lines[-1]["failed"] == [bad]
+    else:  # view a has no depth to compare: SSIM and profiles are flagged
+        assert entries[bad]["status"] == "ok"
+        assert entries[bad]["flags"]["ssim"] == "shared valid mask is empty"
+        assert "profile" in entries[bad]["flags"]
+        assert entries[bad]["chamfer_m"] < 1e-4
+        assert lines[-1]["pairs_failed"] == 0
+    assert entries[good]["status"] == "ok"
+    assert entries[good]["chamfer_m"] < 1e-4
+    assert entries[good]["flags"] == {}
+
+
 def _evaluate(gt, pred, report):
     assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 0
     return report.read_text()
@@ -539,18 +574,20 @@ def test_runtime_failure_error_json_and_cleanup(tmp_path, capsys):
         assert [p for p in out.iterdir()] == []  # partial outputs removed
 
 
-def test_workers_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("LUNARFORGE_THREADS", "1")
-    from lunarforge.renderer import resolve_workers
+def test_workers_env_cap(monkeypatch):
+    # LUNARFORGE_THREADS sets the thread count, above the default as well as
+    # below it; unset, the count is min(4, cores).
+    import lunarforge.renderer as renderer
 
-    assert resolve_workers(None) == 1
-    assert resolve_workers(16) == 1
-    out = tmp_path / "env1"
-    assert run(GEN_ARGS + ["--lighting", "side", "--workers", "8", "--out", str(out)]) == 0
+    monkeypatch.setattr(renderer.os, "cpu_count", lambda: 16)
+    monkeypatch.delenv("LUNARFORGE_THREADS", raising=False)
+    assert renderer.resolve_workers() == 4
+    for text, threads in (("1", 1), ("8", 8), (" 12 ", 12)):
+        monkeypatch.setenv("LUNARFORGE_THREADS", text)
+        assert renderer.resolve_workers() == threads
+    monkeypatch.setattr(renderer.os, "cpu_count", lambda: None)
     monkeypatch.delenv("LUNARFORGE_THREADS")
-    ref = tmp_path / "ref"
-    assert run(GEN_ARGS + ["--lighting", "side", "--workers", "2", "--out", str(ref)]) == 0
-    assert tree_digest(out) == tree_digest(ref)
+    assert renderer.resolve_workers() == 1
 
 
 @pytest.mark.parametrize("hole", [(slice(30, 42), slice(54, 66)), (slice(42, 54), slice(42, 54))],

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lunarforge import formats
+
+# tmp_path is shared by a test's examples; each one overwrites the same file.
+ROUND_TRIPS = settings(max_examples=60, deadline=None, derandomize=True,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def test_pgm16_round_trip(tmp_path):
@@ -14,6 +21,19 @@ def test_pgm16_round_trip(tmp_path):
     assert np.max(np.abs(back - img)) <= 0.5 / 65535 + 1e-12  # quantization only
     formats.write_pgm16(tmp_path / "b.pgm", back)
     assert (tmp_path / "b.pgm").read_bytes() == path.read_bytes()
+
+
+@ROUND_TRIPS
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=9),
+              elements=st.floats(0.0, 1.0)))
+def test_pgm16_round_trip_is_within_half_a_level(tmp_path, img):
+    path = tmp_path / "img.pgm"
+    formats.write_pgm16(path, img)
+    back = formats.read_pgm16(path)
+    assert back.shape == img.shape
+    # Half a level, plus the rounding of img * 65535 and of the division back
+    # (each at most half an ulp of 1 in the result).
+    assert np.max(np.abs(back - img)) <= 0.5 / 65535 + np.finfo(np.float64).eps
 
 
 def test_pgm16_rejects_out_of_range(tmp_path):
@@ -42,6 +62,20 @@ def test_f32_raster_round_trip_with_nan(tmp_path):
     assert meta["frame"] == "world"
     assert np.array_equal(np.isnan(back), np.isnan(arr))
     assert np.allclose(back[~np.isnan(arr)], arr[~np.isnan(arr)], atol=1e-5)
+
+
+@ROUND_TRIPS
+@given(st.sampled_from([(), (3,)]).flatmap(lambda tail: arrays(
+    np.float64, array_shapes(min_dims=2, max_dims=2, max_side=9).map(lambda hw: hw + tail),
+    # float32 values, NaN and inf among them, and values the cast rounds.
+    elements=st.one_of(st.floats(width=32), st.floats(-1e6, 1e6)))))
+def test_f32_raster_round_trip_is_the_float32_cast(tmp_path, arr):
+    path = tmp_path / "r.f32"
+    formats.write_f32_raster(path, arr, {"kind": "pointmap" if arr.ndim == 3 else "ray_depth"})
+    back, meta = formats.read_f32_raster(path)
+    assert back.dtype == np.float64 and back.shape == arr.shape
+    assert back.tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+    assert meta == {"kind": "pointmap" if arr.ndim == 3 else "ray_depth", "shape": list(arr.shape)}
 
 
 def test_correspondences_csv_round_trip(tmp_path):

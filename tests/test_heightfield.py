@@ -100,6 +100,51 @@ def test_oracle_finds_a_dip_shorter_than_a_hundredth_of_a_cell():
 
 
 @st.composite
+def vertex_dip_rays(draw):
+    """_designed_ray arguments for a one-cell saddle and a ray from inside it
+    whose first hit is an in-cell vertex dip.
+
+    The ray enters the cell at (0, v0) and leaves it at w_exit.  Along it
+    the surface is p0 + p1 w + p2 w^2 with p2 = twist a b < 0, so a ray of
+    slope p1 + p2 (r1 + r2) is above it by g = -p2 (w - r1)(w - r2): positive
+    where the ray starts and where it leaves the cell, negative between the
+    roots r1 < r2 inside the cell.
+    """
+    z00, z10, z01 = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+    twist = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    corners = [[z00, z10], [z01, twist - z00 + z10 + z01]]
+    v0 = draw(st.floats(0.05, 0.95))
+    a = draw(st.floats(0.3, 1.0))
+    b = -np.sign(twist) * draw(st.floats(0.3, 1.0))
+    w_exit = min(1.0 / a, (1.0 - v0) / b if b > 0 else v0 / -b)
+    f1 = draw(st.floats(0.05, 0.85))
+    r1, r2 = f1 * w_exit, draw(st.floats(f1 + 0.05, 0.95)) * w_exit
+    p1 = (z10 - z00) * a + (z01 - z00) * b + twist * a * v0
+    p2 = twist * a * b
+    w_origin = draw(st.floats(0.0, 0.9)) * r1
+    return corners, (0.0, v0), (a, b, p1 + p2 * (r1 + r2)), r1, w_origin, w_exit
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(vertex_dip_rays())
+def test_vertex_dip_first_hits_match_the_oracle(ray):
+    """The hit lies strictly inside a cell whose entry and exit are both
+    above the surface, so neither end of the piece shows it: the oracle must
+    find it at the quadratic's vertex, and intersect_rays at its root."""
+    corners, start_uv, step, w_hit, w_origin, w_exit = ray
+    dem, origin, direction, t_exact = _designed_ray(corners, start_uv, step, w_hit, w_origin)
+    length = t_exact / (w_hit - w_origin)  # metres per unit of w
+    for w in (w_origin, w_exit):
+        p = origin + (w - w_origin) * length * direction
+        assert p[2] > oracles.bilinear(dem, p[0], p[1])
+    t_ref, hit_ref = oracles.brute_force_hits(dem, origin[None, :], direction[None, :])
+    t, hit = intersect_rays(dem, origin[None, :], direction[None, :])
+    assert hit_ref[0] and hit[0]
+    assert abs(t_ref[0] - t_exact) <= 2e-3 * CELL
+    assert abs(t[0] - t_exact) <= 1e-9 * CELL, (t[0], t_exact)
+
+
+@st.composite
 def crater_scenes(draw):
     seed = draw(st.integers(0, 2**16))
     offset = draw(st.sampled_from([0.0, 1.5e6]))

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from lunarforge import EvalConfig, PairPrediction, evaluate_pair, scale_invariant_loss
+from lunarforge import PairPrediction, evaluate_pair, scale_invariant_loss
 from lunarforge.camera import rot_y, rot_z
 from lunarforge.metrics import (
     DegenerateMetricError,
@@ -288,14 +289,14 @@ def random_pointmap(seed, h=24, w=24):
 
 def test_si_loss_identity():
     pts, valid = random_pointmap(19)
-    assert scale_invariant_loss(pts, pts, valid) == 0.0
+    assert scale_invariant_loss(pts[valid], pts[valid]) == 0.0
 
 
 def test_si_loss_scale_invariance():
     pts, valid = random_pointmap(20)
-    base = scale_invariant_loss(pts, pts, valid)
+    base = scale_invariant_loss(pts[valid], pts[valid])
     for s in (1e-3, 1.0, 1e3, 7.3):
-        assert scale_invariant_loss(s * pts, pts, valid) == pytest.approx(base, abs=1e-12)
+        assert scale_invariant_loss(s * pts[valid], pts[valid]) == pytest.approx(base, abs=1e-12)
 
 
 def test_si_loss_single_displacement_hand_computed():
@@ -304,7 +305,6 @@ def test_si_loss_single_displacement_hand_computed():
     pts[..., 2] = -100.0
     pred = pts.copy()
     pred[3, 4] = [3.0, -4.0, -100.0]
-    valid = np.ones((h, w), dtype=bool)
     z_gt = 100.0
     norms = np.full(h * w, 100.0)
     norms[3 * w + 4] = math.sqrt(3**2 + 4**2 + 100**2)
@@ -312,13 +312,13 @@ def test_si_loss_single_displacement_hand_computed():
     per_pixel = np.linalg.norm(
         pts.reshape(-1, 3) / z_gt - pred.reshape(-1, 3) / z_pred, axis=1
     ).mean()
-    assert scale_invariant_loss(pred, pts, valid) == pytest.approx(per_pixel, abs=1e-15)
+    assert scale_invariant_loss(pred, pts) == pytest.approx(per_pixel, abs=1e-15)
 
 
 def test_si_loss_degenerate_origin():
     pts = np.zeros((4, 4, 3))
     with pytest.raises(DegenerateMetricError):
-        scale_invariant_loss(pts, pts, np.ones((4, 4), dtype=bool))
+        scale_invariant_loss(pts, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def test_evaluate_identity_perfect(nadir_gt_pair):
     gt = nadir_gt_pair["gt"]
     pred = PairPrediction(pointmap_a=nadir_gt_pair["pm_a"], pointmap_b=nadir_gt_pair["pm_b"],
                           pose_a=gt.pose_a, pose_b=gt.pose_b)
-    rep = evaluate_pair(pred, gt, EvalConfig(seed=0))
+    rep = evaluate_pair(pred, gt, seed=0)
     assert rep.chamfer_m < 1e-6
     assert rep.accuracy_m < 1e-6 and rep.completeness_m < 1e-6
     assert rep.chamfer_m == pytest.approx((rep.accuracy_m + rep.completeness_m) / 2, abs=1e-9)
@@ -356,7 +356,7 @@ def test_evaluate_similarity_absorbed(nadir_gt_pair):
         pred = PairPrediction(pointmap_a=xform(nadir_gt_pair["pm_a"]),
                               pointmap_b=xform(nadir_gt_pair["pm_b"]),
                               pose_a=gt.pose_a, pose_b=gt.pose_b)
-        rep = evaluate_pair(pred, gt, EvalConfig(seed=1))
+        rep = evaluate_pair(pred, gt, seed=1)
         assert rep.alignment.scale == pytest.approx(1 / s, rel=1e-9)
         assert rep.accuracy_m < 1e-6 and rep.completeness_m < 1e-6 and rep.chamfer_m < 1e-6
         assert rep.slope_corr > 1 - 1e-9
@@ -378,7 +378,7 @@ def test_evaluate_elevation_noise_band(nadir_gt_pair):
     pred = PairPrediction(pointmap_a=noisy(nadir_gt_pair["pm_a"]),
                           pointmap_b=noisy(nadir_gt_pair["pm_b"]),
                           pose_a=gt.pose_a, pose_b=gt.pose_b)
-    rep = evaluate_pair(pred, gt, EvalConfig(seed=0))
+    rep = evaluate_pair(pred, gt, seed=0)
     assert 30.0 <= rep.chamfer_m <= 70.0
     assert rep.slope_corr < 0.99  # strictly below the noiseless value of 1.0
 
@@ -392,7 +392,7 @@ def test_evaluate_zero_baseline_flags_rta(nadir_gt_pair):
                          depth_a=gt0.depth_a, depth_b=gt0.depth_a, gsd_m=gt0.gsd_m)
     pred = PairPrediction(pointmap_a=gt0.pointmap_a, pointmap_b=gt0.pointmap_a,
                           pose_a=gt0.pose_a, pose_b=gt0.pose_a)
-    rep = evaluate_pair(pred, gt, EvalConfig(seed=0))
+    rep = evaluate_pair(pred, gt, seed=0)
     assert rep.rta_deg is None
     assert rep.flags.get("rta_deg") == "degenerate_baseline"
     assert rep.rra_deg == 0.0
@@ -404,7 +404,7 @@ def test_report_json_never_nan(nadir_gt_pair):
     gt = nadir_gt_pair["gt"]
     pred = PairPrediction(pointmap_a=nadir_gt_pair["pm_a"], pointmap_b=nadir_gt_pair["pm_b"],
                           pose_a=gt.pose_a, pose_b=gt.pose_b)
-    rep = evaluate_pair(pred, gt, EvalConfig(seed=0))
+    rep = evaluate_pair(pred, gt, seed=0)
     text = json.dumps(rep.to_json_dict(), allow_nan=False)  # raises on NaN
     assert "NaN" not in text
     keys = set(rep.to_json_dict())
@@ -423,12 +423,13 @@ def test_evaluate_all_outlier_prediction_flags_alignment(nadir_gt_pair):
     pred = PairPrediction(pointmap_a=scattered(nadir_gt_pair["pm_a"]),
                           pointmap_b=scattered(nadir_gt_pair["pm_b"]),
                           pose_a=gt.pose_a, pose_b=gt.pose_b)
-    # At a 1 cm threshold no similarity explains even its own 3-point sample,
-    # so no hypothesis reaches consensus.  (At 3 GSD a similarity that shrinks
-    # the scatter onto the terrain catches a few points by chance.)
-    rep = evaluate_pair(pred, gt, EvalConfig(seed=0, align_iterations=50, align_threshold_m=0.01))
+    # Against a GSD of 1/3 cm the 3-GSD threshold is 1 cm, where no
+    # similarity explains even its own 3-point sample, so no hypothesis
+    # reaches consensus.  (At the real GSD a similarity that shrinks the
+    # scatter onto the terrain catches a few points by chance.)
+    rep = evaluate_pair(pred, replace(gt, gsd_m=0.01 / 3), seed=0)
     assert rep.alignment is None
-    assert rep.flags["alignment"].startswith("failed: ")
+    assert rep.flags["alignment"] == "failed: similarity RANSAC found no consensus set"
     assert rep.chamfer_m is None
     assert rep.rra_deg == pytest.approx(0.0, abs=1e-9)
 
@@ -447,7 +448,7 @@ def test_evaluate_scatter_prediction_fails_certification_at_default_config(nadir
     pred = PairPrediction(pointmap_a=scattered(nadir_gt_pair["pm_a"]),
                           pointmap_b=scattered(nadir_gt_pair["pm_b"]),
                           pose_a=gt.pose_a, pose_b=gt.pose_b)
-    rep = evaluate_pair(pred, gt, EvalConfig())
+    rep = evaluate_pair(pred, gt)
     assert rep.alignment is None
     assert rep.flags["alignment"].startswith("failed: ")
     assert "too small to certify" in rep.flags["alignment"]
@@ -465,4 +466,4 @@ def test_evaluate_programming_error_propagates(nadir_gt_pair, monkeypatch):
     pred = PairPrediction(pointmap_a=nadir_gt_pair["pm_a"], pointmap_b=nadir_gt_pair["pm_b"],
                           pose_a=gt.pose_a, pose_b=gt.pose_b)
     with pytest.raises(TypeError, match="bug inside the aligner"):
-        evaluate_pair(pred, gt, EvalConfig(seed=0))
+        evaluate_pair(pred, gt, seed=0)

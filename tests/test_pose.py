@@ -100,7 +100,7 @@ def test_pnp_recovers_rendered_view(oblique_scene):
     rig = oblique_scene["rig"]
     prod_b = oblique_scene["prod_b"]
     spec = oblique_scene["spec"]
-    pm = depth_to_pointmap(prod_b, frame="world")
+    pm = depth_to_pointmap(prod_b)
     stride = 4
     valid = np.isfinite(pm).all(-1)[::stride, ::stride]
     vv, uu = np.meshgrid(np.arange(0, 96, stride, dtype=float),
@@ -117,7 +117,7 @@ def test_pnp_recovers_rendered_view(oblique_scene):
 def test_pnp_with_outliers(oblique_scene):
     rig = oblique_scene["rig"]
     prod_b = oblique_scene["prod_b"]
-    pm = depth_to_pointmap(prod_b, frame="world")
+    pm = depth_to_pointmap(prod_b)
     stride = 6
     valid = np.isfinite(pm).all(-1)[::stride, ::stride]
     vv, uu = np.meshgrid(np.arange(0, 96, stride, dtype=float),
@@ -524,7 +524,7 @@ def test_essential_and_pnp_deterministic_for_fixed_seed(oblique_scene):
     assert e1.E.tobytes() == e2.E.tobytes()
     assert np.array_equal(e1.inliers, e2.inliers)
 
-    pm = depth_to_pointmap(oblique_scene["prod_b"], frame="world")
+    pm = depth_to_pointmap(oblique_scene["prod_b"])
     vv, uu = np.meshgrid(np.arange(0, 96, 6, dtype=float), np.arange(0, 96, 6, dtype=float),
                          indexing="ij")
     valid = np.isfinite(pm).all(-1)[::6, ::6]

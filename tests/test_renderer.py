@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,12 @@ from lunarforge import (
     depth_to_pointmap,
     gt_correspondences,
     project,
-    ray_intersect_dem,
     render_pair,
     render_view,
     sample_pair,
     synth_crater_dem,
 )
+from lunarforge._heightfield import intersect_rays
 from lunarforge.camera import Intrinsics, Pose, camera_dirs
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.pose import essential_from_poses
@@ -43,38 +41,38 @@ def random_rays_above(dem, n, seed, max_zenith_deg=50.0):
 
 
 # ---------------------------------------------------------------------------
-# ray_intersect_dem
+# intersect_rays on the flat DEM
 # ---------------------------------------------------------------------------
 
 
 def test_flat_nadir_hit(flat_dem):
-    hit = ray_intersect_dem(flat_dem, (0.0, 0.0, 500.0), (0.0, 0.0, -1.0))
-    assert hit is not None
-    assert hit.depth == pytest.approx(500.0, abs=2e-5)
-    assert np.allclose(hit.point[:2], 0.0, atol=1e-9)
+    t, hit = intersect_rays(flat_dem, np.array([[0.0, 0.0, 500.0]]), np.array([[0.0, 0.0, -1.0]]))
+    assert hit[0]
+    assert t[0] == pytest.approx(500.0, abs=2e-5)
 
 
 def test_flat_tilted_depth(flat_dem):
     h = 200.0
-    for theta in (10.0, 30.0, 55.0):
-        d = np.array([math.sin(math.radians(theta)), 0.0, -math.cos(math.radians(theta))])
-        hit = ray_intersect_dem(flat_dem, (0.0, 0.0, h), d)
-        assert hit.depth == pytest.approx(h / math.cos(math.radians(theta)), rel=1e-6)
+    theta = np.radians([10.0, 30.0, 55.0])
+    d = np.column_stack([np.sin(theta), np.zeros(3), -np.cos(theta)])
+    t, hit = intersect_rays(flat_dem, np.tile([0.0, 0.0, h], (3, 1)), d)
+    assert hit.all()
+    assert t == pytest.approx(h / np.cos(theta), rel=1e-6)
 
 
 def test_miss_exits_footprint(flat_dem):
     # Grazing ray that leaves the grid while still above the surface.
-    hit = ray_intersect_dem(flat_dem, (0.0, 0.0, 100.0), np.array([1.0, 0.0, -0.001]) / np.linalg.norm([1.0, 0.0, -0.001]))
-    assert hit is None
+    d = np.array([[1.0, 0.0, -0.001]]) / np.linalg.norm([1.0, 0.0, -0.001])
+    _, hit = intersect_rays(flat_dem, np.array([[0.0, 0.0, 100.0]]), d)
+    assert not hit[0]
 
 
 def test_upward_ray_misses(flat_dem):
-    assert ray_intersect_dem(flat_dem, (0.0, 0.0, 10.0), (0.0, 0.0, 1.0)) is None
+    _, hit = intersect_rays(flat_dem, np.array([[0.0, 0.0, 10.0]]), np.array([[0.0, 0.0, 1.0]]))
+    assert not hit[0]
 
 
 def test_dda_matches_brute_force_oracle():
-    from lunarforge._heightfield import intersect_rays
-
     for seed in (0, 1, 2):
         dem = synth_crater_dem(seed, 96, 96, 5.0, 4, 4)
         origins, dirs = random_rays_above(dem, 2000, seed + 10)
@@ -150,7 +148,7 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
     for sun in (polar, high):
         prod = render_view(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
         valid = np.isfinite(prod.depth)
-        points = depth_to_pointmap(prod, frame="world")[valid]
+        points = depth_to_pointmap(prod)[valid]
         images[sun] = prod.image[valid]
         cast[sun] = shadow_mask(dem, points, sun_direction(sun))
     assert (images[polar][cast[polar]] == 0).all()
@@ -158,12 +156,13 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
     assert newly_shadowed.sum() > 0.05 * images[high].size
 
 
-def test_render_deterministic_across_runs_and_workers():
+def test_render_deterministic_across_runs_and_workers(monkeypatch):
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     spec, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)
     runs = []
-    for workers in (1, 1, 8):
-        pa, pb = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=9, workers=workers)
+    for workers in ("1", "1", "8"):
+        monkeypatch.setenv("LUNARFORGE_THREADS", workers)
+        pa, pb = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=9)
         runs.append((pa, pb))
     for pa, pb in runs[1:]:
         assert pa.image.tobytes() == runs[0][0].image.tobytes()
@@ -214,11 +213,12 @@ def sweeps(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-def test_render_pair_sweeps_one_ceiling(sweeps, workers):
+@pytest.mark.parametrize("workers", ["1", "8"])
+def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
+    monkeypatch.setenv("LUNARFORGE_THREADS", workers)
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # two row bands
-    render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1, workers=workers)
+    render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1)
     assert len(sweeps) == 1
 
 
@@ -308,7 +308,7 @@ def test_pointmap_flat_world_z(flat_dem):
     intr = Intrinsics(width=48, height=48, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([5.0, -3.0, 150.0]))
     prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
-    pm = depth_to_pointmap(prod, frame="world")
+    pm = depth_to_pointmap(prod)
     assert np.abs(pm[np.isfinite(pm).all(-1)][:, 2]).max() < 1e-6
 
 
@@ -316,7 +316,7 @@ def test_pointmap_view1_principal_pixel(flat_dem):
     intr = Intrinsics(width=49, height=49, fov_deg=45.0)  # odd: integer principal point
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 120.0]))
     prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
-    pm = depth_to_pointmap(prod, frame="view1")
+    pm = pose.world_to_camera(depth_to_pointmap(prod))
     cu, cv = int(intr.cx), int(intr.cy)
     depth = prod.depth[cv, cu]
     assert np.allclose(pm[cv, cu], [0.0, 0.0, -depth], atol=1e-9)
@@ -324,7 +324,7 @@ def test_pointmap_view1_principal_pixel(flat_dem):
 
 def test_pointmap_reprojection_round_trip(oblique_scene):
     prod = oblique_scene["prod_a"]
-    pm = depth_to_pointmap(prod, frame="world")
+    pm = depth_to_pointmap(prod)
     vv, uu = np.meshgrid(np.arange(prod.depth.shape[0], dtype=np.float64),
                          np.arange(prod.depth.shape[1], dtype=np.float64), indexing="ij")
     valid = np.isfinite(pm).all(-1)
@@ -422,7 +422,7 @@ def test_crater_occlusion_against_visibility_oracle():
     corr = gt_correspondences(pa, pb, stride=stride)
     emitted = {(int(p[0]), int(p[1])) for p in corr}
 
-    pm = depth_to_pointmap(pa, frame="world")
+    pm = depth_to_pointmap(pa)
     valid = np.isfinite(pm).all(-1)[::stride, ::stride]
     vv, uu = np.meshgrid(np.arange(0, 64, stride), np.arange(0, 64, stride), indexing="ij")
     pix_u = uu[valid]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from lunarforge import sample_pair, sample_site
+from lunarforge import sample_pair
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.trajectory import (
     ALTITUDE_BANDS_M,
@@ -141,21 +140,6 @@ def test_invalid_band():
         sample_pair("nadir", 1, 10, dem)
     with pytest.raises(ValueError):
         sample_pair("circular", 1, 0, dem)
-
-
-def test_sample_site_bounds_and_determinism():
-    for seed in range(50):
-        lat, lon = sample_site(seed)
-        assert -90 <= lat <= -87
-        assert 0 <= lon < 360
-    assert sample_site(123) == sample_site(123)
-
-
-def test_sample_site_longitude_uniformity():
-    lons = np.array([sample_site(s)[1] for s in range(10000)])
-    counts, _ = np.histogram(lons, bins=36, range=(0, 360))
-    _, p = stats.chisquare(counts)
-    assert p > 0.01
 
 
 def test_spec_json_round_trip():
