@@ -34,10 +34,10 @@ skip only rays that cannot meet the terrain, with a relative margin
 own arithmetic.  C+ is a function of (DEM, sun) alone, so shadow_mask derives
 it itself and keeps the last one in a one-slot memo; callers never pass it.
 
-The walk keeps its state only for the live rays, cut down on each step that
-ends one, and reads the cell grids through flat indices.  All arithmetic is
-elementwise per ray, so results are bitwise identical regardless of how rays
-are batched or tiled.
+The walk keeps its state only for the live rays, cut down one array at a
+time on each step that ends one, and reads the cell grids through flat
+indices.  All arithmetic is elementwise per ray, so results are bitwise
+identical regardless of how rays are batched or tiled.
 """
 
 from __future__ import annotations
@@ -113,13 +113,27 @@ def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
     """
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    ids, t_enter, t_stop = _clip(dem, o, d)
-    rows, t_rows = _walk(dem, o[ids], d[ids], t_enter, t_stop, ceiling)
+    rows, t_rows = _walk(dem, o, d, ceiling)
     t_hit = np.full(len(o), np.nan)
     hit = np.zeros(len(o), dtype=bool)
-    t_hit[ids[rows]] = t_rows
-    hit[ids[rows]] = True
+    t_hit[rows] = t_rows
+    hit[rows] = True
     return t_hit, hit
+
+
+def _slab(lo: float, hi: float, oc: np.ndarray, dc: np.ndarray):
+    """(ta, tb): where rays oc + dc t enter and leave lo <= x <= hi.  A ray
+    parallel to the slab is inside for every t or for none."""
+    t0 = (lo - oc) / dc
+    t1 = (hi - oc) / dc
+    ta, tb = np.fmin(t0, t1), np.fmax(t0, t1)
+    del t0, t1
+    par = dc == 0
+    if par.any():
+        inside = (oc[par] >= lo) & (oc[par] <= hi)
+        ta[par] = np.where(inside, -np.inf, np.inf)
+        tb[par] = np.where(inside, np.inf, -np.inf)
+    return ta, tb
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -127,45 +141,44 @@ def _clip(dem: DemGrid, o: np.ndarray, d: np.ndarray):
     """(ids, t_enter, t_stop): the rays whose stretch t_enter..t_stop inside
     the footprint and the elevation range is not empty, and that stretch."""
     zmin, zmax = dem.z_range
-    ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    oz, dz = o[:, 2], d[:, 2]
 
     # Clip to the footprint rectangle in xy (slab method).
-    tx0, tx1 = (dem.x_min - ox) / dx, (dem.x_max - ox) / dx
-    ty0, ty1 = (dem.y_min - oy) / dy, (dem.y_max - oy) / dy
-    txa, txb = np.fmin(tx0, tx1), np.fmax(tx0, tx1)
-    tya, tyb = np.fmin(ty0, ty1), np.fmax(ty0, ty1)
-    # Rays parallel to a slab: inside -> unbounded, outside -> empty.
-    x_in = (ox >= dem.x_min) & (ox <= dem.x_max)
-    y_in = (oy >= dem.y_min) & (oy <= dem.y_max)
-    txa = np.where(dx == 0, np.where(x_in, -np.inf, np.inf), txa)
-    txb = np.where(dx == 0, np.where(x_in, np.inf, -np.inf), txb)
-    tya = np.where(dy == 0, np.where(y_in, -np.inf, np.inf), tya)
-    tyb = np.where(dy == 0, np.where(y_in, np.inf, -np.inf), tyb)
+    txa, txb = _slab(dem.x_min, dem.x_max, o[:, 0], d[:, 0])
+    tya, tyb = _slab(dem.y_min, dem.y_max, o[:, 1], d[:, 1])
     t_exit = np.minimum(txb, tyb)
+    del txb, tyb
+    t_enter = np.maximum(txa, tya)
+    del txa, tya
+    np.maximum(t_enter, 0.0, out=t_enter)
 
     # Vertical clipping: a descending ray cannot hit before it drops below
     # the global maximum and has certainly crossed below the global minimum;
     # an ascending ray above the global maximum never will.
-    t_zmax = (zmax - oz) / dz
-    t_zmin = np.where(dz < 0, (zmin - oz) / dz, np.inf)
-    t_enter = np.maximum(np.maximum(txa, tya), 0.0)
-    t_enter = np.where(dz < 0, np.maximum(t_enter, t_zmax), t_enter)
-    t_stop = np.minimum(t_exit, np.minimum(t_zmin, np.where(dz > 0, t_zmax, np.inf))) + 1e-12
+    down = dz < 0
+    t_z = (zmax - oz) / dz
+    np.maximum(t_enter, t_z, out=t_enter, where=down)
+    t_z[~(dz > 0)] = np.inf  # where an ascending ray leaves the range
+    t_z[down] = (zmin - oz[down]) / dz[down]  # and a descending one
+    del down
+    t_stop = np.minimum(t_exit, t_z)
+    del t_exit, t_z
+    t_stop += 1e-12
     ids = np.flatnonzero(t_enter <= t_stop)
     return ids, t_enter[ids], t_stop[ids]
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, t: np.ndarray, t_stop: np.ndarray, ceiling):
-    """DDA over the cells each ray crosses from t to t_stop.  Returns (rows,
-    t) of the rays that hit, rows indexing o and d."""
+def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
+    """DDA over the cells each ray crosses inside its _clip stretch.  Returns
+    (rows, t) of the rays that hit, rows indexing o and d."""
     cs, w, h = dem.cell_size, dem.width, dem.height
     e, cellmax = dem.elevations.ravel(), dem.cell_max.ravel()
     if ceiling is not None:
         ceiling = ceiling.ravel()
-    ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    ids, t, t_stop = _clip(dem, o, d)
+    ox, oy, oz = (o[ids, k] for k in range(3))
+    dx, dy, dz = (d[ids, k] for k in range(3))
 
     # Immediate hit when the ray already starts at/below the surface inside
     # the footprint (self-intersection guard for biased shadow rays).
@@ -175,25 +188,41 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, t: np.ndarray, t_stop: np.
     below = z - bilinear(dem.elevations, fx, fy) < 0
     hit_rows, hit_t = [np.flatnonzero(below)], [t[below]]
 
-    # The walk state of the live rays; ray maps them back to rows of o and d.
-    ray = np.arange(len(o))
+    # The walk state of the live rays; ray maps them back to rows of ids.
+    ray = np.arange(len(ids))
     ix = np.clip(np.floor(fx).astype(np.int64), 0, w - 2)
     iy = np.clip(np.floor(fy).astype(np.int64), 0, h - 2)
-    step_x, step_y = (np.where(c > 0, 1, -1).astype(np.int64) for c in (dx, dy))
+    del fx, fy
+    # Steps fit in int8; cell indices stay int64, as a DEM may exceed 2**31 cells.
+    step_x, step_y = (np.where(c > 0, np.int8(1), np.int8(-1)) for c in (dx, dy))
     t_delta_x, t_delta_y = np.abs(cs / dx), np.abs(cs / dy)
     t_max_x = np.where(dx != 0, (dem.origin_x + (ix + (step_x > 0)) * cs - ox) / dx, np.inf)
     t_max_y = np.where(dy != 0, (dem.origin_y + (iy + (step_y > 0)) * cs - oy) / dy, np.inf)
     # The ray in cell units, (pu + bu t, pv + bv t), for the crossing test.
     pu, pv = (ox - dem.origin_x) / cs, (oy - dem.origin_y) / cs
     bu, bv = dx / cs, dy / cs
+    del ox, oy, dx, dy
 
     end = below
     while True:
-        if end.any():
+        if end.any():  # one array at a time, so old and new state never coexist
             keep = np.flatnonzero(~end)
-            (ray, oz, dz, t, z, t_stop, ix, iy, step_x, step_y, t_delta_x, t_delta_y, t_max_x, t_max_y) = (
-                v[keep] for v in (ray, oz, dz, t, z, t_stop, ix, iy, step_x, step_y,
-                                  t_delta_x, t_delta_y, t_max_x, t_max_y))
+            del end
+            ray = ray[keep]
+            oz = oz[keep]
+            dz = dz[keep]
+            t = t[keep]
+            z = z[keep]
+            t_stop = t_stop[keep]
+            ix = ix[keep]
+            iy = iy[keep]
+            step_x = step_x[keep]
+            step_y = step_y[keep]
+            t_delta_x = t_delta_x[keep]
+            t_delta_y = t_delta_y[keep]
+            t_max_x = t_max_x[keep]
+            t_max_y = t_max_y[keep]
+            del keep
         if not ray.size:
             break
         t1 = np.minimum(np.minimum(t_max_x, t_max_y), t_stop)
@@ -209,48 +238,64 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, t: np.ndarray, t_stop: np.
             clear = z > ceiling[cell]
             end |= clear
             consider &= ~clear
+        del cell
 
         s = np.flatnonzero(consider)
+        del consider
         if s.size:
             r = ray[s]
-            found, t_found = _cell_hits(e, w, ix[s], iy[s], pu[r], pv[r], bu[r], bv[r],
-                                        oz[s], dz[s], t[s], t1[s])
+            found, t_found = _cell_hits(e, w, s, r, ix, iy, pu, pv, bu, bv, oz, dz, t, t1)
             hit_rows.append(r[found])
             hit_t.append(t_found)
             end[s[found]] = True
+        del s
 
         # Advance every ray to its next cell boundary; a ray that leaves the
         # grid ends (a negative index views as a huge unsigned one).
         t, z = t1, z1
+        del t1, z1
         go_x = t_max_x <= t_max_y
-        ix = np.where(go_x, ix + step_x, ix)
-        t_max_x = np.where(go_x, t_max_x + t_delta_x, t_max_x)
-        iy = np.where(go_x, iy, iy + step_y)
-        t_max_y = np.where(go_x, t_max_y, t_max_y + t_delta_y)
+        np.add(ix, step_x, out=ix, where=go_x)
+        np.add(t_max_x, t_delta_x, out=t_max_x, where=go_x)
+        np.logical_not(go_x, out=go_x)
+        np.add(iy, step_y, out=iy, where=go_x)
+        np.add(t_max_y, t_delta_y, out=t_max_y, where=go_x)
+        del go_x
         end |= (ix.view(np.uint64) > w - 2) | (iy.view(np.uint64) > h - 2)
-    return np.concatenate(hit_rows), np.concatenate(hit_t)
+    return ids[np.concatenate(hit_rows)], np.concatenate(hit_t)
 
 
-def _cell_hits(e, w, cx, cy, pu, pv, bu, bv, oz, dz, t0, t1):
-    """Crossing test of ray segments t0..t1 in cells (cx, cy) of a grid w
-    wide with flat elevations e; in cell units the ray is (pu + bu t,
-    pv + bv t), at height oz + dz t.  Returns (found, t): the segments that
-    dip below the cell's bilinear patch, and where each first does."""
+def _cell_hits(e, w, sel, r, ix, iy, pu, pv, bu, bv, oz, dz, t0, t1):
+    """Crossing test of the walk's rays sel, rays r, over their segments t0..t1
+    in cells (ix, iy) of a grid w wide with flat elevations e; in cell units
+    ray r is (pu + bu t, pv + bv t), at height oz + dz t.  Returns (found,
+    t): the segments that dip below the cell's bilinear patch, and where
+    each first does.  Each gathered temporary is dropped once it is used."""
+    cx, cy = ix[sel], iy[sel]
     k = cy * w + cx
     z00, z10, z01, z11 = e[k], e[k + 1], e[k + w], e[k + w + 1]
+    del k
     alpha = z10 - z00
     beta = z01 - z00
     gamma = z00 + z11 - z10 - z01
-    au, av = pu - cx, pv - cy
+    del z10, z01, z11
+    au, av = pu[r] - cx, pv[r] - cy
+    del cx, cy
+    bu, bv = bu[r], bv[r]
     qa = -gamma * bu * bv
-    qb = dz - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
-    qc = oz - z00 - alpha * au - beta * av - gamma * au * av
+    qb = dz[sel] - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
+    del bu, bv
+    qc = oz[sel] - z00 - alpha * au - beta * av - gamma * au * av
+    del z00, alpha, beta, gamma, au, av
+    t0, t1 = t0[sel], t1[sel]
 
     f1 = (qa * t1 + qb) * t1 + qc
     tv = np.where(qa != 0, -qb / (2 * qa), np.nan)
     fv = (qa * tv + qb) * tv + qc
     end_cross = f1 < 0
+    del f1
     found = end_cross | ((tv > t0) & (tv < t1) & (fv < 0))
+    del fv
     if not found.any():
         return found, t0[found]
     qa, qb, qc, lo = qa[found], qb[found], qc[found], t0[found]
@@ -282,13 +327,14 @@ def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray) -> np.nda
     s = np.asarray(sun_dir, dtype=np.float64)
     ceiling = prepare_shadows(dem, s)
     cs = dem.cell_size
-    origins = p + 0.5 * cs * s
-    ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
+    bias = 0.5 * cs * s
+    ox, oy, oz = (p[:, k] + bias[k] for k in range(3))
     ix = np.clip((ox - dem.origin_x) / cs, 0, dem.width - 2).astype(np.int64)
     iy = np.clip((oy - dem.origin_y) / cs, 0, dem.height - 2).astype(np.int64)
     inside = (ox >= dem.x_min) & (ox <= dem.x_max) & (oy >= dem.y_min) & (oy <= dem.y_max)
     traced = ~(inside & (oz > ceiling[iy, ix]))
+    del ox, oy, oz, ix, iy, inside
     shadowed = np.zeros(len(p), dtype=bool)
-    rest = origins[traced]
+    rest = p[traced] + bias
     _, shadowed[traced] = intersect_rays(dem, rest, np.broadcast_to(s, rest.shape), ceiling)
     return shadowed

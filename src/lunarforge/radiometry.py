@@ -128,22 +128,27 @@ def shadow_test(dem: DemGrid, point, sun_dir) -> bool:
     return not bool(shadowed[0])
 
 
-def _radiance(dem: DemGrid, points, normals, view_dirs, sun: SunConfig, params: HapkeParams):
-    """Shading of (N, 3) points with given unit normals: the one Hapke
-    radiance expression behind shade_point and shade_points."""
+def _cosines(normals, view_dirs, sun: SunConfig):
+    """(mu0, mu): incidence and emission cosines of (N, 3) unit normals."""
+    return normals @ sun_direction(sun), np.einsum("ij,ij->i", normals, view_dirs)
+
+
+def _radiance(dem: DemGrid, points, mu0, mu, view_dirs, sun: SunConfig, params: HapkeParams):
+    """Shading of (N, 3) points whose facets have the incidence and emission
+    cosines mu0 and mu: the one Hapke radiance expression behind shade_point
+    and shade_points."""
     s = sun_direction(sun)
-    mu0 = normals @ s
-    mu = np.einsum("ij,ij->i", normals, view_dirs)
-    radiance = np.zeros(len(points))
     facing = (mu0 > 0) & (mu > 0)
+    lit = np.zeros(len(points), dtype=bool)
     if facing.any():
-        lit = ~_heightfield.shadow_mask(dem, points[facing], s)
-        idx = np.flatnonzero(facing)[lit]
-        if idx.size:
-            g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
-            radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
-                mu0[idx], np.minimum(mu[idx], 1.0), g, params
-            )
+        lit[facing] = ~_heightfield.shadow_mask(dem, points[facing], s)
+    idx = np.flatnonzero(lit)
+    radiance = np.zeros(len(points))
+    if idx.size:
+        g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
+        radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
+            mu0[idx], np.minimum(mu[idx], 1.0), g, params
+        )
     return radiance
 
 
@@ -163,7 +168,8 @@ def shade_point(
     def row(a):
         return np.asarray(a, dtype=np.float64).reshape(1, 3)
 
-    return float(_radiance(dem, row(point), row(normal), row(view_dir), sun, params)[0])
+    n, v = row(normal), row(view_dir)
+    return float(_radiance(dem, row(point), *_cosines(n, v, sun), v, sun, params)[0])
 
 
 def shade_points(
@@ -186,4 +192,8 @@ def shade_points(
     cs = dem.cell_size
     qx = np.clip(points[:, 0], dem.x_min + cs, dem.x_max - cs)
     qy = np.clip(points[:, 1], dem.y_min + cs, dem.y_max - cs)
-    return _radiance(dem, points, surface_normal(dem, qx, qy), view_dirs, sun, params)
+    normals = surface_normal(dem, qx, qy)
+    del qx, qy
+    mu0, mu = _cosines(normals, view_dirs, sun)
+    del normals
+    return _radiance(dem, points, mu0, mu, view_dirs, sun, params)

@@ -5,6 +5,13 @@ single pre-generated stream keyed by (seed, view id), pixels are partitioned
 into row bands whose outputs land in disjoint buffer slices, and no
 cross-pixel reductions occur, so results are bitwise identical for any worker
 count and across runs.
+
+Each view splits into the fewest equal, contiguous row bands of at most
+BAND_PIXELS pixels whose count is a multiple of the thread count
+(resolve_workers), and a pool of that many threads renders them.  So the
+threads start with equal shares, and each band is large enough that its
+numpy calls run long enough for the threads to overlap.  The plan changes
+with the thread count; the pixels do not.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points
 from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
 from .terrain import DemGrid, NodataError, bilinear, sample_height
 
-DEFAULT_TILE_ROWS = 32
+# Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
+# shading peak at about 210-230 B per ray, so near 7.5 MB per thread.
+BAND_PIXELS = 8192
 
 
 class CameraBelowTerrainError(ValueError):
@@ -56,6 +65,18 @@ def resolve_workers() -> int:
     return int(text)
 
 
+def _row_bands(height: int, width: int, workers: int) -> list[slice]:
+    """The fewest equal, contiguous row bands of at most BAND_PIXELS pixels
+    (one row if a row is wider) whose count is a multiple of workers, or one
+    band per row when there are too few rows for that."""
+    rows = max(1, BAND_PIXELS // width)
+    count = -(-height // rows)
+    count = min(height, -(-count // workers) * workers)
+    size, extra = divmod(height, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
 def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigma: float) -> np.ndarray:
     """(H, W, rpp, 2) Gaussian pixel offsets; stratified when rpp is square."""
     if sigma == 0:
@@ -87,15 +108,26 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
     if not compute_image:
         return np.zeros((h, w)), depth
 
+    del t, hit
     rpp = jitter.shape[2]
-    radiance = np.zeros(h * w * rpp)
     us = np.repeat(uu.ravel(), rpp) + jitter[rows, :, :, 0].reshape(-1)
     vs = np.repeat(vv.ravel(), rpp) + jitter[rows, :, :, 1].reshape(-1)
+    del uu, vv
     origins, dirs = pixel_rays(intr, pose, us, vs)
+    del us, vs
     jt, jhit = _heightfield.intersect_rays(dem, origins, dirs)
-    if jhit.any():
-        pts = origins[jhit] + jt[jhit, None] * dirs[jhit]
-        radiance[jhit] = shade_points(dem, pts, -dirs[jhit], sun, hapke)
+    # One copy of the hit rays' directions places the points, origin +
+    # t * direction, and then turns into their view directions.
+    view = dirs[jhit]
+    del dirs
+    pts = jt[jhit, None] * view
+    del jt
+    pts += pose.translation
+    np.negative(view, out=view)
+    shaded = shade_points(dem, pts, view, sun, hapke)
+    del pts, view
+    radiance = np.zeros(h * w * rpp)
+    radiance[jhit] = shaded
     radiance = radiance.reshape(h, w, rpp).mean(axis=2)
     return radiance, depth
 
@@ -124,8 +156,8 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     radiance = np.zeros((intr.height, intr.width))
     depth = np.zeros((intr.height, intr.width))
 
-    bands = [slice(r, min(r + DEFAULT_TILE_ROWS, intr.height)) for r in range(0, intr.height, DEFAULT_TILE_ROWS)]
     n_workers = resolve_workers()
+    bands = _row_bands(intr.height, intr.width, n_workers)
 
     def run(band):
         return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image)

@@ -269,11 +269,21 @@ def add_crater(
     rim_height: float,
     rim_sigma: float,
 ) -> None:
-    """Superpose one parabolic-bowl crater with a Gaussian rim annulus, in place."""
+    """Superpose one parabolic-bowl crater with a Gaussian rim annulus, in place.
+
+    The rim term, rim_height * exp(-((r - radius) / rim_sigma)^2), is built
+    in r's own buffer, one operation at a time.
+    """
     r = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
     inside = r < radius
     z[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
-    z += rim_height * np.exp(-(((r - radius) / rim_sigma) ** 2))
+    np.subtract(r, radius, out=r)
+    np.divide(r, rim_sigma, out=r)
+    np.square(r, out=r)
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    np.multiply(r, rim_height, out=r)
+    z += r
 
 
 def synth_crater_dem(
@@ -389,15 +399,8 @@ def surface_normal(dem: DemGrid, x, y):
     s = dem.cell_size
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    fx, fy = (x - dem.origin_x) / s, (y - dem.origin_y) / s
-    fx_lo, fx_hi = (x - s - dem.origin_x) / s, (x + s - dem.origin_x) / s
-    fy_lo, fy_hi = (y - s - dem.origin_y) / s, (y + s - dem.origin_y) / s
-    eps = 1e-9
-    # Written as "inside" so that a NaN coordinate fails every comparison.
-    inside = (fx_lo >= -eps) & (fx_hi <= dem.width - 1 + eps) & (fy_lo >= -eps) & (fy_hi <= dem.height - 1 + eps)
-    if not np.all(inside):
-        raise OutOfBoundsError("query outside the grid footprint")
     e, w, h = np.ravel(dem.elevations), dem.width, dem.height
+    fx, fy = (x - dem.origin_x) / s, (y - dem.origin_y) / s
     j, u = _cell(fx, w)
     i, v = _cell(fy, h)
 
@@ -409,8 +412,16 @@ def surface_normal(dem: DemGrid, x, y):
         ii, vv = _cell(f, h)
         return _blend(e, ii * w + j, w, u, vv)
 
-    dzdx = (on_row(fx_hi) - on_row(fx_lo)) / (2 * s)
-    dzdy = (on_column(fy_hi) - on_column(fy_lo)) / (2 * s)
+    def central(c, origin, n, sample):  # along one axis, c the world coordinate
+        lo, hi = (c - s - origin) / s, (c + s - origin) / s
+        eps = 1e-9
+        # Written as "inside" so that a NaN coordinate fails every comparison.
+        if not np.all((lo >= -eps) & (hi <= n - 1 + eps)):
+            raise OutOfBoundsError("query outside the grid footprint")
+        return (sample(hi) - sample(lo)) / (2 * s)
+
+    dzdx = central(x, dem.origin_x, w, on_row)
+    dzdy = central(y, dem.origin_y, h, on_column)
     nodata_x, nodata_y = np.isnan(dzdx), np.isnan(dzdy)
     if nodata_x.any() or nodata_y.any():
         gx = gy = np.full(np.shape(fx), np.nan)
@@ -423,7 +434,12 @@ def surface_normal(dem: DemGrid, x, y):
         dzdy = np.where(nodata_y, gy, dzdy)
         if np.isnan(dzdx).any() or np.isnan(dzdy).any():
             raise NodataError("bilinear neighborhood contains nodata")
-    n = np.stack(np.broadcast_arrays(-dzdx, -dzdy, np.ones_like(dzdx)), axis=-1)
+    del fx, fy, j, u, i, v
+    n = np.empty(np.shape(dzdx) + (3,))
+    np.negative(dzdx, out=n[..., 0])
+    np.negative(dzdy, out=n[..., 1])
+    n[..., 2] = 1.0
+    del dzdx, dzdy
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     return n
 

@@ -7,6 +7,22 @@ from lunarforge.metrics import PairGroundTruth
 from lunarforge.trajectory import lighting_preset
 
 
+@pytest.fixture
+def renderer_pools(monkeypatch):
+    """max_workers of every thread pool the renderer opens."""
+    import lunarforge.renderer as renderer
+
+    seen = []
+
+    class Recording(renderer.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(renderer, "ThreadPoolExecutor", Recording)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def flat_dem():
     return DemGrid(

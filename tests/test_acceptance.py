@@ -239,21 +239,33 @@ def test_criterion_08_chamfer_brute_force():
     report(8, "spatial-index chamfer equals O(n^2) brute force on 50 cloud pairs", check)
 
 
+CRITERION_09_ARGS = ["generate", "--synth", "--trajectory", "dynamic", "--bands", "0",
+                     "--pairs", "2", "--seed", "11", "--res", "32", "--synth-size", "112",
+                     "--stride", "2", "--lighting", "side"]
+
+
 def test_criterion_09_generate_determinism(tmp_path, monkeypatch):
     def check():
-        args = ["generate", "--synth", "--trajectory", "dynamic", "--bands", "0",
-                "--pairs", "2", "--seed", "11", "--res", "32", "--synth-size", "112",
-                "--stride", "2", "--lighting", "side"]
         digests = []
         for name, workers in (("runA", "1"), ("runB", "1"), ("runC", "8")):
             out = tmp_path / name
             monkeypatch.setenv("LUNARFORGE_THREADS", workers)
-            assert main(args + ["--out", str(out)]) == 0
+            assert main(CRITERION_09_ARGS + ["--out", str(out)]) == 0
             digests.append(tree_digest(out))
         assert digests[0] == digests[1], "repeat run differs"
         assert digests[0] == digests[2], "worker count changed the output"
 
     report(9, "cmd_generate yields byte-identical trees across runs and workers {1, 8}", check)
+
+
+@pytest.mark.parametrize("workers, pools", [("1", []), ("8", [8] * 4)])
+def test_criterion_09_command_renders_in_parallel_only_above_one_thread(
+        tmp_path, monkeypatch, renderer_pools, workers, pools):
+    # So "workers {1, 8}" compares a serial run with a parallel one: each of
+    # the 2 pairs' 2 views splits its 32 rows into 8 bands of 4 at 8 threads.
+    monkeypatch.setenv("LUNARFORGE_THREADS", workers)
+    assert main(CRITERION_09_ARGS + ["--out", str(tmp_path / "run")]) == 0
+    assert renderer_pools == pools
 
 
 def test_criterion_10_degenerate_inputs(tmp_path, nadir_gt_pair):

@@ -44,7 +44,8 @@ def test_generate_deterministic_trees(tmp_path):
 
 
 def test_generate_worker_count_invariance(tmp_path, monkeypatch):
-    # 64 rows make two row bands, so every count above 1 opens the pool.
+    # At 64 px a view is one band on 1 thread and as many bands as threads
+    # above that, so every count above 1 opens the pool.
     trees = []
     for threads in ("1", "2", "8"):
         monkeypatch.setenv("LUNARFORGE_THREADS", threads)
@@ -54,25 +55,9 @@ def test_generate_worker_count_invariance(tmp_path, monkeypatch):
     assert trees[0] == trees[1] == trees[2]
 
 
-@pytest.fixture
-def renderer_pools(monkeypatch):
-    """max_workers of every thread pool the renderer opens."""
-    import lunarforge.renderer as renderer
-
-    seen = []
-
-    class Recording(renderer.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            seen.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(renderer, "ThreadPoolExecutor", Recording)
-    return seen
-
-
 def test_generate_three_pairs_match_serial(tmp_path, monkeypatch, renderer_pools):
-    # Pairs render one after another, each view splitting its 64 rows (two
-    # row bands) over LUNARFORGE_THREADS threads.
+    # Pairs render one after another, each view splitting its 64 rows into
+    # bands over LUNARFORGE_THREADS threads (8 bands of 8 rows at 8).
     argv = GEN_ARGS + ["--pairs", "3", "--res", "64", "--lighting", "side"]
     trees = {}
     for threads in (1, 8):
@@ -96,6 +81,18 @@ def test_render_pair_lone_pair_uses_every_worker(tmp_path, monkeypatch, renderer
         trees.append(tree_digest(tmp_path / threads))
     assert renderer_pools == [8, 8]  # both views of the one pair
     assert trees[0] == trees[1] == trees[2]
+
+
+def test_generate_trees_match_under_every_band_plan(tmp_path, monkeypatch):
+    # At 96 px a view is 2 bands of 48 rows at 1 and 2 threads (serial at 1),
+    # 3 bands of 32 at 3 threads and 8 bands of 12 at 8.
+    trees = []
+    for threads in ("1", "2", "3", "8"):
+        monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+        out = tmp_path / f"w{threads}"
+        assert run(GEN_ARGS + ["--res", "96", "--lighting", "side", "--out", str(out)]) == 0
+        trees.append(tree_digest(out))
+    assert trees[0] == trees[1] == trees[2] == trees[3]
 
 
 SCENE_ARGV = {

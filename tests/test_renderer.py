@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from lunarforge._heightfield import intersect_rays
 from lunarforge.camera import Intrinsics, Pose, camera_dirs
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.pose import essential_from_poses
-from lunarforge.renderer import CameraBelowTerrainError, exposure_gain
+from lunarforge.renderer import BAND_PIXELS, CameraBelowTerrainError, _render_band, _row_bands, exposure_gain
 from lunarforge.trajectory import lighting_preset
 
 SUN = SunConfig(azimuth=150.0, elevation=30.0)
@@ -156,6 +158,64 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
     assert newly_shadowed.sum() > 0.05 * images[high].size
 
 
+def test_row_bands_partition_the_rows():
+    grid = itertools.product([1, 2, 5, 32, 64, 96, 127, 128, 192, 300, 512, 1000],
+                             [1, 32, 96, 128, 192, 512, 8191, 8192, 9000], [1, 2, 3, 4, 8])
+    for height, width, threads in grid:
+        bands = _row_bands(height, width, threads)
+        assert bands[0].start == 0 and bands[-1].stop == height
+        assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
+        rows = [b.stop - b.start for b in bands]
+        assert min(rows) >= 1 and max(rows) - min(rows) <= 1
+        assert len(bands) % threads == 0 or len(bands) == height
+        assert max(rows) * width <= BAND_PIXELS or max(rows) == 1
+        # The fewest such bands: with one round of threads fewer, a band
+        # would be too large.
+        fewer = len(bands) - threads
+        assert fewer < 1 or -(-height // fewer) * width > BAND_PIXELS
+
+
+@pytest.mark.parametrize("size, threads, count, rows", [
+    (128, 2, 2, 64), (192, 2, 6, 32), (512, 2, 32, 16), (32, 8, 8, 4), (32, 1, 1, 32), (128, 1, 2, 64),
+])
+def test_row_bands_of_the_benchmark_views(size, threads, count, rows):
+    bands = _row_bands(size, size, threads)
+    assert len(bands) == count
+    assert {b.stop - b.start for b in bands} == {rows}
+
+
+def test_band_peak_memory_per_jittered_ray():
+    """Traced peak of one 64-row band of generate's default 128 px oblique
+    scene (band 0, seed 22, PSF 0.5 px, 4 rays per pixel, side sun): every
+    stage frees what it no longer needs, about 210 B per PSF ray."""
+    import tracemalloc
+
+    from lunarforge._heightfield import prepare_shadows
+    from lunarforge.radiometry import sun_direction
+    from lunarforge.renderer import _psf_jitter
+
+    seed = 22 * 100003  # generate's seed for pair 0 of band 0 under --seed 22
+    dem = synth_dem_for_band("oblique", 0, seed=22, size=160)
+    _, rig = sample_pair("oblique", seed, 0, dem, width=128, height=128, psf_sigma=0.5, rays_per_pixel=4)
+    sun = lighting_preset("side")
+    prepare_shadows(dem, sun_direction(sun))
+    jitter = _psf_jitter(seed, 0, 128, 128, 4, 0.5)
+    band = slice(0, 64)
+
+    def render():
+        return _render_band(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, jitter, band, True)
+
+    render()  # the DEM's cached bounds, outside the measurement
+    tracemalloc.start()
+    try:
+        radiance, _ = render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (radiance > 0).mean() > 0.5  # a lit band: the shading ran
+    assert peak / (64 * 128 * 4) <= 300
+
+
 def test_render_deterministic_across_runs_and_workers(monkeypatch):
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     spec, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)
@@ -217,7 +277,7 @@ def sweeps(monkeypatch):
 def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
     monkeypatch.setenv("LUNARFORGE_THREADS", workers)
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
-    _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # two row bands
+    _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # 1 band at 1 thread, 8 at 8
     render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1)
     assert len(sweeps) == 1
 

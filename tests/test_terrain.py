@@ -231,6 +231,29 @@ def test_crater_extrema_scan():
     assert 16.0 < r_max < 24.0  # global maximum on the rim annulus
 
 
+def test_add_crater_is_bitwise_the_out_of_place_expression():
+    # The in-place rim must round exactly as the expression it replaced.
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        h, w = rng.integers(16, 80, 2)
+        cell = rng.uniform(0.5, 30.0)
+        xs, ys = np.arange(w) * cell, np.arange(h) * cell
+        z = rng.normal(0.0, 50.0, (h, w))
+        # Centres may fall outside the grid, radii may exceed it.
+        cx, cy = rng.uniform(-0.2, 1.2) * w * cell, rng.uniform(-0.2, 1.2) * h * cell
+        radius = rng.uniform(0.02, 0.8) * min(h, w) * cell
+        depth, rim_height, rim_sigma = rng.uniform(0.0, 0.3) * radius, rng.uniform(0.0, 0.1) * radius, rng.uniform(0.05, 0.4) * radius
+
+        want = z.copy()
+        r = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
+        inside = r < radius
+        want[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
+        want += rim_height * np.exp(-(((r - radius) / rim_sigma) ** 2))
+
+        add_crater(z, xs, ys, cx, cy, radius, depth, rim_height, rim_sigma)
+        assert z.tobytes() == want.tobytes()
+
+
 def test_synth_single_crater_structure():
     dem = synth_crater_dem(5, 64, 64, 1.0, crater_count=1, fractal_octaves=0)
     z = dem.elevations
