@@ -38,6 +38,28 @@ The walk keeps its state only for the live rays, cut down one array at a
 time on each step that ends one, and reads the cell grids through flat
 indices.  All arithmetic is elementwise per ray, so results are bitwise
 identical regardless of how rays are batched or tiled.
+
+Each step moves every live ray into its next cell without a branch:
+ix += step_x * go_x and t_max_x += t_delta_x * go_x, and the same on y with
+the negated mask.  Whether a ray steps in x or y changes from ray to ray, and
+numpy's masked in-place add (where=) is many times slower on such an
+incoherent mask than a multiply and a plain add; adding 0 leaves the other
+axis's values as they were (up to the sign of a zero t_max, which compares
+equal).  t_delta = |cell_size / d| is clamped to the
+largest finite float, so a ray parallel to an axis (or with a component so
+small that the quotient overflows, which the walk treats as parallel) never
+forms inf * 0 = NaN; the clamped values exceed any t_stop, as inf did.
+
+A ray that starts below the surface is a hit at its start (the
+self-intersection guard for biased shadow rays).  Its start point is blended
+only when it can be below: when it lies no higher than its cell's highest
+corner plus a rounding margin, or off the grid by a rounding error, where
+bilinear extrapolates.  Primary rays start at the zmax plane and are almost
+never such candidates.  The margin is needed: a blend of four equal corners
+rounds above them in about one draw in ten, by up to 2 ulps.  Each weight
+and product rounds, so a blend exceeds its highest corner by less than 8
+unit roundoffs of the largest corner magnitude; the margin, 1e-14 times the
+largest elevation magnitude, is about 90 of them.
 """
 
 from __future__ import annotations
@@ -168,7 +190,16 @@ def _clip(dem: DemGrid, o: np.ndarray, d: np.ndarray):
     return ids, t_enter[ids], t_stop[ids]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+def _columns(a: np.ndarray, ids: np.ndarray):
+    """The x, y and z columns of rows ids of the (N, 3) array a.  A row
+    broadcast to every ray (stride 0: one camera's origin, the sun's
+    direction) is filled in rather than gathered."""
+    if a.strides[0] == 0 and len(a):
+        return tuple(np.full(len(ids), a[0, k]) for k in range(3))
+    return tuple(a[ids, k] for k in range(3))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     """DDA over the cells each ray crosses inside its _clip stretch.  Returns
     (rows, t) of the rays that hit, rows indexing o and d."""
@@ -177,27 +208,41 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     if ceiling is not None:
         ceiling = ceiling.ravel()
     ids, t, t_stop = _clip(dem, o, d)
-    ox, oy, oz = (o[ids, k] for k in range(3))
-    dx, dy, dz = (d[ids, k] for k in range(3))
-
-    # Immediate hit when the ray already starts at/below the surface inside
-    # the footprint (self-intersection guard for biased shadow rays).
-    z = oz + dz * t
-    fx = (ox + dx * t - dem.origin_x) / cs
-    fy = (oy + dy * t - dem.origin_y) / cs
-    below = z - bilinear(dem.elevations, fx, fy) < 0
-    hit_rows, hit_t = [np.flatnonzero(below)], [t[below]]
+    ox, oy, oz = _columns(o, ids)
+    dx, dy, dz = _columns(d, ids)
 
     # The walk state of the live rays; ray maps them back to rows of ids.
     ray = np.arange(len(ids))
+    z = oz + dz * t
+    fx = (ox + dx * t - dem.origin_x) / cs
+    fy = (oy + dy * t - dem.origin_y) / cs
     ix = np.clip(np.floor(fx).astype(np.int64), 0, w - 2)
     iy = np.clip(np.floor(fy).astype(np.int64), 0, h - 2)
-    del fx, fy
+
+    # Immediate hit when the ray already starts below the surface inside
+    # the footprint (self-intersection guard for biased shadow rays).  Only a
+    # start no higher than its cell's highest corner plus the blend's rounding
+    # margin, or off the grid by a rounding error (where bilinear
+    # extrapolates), can be below, so only those candidates are blended.
+    margin = 1e-14 * max(abs(v) for v in dem.z_range)
+    below = np.zeros(len(ids), dtype=bool)
+    cand = np.flatnonzero((z <= cellmax[iy * (w - 1) + ix] + margin)
+                          | (fx < 0) | (fx > w - 1) | (fy < 0) | (fy > h - 1))
+    below[cand] = z[cand] - bilinear(dem.elevations, fx[cand], fy[cand]) < 0
+    del fx, fy, cand
+    hit_rows, hit_t = [np.flatnonzero(below)], [t[below]]
+
     # Steps fit in int8; cell indices stay int64, as a DEM may exceed 2**31 cells.
     step_x, step_y = (np.where(c > 0, np.int8(1), np.int8(-1)) for c in (dx, dy))
+    # A ray parallel to an axis, or so nearly that cs / |d| overflows, never
+    # crosses a boundary on it.  t_delta is clamped to the largest float, so
+    # that its t_delta * 0 in the branch-free advance is 0, not inf * 0 = NaN.
+    big = np.finfo(np.float64).max
     t_delta_x, t_delta_y = np.abs(cs / dx), np.abs(cs / dy)
-    t_max_x = np.where(dx != 0, (dem.origin_x + (ix + (step_x > 0)) * cs - ox) / dx, np.inf)
-    t_max_y = np.where(dy != 0, (dem.origin_y + (iy + (step_y > 0)) * cs - oy) / dy, np.inf)
+    t_max_x = np.where(t_delta_x <= big, (dem.origin_x + (ix + (step_x > 0)) * cs - ox) / dx, np.inf)
+    t_max_y = np.where(t_delta_y <= big, (dem.origin_y + (iy + (step_y > 0)) * cs - oy) / dy, np.inf)
+    np.minimum(t_delta_x, big, out=t_delta_x)
+    np.minimum(t_delta_y, big, out=t_delta_y)
     # The ray in cell units, (pu + bu t, pv + bv t), for the crossing test.
     pu, pv = (ox - dem.origin_x) / cs, (oy - dem.origin_y) / cs
     bu, bv = dx / cs, dy / cs
@@ -255,11 +300,11 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
         t, z = t1, z1
         del t1, z1
         go_x = t_max_x <= t_max_y
-        np.add(ix, step_x, out=ix, where=go_x)
-        np.add(t_max_x, t_delta_x, out=t_max_x, where=go_x)
+        ix += step_x * go_x
+        t_max_x += t_delta_x * go_x
         np.logical_not(go_x, out=go_x)
-        np.add(iy, step_y, out=iy, where=go_x)
-        np.add(t_max_y, t_delta_y, out=t_max_y, where=go_x)
+        iy += step_y * go_x
+        t_max_y += t_delta_y * go_x
         del go_x
         end |= (ix.view(np.uint64) > w - 2) | (iy.view(np.uint64) > h - 2)
     return ids[np.concatenate(hit_rows)], np.concatenate(hit_t)
@@ -269,11 +314,12 @@ def _cell_hits(e, w, sel, r, ix, iy, pu, pv, bu, bv, oz, dz, t0, t1):
     """Crossing test of the walk's rays sel, rays r, over their segments t0..t1
     in cells (ix, iy) of a grid w wide with flat elevations e; in cell units
     ray r is (pu + bu t, pv + bv t), at height oz + dz t.  Returns (found,
-    t): the segments that dip below the cell's bilinear patch, and where
-    each first does.  Each gathered temporary is dropped once it is used."""
+    t): the positions in sel of the segments that dip below the cell's
+    bilinear patch, and where each first does.  Each gathered temporary is
+    dropped once it is used."""
     cx, cy = ix[sel], iy[sel]
     k = cy * w + cx
-    z00, z10, z01, z11 = e[k], e[k + 1], e[k + w], e[k + w + 1]
+    z00, z10, z01, z11 = e[k], e[1:][k], e[w:][k], e[w + 1:][k]
     del k
     alpha = z10 - z00
     beta = z01 - z00
@@ -290,16 +336,16 @@ def _cell_hits(e, w, sel, r, ix, iy, pu, pv, bu, bv, oz, dz, t0, t1):
     t0, t1 = t0[sel], t1[sel]
 
     f1 = (qa * t1 + qb) * t1 + qc
-    tv = np.where(qa != 0, -qb / (2 * qa), np.nan)
+    tv = qb / (-2 * qa)
     fv = (qa * tv + qb) * tv + qc
     end_cross = f1 < 0
     del f1
-    found = end_cross | ((tv > t0) & (tv < t1) & (fv < 0))
+    found = np.flatnonzero(end_cross | ((tv > t0) & (tv < t1) & (fv < 0)))
     del fv
-    if not found.any():
+    if not found.size:
         return found, t0[found]
+    hi = np.where(end_cross, t1, tv)[found]
     qa, qb, qc, lo = qa[found], qb[found], qc[found], t0[found]
-    hi = np.where(end_cross[found], t1[found], tv[found])
     # The hit is the downward root (f' = -sqrt(disc)) of
     # f(lo + s) = qa s^2 + b s + c, taken from the cancellation-free form of
     # the quadratic formula; c/q is also the root of a planar cell (qa = 0).

@@ -86,10 +86,12 @@ def read_f32_raster(path):
 
 
 def write_correspondences_csv(path, pairs: np.ndarray) -> None:
-    lines = ["u1,v1,u2,v2"]
-    for u1, v1, u2, v2 in np.asarray(pairs, dtype=np.float64).reshape(-1, 4):
-        lines.append(f"{u1:.6f},{v1:.6f},{u2:.6f},{v2:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # One format string over Python floats: "%.6f" of a float is the same
+    # text as the ".6f" format of its np.float64, without a numpy scalar
+    # per value.
+    values = np.asarray(pairs, dtype=np.float64).reshape(-1, 4)
+    body = ("%.6f,%.6f,%.6f,%.6f\n" * len(values)) % tuple(values.ravel().tolist())
+    Path(path).write_text("u1,v1,u2,v2\n" + body)
 
 
 def read_correspondences_csv(path) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Ray-traced images, ray-depth maps, pointmaps, and ground-truth correspondences.
 
 Rendering is a pure function of (scene, rig, seed): PSF jitter comes from a
-single pre-generated stream keyed by (seed, view id), pixels are partitioned
-into row bands whose outputs land in disjoint buffer slices, and no
-cross-pixel reductions occur, so results are bitwise identical for any worker
-count and across runs.
+single stream keyed by (seed, view id), pixels are partitioned into row bands
+whose outputs land in disjoint buffer slices, and no cross-pixel reductions
+occur, so results are bitwise identical for any worker count and across runs.
+Each band draws its own jitter, on its own thread: it advances the view's
+stream to the band's first row and draws exactly the numbers a whole-view
+draw would have given its rows, so no view-sized jitter array is ever held.
 
 Each view splits into the fewest equal, contiguous row bands of at most
 BAND_PIXELS pixels whose count is a multiple of the thread count
@@ -77,11 +79,20 @@ def _row_bands(height: int, width: int, workers: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigma: float) -> np.ndarray:
-    """(H, W, rpp, 2) Gaussian pixel offsets; stratified when rpp is square."""
+def _psf_jitter(seed: int, view_id: int, rows: slice, width: int, rpp: int, sigma: float) -> np.ndarray:
+    """(rows, W, rpp, 2) Gaussian pixel offsets of one row band of a view;
+    stratified when rpp is square.
+
+    A view's offsets are one row-major draw from the stream keyed by (seed,
+    view id).  Each double takes one PCG64 output, so the band advances the
+    stream past the rows above it and draws exactly its own part of that
+    draw."""
+    height = rows.stop - rows.start
     if sigma == 0:
         return np.zeros((height, width, rpp, 2))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(view_id), 0x5AF)))
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), int(view_id), 0x5AF)))
+    bits.advance(rows.start * width * rpp * 2)
+    rng = np.random.Generator(bits)
     k = int(round(math.sqrt(rpp)))
     if k * k == rpp:
         base = np.stack(
@@ -95,8 +106,9 @@ def _psf_jitter(seed: int, view_id: int, height: int, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
-    """Render one horizontal band of rows; returns (radiance, depth) arrays."""
+def _render_band(dem, intr, pose, sun, hapke, psf, rows, compute_image):
+    """Render one horizontal band of rows; returns (radiance, depth) arrays.
+    psf is (seed, view id, rays per pixel, sigma) of the view's PSF jitter."""
     h = rows.stop - rows.start
     w = intr.width
     vv, uu = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
@@ -109,10 +121,11 @@ def _render_band(dem, intr, pose, sun, hapke, jitter, rows, compute_image):
         return np.zeros((h, w)), depth
 
     del t, hit
-    rpp = jitter.shape[2]
-    us = np.repeat(uu.ravel(), rpp) + jitter[rows, :, :, 0].reshape(-1)
-    vs = np.repeat(vv.ravel(), rpp) + jitter[rows, :, :, 1].reshape(-1)
-    del uu, vv
+    seed, view_id, rpp, sigma = psf
+    jitter = _psf_jitter(seed, view_id, rows, w, rpp, sigma)
+    us = np.repeat(uu.ravel(), rpp) + jitter[..., 0].reshape(-1)
+    vs = np.repeat(vv.ravel(), rpp) + jitter[..., 1].reshape(-1)
+    del uu, vv, jitter
     origins, dirs = pixel_rays(intr, pose, us, vs)
     del us, vs
     jt, jhit = _heightfield.intersect_rays(dem, origins, dirs)
@@ -147,12 +160,9 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
         if center[2] <= ground:
             raise CameraBelowTerrainError("camera center is below the terrain surface")
 
-    jitter = None
-    if compute_image:  # shadow rays' (DEM, sun) data before this view's buffers; PSF jitter
+    if compute_image:  # shadow rays' (DEM, sun) data before this view's buffers
         _heightfield.prepare_shadows(dem, sun_direction(sun))
-        if psf_sigma == 0:
-            rays_per_pixel = 1
-        jitter = _psf_jitter(seed, view_id, intr.height, intr.width, rays_per_pixel, psf_sigma)
+    psf = (seed, view_id, 1 if psf_sigma == 0 else rays_per_pixel, psf_sigma)
     radiance = np.zeros((intr.height, intr.width))
     depth = np.zeros((intr.height, intr.width))
 
@@ -160,7 +170,7 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     bands = _row_bands(intr.height, intr.width, n_workers)
 
     def run(band):
-        return band, _render_band(dem, intr, pose, sun, hapke, jitter, band, compute_image)
+        return band, _render_band(dem, intr, pose, sun, hapke, psf, band, compute_image)
 
     if n_workers == 1 or len(bands) == 1:
         results = [run(b) for b in bands]

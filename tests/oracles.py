@@ -59,7 +59,7 @@ def _first_hits(dem, o, d):
     cs = dem.cell_size
     zmin = float(np.nanmin(dem.elevations))
     zmax = float(np.nanmax(dem.elevations))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Where the stretch ends: footprint exit and leaving the elevation range.
         t_end = np.full(len(o), np.inf)
         for k, lo, hi in ((0, dem.x_min, dem.x_max), (1, dem.y_min, dem.y_max), (2, zmin, zmax)):

@@ -114,6 +114,35 @@ def test_criterion_03_intersection_oracle():
     report(3, "10,000 random rays per crater DEM agree with the per-cell oracle", check)
 
 
+def test_criterion_03_tolerance_holds_for_grazing_rays():
+    """Criterion 03's check, hit/miss exact and t within 2e-3 cell, for
+    descending rays 50-89.5 degrees from the zenith, where the DDA alternates
+    most between x and y steps.  Half start just above zmax and half just
+    above the local terrain, so that most of them hit while still grazing."""
+    from lunarforge._heightfield import intersect_rays
+
+    rng = np.random.default_rng(2025)
+    for seed in (0, 1, 2):
+        dem = synth_crater_dem(seed, 96, 96, 5.0, 4, 4)
+        n = 3000
+        margin = 2 * dem.cell_size
+        x = rng.uniform(dem.x_min + margin, dem.x_max - margin, n)
+        y = rng.uniform(dem.y_min + margin, dem.y_max - margin, n)
+        zmax = float(dem.elevations.max())
+        z = np.where(np.arange(n) % 2 == 0, zmax, oracles.bilinear(dem, x, y))
+        z = z + rng.uniform(0.01, 2.0, n) * dem.cell_size
+        zen = np.radians(rng.uniform(50.0, 89.5, n))
+        az = rng.uniform(0, 2 * np.pi, n)
+        dirs = np.column_stack([np.sin(zen) * np.cos(az), np.sin(zen) * np.sin(az), -np.cos(zen)])
+        origins = np.column_stack([x, y, z])
+        t_fast, hit_fast = intersect_rays(dem, origins, dirs)
+        t_ref, hit_ref = oracles.brute_force_hits(dem, origins, dirs)
+        assert np.array_equal(hit_fast, hit_ref)
+        assert 0.5 < hit_fast.mean() < 1.0
+        err = np.abs(t_fast[hit_fast] - t_ref[hit_ref])
+        assert err.max() <= 2e-3 * dem.cell_size, err.max()
+
+
 def test_criterion_04_pose_recovery_closed_loop():
     def check():
         dem_cache = {}

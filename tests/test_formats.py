@@ -89,6 +89,21 @@ def test_correspondences_csv_round_trip(tmp_path):
     assert empty.shape == (0, 4)
 
 
+def test_correspondences_csv_bytes_match_per_row_numpy_formatting(tmp_path):
+    """The file is byte for byte what formatting each row's np.float64
+    values with a ".6f" f-string gives."""
+    edges = [-0.0, -1e-9, 0.0, 0.0000005, 0.0000015, 2.5e-7, 1.0000005, 0.1234565,
+             127.0, 127.4999995, 191.0, 511.0, 511.9999995, 1e6, 1e6 + 0.5e-6]
+    rng = np.random.default_rng(3)
+    pairs = np.concatenate([np.resize(edges, (len(edges), 4)),
+                            np.array(edges).reshape(-1, 1).repeat(4, axis=1),
+                            rng.uniform(0, 512, (200, 4))])
+    expected = "u1,v1,u2,v2\n" + "".join(f"{a:.6f},{b:.6f},{c:.6f},{d:.6f}\n" for a, b, c, d in pairs)
+    path = tmp_path / "c.csv"
+    formats.write_correspondences_csv(path, pairs)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         formats.write_json(tmp_path / "x.json", {"v": float("nan")})

@@ -242,6 +242,85 @@ def test_intersect_rays_does_not_depend_on_batching():
                           sun_ceiling(dem, s), rng)
 
 
+# Horizontal direction components for which cell_size / d overflows or is
+# infinite: the walk must treat such a ray as parallel to that axis.
+TINY_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_axis_parallel_and_subnormal_rays_match_the_oracle(axis):
+    """Rays whose dx (or dy) is 0, -0 or subnormal, descending from above
+    zmax or from just above the surface, and ascending from half a cell off
+    it as shadow rays do, agree with the per-cell oracle (hit/miss exactly, t
+    to 2e-3 cell) and do not depend on batching."""
+    rng = np.random.default_rng(17 + axis)
+    base = synth_crater_dem(9, 33, 27, 5.0, 3, 3)
+    dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
+                  origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=base.elevations)
+    n = 300
+    margin = 0.5 * dem.cell_size
+    x = rng.uniform(dem.x_min + margin, dem.x_max - margin, n)
+    y = rng.uniform(dem.y_min + margin, dem.y_max - margin, n)
+    zen = np.radians(rng.uniform(0.0, 89.0, n))
+    side = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    dirs = np.zeros((n, 3))
+    dirs[:, 1 - axis] = side * np.sin(zen)
+    dirs[:, axis] = np.resize(TINY_COMPONENTS, n)
+    dirs[:, 2] = -np.cos(zen)
+    ground = oracles.bilinear(dem, x, y)
+    zmax = float(dem.elevations.max())
+    z = np.where(np.arange(n) % 3 == 0, zmax + rng.uniform(0.1, 5.0, n) * dem.cell_size,
+                 ground + rng.uniform(0.2, 3.0, n) * dem.cell_size)
+    up = np.arange(n) % 3 == 2  # shadow-like rays
+    dirs[up, 2] *= -1.0
+    z[up] = ground[up] + 0.5 * dem.cell_size
+    origins = np.column_stack([x, y, z])
+    assert (dirs[:, axis] == np.resize(TINY_COMPONENTS, n)).all()
+
+    t, hit = intersect_rays(dem, origins, dirs)
+    t_ref, hit_ref = oracles.brute_force_hits(dem, origins, dirs)
+    assert np.array_equal(hit, hit_ref)
+    assert np.abs(t[hit] - t_ref[hit]).max() <= 2e-3 * dem.cell_size
+    _assert_batching_free(dem, origins, dirs, None, rng)
+
+
+def _flat_cell_start(z_offset_ulps):
+    """A 4x4 DEM whose cell (1, 1) has four corners at one height H (a
+    higher corner elsewhere lifts zmax above H), and a point of that cell
+    where the bilinear blend of the four equal corners rounds two ulps above
+    H.  Returns (dem, start point at H plus z_offset_ulps ulps, its blend)."""
+    from lunarforge.terrain import bilinear
+
+    h = 1234.567
+    e = np.full((4, 4), h)
+    e[0, 0] = h + 50.0
+    dem = DemGrid(width=4, height=4, cell_size=CELL, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    rng = np.random.default_rng(5)
+    x = dem.origin_x + (1.0 + rng.random(200_000)) * CELL
+    y = dem.origin_y + (1.0 + rng.random(200_000)) * CELL
+    # The grid coordinates the walk computes for a ray that starts at (x, y).
+    blend = bilinear(dem.elevations, (x - dem.origin_x) / CELL, (y - dem.origin_y) / CELL)
+    k = int(np.flatnonzero(blend >= np.nextafter(np.nextafter(h, np.inf), np.inf))[0])
+    z = h
+    for _ in range(z_offset_ulps):
+        z = np.nextafter(z, np.inf)
+    return dem, np.array([x[k], y[k], z]), float(blend[k])
+
+
+@pytest.mark.parametrize("z_offset_ulps", [0, 1])
+def test_a_start_below_the_rounded_blend_of_a_flat_cell_is_an_immediate_hit(z_offset_ulps):
+    """A ray starting at (0 ulps) or just above (1 ulp) its cell's highest
+    corner, where the blend of the cell's four equal corners rounds above
+    that corner and above the start: the start is below the surface that
+    z - bilinear(...) < 0 defines, so the ray hits at t = 0, even while it
+    climbs away from the cell."""
+    dem, origin, blend = _flat_cell_start(z_offset_ulps)
+    assert origin[2] - blend < 0 and origin[2] >= dem.elevations[1, 1]
+    for direction in ([0.6, 0.0, 0.8], [0.0, 0.0, -1.0], [0.48, 0.36, -0.8]):
+        t, hit = intersect_rays(dem, origin[None, :], np.array([direction]))
+        assert hit[0] and t[0] == 0.0, (direction, t[0])
+
+
 CEILING_ELEVATIONS = [1.0, 2.0, 5.0, 15.0, 45.0, 89.5, 90.0]
 # Axis-aligned and diagonal suns are the sweep's edge cases (drift 0 and 1);
 # None draws a random azimuth.

@@ -20,7 +20,14 @@ from lunarforge._heightfield import intersect_rays
 from lunarforge.camera import Intrinsics, Pose, camera_dirs
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.pose import essential_from_poses
-from lunarforge.renderer import BAND_PIXELS, CameraBelowTerrainError, _render_band, _row_bands, exposure_gain
+from lunarforge.renderer import (
+    BAND_PIXELS,
+    CameraBelowTerrainError,
+    _render_band,
+    _row_bands,
+    exposure_gain,
+    resolve_workers,
+)
 from lunarforge.trajectory import lighting_preset
 
 SUN = SunConfig(azimuth=150.0, elevation=30.0)
@@ -186,24 +193,23 @@ def test_row_bands_of_the_benchmark_views(size, threads, count, rows):
 
 def test_band_peak_memory_per_jittered_ray():
     """Traced peak of one 64-row band of generate's default 128 px oblique
-    scene (band 0, seed 22, PSF 0.5 px, 4 rays per pixel, side sun): every
-    stage frees what it no longer needs, about 210 B per PSF ray."""
+    scene (band 0, seed 22, PSF 0.5 px, 4 rays per pixel, side sun), the
+    band's own PSF jitter draw included: every stage frees what it no longer
+    needs, about 210 B per PSF ray."""
     import tracemalloc
 
     from lunarforge._heightfield import prepare_shadows
     from lunarforge.radiometry import sun_direction
-    from lunarforge.renderer import _psf_jitter
 
     seed = 22 * 100003  # generate's seed for pair 0 of band 0 under --seed 22
     dem = synth_dem_for_band("oblique", 0, seed=22, size=160)
     _, rig = sample_pair("oblique", seed, 0, dem, width=128, height=128, psf_sigma=0.5, rays_per_pixel=4)
     sun = lighting_preset("side")
     prepare_shadows(dem, sun_direction(sun))
-    jitter = _psf_jitter(seed, 0, 128, 128, 4, 0.5)
-    band = slice(0, 64)
+    band = slice(64, 128)  # the second band, whose draw skips the first's
 
     def render():
-        return _render_band(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, jitter, band, True)
+        return _render_band(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, (seed, 0, 4, 0.5), band, True)
 
     render()  # the DEM's cached bounds, outside the measurement
     tracemalloc.start()
@@ -289,6 +295,31 @@ def test_depth_only_render_sweeps_no_ceiling(sweeps):
     assert sweeps == []
 
 
+def _whole_view_jitter(seed, view_id, height, width, rpp, sigma):
+    """A view's PSF offsets drawn in one piece: the stream keyed by (seed,
+    view id) in row-major order, stratified when rpp is square."""
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, view_id, 0x5AF)))
+    k = int(round(np.sqrt(rpp)))
+    u = rng.random((height, width, rpp, 2))
+    if k * k == rpp:
+        u = (np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), axis=-1).reshape(rpp, 2) + u) / k
+    return sigma * ndtri(np.clip(u, 1e-9, 1 - 1e-9))
+
+
+@pytest.mark.parametrize("rpp", [1, 3, 4, 9])
+@pytest.mark.parametrize("height, width", [(128, 128), (192, 192), (37, 50)])
+def test_band_jitter_draws_concatenate_to_the_whole_view_draw(height, width, rpp):
+    from lunarforge.renderer import _psf_jitter
+
+    whole = _whole_view_jitter(11, 1, height, width, rpp, 0.5)
+    for workers in (1, 2, 3, 8):
+        bands = _row_bands(height, width, workers)
+        drawn = np.concatenate([_psf_jitter(11, 1, rows, width, rpp, 0.5) for rows in bands])
+        assert drawn.tobytes() == whole.tobytes(), (workers, len(bands))
+
+
 @pytest.mark.parametrize("compute_image, calls", [(False, 0), (True, 2)])
 def test_psf_jitter_is_drawn_only_for_shaded_views(monkeypatch, compute_image, calls):
     from lunarforge import renderer
@@ -304,7 +335,8 @@ def test_psf_jitter_is_drawn_only_for_shaded_views(monkeypatch, compute_image, c
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
     render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1, compute_image=compute_image)
-    assert len(seen) == calls
+    # calls views, each drawn one row band at a time
+    assert len(seen) == calls * len(_row_bands(32, 32, resolve_workers()))
 
 
 def test_shadow_tests_under_one_sun_sweep_once(sweeps):
