@@ -25,7 +25,6 @@ from .renderer import (
     depth_to_pointmap,
     gt_correspondences,
     render_pair,
-    render_view,
 )
 from .terrain import DemGrid, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
 from .trajectory import TrajectorySpec, lighting_preset, sample_pair
@@ -39,7 +38,7 @@ __all__ = [
     "EssentialEstimate", "RansacParams", "SimilarityTransform", "estimate_essential",
     "ransac_align", "rra", "rta", "solve_pnp", "umeyama",
     "HapkeParams", "SunConfig", "hapke_brdf", "shade_point", "shadow_test", "sun_direction",
-    "RenderProduct", "depth_to_pointmap", "gt_correspondences", "render_pair", "render_view",
+    "RenderProduct", "depth_to_pointmap", "gt_correspondences", "render_pair",
     "DemGrid", "hillshade", "load_dem", "sample_height", "slope_map",
     "surface_normal", "synth_crater_dem", "write_dem",
     "TrajectorySpec", "lighting_preset", "sample_pair",

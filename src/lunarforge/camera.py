@@ -81,10 +81,6 @@ class Pose:
         p = np.asarray(points, dtype=np.float64)
         return (p - self.translation) @ self.rotation
 
-    def camera_to_world(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
-
     def to_json_dict(self) -> dict:
         return {
             "rotation": [float(v) for v in self.rotation.reshape(-1)],

@@ -27,7 +27,7 @@ from .pose import pose_accuracy_table
 from .radiometry import HapkeParams, SunConfig
 from .renderer import depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
 from .terrain import DemGrid, hillshade, load_dem, slope_map, synth_crater_dem, write_dem
-from .trajectory import ALTITUDE_BANDS_M, KINDS, LIGHTING_PRESETS, lighting_preset, sample_pair
+from .trajectory import ALTITUDE_BANDS_M, FOV_DEG, KINDS, LIGHTING_PRESETS, lighting_preset, sample_pair
 
 
 class UsageError(ValueError):
@@ -47,13 +47,13 @@ class PairRecord:
     altitude_m: float
 
 
-def synth_extent_m(kind: str, band_index: int, fov_deg: float, allow_disjoint: bool) -> float:
+def synth_extent_m(kind: str, band_index: int, allow_disjoint: bool) -> float:
     """Tile width needed so both view frusta stay inside a synthetic DEM."""
     alt = ALTITUDE_BANDS_M[band_index] * 1.05
     if kind == "dynamic":
         alt *= 1.30
     tilt_max = 0.0 if kind == "nadir" else 35.0
-    half_fov = math.radians(fov_deg) / 2
+    half_fov = math.radians(FOV_DEG) / 2
     reach = alt * math.tan(math.radians(tilt_max) + half_fov)
     half = reach + 0.25 * alt
     if allow_disjoint:
@@ -65,13 +65,12 @@ def synth_dem_for_band(
     kind: str,
     band_index: int,
     seed: int,
-    fov_deg: float = 45.0,
     size: int = 160,
     craters: int = 6,
     octaves: int = 4,
     allow_disjoint: bool = False,
 ) -> DemGrid:
-    extent = synth_extent_m(kind, band_index, fov_deg, allow_disjoint)
+    extent = synth_extent_m(kind, band_index, allow_disjoint)
     cell = extent / (size - 1)
     return synth_crater_dem(seed, size, size, cell, craters, octaves)
 
@@ -369,7 +368,7 @@ def cmd_evaluate(args) -> int:
                 gt_shape = getattr(gt, f"pointmap_{view}").shape
                 if shape != gt_shape:
                     raise ValueError(f"pointmap_{view} has shape {shape}, ground truth {gt_shape}")
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             return record, None, {"type": type(exc).__name__, "detail": str(exc)}
         return record, evaluate_pair(pred, gt, seed=args.seed), None
 

@@ -8,7 +8,7 @@ reported through flags; no metric silently propagates NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
@@ -291,13 +291,6 @@ class MetricsReport:
     alignment: SimilarityTransform | None = None
     flags: dict = field(default_factory=dict)
 
-    _FIELDS = (
-        "accuracy_m", "completeness_m", "chamfer_m",
-        "accuracy_rel", "completeness_rel", "chamfer_rel",
-        "slope_corr", "slope_mae_deg", "profile_mae_m", "profile_corr",
-        "ssim", "si_loss", "rra_deg", "rta_deg",
-    )
-
     def to_json_dict(self) -> dict:
         out = {}
         for name in self._FIELDS:
@@ -309,6 +302,10 @@ class MetricsReport:
         out["alignment"] = self.alignment.to_json_dict() if self.alignment else "degenerate"
         out["flags"] = dict(self.flags)
         return out
+
+
+# The scalar metrics in report order: every field but the alignment and flags.
+MetricsReport._FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name not in ("alignment", "flags"))
 
 
 def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> MetricsReport:
@@ -355,55 +352,43 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
         except DegenerateMetricError as exc:
             report.flags["relative"] = str(exc)
 
-        # Dense per-view rasters of the aligned prediction, world frame.
-        slope_vals, slope_maes, ssim_vals, prof_maes, prof_corrs, si_vals = [], [], [], [], [], []
-        for pred_pm, gt_world, shared, gt_depth, gt_pose in (
-            (pred.pointmap_a, gt.pointmap_a, shared_a, gt.depth_a, gt.pose_a),
-            (pred.pointmap_b, gt.pointmap_b, shared_b, gt.depth_b, gt.pose_b),
+        # Dense per-view rasters of the aligned prediction, world frame: NaN
+        # off the shared mask, the aligned cloud scattered back onto it.
+        per_view: dict[str, list] = {}
+        start = 0
+        for gt_world, shared, gt_depth, gt_pose in (
+            (gt.pointmap_a, shared_a, gt.depth_a, gt.pose_a),
+            (gt.pointmap_b, shared_b, gt.depth_b, gt.pose_b),
         ):
-            if not shared.any():
+            count = int(shared.sum())
+            if not count:
                 continue
-            aligned = transform.apply(pred_pm.reshape(-1, 3)).reshape(pred_pm.shape)
-            pred_z = np.where(shared, aligned[..., 2], np.nan)
+            view_cloud = aligned_cloud[start:start + count]
+            start += count
+            aligned = np.full(gt_world.shape, np.nan)
+            aligned[shared] = view_cloud
             gt_z = np.where(shared, gt_world[..., 2], np.nan)
-            try:
-                corr, mae = slope_metrics(pred_z, gt_z, gt.gsd_m)
-                slope_vals.append(corr)
-                slope_maes.append(mae)
-            except DegenerateMetricError as exc:
-                report.flags.setdefault("slope", str(exc))
-            pred_depth = np.where(
-                shared, np.linalg.norm(aligned - gt_pose.translation, axis=-1), np.nan
-            )
+            pred_depth = np.linalg.norm(aligned - gt_pose.translation, axis=-1)
             gt_depth_m = np.where(shared, gt_depth, np.nan)
-            try:
-                ssim_vals.append(ssim_depth(pred_depth, gt_depth_m))
-            except DegenerateMetricError as exc:
-                report.flags.setdefault("ssim", str(exc))
-            try:
-                mae_p, corr_p = profile_metrics(pred_depth, gt_depth_m)
-                prof_maes.append(mae_p)
-                prof_corrs.append(corr_p)
-            except DegenerateMetricError as exc:
-                report.flags.setdefault("profile", str(exc))
-            # Pointmap loss in the ground-truth view-a frame, aligned prediction.
-            aligned_view1 = gt.pose_a.world_to_camera(aligned[shared])
+            # Pointmap loss in the ground-truth view-a frame.
+            aligned_view1 = gt.pose_a.world_to_camera(view_cloud)
             gt_view1 = gt.pose_a.world_to_camera(gt_world[shared])
-            try:
-                si_vals.append(scale_invariant_loss(aligned_view1, gt_view1))
-            except DegenerateMetricError as exc:
-                report.flags.setdefault("si_loss", str(exc))
-        if slope_vals:
-            report.slope_corr = float(np.mean(slope_vals))
-            report.slope_mae_deg = float(np.mean(slope_maes))
-        if ssim_vals:
-            report.ssim = float(np.mean(ssim_vals))
-        if prof_maes:
-            report.profile_mae_m = float(np.mean(prof_maes))
-        if prof_corrs:
-            report.profile_corr = float(np.mean(prof_corrs))
-        if si_vals:
-            report.si_loss = float(np.mean(si_vals))
+            # Built here so each metric is looked up when it is called.
+            for flag, names, metric, args in (
+                ("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, (aligned[..., 2], gt_z, gt.gsd_m)),
+                ("ssim", ("ssim",), ssim_depth, (pred_depth, gt_depth_m)),
+                ("profile", ("profile_mae_m", "profile_corr"), profile_metrics, (pred_depth, gt_depth_m)),
+                ("si_loss", ("si_loss",), scale_invariant_loss, (aligned_view1, gt_view1)),
+            ):
+                try:
+                    values = metric(*args)
+                except DegenerateMetricError as exc:
+                    report.flags.setdefault(flag, str(exc))
+                    continue
+                for name, value in zip(names, values if len(names) > 1 else (values,)):
+                    per_view.setdefault(name, []).append(value)
+        for name, values in per_view.items():
+            setattr(report, name, float(np.mean(values)))
 
     rel_gt = relative_pose(gt.pose_a, gt.pose_b)
     rel_pred = relative_pose(pred.pose_a, pred.pose_b)

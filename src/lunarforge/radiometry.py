@@ -13,7 +13,6 @@ Outgoing radiance is irradiance * mu0 * f; albedo is spatially constant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -70,10 +69,6 @@ class SunConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SunConfig":
         return cls(azimuth=d["azimuth"], elevation=d["elevation"], irradiance=d["irradiance"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SunConfig":
-        return cls.from_json_dict(json.loads(text))
 
 
 def h_function(x, w):

@@ -1,9 +1,13 @@
 """Ray-traced images, ray-depth maps, pointmaps, and ground-truth correspondences.
 
-Rendering is a pure function of (scene, rig, seed): PSF jitter comes from a
-single stream keyed by (seed, view id), pixels are partitioned into row bands
-whose outputs land in disjoint buffer slices, and no cross-pixel reductions
-occur, so results are bitwise identical for any worker count and across runs.
+render_pair is the one render call.  A view is (rig, view id): view 0 looks
+from the rig's pose_a and view 1 from its pose_b, with the rig's intrinsics,
+PSF sigma and rays per pixel.  Every view is shaded, and view b takes view a's
+exposure gain.  A view's radiance before the gain is a pure function of (DEM,
+rig, sun, seed, view id): PSF jitter comes from a single stream keyed by
+(seed, view id), pixels are partitioned into row bands whose outputs land in
+disjoint buffer slices, and no cross-pixel reductions occur, so results are
+bitwise identical for any worker count and across runs.
 Each band draws its own jitter, on its own thread: it advances the view's
 stream to the band's first row and draws exactly the numbers a whole-view
 draw would have given its rows, so no view-sized jitter array is ever held.
@@ -106,23 +110,22 @@ def _psf_jitter(seed: int, view_id: int, rows: slice, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, intr, pose, sun, hapke, psf, rows, compute_image):
-    """Render one horizontal band of rows; returns (radiance, depth) arrays.
-    psf is (seed, view id, rays per pixel, sigma) of the view's PSF jitter."""
+def _render_band(dem, rig, view_id, sun, hapke, seed, rows):
+    """Render one horizontal band of rows of one rig view; returns (radiance,
+    depth) arrays."""
+    intr = rig.intrinsics
+    pose = (rig.pose_a, rig.pose_b)[view_id]
     h = rows.stop - rows.start
     w = intr.width
+    rpp = rig.rays_per_pixel
     vv, uu = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
 
     # Central rays define the depth channel.
     t, hit = _heightfield.intersect_rays(dem, *pixel_rays(intr, pose, uu.ravel(), vv.ravel()))
     depth = np.where(hit, t, np.nan).reshape(h, w)
-
-    if not compute_image:
-        return np.zeros((h, w)), depth
-
     del t, hit
-    seed, view_id, rpp, sigma = psf
-    jitter = _psf_jitter(seed, view_id, rows, w, rpp, sigma)
+
+    jitter = _psf_jitter(seed, view_id, rows, w, rpp, rig.psf_sigma)
     us = np.repeat(uu.ravel(), rpp) + jitter[..., 0].reshape(-1)
     vs = np.repeat(vv.ravel(), rpp) + jitter[..., 1].reshape(-1)
     del uu, vv, jitter
@@ -145,12 +148,14 @@ def _render_band(dem, intr, pose, sun, hapke, psf, rows, compute_image):
     return radiance, depth
 
 
-def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, compute_image):
-    """Render one view over row bands; returns (RenderProduct, the gain applied).
+def _render(dem, rig, view_id, sun, hapke, seed, gain):
+    """Render view view_id (0 = a, 1 = b) of the rig over row bands; returns
+    (RenderProduct, the gain applied).
 
     gain None derives it from this view's own radiance (see exposure_gain).
-    compute_image False renders depth only.
     """
+    intr = rig.intrinsics
+    pose = (rig.pose_a, rig.pose_b)[view_id]
     center = pose.translation
     if dem.x_min <= center[0] <= dem.x_max and dem.y_min <= center[1] <= dem.y_max:
         try:
@@ -160,9 +165,8 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
         if center[2] <= ground:
             raise CameraBelowTerrainError("camera center is below the terrain surface")
 
-    if compute_image:  # shadow rays' (DEM, sun) data before this view's buffers
-        _heightfield.prepare_shadows(dem, sun_direction(sun))
-    psf = (seed, view_id, 1 if psf_sigma == 0 else rays_per_pixel, psf_sigma)
+    # Shadow rays' (DEM, sun) data before this view's buffers.
+    _heightfield.prepare_shadows(dem, sun_direction(sun))
     radiance = np.zeros((intr.height, intr.width))
     depth = np.zeros((intr.height, intr.width))
 
@@ -170,7 +174,7 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     bands = _row_bands(intr.height, intr.width, n_workers)
 
     def run(band):
-        return band, _render_band(dem, intr, pose, sun, hapke, psf, band, compute_image)
+        return band, _render_band(dem, rig, view_id, sun, hapke, seed, band)
 
     if n_workers == 1 or len(bands) == 1:
         results = [run(b) for b in bands]
@@ -187,28 +191,6 @@ def _render(dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_i
     return product, gain
 
 
-def render_view(
-    dem: DemGrid,
-    intr: Intrinsics,
-    pose: Pose,
-    sun: SunConfig,
-    hapke: HapkeParams,
-    psf_sigma: float = 0.5,
-    rays_per_pixel: int = 4,
-    seed: int = 0,
-    view_id: int = 0,
-    gain: float | None = None,
-) -> RenderProduct:
-    """Render one view: PSF-averaged radiance image plus central-ray depth.
-
-    gain scales radiance into [0, 1]; when None it is derived from this
-    view's own 99th radiance percentile (stereo pairs share view a's gain).
-    """
-    return _render(
-        dem, intr, pose, sun, hapke, psf_sigma, rays_per_pixel, seed, view_id, gain, True,
-    )[0]
-
-
 def exposure_gain(radiance: np.ndarray) -> float:
     """Per-pair photometric gain: 1 / (99th percentile), 1.0 for black frames."""
     p99 = float(np.percentile(radiance, 99.0))
@@ -221,17 +203,11 @@ def render_pair(
     sun: SunConfig,
     hapke: HapkeParams,
     seed: int = 0,
-    compute_image: bool = True,
 ):
-    """Render both rig views with a shared gain taken from view a."""
-    product_a, gain = _render(
-        dem, rig.intrinsics, rig.pose_a, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 0, None, compute_image,
-    )
-    product_b, _ = _render(
-        dem, rig.intrinsics, rig.pose_b, sun, hapke, rig.psf_sigma, rig.rays_per_pixel,
-        seed, 1, gain, compute_image,
-    )
+    """Render both rig views, PSF-averaged radiance images plus central-ray
+    depth, with a shared gain taken from view a's 99th radiance percentile."""
+    product_a, gain = _render(dem, rig, 0, sun, hapke, seed, None)
+    product_b, _ = _render(dem, rig, 1, sun, hapke, seed, gain)
     return product_a, product_b
 
 

@@ -23,6 +23,9 @@ ALTITUDE_BANDS_M = (3500.0, 6200.0, 9500.0, 12800.0, 16100.0, 19400.0, 22700.0, 
 
 KINDS = ("nadir", "oblique", "dynamic")
 
+# Horizontal field of view of every sampled camera, in degrees.
+FOV_DEG = 45.0
+
 # Named illumination presets, the only suns the CLI takes.  Azimuths follow
 # the reference configurations; elevations are this tool's documented choice,
 # with the 360-degree azimuth stored as 0.  Other suns need a SunConfig in the
@@ -177,7 +180,6 @@ def sample_pair(
     lighting: str = "side",
     width: int = 128,
     height: int = 128,
-    fov_deg: float = 45.0,
     psf_sigma: float = 0.5,
     rays_per_pixel: int = 4,
     allow_disjoint: bool = False,
@@ -224,9 +226,9 @@ def sample_pair(
         seed=int(seed),
     )
 
-    intr = Intrinsics(width=width, height=height, fov_deg=fov_deg, cx=None, cy=None)
+    intr = Intrinsics(width=width, height=height, fov_deg=FOV_DEG, cx=None, cy=None)
     mid = np.array([(dem.x_min + dem.x_max) / 2, (dem.y_min + dem.y_max) / 2])
-    half_fov = math.radians(fov_deg) / 2
+    half_fov = math.radians(FOV_DEG) / 2
     window = altitude * math.tan(math.radians(tilt) + half_fov) + 0.5 * baseline_frac * altitude
     ground_z = dem.mean_height((mid[0] - window, mid[0] + window, mid[1] - window, mid[1] + window))
 

@@ -20,7 +20,6 @@ from lunarforge import (
     gsd,
     gt_correspondences,
     render_pair,
-    render_view,
     rra,
     rta,
     sample_pair,
@@ -28,7 +27,7 @@ from lunarforge import (
     solve_pnp,
     synth_crater_dem,
 )
-from lunarforge.camera import Intrinsics, Pose, camera_dirs, relative_pose
+from lunarforge.camera import CameraRig, Intrinsics, Pose, camera_dirs, relative_pose
 from lunarforge.cli import main, synth_dem_for_band
 from lunarforge.metrics import accuracy_completeness
 from lunarforge.pose import DegenerateBaselineError, ransac_align
@@ -74,7 +73,8 @@ def test_criterion_02_analytic_flat_render():
                        origin_y=-1890.0, elevations=np.zeros((64, 64)))
         intr = Intrinsics(width=128, height=128, fov_deg=45.0)
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2000.0]))
-        prod = render_view(flat, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1, seed=0)
+        rig = CameraRig(intrinsics=intr, pose_a=pose, pose_b=pose, psf_sigma=0.0, rays_per_pixel=1)
+        prod, _ = render_pair(flat, rig, SUN, HAPKE, seed=0)
         assert np.isfinite(prod.depth).all()
         vv, uu = np.meshgrid(np.arange(128.0), np.arange(128.0), indexing="ij")
         d = camera_dirs(intr, uu, vv)
@@ -155,7 +155,7 @@ def test_criterion_04_pose_recovery_closed_loop():
                 dem = dem_cache[key]
                 spec, rig = sample_pair(kind, 1000 + i, band, dem, psf_sigma=0.0,
                                         rays_per_pixel=1, width=64, height=64)
-                pa, pb = render_pair(dem, rig, SUN, HAPKE, seed=i, compute_image=False)
+                pa, pb = render_pair(dem, rig, SUN, HAPKE, seed=i)
                 corr = gt_correspondences(pa, pb, stride=4)
                 assert len(corr) >= 8, (kind, i, len(corr))
                 rel_gt = relative_pose(rig.pose_a, rig.pose_b)
@@ -300,14 +300,13 @@ def test_criterion_09_command_renders_in_parallel_only_above_one_thread(
 def test_criterion_10_degenerate_inputs(tmp_path, nadir_gt_pair):
     def check():
         # Zero baseline: same pose for both views.
-        from lunarforge.camera import CameraRig
         from lunarforge.metrics import PairGroundTruth, PairPrediction, evaluate_pair
 
         dem = nadir_gt_pair["dem"]
         rig0 = nadir_gt_pair["rig"]
         rig = CameraRig(intrinsics=rig0.intrinsics, pose_a=rig0.pose_a, pose_b=rig0.pose_a,
                         psf_sigma=0.0, rays_per_pixel=1)
-        pa, pb = render_pair(dem, rig, SUN, HAPKE, seed=1, compute_image=False)
+        pa, pb = render_pair(dem, rig, SUN, HAPKE, seed=1)
         corr = gt_correspondences(pa, pb, stride=2)
         with pytest.raises(DegenerateBaselineError):
             estimate_essential(corr, rig.intrinsics, rig.intrinsics, RansacParams(seed=1))

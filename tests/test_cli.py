@@ -288,7 +288,13 @@ def two_pair_dataset(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("defect", ["pointmap_rows", "pointmap_channels", "lone_pose_a", "nan_pose", "gt_frame"])
+# A malformed pose file (a list, a string, a rotation that is not a list) or
+# pointmap sidecar (a scalar shape) is a TypeError where the program reads it.
+TYPE_ERROR_DEFECTS = ("pose_list", "pose_string", "pose_rotation_dict", "sidecar_scalar_shape")
+
+
+@pytest.mark.parametrize("defect", ["pointmap_rows", "pointmap_channels", "lone_pose_a", "nan_pose", "gt_frame",
+                                    *TYPE_ERROR_DEFECTS])
 def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, tmp_path, capsys, defect):
     gt = two_pair_dataset
     if defect == "gt_frame":
@@ -304,11 +310,18 @@ def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, t
         pts, meta = formats.read_f32_raster(bad_dir / "pointmap_a.f32")
         pts = pts[:16] if defect == "pointmap_rows" else pts[..., :2]
         formats.write_f32_raster(bad_dir / "pointmap_a.f32", pts, meta)
+    elif defect == "sidecar_scalar_shape":
+        sidecar = bad_dir / "pointmap_b.f32.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "shape": 5}))
     else:
         meta = formats.read_json(bad_dir / "meta.json")
-        pose_a = dict(meta["pose_a"])
-        if defect == "nan_pose":
-            pose_a["translation"] = [float("nan")] * 3
+        pose_a = {
+            "nan_pose": {**meta["pose_a"], "translation": [float("nan")] * 3},
+            "pose_list": [],
+            "pose_string": "x",
+            "pose_rotation_dict": {**meta["pose_a"], "rotation": {"a": 1}},
+        }.get(defect, meta["pose_a"])
+        if defect != "lone_pose_a":
             (bad_dir / "pose_b.json").write_text(json.dumps(meta["pose_b"]))
         (bad_dir / "pose_a.json").write_text(json.dumps(pose_a))
     report = tmp_path / "report.jsonl"
@@ -316,7 +329,7 @@ def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, t
     lines = [json.loads(ln) for ln in report.read_text().splitlines()]
     entries = {ln["pair_id"]: ln for ln in lines[:-1]}
     assert entries[bad]["status"] == "error"
-    assert entries[bad]["error"]["type"] == "ValueError"
+    assert entries[bad]["error"]["type"] == ("TypeError" if defect in TYPE_ERROR_DEFECTS else "ValueError")
     assert entries[bad]["error"]["detail"]
     assert entries[good]["status"] == "ok"
     assert entries[good]["chamfer_m"] < 1e-4
@@ -326,6 +339,38 @@ def test_evaluate_flags_a_bad_prediction_and_scores_the_rest(two_pair_dataset, t
     assert aggregate["pairs_evaluated"] == 1
     assert aggregate["pairs_missing"] == 0
     assert bad in capsys.readouterr().err
+
+
+def test_evaluate_reports_match_at_every_thread_count_on_noisy_predictions(two_pair_dataset, tmp_path, monkeypatch):
+    """Predictions in another frame and scale, with 1 m noise, 40% outliers
+    off by kilometres and a NaN hole: each pair is aligned and scored, and
+    the report's bytes do not depend on how many threads score the pairs."""
+    rng = np.random.default_rng(12)
+    yaw = np.radians(70.0)
+    rot = np.array([[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]])
+    pred = tmp_path / "pred"
+    pairs = _copy_predictions(two_pair_dataset, pred)
+    for pair_id in pairs:
+        for view in ("a", "b"):
+            path = pred / pair_id / f"pointmap_{view}.f32"
+            gt, meta = formats.read_f32_raster(path)
+            pts = gt + rng.normal(0.0, 1.0, gt.shape)
+            outliers = rng.random(gt.shape[:2]) < 0.4
+            pts[outliers] += rng.normal(0.0, 3000.0, (int(outliers.sum()), 3))
+            pts[:4, :4] = np.nan
+            formats.write_f32_raster(path, 0.5 * pts @ rot.T + [300.0, -200.0, 50.0], meta)
+    reports = []
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+        report = tmp_path / f"report_{threads}.jsonl"
+        assert run(["evaluate", "--gt", str(two_pair_dataset), "--pred", str(pred), "--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    entries = [json.loads(ln) for ln in reports[0].decode().splitlines()[:-1]]
+    assert [e["status"] for e in entries] == ["ok", "ok"]
+    for entry in entries:
+        assert entry["alignment"]["scale"] == pytest.approx(2.0, rel=0.01)
+        assert all(isinstance(entry[name], float) for name in ("chamfer_m", "slope_corr", "ssim", "si_loss"))
 
 
 @pytest.mark.parametrize("defect", ["depth_shape", "depth_nan"])

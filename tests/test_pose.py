@@ -64,13 +64,13 @@ def test_essential_inliers_satisfy_epipolar(oblique_scene):
 
 
 def test_essential_zero_baseline_flags_degenerate(flat_dem):
-    from lunarforge import HapkeParams, SunConfig, render_view
+    from lunarforge import CameraRig, HapkeParams, SunConfig, render_pair
     from lunarforge.camera import Pose
 
     intr = Intrinsics(width=32, height=32, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 150.0]))
-    prod = render_view(flat_dem, intr, pose, SunConfig(azimuth=100, elevation=45), HapkeParams(),
-                       psf_sigma=0.0, rays_per_pixel=1)
+    rig = CameraRig(intrinsics=intr, pose_a=pose, pose_b=pose, psf_sigma=0.0, rays_per_pixel=1)
+    prod, _ = render_pair(flat_dem, rig, SunConfig(azimuth=100, elevation=45), HapkeParams())
     corr = gt_correspondences(prod, prod, stride=2)
     with pytest.raises(DegenerateBaselineError):
         estimate_essential(corr, intr, intr, RansacParams(seed=1))

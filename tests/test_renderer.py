@@ -12,17 +12,17 @@ from lunarforge import (
     gt_correspondences,
     project,
     render_pair,
-    render_view,
     sample_pair,
     synth_crater_dem,
 )
 from lunarforge._heightfield import intersect_rays
-from lunarforge.camera import Intrinsics, Pose, camera_dirs
+from lunarforge.camera import CameraRig, Intrinsics, Pose, camera_dirs
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.pose import essential_from_poses
 from lunarforge.renderer import (
     BAND_PIXELS,
     CameraBelowTerrainError,
+    _render,
     _render_band,
     _row_bands,
     exposure_gain,
@@ -32,6 +32,17 @@ from lunarforge.trajectory import lighting_preset
 
 SUN = SunConfig(azimuth=150.0, elevation=30.0)
 HAPKE = HapkeParams()
+
+
+def pinhole_pair(dem, intr, pose_a, pose_b, sun=SUN, seed=0):
+    """render_pair of a one-ray-per-pixel rig without PSF."""
+    rig = CameraRig(intr, pose_a, pose_b, psf_sigma=0.0, rays_per_pixel=1)
+    return render_pair(dem, rig, sun, HAPKE, seed=seed)
+
+
+def pinhole_view(dem, intr, pose, sun=SUN, seed=0):
+    """The one view of pose: view a of a rig whose views share it."""
+    return pinhole_pair(dem, intr, pose, pose, sun=sun, seed=seed)[0]
 
 
 def random_rays_above(dem, n, seed, max_zenith_deg=50.0):
@@ -93,14 +104,14 @@ def test_dda_matches_brute_force_oracle():
 
 
 # ---------------------------------------------------------------------------
-# render_view
+# render_pair
 # ---------------------------------------------------------------------------
 
 
 def test_flat_nadir_depth_analytic(flat_dem):
     intr = Intrinsics(width=128, height=128, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 200.0]))
-    prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1, seed=1)
+    prod = pinhole_view(flat_dem, intr, pose, seed=1)
     assert np.isfinite(prod.depth).all()
     vv, uu = np.meshgrid(np.arange(128.0), np.arange(128.0), indexing="ij")
     d = camera_dirs(intr, uu, vv)
@@ -113,7 +124,7 @@ def test_camera_below_terrain_error(flat_dem):
     intr = Intrinsics(width=16, height=16, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, -5.0]))
     with pytest.raises(CameraBelowTerrainError):
-        render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+        pinhole_view(flat_dem, intr, pose)
 
 
 def test_shadowed_crater_wall_is_black():
@@ -124,7 +135,7 @@ def test_shadowed_crater_wall_is_black():
     intr = Intrinsics(width=64, height=64, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([*center, z[iy, ix] + 80.0]))
     sun = SunConfig(azimuth=90.0, elevation=2.0)
-    prod = render_view(dem, intr, pose, sun, HAPKE, psf_sigma=0.0, rays_per_pixel=1, seed=2)
+    prod = pinhole_view(dem, intr, pose, sun=sun, seed=2)
     # The inner wall facing away from the sun must contain shaded zeros, and
     # the brute-force shadow oracle must agree there.
     east_half = prod.image[:, 40:]
@@ -155,7 +166,7 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
     high = SunConfig(azimuth=polar.azimuth, elevation=15.0)
     images, cast = {}, {}
     for sun in (polar, high):
-        prod = render_view(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+        prod = pinhole_view(dem, rig.intrinsics, rig.pose_a, sun=sun)
         valid = np.isfinite(prod.depth)
         points = depth_to_pointmap(prod)[valid]
         images[sun] = prod.image[valid]
@@ -209,7 +220,7 @@ def test_band_peak_memory_per_jittered_ray():
     band = slice(64, 128)  # the second band, whose draw skips the first's
 
     def render():
-        return _render_band(dem, rig.intrinsics, rig.pose_a, sun, HAPKE, (seed, 0, 4, 0.5), band, True)
+        return _render_band(dem, rig, 0, sun, HAPKE, seed, band)
 
     render()  # the DEM's cached bounds, outside the measurement
     tracemalloc.start()
@@ -242,19 +253,18 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
     spec, rig = sample_pair("nadir", 3, 0, dem, width=48, height=48)
     sun = lighting_preset("side")
     pa, pb = render_pair(dem, rig, sun, HAPKE, seed=4)
-
-    def view(pose, view_id, gain=None):
-        return render_view(dem, rig.intrinsics, pose, sun, HAPKE, psf_sigma=rig.psf_sigma,
-                           rays_per_pixel=rig.rays_per_pixel, seed=4, view_id=view_id, gain=gain)
-
-    va = view(rig.pose_a, 0)
-    assert pa.image.tobytes() == va.image.tobytes()
-    assert pa.depth.tobytes() == va.depth.tobytes()
     # Radiance stays below 1 here, so a unit gain leaves it unclipped.
-    raw_a = view(rig.pose_a, 0, gain=1.0).image
-    raw_b = view(rig.pose_b, 1, gain=1.0).image
-    assert exposure_gain(raw_a) != exposure_gain(raw_b)
-    assert pb.image.tobytes() == np.clip(raw_b * exposure_gain(raw_a), 0.0, 1.0).tobytes()
+    raw_a, raw_b = (_render(dem, rig, view_id, sun, HAPKE, 4, 1.0)[0] for view_id in (0, 1))
+    assert exposure_gain(raw_a.image) != exposure_gain(raw_b.image)
+    for prod, raw in ((pa, raw_a), (pb, raw_b)):
+        assert prod.image.tobytes() == np.clip(raw.image * exposure_gain(raw_a.image), 0.0, 1.0).tobytes()
+        assert prod.depth.tobytes() == raw.depth.tobytes()
+    # View a does not depend on pose_b: a rig whose views share one pose
+    # renders that pose's one view.
+    same_a, _ = render_pair(dem, CameraRig(rig.intrinsics, rig.pose_a, rig.pose_a, rig.psf_sigma, rig.rays_per_pixel),
+                            sun, HAPKE, seed=4)
+    assert same_a.image.tobytes() == pa.image.tobytes()
+    assert same_a.depth.tobytes() == pa.depth.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +298,6 @@ def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
     assert len(sweeps) == 1
 
 
-def test_depth_only_render_sweeps_no_ceiling(sweeps):
-    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
-    _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
-    render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1, compute_image=False)
-    assert sweeps == []
-
-
 def _whole_view_jitter(seed, view_id, height, width, rpp, sigma):
     """A view's PSF offsets drawn in one piece: the stream keyed by (seed,
     view id) in row-major order, stratified when rpp is square."""
@@ -320,8 +323,7 @@ def test_band_jitter_draws_concatenate_to_the_whole_view_draw(height, width, rpp
         assert drawn.tobytes() == whole.tobytes(), (workers, len(bands))
 
 
-@pytest.mark.parametrize("compute_image, calls", [(False, 0), (True, 2)])
-def test_psf_jitter_is_drawn_only_for_shaded_views(monkeypatch, compute_image, calls):
+def test_psf_jitter_is_drawn_once_per_band_of_each_view(monkeypatch):
     from lunarforge import renderer
 
     real = renderer._psf_jitter
@@ -334,9 +336,9 @@ def test_psf_jitter_is_drawn_only_for_shaded_views(monkeypatch, compute_image, c
     monkeypatch.setattr(renderer, "_psf_jitter", counting)
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
-    render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1, compute_image=compute_image)
-    # calls views, each drawn one row band at a time
-    assert len(seen) == calls * len(_row_bands(32, 32, resolve_workers()))
+    render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1)
+    # two views, each drawn one row band at a time
+    assert len(seen) == 2 * len(_row_bands(32, 32, resolve_workers()))
 
 
 def test_shadow_tests_under_one_sun_sweep_once(sweeps):
@@ -363,8 +365,7 @@ def test_alternating_dems_and_suns_never_reuse_a_stale_ceiling(sweeps):
     suns = {1: lighting_preset("polar"), 2: lighting_preset("side")}
 
     def render(name, sun):
-        return render_view(dems[name], rig.intrinsics, rig.pose_a, suns[sun], HAPKE,
-                           psf_sigma=0.0, rays_per_pixel=1, gain=1.0).image
+        return pinhole_view(dems[name], rig.intrinsics, rig.pose_a, sun=suns[sun]).image
 
     for name, sun in (("A", 1), ("A", 2), ("B", 1), ("A", 1)):
         image = render(name, sun)
@@ -399,7 +400,7 @@ def test_image_range_and_validity(oblique_scene):
 def test_pointmap_flat_world_z(flat_dem):
     intr = Intrinsics(width=48, height=48, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([5.0, -3.0, 150.0]))
-    prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    prod = pinhole_view(flat_dem, intr, pose)
     pm = depth_to_pointmap(prod)
     assert np.abs(pm[np.isfinite(pm).all(-1)][:, 2]).max() < 1e-6
 
@@ -407,7 +408,7 @@ def test_pointmap_flat_world_z(flat_dem):
 def test_pointmap_view1_principal_pixel(flat_dem):
     intr = Intrinsics(width=49, height=49, fov_deg=45.0)  # odd: integer principal point
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 120.0]))
-    prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    prod = pinhole_view(flat_dem, intr, pose)
     pm = pose.world_to_camera(depth_to_pointmap(prod))
     cu, cv = int(intr.cx), int(intr.cy)
     depth = prod.depth[cv, cu]
@@ -434,7 +435,7 @@ def test_pointmap_reprojection_round_trip(oblique_scene):
 def test_correspondences_identity_poses(flat_dem):
     intr = Intrinsics(width=32, height=32, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 100.0]))
-    prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    prod = pinhole_view(flat_dem, intr, pose)
     corr = gt_correspondences(prod, prod, stride=1)
     assert len(corr) == 32 * 32
     assert np.max(np.abs(corr[:, 0] - corr[:, 2])) < 1e-6
@@ -447,8 +448,7 @@ def test_correspondences_flat_disparity(flat_dem):
     baseline = 100.0
     pose_a = Pose(rotation=np.eye(3), translation=np.array([-baseline / 2, 0.0, altitude]))
     pose_b = Pose(rotation=np.eye(3), translation=np.array([baseline / 2, 0.0, altitude]))
-    pa = render_view(flat_dem, intr, pose_a, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
-    pb = render_view(flat_dem, intr, pose_b, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    pa, pb = pinhole_pair(flat_dem, intr, pose_a, pose_b)
     corr = gt_correspondences(pa, pb, stride=2)
     assert len(corr) > 100
     disparity = corr[:, 0] - corr[:, 2]
@@ -462,7 +462,7 @@ def test_correspondences_empty_when_nothing_matches(flat_dem):
 
     intr = Intrinsics(width=16, height=16, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 100.0]))
-    prod = render_view(flat_dem, intr, pose, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    prod = pinhole_view(flat_dem, intr, pose)
     missed = replace(prod, depth=np.full_like(prod.depth, np.nan))  # every ray missed
     for a, b in ((prod, missed), (missed, prod)):
         corr = gt_correspondences(a, b)
@@ -508,8 +508,7 @@ def test_crater_occlusion_against_visibility_oracle():
     intr = Intrinsics(width=64, height=64, fov_deg=45.0)
     pose_a = Pose(rotation=np.eye(3), translation=np.array([cx, cy, floor_z + 320.0]))
     pose_b = look_at(np.array([cx + 150.0, cy, floor_z + 75.0]), np.array([cx, cy, floor_z]))
-    pa = render_view(dem, intr, pose_a, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
-    pb = render_view(dem, intr, pose_b, SUN, HAPKE, psf_sigma=0.0, rays_per_pixel=1)
+    pa, pb = pinhole_pair(dem, intr, pose_a, pose_b)
     stride = 2
     corr = gt_correspondences(pa, pb, stride=stride)
     emitted = {(int(p[0]), int(p[1])) for p in corr}
@@ -537,6 +536,6 @@ def test_disjoint_views_zero_correspondences():
     dem = synth_dem_for_band("nadir", 0, seed=7, allow_disjoint=True)
     spec, rig = sample_pair("nadir", 4, 0, dem, psf_sigma=0.0, rays_per_pixel=1,
                             width=32, height=32, allow_disjoint=True)
-    pa, pb = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1, compute_image=False)
+    pa, pb = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1)
     corr = gt_correspondences(pa, pb, stride=2)
     assert len(corr) == 0
