@@ -19,7 +19,7 @@ from .pose import (
     solve_pnp,
     umeyama,
 )
-from .radiometry import HapkeParams, SunConfig, hapke_brdf, shade_point, shadow_test, sun_direction
+from .radiometry import HapkeParams, SunConfig, hapke_brdf, sun_direction
 from .renderer import (
     RenderProduct,
     depth_to_pointmap,
@@ -37,7 +37,7 @@ __all__ = [
     "scale_invariant_loss",
     "EssentialEstimate", "RansacParams", "SimilarityTransform", "estimate_essential",
     "ransac_align", "rra", "rta", "solve_pnp", "umeyama",
-    "HapkeParams", "SunConfig", "hapke_brdf", "shade_point", "shadow_test", "sun_direction",
+    "HapkeParams", "SunConfig", "hapke_brdf", "sun_direction",
     "RenderProduct", "depth_to_pointmap", "gt_correspondences", "render_pair",
     "DemGrid", "hillshade", "load_dem", "sample_height", "slope_map",
     "surface_normal", "synth_crater_dem", "write_dem",

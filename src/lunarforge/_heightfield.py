@@ -31,8 +31,8 @@ without tracing when its origin is above C+, and the traversal ends a shadow
 ray as a miss once a segment starts above C+.  Both tests are exact: they
 skip only rays that cannot meet the terrain, with a relative margin
 (1e-9 (1 + |C+|)) that absorbs rounding in the sweep and in the traversal's
-own arithmetic.  C+ is a function of (DEM, sun) alone, so shadow_mask derives
-it itself and keeps the last one in a one-slot memo; callers never pass it.
+own arithmetic.  C+ is a function of (DEM, sun) alone: the caller sweeps it
+once with sun_ceiling and passes it to every shadow_mask call under that sun.
 
 The walk keeps its state only for the live rays, cut down one array at a
 time on each step that ends one, and reads the cell grids through flat
@@ -63,9 +63,6 @@ largest elevation magnitude, is about 90 of them.
 """
 
 from __future__ import annotations
-
-import threading
-import weakref
 
 import numpy as np
 
@@ -105,23 +102,6 @@ def sun_ceiling(dem: DemGrid, sun_dir) -> np.ndarray:
     ceil[finite] += 1e-9 * (1.0 + np.abs(ceil[finite]))
     ceil.flags.writeable = False  # shared by every row band's thread
     return ceil
-
-
-_memo_lock = threading.Lock()  # row bands shade concurrently
-_memo = None  # (weakref to the grid, sun direction, its ceiling)
-
-
-def prepare_shadows(dem: DemGrid, sun_dir) -> np.ndarray:
-    """sun_ceiling(dem, sun_dir) from a one-slot memo of the last (grid, sun).
-    The grid is held by weak reference, so a new grid at a freed one's address
-    never matches, and the old ceiling is dropped before the next is built."""
-    global _memo
-    key = tuple(float(c) for c in sun_dir)
-    with _memo_lock:
-        if _memo is None or _memo[0]() is not dem or _memo[1] != key:
-            _memo = None  # free the old ceiling before the sweep
-            _memo = (weakref.ref(dem), key, sun_ceiling(dem, key))
-        return _memo[2]
 
 
 def intersect_rays(dem: DemGrid, origins: np.ndarray, directions: np.ndarray,
@@ -361,17 +341,16 @@ def _cell_hits(e, w, sel, r, ix, iy, pu, pv, bu, bv, oz, dz, t0, t1):
     return found, np.fmin(np.fmax(root, lo), hi)
 
 
-def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray) -> np.ndarray:
+def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
     """True where one of the (N, 3) points is shadowed: the sun ray, started
     half a cell toward the sun to clear its own facet, re-hits the terrain.
 
-    The sun's ceiling comes from prepare_shadows, once per (DEM, sun).  A ray
-    whose origin lies above its cell's ceiling is lit without tracing; the
-    rest are traced in one intersect_rays call, which may be empty.
+    ceiling is sun_ceiling(dem, sun_dir).  A ray whose origin lies above its
+    cell's ceiling is lit without tracing; the rest are traced in one
+    intersect_rays call, which may be empty.
     """
     p = np.asarray(points, dtype=np.float64)
     s = np.asarray(sun_dir, dtype=np.float64)
-    ceiling = prepare_shadows(dem, s)
     cs = dem.cell_size
     bias = 0.5 * cs * s
     ox, oy, oz = (p[:, k] + bias[k] for k in range(3))

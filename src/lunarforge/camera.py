@@ -8,7 +8,6 @@ point defaults to (width/2 - 0.5, height/2 - 0.5).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -95,10 +94,6 @@ class Pose:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "Pose":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
     def identity(cls) -> "Pose":
         return cls(rotation=np.eye(3), translation=np.zeros(3))
 
@@ -159,8 +154,8 @@ class CameraRig:
     rays_per_pixel: int = 4
 
     def __post_init__(self):
-        if self.psf_sigma < 0:
-            raise ValueError("psf_sigma must be >= 0")
+        if not math.isfinite(self.psf_sigma) or self.psf_sigma < 0:
+            raise ValueError("psf_sigma must be finite and >= 0")
         if self.rays_per_pixel < 1:
             raise ValueError("rays_per_pixel must be >= 1")
         if self.psf_sigma == 0 and self.rays_per_pixel != 1:

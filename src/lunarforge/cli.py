@@ -180,7 +180,7 @@ def _scene(args, bands: list[int], lightings: list[str]):
     for message, ok in (
         ("--res must be >= 1", args.res >= 1),
         ("--synth-size must be >= 16", not args.synth or args.synth_size >= 16),
-        ("--psf-sigma must be >= 0", args.psf_sigma >= 0),
+        ("--psf-sigma must be finite and >= 0", math.isfinite(args.psf_sigma) and args.psf_sigma >= 0),
         # Without a PSF each pixel casts one ray whatever this says.
         ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
         ("--stride must be >= 1", args.stride >= 1),
@@ -314,7 +314,7 @@ def _load_prediction(pred_dir: Path, pair_id: str) -> PairPrediction | None:
     if any(present) and not all(present):
         raise ValueError("pose_a.json and pose_b.json must come together")
     if all(present):
-        pose_a, pose_b = (Pose.from_json(f.read_text()) for f in pose_files)
+        pose_a, pose_b = (Pose.from_json_dict(formats.read_json(f)) for f in pose_files)
     elif (pdir / "meta.json").exists():
         meta = formats.read_json(pdir / "meta.json")
         pose_a = Pose.from_json_dict(meta["pose_a"])
@@ -462,8 +462,8 @@ def cmd_render_pair(args) -> int:
 
 
 def cmd_synth_dem(args) -> int:
-    if args.width < 16 or args.height < 16 or not args.cell_size > 0:
-        raise UsageError("--width and --height must be >= 16 and --cell-size > 0")
+    if args.width < 16 or args.height < 16 or not math.isfinite(args.cell_size) or not args.cell_size > 0:
+        raise UsageError("--width and --height must be >= 16 and --cell-size finite and > 0")
     dem = synth_crater_dem(
         args.seed, args.width, args.height, args.cell_size, args.craters, args.octaves
     )

@@ -1,4 +1,4 @@
-"""Hapke reflectance, solar illumination, and terrain shadow tests.
+"""Hapke reflectance, solar illumination, and shading of terrain points.
 
 The reflectance is the IMSA single-lobe Henyey-Greenstein form without
 macroscopic roughness, expressed as a reciprocal BRDF:
@@ -101,7 +101,7 @@ def hapke_brdf(mu0, mu, g, params: HapkeParams):
     p = phase_hg(g, params.xi)
     hh = h_function(mu0, params.w) * h_function(mu, params.w)
     # Reciprocal form: the incidence cosine is applied by the caller
-    # (_radiance multiplies by mu0), keeping mu0 <-> mu symmetry exact.
+    # (shade_points multiplies by mu0), keeping mu0 <-> mu symmetry exact.
     r = (params.w / (4 * np.pi)) / (mu0 + mu) * ((1 + b) * p + hh - 1)
     return float(r) if r.ndim == 0 else r
 
@@ -113,71 +113,21 @@ def sun_direction(cfg: SunConfig) -> np.ndarray:
     return np.array([math.cos(e) * math.sin(a), math.cos(e) * math.cos(a), math.sin(e)])
 
 
-def shadow_test(dem: DemGrid, point, sun_dir) -> bool:
-    """True result means lit.  Marches a biased ray toward the sun with the
-    heightfield traversal; shadowed iff it re-hits terrain before exiting."""
-    sun_dir = np.asarray(sun_dir, dtype=np.float64)
-    if sun_dir[2] <= 0:
-        raise ValueError("sun must be above the horizon (sun_dir.z > 0)")
-    shadowed = _heightfield.shadow_mask(dem, np.asarray(point, dtype=np.float64).reshape(1, 3), sun_dir)
-    return not bool(shadowed[0])
-
-
-def _cosines(normals, view_dirs, sun: SunConfig):
-    """(mu0, mu): incidence and emission cosines of (N, 3) unit normals."""
-    return normals @ sun_direction(sun), np.einsum("ij,ij->i", normals, view_dirs)
-
-
-def _radiance(dem: DemGrid, points, mu0, mu, view_dirs, sun: SunConfig, params: HapkeParams):
-    """Shading of (N, 3) points whose facets have the incidence and emission
-    cosines mu0 and mu: the one Hapke radiance expression behind shade_point
-    and shade_points."""
-    s = sun_direction(sun)
-    facing = (mu0 > 0) & (mu > 0)
-    lit = np.zeros(len(points), dtype=bool)
-    if facing.any():
-        lit[facing] = ~_heightfield.shadow_mask(dem, points[facing], s)
-    idx = np.flatnonzero(lit)
-    radiance = np.zeros(len(points))
-    if idx.size:
-        g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
-        radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
-            mu0[idx], np.minimum(mu[idx], 1.0), g, params
-        )
-    return radiance
-
-
-def shade_point(
-    dem: DemGrid,
-    point,
-    normal,
-    sun: SunConfig,
-    params: HapkeParams,
-    view_dir,
-) -> float:
-    """Radiance (relative units) leaving a surface point toward the camera.
-
-    Zero when shadowed, when the sun is below the facet horizon (mu0 <= 0),
-    or when the facet faces away from the camera (mu <= 0).
-    """
-    def row(a):
-        return np.asarray(a, dtype=np.float64).reshape(1, 3)
-
-    n, v = row(normal), row(view_dir)
-    return float(_radiance(dem, row(point), *_cosines(n, v, sun), v, sun, params)[0])
-
-
 def shade_points(
     dem: DemGrid,
     points: np.ndarray,
     view_dirs: np.ndarray,
     sun: SunConfig,
     params: HapkeParams,
+    ceiling: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized shading of hit points; view_dirs point from surface to camera.
+    """Radiance (relative units) leaving (N, 3) hit points toward the camera;
+    view_dirs point from surface to camera.
 
-    The shadow test derives its per-(DEM, sun) ceiling itself, once for every
-    batch shaded under one sun; callers pass nothing for it.
+    Zero where a point is shadowed, where the sun is below its facet's horizon
+    (mu0 <= 0), or where the facet faces away from the camera (mu <= 0).
+    ceiling is _heightfield.sun_ceiling(dem, sun_direction(sun)), which the
+    shadow test reads.
     """
     points = np.asarray(points, dtype=np.float64)
     view_dirs = np.asarray(view_dirs, dtype=np.float64)
@@ -189,6 +139,18 @@ def shade_points(
     qy = np.clip(points[:, 1], dem.y_min + cs, dem.y_max - cs)
     normals = surface_normal(dem, qx, qy)
     del qx, qy
-    mu0, mu = _cosines(normals, view_dirs, sun)
+    s = sun_direction(sun)
+    mu0, mu = normals @ s, np.einsum("ij,ij->i", normals, view_dirs)
     del normals
-    return _radiance(dem, points, mu0, mu, view_dirs, sun, params)
+    facing = (mu0 > 0) & (mu > 0)
+    lit = np.zeros(len(points), dtype=bool)
+    if facing.any():
+        lit[facing] = ~_heightfield.shadow_mask(dem, points[facing], s, ceiling)
+    idx = np.flatnonzero(lit)
+    radiance = np.zeros(len(points))
+    if idx.size:
+        g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
+        radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
+            mu0[idx], np.minimum(mu[idx], 1.0), g, params
+        )
+    return radiance

@@ -3,11 +3,14 @@
 render_pair is the one render call.  A view is (rig, view id): view 0 looks
 from the rig's pose_a and view 1 from its pose_b, with the rig's intrinsics,
 PSF sigma and rays per pixel.  Every view is shaded, and view b takes view a's
-exposure gain.  A view's radiance before the gain is a pure function of (DEM,
-rig, sun, seed, view id): PSF jitter comes from a single stream keyed by
-(seed, view id), pixels are partitioned into row bands whose outputs land in
-disjoint buffer slices, and no cross-pixel reductions occur, so results are
-bitwise identical for any worker count and across runs.
+exposure gain.  render_pair sweeps the sun's shadow ceiling
+(_heightfield.sun_ceiling) once, before either view's buffers, and hands it
+down to every row band's shading; no module state holds it.  A view's
+radiance before the gain is a pure function of (DEM, rig, sun, seed, view
+id): PSF jitter comes from a single stream keyed by (seed, view id), pixels
+are partitioned into row bands whose outputs land in disjoint buffer slices,
+and no cross-pixel reductions occur, so results are bitwise identical for any
+worker count and across runs.
 Each band draws its own jitter, on its own thread: it advances the view's
 stream to the band's first row and draws exactly the numbers a whole-view
 draw would have given its rows, so no view-sized jitter array is ever held.
@@ -110,9 +113,9 @@ def _psf_jitter(seed: int, view_id: int, rows: slice, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, rig, view_id, sun, hapke, seed, rows):
-    """Render one horizontal band of rows of one rig view; returns (radiance,
-    depth) arrays."""
+def _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, rows):
+    """Render one horizontal band of rows of one rig view, shading under the
+    sun's ceiling; returns (radiance, depth) arrays."""
     intr = rig.intrinsics
     pose = (rig.pose_a, rig.pose_b)[view_id]
     h = rows.stop - rows.start
@@ -140,7 +143,7 @@ def _render_band(dem, rig, view_id, sun, hapke, seed, rows):
     del jt
     pts += pose.translation
     np.negative(view, out=view)
-    shaded = shade_points(dem, pts, view, sun, hapke)
+    shaded = shade_points(dem, pts, view, sun, hapke, ceiling)
     del pts, view
     radiance = np.zeros(h * w * rpp)
     radiance[jhit] = shaded
@@ -148,8 +151,9 @@ def _render_band(dem, rig, view_id, sun, hapke, seed, rows):
     return radiance, depth
 
 
-def _render(dem, rig, view_id, sun, hapke, seed, gain):
-    """Render view view_id (0 = a, 1 = b) of the rig over row bands; returns
+def _render(dem, rig, view_id, sun, hapke, seed, ceiling, gain):
+    """Render view view_id (0 = a, 1 = b) of the rig over row bands, shading
+    under ceiling = sun_ceiling(dem, sun_direction(sun)); returns
     (RenderProduct, the gain applied).
 
     gain None derives it from this view's own radiance (see exposure_gain).
@@ -165,8 +169,6 @@ def _render(dem, rig, view_id, sun, hapke, seed, gain):
         if center[2] <= ground:
             raise CameraBelowTerrainError("camera center is below the terrain surface")
 
-    # Shadow rays' (DEM, sun) data before this view's buffers.
-    _heightfield.prepare_shadows(dem, sun_direction(sun))
     radiance = np.zeros((intr.height, intr.width))
     depth = np.zeros((intr.height, intr.width))
 
@@ -174,7 +176,7 @@ def _render(dem, rig, view_id, sun, hapke, seed, gain):
     bands = _row_bands(intr.height, intr.width, n_workers)
 
     def run(band):
-        return band, _render_band(dem, rig, view_id, sun, hapke, seed, band)
+        return band, _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, band)
 
     if n_workers == 1 or len(bands) == 1:
         results = [run(b) for b in bands]
@@ -205,9 +207,11 @@ def render_pair(
     seed: int = 0,
 ):
     """Render both rig views, PSF-averaged radiance images plus central-ray
-    depth, with a shared gain taken from view a's 99th radiance percentile."""
-    product_a, gain = _render(dem, rig, 0, sun, hapke, seed, None)
-    product_b, _ = _render(dem, rig, 1, sun, hapke, seed, gain)
+    depth, with a shared gain taken from view a's 99th radiance percentile.
+    Both views shade under one sweep of the sun's shadow ceiling."""
+    ceiling = _heightfield.sun_ceiling(dem, sun_direction(sun))
+    product_a, gain = _render(dem, rig, 0, sun, hapke, seed, ceiling, None)
+    product_b, _ = _render(dem, rig, 1, sun, hapke, seed, ceiling, gain)
     return product_a, product_b
 
 

@@ -48,8 +48,10 @@ class DemGrid:
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
             raise ValueError("DemGrid must be at least 2x2")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+        if not math.isfinite(self.cell_size) or self.cell_size <= 0:
+            raise ValueError("cell_size must be finite and > 0")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError("origin_x and origin_y must be finite")
         elev = np.asarray(self.elevations, dtype=np.float64)
         if elev.shape != (self.height, self.width):
             raise ValueError(
@@ -169,10 +171,10 @@ def _load_ascii_grid(path: Path) -> DemGrid:
             header[key] = float(parts[1])
         except ValueError as exc:
             raise DemFormatError(f"bad header value for {key}: {parts[1]!r}") from exc
+    if not all(header[key].is_integer() and header[key] > 0 for key in ("ncols", "nrows")):
+        raise DemFormatError("ncols/nrows must be positive integers")
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    if ncols != header["ncols"] or nrows != header["nrows"]:
-        raise DemFormatError("ncols/nrows must be integers")
     tokens = " ".join(lines[6:]).split()
     if len(tokens) != ncols * nrows:
         raise DemFormatError(
@@ -189,7 +191,8 @@ def _load_ascii_grid(path: Path) -> DemGrid:
         raise DemFormatError("non-finite values present without nodata marking")
     values[mask] = np.nan
     grid = values.reshape(nrows, ncols)[::-1]  # north-up file order -> south-first rows
-    return DemGrid(
+    return _loaded_grid(
+        path,
         width=ncols,
         height=nrows,
         cell_size=header["cellsize"],
@@ -230,7 +233,16 @@ def _load_raw_f32(path: Path) -> DemGrid:
     if elevations.ndim != 2:
         raise DemFormatError(f"DEM raster must be 2D, sidecar shape is {list(elevations.shape)}")
     height, width = elevations.shape
-    return DemGrid(width=width, height=height, elevations=elevations, **georef)
+    return _loaded_grid(path, width=width, height=height, elevations=elevations, **georef)
+
+
+def _loaded_grid(path: Path, **fields) -> DemGrid:
+    """DemGrid(**fields) of a file read from path; a grid it rejects (a
+    non-finite cell size or origin, say) is a DemFormatError."""
+    try:
+        return DemGrid(**fields)
+    except ValueError as exc:
+        raise DemFormatError(f"invalid DEM {path}: {exc}") from exc
 
 
 def _write_raw_f32(dem: DemGrid, path: Path) -> None:

@@ -41,6 +41,14 @@ def test_rig_psf_invariant():
                   psf_sigma=0.0, rays_per_pixel=4)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan])
+def test_rig_rejects_a_non_finite_psf_sigma(sigma):
+    intr = Intrinsics(width=8, height=8, fov_deg=45.0)
+    with pytest.raises(ValueError, match="psf_sigma"):
+        CameraRig(intrinsics=intr, pose_a=Pose.identity(), pose_b=Pose.identity(),
+                  psf_sigma=sigma, rays_per_pixel=4)
+
+
 def test_project_optical_axis():
     intr = Intrinsics(width=128, height=128, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([10.0, -5.0, 300.0]))

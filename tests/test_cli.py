@@ -106,6 +106,7 @@ INVALID_SCENE_VALUES = [
     for flag, value in [
         ("--hapke-w", "2"),
         ("--psf-sigma", "-1"),
+        ("--psf-sigma", "inf"),
         ("--rays-per-pixel", "0"),
         ("--res", "0"),
         ("--stride", "0"),
@@ -160,6 +161,7 @@ def test_bad_thread_cap_is_a_usage_error(dataset, tmp_path, monkeypatch, capsys,
     pytest.param(["synth-dem", "--height", "8"], id="synth-dem-height"),
     pytest.param(["synth-dem", "--cell-size", "0"], id="synth-dem-cell-size-0"),
     pytest.param(["synth-dem", "--cell-size", "-5"], id="synth-dem-cell-size-negative"),
+    pytest.param(["synth-dem", "--cell-size", "inf"], id="synth-dem-cell-size-inf"),
     pytest.param(["visualize", "--mode", "slope", "--spacing", "0"], id="visualize-spacing-0"),
     pytest.param(["visualize", "--mode", "hillshade", "--spacing", "-1"], id="visualize-spacing-negative"),
 ])

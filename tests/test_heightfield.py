@@ -408,13 +408,13 @@ def test_shadow_mask_equals_tracing_every_shadow_ray(elevation):
         points = points[np.isfinite(points[:, 2])]
         origins = points + 0.5 * dem.cell_size * s
         _, traced = intersect_rays(dem, origins, np.broadcast_to(s, origins.shape))
-        assert np.array_equal(shadow_mask(dem, points, s), traced)
+        assert np.array_equal(shadow_mask(dem, points, s, sun_ceiling(dem, s)), traced)
 
 
 def test_shadow_mask_stays_exact_when_threads_switch_grids_and_suns():
-    """Threads that ask for two same-shape grids under two suns at once, with
-    a thread switch forced every microsecond, each get the answer of tracing
-    every ray: no thread reads a ceiling another thread put in the memo."""
+    """Threads that ask for two same-shape grids under two suns at once, each
+    with its own ceiling and with a thread switch forced every microsecond,
+    each get the answer of tracing every ray."""
     cases = []
     for seed in (1, 2):
         dem = synth_crater_dem(seed, 16, 16, 4.0, 3, 3)
@@ -423,11 +423,11 @@ def test_shadow_mask_stays_exact_when_threads_switch_grids_and_suns():
         for s in (_sun(90.0, 3.0), _sun(200.0, 10.0)):
             origins = points + 0.5 * dem.cell_size * s
             _, traced = intersect_rays(dem, origins, np.broadcast_to(s, origins.shape))
-            cases.append((dem, points, s, traced))
+            cases.append((dem, points, s, sun_ceiling(dem, s), traced))
 
     def worker(i):
         order = cases[i % 4:] + cases[:i % 4]
-        return all(np.array_equal(shadow_mask(dem, p, s), ref) for _ in range(20) for dem, p, s, ref in order)
+        return all(np.array_equal(shadow_mask(dem, p, s, c), ref) for _ in range(20) for dem, p, s, c, ref in order)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from lunarforge import HapkeParams, SunConfig, hapke_brdf, shade_point, shadow_test, sun_direction, synth_crater_dem
+from lunarforge import DemGrid, HapkeParams, SunConfig, hapke_brdf, sun_direction, synth_crater_dem
+from lunarforge._heightfield import shadow_mask, sun_ceiling
 from lunarforge.radiometry import opposition_surge, shade_points
 from lunarforge.terrain import surface_normal
 
@@ -106,12 +107,25 @@ def test_sun_direction_unit_norm_random():
 # ---------------------------------------------------------------------------
 
 
+def shadowed(dem, points, sun_dir):
+    """shadow_mask of (N, 3) points, or of one point, under the sun's own
+    ceiling."""
+    return shadow_mask(dem, np.reshape(points, (-1, 3)), sun_dir, sun_ceiling(dem, sun_dir))
+
+
+def shade(dem, points, view_dirs, sun):
+    """shade_points of (N, 3) points, or of one point, under the sun's own
+    ceiling."""
+    return shade_points(dem, np.reshape(points, (-1, 3)), np.reshape(view_dirs, (-1, 3)), sun, DEFAULTS,
+                        sun_ceiling(dem, sun_direction(sun)))
+
+
 def test_flat_terrain_always_lit(flat_dem):
     rng = np.random.default_rng(4)
     for _ in range(10):
         p = np.array([rng.uniform(-200, 200), rng.uniform(-200, 200), 0.0])
         s = sun_direction(SunConfig(azimuth=rng.uniform(0, 360), elevation=rng.uniform(2, 88)))
-        assert shadow_test(flat_dem, p, s) is True
+        assert not shadowed(flat_dem, p, s).any()
 
 
 def test_crater_floor_shadowed_grazing_sun():
@@ -121,7 +135,7 @@ def test_crater_floor_shadowed_grazing_sun():
     floor = np.array([dem.origin_x + ix * dem.cell_size, dem.origin_y + iy * dem.cell_size, z[iy, ix]])
     sun = sun_direction(SunConfig(azimuth=90.0, elevation=2.0))
     bias = 0.5 * dem.cell_size
-    assert shadow_test(dem, floor, sun) is False
+    assert shadowed(dem, floor, sun).all()
     assert oracles.brute_force_shadowed(dem, floor, sun, bias) is True
 
 
@@ -132,9 +146,9 @@ def test_rim_crest_lit_grazing_sun():
     crest = np.array([dem.origin_x + ix * dem.cell_size, dem.origin_y + iy * dem.cell_size, z[iy, ix]])
     sun = sun_direction(SunConfig(azimuth=90.0, elevation=2.0))
     bias = 0.5 * dem.cell_size
-    lit = shadow_test(dem, crest, sun)
-    assert lit == (not oracles.brute_force_shadowed(dem, crest, sun, bias))
-    assert lit is True
+    (cast,) = shadowed(dem, crest, sun)
+    assert cast == oracles.brute_force_shadowed(dem, crest, sun, bias)
+    assert not cast
 
 
 def test_shadow_agreement_random_points():
@@ -144,16 +158,13 @@ def test_shadow_agreement_random_points():
     bias = 0.5 * dem.cell_size
     from lunarforge.terrain import sample_height
 
+    points = []
     for _ in range(40):
         x = rng.uniform(dem.x_min + 2, dem.x_max - 2)
         y = rng.uniform(dem.y_min + 2, dem.y_max - 2)
-        p = np.array([x, y, sample_height(dem, x, y)])
-        assert shadow_test(dem, p, sun) == (not oracles.brute_force_shadowed(dem, p, sun, bias))
-
-
-def test_shadow_requires_sun_above_horizon(flat_dem):
-    with pytest.raises(ValueError):
-        shadow_test(flat_dem, (0, 0, 0), np.array([0.0, 1.0, -0.1]))
+        points.append([x, y, sample_height(dem, x, y)])
+    cast = shadowed(dem, np.array(points), sun)
+    assert cast.tolist() == [oracles.brute_force_shadowed(dem, np.array(p), sun, bias) for p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +177,20 @@ def test_shade_zero_when_shadowed():
     z = dem.elevations
     iy, ix = np.unravel_index(np.argmin(z), z.shape)
     floor = np.array([dem.origin_x + ix * dem.cell_size, dem.origin_y + iy * dem.cell_size, z[iy, ix]])
-    n = surface_normal(dem, floor[0], floor[1])
     sun = SunConfig(azimuth=90.0, elevation=2.0)
-    assert shade_point(dem, floor, n, sun, DEFAULTS, np.array([0.0, 0.0, 1.0])) == 0.0
+    assert shade(dem, floor, [0.0, 0.0, 1.0], sun).tolist() == [0.0]
 
 
-def test_shade_zero_when_sun_below_facet(flat_dem):
-    # Facet normal tipped 40 deg away from a 30 deg sun -> mu0 < 0.
-    sun = SunConfig(azimuth=90.0, elevation=30.0)
+def test_shade_zero_when_sun_below_facet():
+    # A plane rising 70 deg toward an eastern 30 deg sun: its facet normal
+    # tips 40 deg past the sun's horizon, so mu0 < 0.
     n = np.array([-math.sin(math.radians(70)), 0.0, math.cos(math.radians(70))])
-    val = shade_point(flat_dem, np.zeros(3), n, sun, DEFAULTS, np.array([0.0, 0.0, 1.0]))
-    assert val == 0.0
+    xs = np.arange(16) - 7.5
+    dem = DemGrid(width=16, height=16, cell_size=1.0, origin_x=-7.5, origin_y=-7.5,
+                  elevations=np.tile(math.tan(math.radians(70)) * xs, (16, 1)))
+    assert np.allclose(surface_normal(dem, 0.0, 0.0), n, rtol=0, atol=1e-12)
+    sun = SunConfig(azimuth=90.0, elevation=30.0)
+    assert shade(dem, np.zeros(3), [0.0, 0.0, 1.0], sun).tolist() == [0.0]
 
 
 def test_shade_composes_golden(flat_dem):
@@ -184,19 +198,9 @@ def test_shade_composes_golden(flat_dem):
     sun = SunConfig(azimuth=0.0, elevation=60.0, irradiance=2.0)
     mu0 = math.sin(math.radians(60.0))
     expect = 2.0 * mu0 * hapke_brdf(mu0, 1.0, math.radians(30.0), DEFAULTS)
-    got = shade_point(flat_dem, np.zeros(3), np.array([0, 0, 1.0]), sun, DEFAULTS, np.array([0, 0, 1.0]))
+    (got,) = shade(flat_dem, np.zeros(3), [0, 0, 1.0], sun)
     assert got == pytest.approx(expect, rel=1e-12)
     assert got > 0
-
-
-def test_shade_points_matches_scalar(flat_dem):
-    sun = SunConfig(azimuth=45.0, elevation=35.0)
-    pts = np.array([[0.0, 0.0, 0.0], [30.0, -20.0, 0.0]])
-    views = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    vec = shade_points(flat_dem, pts, views, sun, DEFAULTS)
-    for i, p in enumerate(pts):
-        n = surface_normal(flat_dem, p[0], p[1])
-        assert vec[i] == shade_point(flat_dem, p, n, sun, DEFAULTS, views[i])
 
 
 def test_shade_nonnegative_random():
@@ -209,7 +213,7 @@ def test_shade_nonnegative_random():
 
     zs = sample_height(dem, xs, ys)
     views = np.tile([0.0, 0.0, 1.0], (100, 1))
-    vals = shade_points(dem, np.column_stack([xs, ys, zs]), views, sun, DEFAULTS)
+    vals = shade(dem, np.column_stack([xs, ys, zs]), views, sun)
     assert (vals >= 0).all()
 
 

@@ -15,10 +15,11 @@ from lunarforge import (
     sample_pair,
     synth_crater_dem,
 )
-from lunarforge._heightfield import intersect_rays
+from lunarforge._heightfield import intersect_rays, sun_ceiling
 from lunarforge.camera import CameraRig, Intrinsics, Pose, camera_dirs
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.pose import essential_from_poses
+from lunarforge.radiometry import sun_direction
 from lunarforge.renderer import (
     BAND_PIXELS,
     CameraBelowTerrainError,
@@ -158,7 +159,6 @@ def test_shadowed_crater_wall_is_black():
 
 def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
     from lunarforge._heightfield import shadow_mask
-    from lunarforge.radiometry import sun_direction
 
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)
@@ -170,7 +170,8 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
         valid = np.isfinite(prod.depth)
         points = depth_to_pointmap(prod)[valid]
         images[sun] = prod.image[valid]
-        cast[sun] = shadow_mask(dem, points, sun_direction(sun))
+        s = sun_direction(sun)
+        cast[sun] = shadow_mask(dem, points, s, sun_ceiling(dem, s))
     assert (images[polar][cast[polar]] == 0).all()
     newly_shadowed = cast[polar] & ~cast[high] & (images[high] > 0)
     assert newly_shadowed.sum() > 0.05 * images[high].size
@@ -209,18 +210,15 @@ def test_band_peak_memory_per_jittered_ray():
     needs, about 210 B per PSF ray."""
     import tracemalloc
 
-    from lunarforge._heightfield import prepare_shadows
-    from lunarforge.radiometry import sun_direction
-
     seed = 22 * 100003  # generate's seed for pair 0 of band 0 under --seed 22
     dem = synth_dem_for_band("oblique", 0, seed=22, size=160)
     _, rig = sample_pair("oblique", seed, 0, dem, width=128, height=128, psf_sigma=0.5, rays_per_pixel=4)
     sun = lighting_preset("side")
-    prepare_shadows(dem, sun_direction(sun))
+    ceiling = sun_ceiling(dem, sun_direction(sun))
     band = slice(64, 128)  # the second band, whose draw skips the first's
 
     def render():
-        return _render_band(dem, rig, 0, sun, HAPKE, seed, band)
+        return _render_band(dem, rig, 0, sun, HAPKE, seed, ceiling, band)
 
     render()  # the DEM's cached bounds, outside the measurement
     tracemalloc.start()
@@ -254,7 +252,8 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
     sun = lighting_preset("side")
     pa, pb = render_pair(dem, rig, sun, HAPKE, seed=4)
     # Radiance stays below 1 here, so a unit gain leaves it unclipped.
-    raw_a, raw_b = (_render(dem, rig, view_id, sun, HAPKE, 4, 1.0)[0] for view_id in (0, 1))
+    ceiling = sun_ceiling(dem, sun_direction(sun))
+    raw_a, raw_b = (_render(dem, rig, view_id, sun, HAPKE, 4, ceiling, 1.0)[0] for view_id in (0, 1))
     assert exposure_gain(raw_a.image) != exposure_gain(raw_b.image)
     for prod, raw in ((pa, raw_a), (pb, raw_b)):
         assert prod.image.tobytes() == np.clip(raw.image * exposure_gain(raw_a.image), 0.0, 1.0).tobytes()
@@ -268,16 +267,15 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
 
 
 # ---------------------------------------------------------------------------
-# the shadow rays' (DEM, sun) memo
+# sweeps of the shadow rays' (DEM, sun) ceiling
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Sun direction of every sun_ceiling sweep, from an empty memo."""
+    """Sun direction of every sun_ceiling sweep."""
     from lunarforge import _heightfield
 
-    monkeypatch.setattr(_heightfield, "_memo", None)
     seen = []
     real = _heightfield.sun_ceiling
 
@@ -296,6 +294,18 @@ def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
     _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # 1 band at 1 thread, 8 at 8
     render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1)
     assert len(sweeps) == 1
+
+
+def test_generate_sweeps_one_ceiling_per_pair(sweeps, tmp_path):
+    """Bands 0 and 5 under the side and back suns are four pairs, each one
+    sweep; the two lightings of a band share its DEM, not its ceiling."""
+    from lunarforge.cli import main
+
+    argv = ["generate", "--synth", "--trajectory", "oblique", "--bands", "0,5", "--pairs", "1",
+            "--lighting", "side,back", "--res", "16", "--synth-size", "32", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    side, back = (tuple(sun_direction(lighting_preset(lid))) for lid in ("side", "back"))
+    assert sweeps == [side, back, side, back]
 
 
 def _whole_view_jitter(seed, view_id, height, width, rpp, sigma):
@@ -339,39 +349,6 @@ def test_psf_jitter_is_drawn_once_per_band_of_each_view(monkeypatch):
     render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1)
     # two views, each drawn one row band at a time
     assert len(seen) == 2 * len(_row_bands(32, 32, resolve_workers()))
-
-
-def test_shadow_tests_under_one_sun_sweep_once(sweeps):
-    from lunarforge import shadow_test
-    from lunarforge.radiometry import sun_direction
-
-    dem = synth_crater_dem(3, 48, 48, 5.0, 3, 3)
-    s = sun_direction(lighting_preset("polar"))
-    rng = np.random.default_rng(0)
-    for x, y in rng.uniform(dem.x_min, dem.x_max, (50, 2)):
-        shadow_test(dem, (x, y, float(oracles.bilinear(dem, x, y)) + 0.1), s)
-    assert len(sweeps) == 1
-
-
-def test_alternating_dems_and_suns_never_reuse_a_stale_ceiling(sweeps):
-    """Two same-shape DEMs under two suns, in an order where a ceiling keyed
-    by anything less than (this grid, this sun) would be reused: each render
-    equals the same render from an empty memo, bit for bit."""
-    from lunarforge import _heightfield
-
-    dems = {name: synth_dem_for_band("nadir", 0, seed=seed, size=96) for name, seed in (("A", 7), ("B", 8))}
-    assert dems["A"].elevations.shape == dems["B"].elevations.shape
-    _, rig = sample_pair("nadir", 3, 0, dems["A"], width=48, height=48)
-    suns = {1: lighting_preset("polar"), 2: lighting_preset("side")}
-
-    def render(name, sun):
-        return pinhole_view(dems[name], rig.intrinsics, rig.pose_a, sun=suns[sun]).image
-
-    for name, sun in (("A", 1), ("A", 2), ("B", 1), ("A", 1)):
-        image = render(name, sun)
-        _heightfield._memo = None
-        assert image.tobytes() == render(name, sun).tobytes()
-    assert len(sweeps) == 8
 
 
 def test_render_seed_changes_psf_image():

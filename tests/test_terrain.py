@@ -127,9 +127,22 @@ def _break_legacy_width_height(p, sidecar, meta):
     sidecar.write_text(json.dumps(meta))
 
 
+def _break_infinite_cell_size(p, sidecar, meta):
+    sidecar.write_text(json.dumps({**meta, "cell_size": float("inf")}))
+
+
+def _break_nan_origin_x(p, sidecar, meta):
+    sidecar.write_text(json.dumps({**meta, "origin_x": float("nan")}))
+
+
+def _break_infinite_origin_y(p, sidecar, meta):
+    sidecar.write_text(json.dumps({**meta, "origin_y": -float("inf")}))
+
+
 @pytest.mark.parametrize("breaker", [
     _break_missing_sidecar, _break_malformed_json, _break_missing_cell_size,
     _break_size_mismatch, _break_legacy_width_height,
+    _break_infinite_cell_size, _break_nan_origin_x, _break_infinite_origin_y,
 ], ids=lambda f: f.__name__[len("_break_"):])
 def test_load_raw_f32_malformed(tmp_path, breaker):
     p = tmp_path / "d.f32"
@@ -138,6 +151,28 @@ def test_load_raw_f32_malformed(tmp_path, breaker):
     breaker(p, sidecar, json.loads(sidecar.read_text()))
     with pytest.raises(DemFormatError):
         load_dem(p, "raw_f32")
+
+
+@pytest.mark.parametrize("bad", [
+    {"cellsize": "inf"}, {"cellsize": "nan"}, {"xllcorner": "nan"}, {"yllcorner": "-inf"},
+    {"ncols": "inf"}, {"nrows": "nan"}, {"ncols": "-2", "nrows": "-2"},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_load_ascii_invalid_header_value(tmp_path, bad):
+    header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0", "cellsize": "1",
+              "nodata_value": "-9999", **bad}
+    p = tmp_path / "bad.asc"
+    p.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n")
+    with pytest.raises(DemFormatError):
+        load_dem(p, "ascii_grid")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cell_size", np.inf), ("cell_size", np.nan), ("origin_x", np.nan), ("origin_y", -np.inf),
+])
+def test_grid_rejects_non_finite_georeferencing(field, value):
+    fields = dict(width=2, height=2, cell_size=1.0, origin_x=0.0, origin_y=0.0, elevations=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        DemGrid(**{**fields, field: value})
 
 
 def test_ascii_round_trip(tmp_path):
