@@ -4,7 +4,10 @@ rendering, synthetic DEM creation, and visualization.
 Subcommands: generate, evaluate, render-pair, synth-dem, visualize.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  All artifacts are
 byte-deterministic for a fixed seed, independent of the thread count
-(LUNARFORGE_THREADS sets it; the default is min(4, cores)).
+(LUNARFORGE_THREADS sets it; the default is min(4, cores)).  generate and
+render-pair write one pair after another, and each pair's render_pair runs
+both views' row bands on one pool of that many threads; evaluate scores the
+pairs on one such pool.
 """
 
 from __future__ import annotations
@@ -211,16 +214,6 @@ def _scene(args, bands: list[int], lightings: list[str]):
     return dems, hapke, rig_args
 
 
-def _render_tasks(out_dir: Path, tasks: list, hapke: HapkeParams, stride: int) -> list[PairRecord]:
-    """Render (pair_id, dem, spec, rig, sun, seed) tasks one after another and
-    write their artifacts; each render splits its rows over the threads."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [
-        _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, seed, stride)
-        for pair_id, dem, spec, rig, sun, seed in tasks
-    ]
-
-
 def cmd_generate(args) -> int:
     bands = _parse_list(args.bands, "band")
     lightings = _parse_list(args.lighting, "lighting preset", str.strip)
@@ -239,7 +232,10 @@ def cmd_generate(args) -> int:
                 tasks.append((pair_id, dems[band], replace(spec, lighting=lid), rig, lighting_preset(lid), pair_seed))
 
     out_dir = Path(args.out)
-    records = _render_tasks(out_dir, tasks, hapke, args.stride)
+    records = [
+        _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, seed, args.stride)
+        for pair_id, dem, spec, rig, sun, seed in tasks
+    ]
     header = {
         "format": "lunarforge-manifest",
         "version": 1,
@@ -372,11 +368,8 @@ def cmd_evaluate(args) -> int:
             return record, None, {"type": type(exc).__name__, "detail": str(exc)}
         return record, evaluate_pair(pred, gt, seed=args.seed), None
 
-    if n_workers == 1 or len(records) <= 1:
-        results = [score(r) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(score, records))  # manifest order preserved
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        results = list(pool.map(score, records))  # manifest order preserved
 
     lines = []
     rra_errors = []
@@ -454,9 +447,9 @@ def cmd_render_pair(args) -> int:
     if args.zero_baseline:
         rig = replace(rig, pose_b=rig.pose_a)
     pair_id = f"{args.trajectory}_b{args.band:02d}_p000_{args.lighting}"
-    task = (pair_id, dem, spec, rig, lighting_preset(args.lighting), args.seed)
     out_dir = Path(args.out)
-    (record,) = _render_tasks(out_dir, [task], hapke, args.stride)
+    sun = lighting_preset(args.lighting)
+    record = _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, args.seed, args.stride)
     print(f"rendered {record.pair_id} into {out_dir}")
     return 0
 
@@ -475,8 +468,10 @@ def cmd_synth_dem(args) -> int:
 def cmd_visualize(args) -> int:
     if args.mode not in ("hillshade", "slope"):
         raise UsageError(f"unknown mode {args.mode!r}; expected hillshade or slope")
-    if args.spacing is not None and not args.spacing > 0:
-        raise UsageError("--spacing must be > 0")
+    if not (math.isfinite(args.azimuth) and math.isfinite(args.elevation)):
+        raise UsageError("--azimuth and --elevation must be finite")
+    if args.spacing is not None and not (math.isfinite(args.spacing) and args.spacing > 0):
+        raise UsageError("--spacing must be finite and > 0")
     raster, meta = formats.read_f32_raster(args.input)
     if raster.ndim == 3:
         raster = raster[..., 2]  # pointmap input: use the elevation channel
@@ -578,6 +573,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # Every seeded subcommand takes --seed; numpy seeds are non-negative.
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)

@@ -324,13 +324,11 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
     gt_cloud = np.concatenate([gt.pointmap_a[shared_a], gt.pointmap_b[shared_b]])
     pred_cloud = np.concatenate([pred.pointmap_a[shared_a], pred.pointmap_b[shared_b]])
 
+    # Built outside the try: a bad seed is the caller's error, not degenerate geometry.
+    params = RansacParams(iterations=ALIGN_ITERATIONS, inlier_threshold=ALIGN_THRESHOLD_GSD * gt.gsd_m, seed=seed)
     if len(gt_cloud) >= 3:
         try:
-            transform, _ = ransac_align(
-                pred_cloud,
-                gt_cloud,
-                RansacParams(iterations=ALIGN_ITERATIONS, inlier_threshold=ALIGN_THRESHOLD_GSD * gt.gsd_m, seed=seed),
-            )
+            transform, _ = ransac_align(pred_cloud, gt_cloud, params)
             report.alignment = transform
         except (RansacError, ValueError) as exc:  # ValueError covers degenerate geometry
             report.flags["alignment"] = f"failed: {exc}"

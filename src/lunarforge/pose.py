@@ -49,7 +49,11 @@ class RansacParams:
 
     iterations: int = 2000
     inlier_threshold: float = 1.0  # pixels (essential/PnP) or meters (alignment)
-    seed: int = 0
+    seed: int = 0  # >= 0, as numpy's SeedSequence needs
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 _CONFIDENCE = 0.999  # p of the adaptive stopping rule

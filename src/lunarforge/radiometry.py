@@ -27,17 +27,17 @@ class HapkeParams:
     """Photometric parameters of the regolith reflectance model."""
 
     w: float = 0.25       # single-scattering albedo, (0, 1]
-    B0: float = 1.0       # opposition-surge amplitude, >= 0
-    h_opp: float = 0.05   # opposition angular width, > 0
+    B0: float = 1.0       # opposition-surge amplitude, finite and >= 0
+    h_opp: float = 0.05   # opposition angular width, finite and > 0
     xi: float = -0.25     # Henyey-Greenstein asymmetry, (-1, 1); < 0 backscatters
 
     def __post_init__(self):
         if not 0 < self.w <= 1:
             raise ValueError("w must be in (0, 1]")
-        if self.B0 < 0:
-            raise ValueError("B0 must be >= 0")
-        if self.h_opp <= 0:
-            raise ValueError("h_opp must be > 0")
+        if not 0 <= self.B0 < math.inf:
+            raise ValueError("B0 must be finite and >= 0")
+        if not 0 < self.h_opp < math.inf:
+            raise ValueError("h_opp must be finite and > 0")
         if not -1 < self.xi < 1:
             raise ValueError("xi must be in (-1, 1)")
 
@@ -62,6 +62,8 @@ class SunConfig:
             raise ValueError("azimuth must be in [0, 360)")
         if not 0 < self.elevation <= 90:
             raise ValueError("elevation must be in (0, 90]")
+        if not 0 <= self.irradiance < math.inf:
+            raise ValueError("irradiance must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -1,26 +1,27 @@
 """Ray-traced images, ray-depth maps, pointmaps, and ground-truth correspondences.
 
-render_pair is the one render call.  A view is (rig, view id): view 0 looks
-from the rig's pose_a and view 1 from its pose_b, with the rig's intrinsics,
-PSF sigma and rays per pixel.  Every view is shaded, and view b takes view a's
-exposure gain.  render_pair sweeps the sun's shadow ceiling
-(_heightfield.sun_ceiling) once, before either view's buffers, and hands it
-down to every row band's shading; no module state holds it.  A view's
-radiance before the gain is a pure function of (DEM, rig, sun, seed, view
-id): PSF jitter comes from a single stream keyed by (seed, view id), pixels
-are partitioned into row bands whose outputs land in disjoint buffer slices,
-and no cross-pixel reductions occur, so results are bitwise identical for any
-worker count and across runs.
+render_pair is the one render call and the whole pair driver.  A view is
+(rig, view id): view 0 looks from the rig's pose_a and view 1 from its
+pose_b, with the rig's intrinsics, PSF sigma and rays per pixel.  Every view
+is shaded, and view b takes view a's exposure gain.  render_pair checks both
+cameras against the terrain, sweeps the sun's shadow ceiling
+(_heightfield.sun_ceiling) once, and hands it down to every row band's
+shading; no module state holds it.  A view's radiance before the gain is a
+pure function of (DEM, rig, sun, seed, view id): PSF jitter comes from a
+single stream keyed by (seed, view id), pixels are partitioned into row bands
+whose outputs land in disjoint buffer slices, and no cross-pixel reductions
+occur, so results are bitwise identical for any worker count and across runs.
 Each band draws its own jitter, on its own thread: it advances the view's
 stream to the band's first row and draws exactly the numbers a whole-view
 draw would have given its rows, so no view-sized jitter array is ever held.
 
 Each view splits into the fewest equal, contiguous row bands of at most
 BAND_PIXELS pixels whose count is a multiple of the thread count
-(resolve_workers), and a pool of that many threads renders them.  So the
-threads start with equal shares, and each band is large enough that its
-numpy calls run long enough for the threads to overlap.  The plan changes
-with the thread count; the pixels do not.
+(resolve_workers).  Both views' bands are one task list, view a's first, and
+one pool of that many threads renders a pair; a 1-thread pool runs the tasks
+one at a time in order.  So the threads start with equal shares, and each
+band is large enough that its numpy calls run long enough for the threads to
+overlap.  The plan changes with the thread count; the pixels do not.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from scipy.special import ndtri
 from . import _heightfield
 from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points, unproject
 from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
-from .terrain import DemGrid, NodataError, bilinear, sample_height
+from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height
 
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
 # shading peak at about 210-230 B per ray, so near 7.5 MB per thread.
@@ -151,48 +152,6 @@ def _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, rows):
     return radiance, depth
 
 
-def _render(dem, rig, view_id, sun, hapke, seed, ceiling, gain):
-    """Render view view_id (0 = a, 1 = b) of the rig over row bands, shading
-    under ceiling = sun_ceiling(dem, sun_direction(sun)); returns
-    (RenderProduct, the gain applied).
-
-    gain None derives it from this view's own radiance (see exposure_gain).
-    """
-    intr = rig.intrinsics
-    pose = (rig.pose_a, rig.pose_b)[view_id]
-    center = pose.translation
-    if dem.x_min <= center[0] <= dem.x_max and dem.y_min <= center[1] <= dem.y_max:
-        try:
-            ground = sample_height(dem, center[0], center[1])
-        except NodataError:  # no terrain under the camera to be below
-            ground = -np.inf
-        if center[2] <= ground:
-            raise CameraBelowTerrainError("camera center is below the terrain surface")
-
-    radiance = np.zeros((intr.height, intr.width))
-    depth = np.zeros((intr.height, intr.width))
-
-    n_workers = resolve_workers()
-    bands = _row_bands(intr.height, intr.width, n_workers)
-
-    def run(band):
-        return band, _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, band)
-
-    if n_workers == 1 or len(bands) == 1:
-        results = [run(b) for b in bands]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, bands))
-    for band, (rad, dep) in results:
-        radiance[band] = rad
-        depth[band] = dep
-
-    if gain is None:
-        gain = exposure_gain(radiance)
-    product = RenderProduct(image=np.clip(radiance * gain, 0.0, 1.0), depth=depth, intrinsics=intr, pose=pose)
-    return product, gain
-
-
 def exposure_gain(radiance: np.ndarray) -> float:
     """Per-pair photometric gain: 1 / (99th percentile), 1.0 for black frames."""
     p99 = float(np.percentile(radiance, 99.0))
@@ -208,11 +167,41 @@ def render_pair(
 ):
     """Render both rig views, PSF-averaged radiance images plus central-ray
     depth, with a shared gain taken from view a's 99th radiance percentile.
-    Both views shade under one sweep of the sun's shadow ceiling."""
+
+    Both cameras are checked against the terrain before any work, then the
+    sun's shadow ceiling is swept once and one pool renders both views' row
+    bands."""
+    poses = (rig.pose_a, rig.pose_b)
+    for pose in poses:
+        x, y, z = pose.translation
+        try:
+            ground = sample_height(dem, x, y)
+        except (OutOfBoundsError, NodataError):  # no terrain below the camera
+            continue
+        if z <= ground:
+            raise CameraBelowTerrainError("camera center is below the terrain surface")
     ceiling = _heightfield.sun_ceiling(dem, sun_direction(sun))
-    product_a, gain = _render(dem, rig, 0, sun, hapke, seed, ceiling, None)
-    product_b, _ = _render(dem, rig, 1, sun, hapke, seed, ceiling, gain)
-    return product_a, product_b
+
+    intr = rig.intrinsics
+    radiance = [np.zeros((intr.height, intr.width)) for _ in poses]
+    depth = [np.zeros((intr.height, intr.width)) for _ in poses]
+    n_workers = resolve_workers()
+    tasks = [(view_id, band) for view_id in (0, 1) for band in _row_bands(intr.height, intr.width, n_workers)]
+
+    def run(task):
+        view_id, band = task
+        return _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, band)
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        for (view_id, band), (rad, dep) in zip(tasks, pool.map(run, tasks)):
+            radiance[view_id][band] = rad
+            depth[view_id][band] = dep
+
+    gain = exposure_gain(radiance[0])
+    return tuple(
+        RenderProduct(image=np.clip(rad * gain, 0.0, 1.0), depth=dep, intrinsics=intr, pose=pose)
+        for rad, dep, pose in zip(radiance, depth, poses)
+    )
 
 
 def depth_to_pointmap(product: RenderProduct) -> np.ndarray:

@@ -7,20 +7,33 @@ from lunarforge.metrics import PairGroundTruth
 from lunarforge.trajectory import lighting_preset
 
 
+def _recorded_pools(monkeypatch, module):
+    """max_workers of every thread pool the module opens, in opening order."""
+    seen = []
+
+    class Recording(module.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
+    return seen
+
+
 @pytest.fixture
 def renderer_pools(monkeypatch):
     """max_workers of every thread pool the renderer opens."""
     import lunarforge.renderer as renderer
 
-    seen = []
+    return _recorded_pools(monkeypatch, renderer)
 
-    class Recording(renderer.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            seen.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(renderer, "ThreadPoolExecutor", Recording)
-    return seen
+@pytest.fixture
+def cli_pools(monkeypatch):
+    """max_workers of every thread pool the CLI opens."""
+    import lunarforge.cli as cli
+
+    return _recorded_pools(monkeypatch, cli)
 
 
 @pytest.fixture(scope="session")

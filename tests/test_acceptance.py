@@ -287,11 +287,12 @@ def test_criterion_09_generate_determinism(tmp_path, monkeypatch):
     report(9, "cmd_generate yields byte-identical trees across runs and workers {1, 8}", check)
 
 
-@pytest.mark.parametrize("workers, pools", [("1", []), ("8", [8] * 4)])
+@pytest.mark.parametrize("workers, pools", [("1", [1] * 2), ("8", [8] * 2)])
 def test_criterion_09_command_renders_in_parallel_only_above_one_thread(
         tmp_path, monkeypatch, renderer_pools, workers, pools):
     # So "workers {1, 8}" compares a serial run with a parallel one: each of
-    # the 2 pairs' 2 views splits its 32 rows into 8 bands of 4 at 8 threads.
+    # the 2 pairs opens one pool, which at 1 thread runs its tasks one at a
+    # time, and at 8 threads runs both views' 32 rows as 8 bands of 4 each.
     monkeypatch.setenv("LUNARFORGE_THREADS", workers)
     assert main(CRITERION_09_ARGS + ["--out", str(tmp_path / "run")]) == 0
     assert renderer_pools == pools

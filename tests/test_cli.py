@@ -56,8 +56,8 @@ def test_generate_worker_count_invariance(tmp_path, monkeypatch):
 
 
 def test_generate_three_pairs_match_serial(tmp_path, monkeypatch, renderer_pools):
-    # Pairs render one after another, each view splitting its 64 rows into
-    # bands over LUNARFORGE_THREADS threads (8 bands of 8 rows at 8).
+    # Pairs render one after another, each on one pool of LUNARFORGE_THREADS
+    # threads over both views' bands (8 bands of 8 rows per view at 8).
     argv = GEN_ARGS + ["--pairs", "3", "--res", "64", "--lighting", "side"]
     trees = {}
     for threads in (1, 8):
@@ -66,7 +66,7 @@ def test_generate_three_pairs_match_serial(tmp_path, monkeypatch, renderer_pools
         out = tmp_path / f"w{threads}"
         assert run(argv + ["--out", str(out)]) == 0
         trees[threads] = tree_digest(out)
-        assert renderer_pools == ([] if threads == 1 else [threads] * 6)
+        assert renderer_pools == [threads] * 3
     assert sum(name.endswith("meta.json") for name in trees[1]) == 3
     assert trees[1] == trees[8]
 
@@ -79,7 +79,7 @@ def test_render_pair_lone_pair_uses_every_worker(tmp_path, monkeypatch, renderer
         monkeypatch.setenv("LUNARFORGE_THREADS", threads)
         assert run(argv + ["--out", str(tmp_path / threads)]) == 0
         trees.append(tree_digest(tmp_path / threads))
-    assert renderer_pools == [8, 8]  # both views of the one pair
+    assert renderer_pools == [8]  # one pool for both views of the one pair
     assert trees[0] == trees[1] == trees[2]
 
 
@@ -105,6 +105,9 @@ INVALID_SCENE_VALUES = [
     (flag, value, command)
     for flag, value in [
         ("--hapke-w", "2"),
+        ("--hapke-b0", "nan"),
+        ("--hapke-b0", "inf"),
+        ("--hapke-h", "inf"),
         ("--psf-sigma", "-1"),
         ("--psf-sigma", "inf"),
         ("--rays-per-pixel", "0"),
@@ -164,6 +167,10 @@ def test_bad_thread_cap_is_a_usage_error(dataset, tmp_path, monkeypatch, capsys,
     pytest.param(["synth-dem", "--cell-size", "inf"], id="synth-dem-cell-size-inf"),
     pytest.param(["visualize", "--mode", "slope", "--spacing", "0"], id="visualize-spacing-0"),
     pytest.param(["visualize", "--mode", "hillshade", "--spacing", "-1"], id="visualize-spacing-negative"),
+    pytest.param(["visualize", "--mode", "hillshade", "--spacing", "inf"], id="visualize-spacing-inf"),
+    pytest.param(["visualize", "--mode", "slope", "--spacing", "inf"], id="visualize-slope-spacing-inf"),
+    pytest.param(["visualize", "--mode", "hillshade", "--azimuth", "nan"], id="visualize-azimuth-nan"),
+    pytest.param(["visualize", "--mode", "hillshade", "--elevation", "inf"], id="visualize-elevation-inf"),
 ])
 def test_bad_raster_geometry_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     # The input raster does not exist and synthesis fails the run, so either
@@ -179,6 +186,29 @@ def test_bad_raster_geometry_is_a_usage_error(tmp_path, monkeypatch, capsys, arg
     assert run(argv + io + ["--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "usage"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "render-pair", "synth-dem", "evaluate"])
+def test_negative_seed_is_a_usage_error(dataset, tmp_path, monkeypatch, capsys, command):
+    import lunarforge.cli as cli
+
+    def no_dem(*args, **kwargs):
+        raise AssertionError("a DEM was synthesised before validation")
+
+    monkeypatch.setattr(cli, "synth_crater_dem", no_dem)
+    out = tmp_path / "out"
+    argv = {
+        **SCENE_ARGV,
+        "synth-dem": ["synth-dem", "--out", str(out)],
+        "evaluate": ["evaluate", "--gt", str(dataset), "--pred", str(dataset), "--report", str(out)],
+    }[command]
+    if command in SCENE_ARGV:
+        argv = argv + ["--out", str(out)]
+    assert run(argv + ["--seed", "-1"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "usage"
+    assert "--seed" in payload["detail"]
     assert not out.exists()
 
 
@@ -373,6 +403,20 @@ def test_evaluate_reports_match_at_every_thread_count_on_noisy_predictions(two_p
     for entry in entries:
         assert entry["alignment"]["scale"] == pytest.approx(2.0, rel=0.01)
         assert all(isinstance(entry[name], float) for name in ("chamfer_m", "slope_corr", "ssim", "si_loss"))
+
+
+def test_evaluate_opens_one_pair_pool_at_every_thread_count(two_pair_dataset, tmp_path, monkeypatch, cli_pools):
+    pred = tmp_path / "pred"
+    _copy_predictions(two_pair_dataset, pred)
+    reports = []
+    for threads in (1, 2):
+        cli_pools.clear()
+        monkeypatch.setenv("LUNARFORGE_THREADS", str(threads))
+        report = tmp_path / f"report_{threads}.jsonl"
+        assert run(["evaluate", "--gt", str(two_pair_dataset), "--pred", str(pred), "--report", str(report)]) == 0
+        assert cli_pools == [threads]
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("defect", ["depth_shape", "depth_nan"])

@@ -342,6 +342,14 @@ def test_evaluate_identity_perfect(nadir_gt_pair):
     assert rep.flags == {}
 
 
+def test_evaluate_negative_seed_raises_instead_of_flagging(nadir_gt_pair):
+    gt = nadir_gt_pair["gt"]
+    pred = PairPrediction(pointmap_a=nadir_gt_pair["pm_a"], pointmap_b=nadir_gt_pair["pm_b"],
+                          pose_a=gt.pose_a, pose_b=gt.pose_b)
+    with pytest.raises(ValueError, match="seed"):
+        evaluate_pair(pred, gt, seed=-1)
+
+
 def test_evaluate_similarity_absorbed(nadir_gt_pair):
     gt = nadir_gt_pair["gt"]
     rng = np.random.default_rng(30)

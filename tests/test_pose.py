@@ -289,6 +289,11 @@ def test_umeyama_collinear_degenerate():
         umeyama(line, line * 2)
 
 
+def test_ransac_params_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        RansacParams(seed=-1)
+
+
 def test_ransac_align_clean_matches_umeyama():
     rng = np.random.default_rng(20)
     src = rng.normal(0, 8, (200, 3))

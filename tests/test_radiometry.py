@@ -30,6 +30,14 @@ def test_params_validation():
         SunConfig(azimuth=360.0, elevation=20.0)
     with pytest.raises(ValueError):
         SunConfig(azimuth=0.0, elevation=0.0)
+    for value in (math.inf, math.nan):
+        for field in ("B0", "h_opp"):
+            with pytest.raises(ValueError, match=field):
+                HapkeParams(**{field: value})
+    for irradiance in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="irradiance"):
+            SunConfig(azimuth=150.0, elevation=20.0, irradiance=irradiance)
+    SunConfig(azimuth=150.0, elevation=20.0, irradiance=0.0)  # a dark sun is allowed
 
 
 def test_golden_scalar():

@@ -23,7 +23,6 @@ from lunarforge.radiometry import sun_direction
 from lunarforge.renderer import (
     BAND_PIXELS,
     CameraBelowTerrainError,
-    _render,
     _render_band,
     _row_bands,
     exposure_gain,
@@ -251,13 +250,13 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
     spec, rig = sample_pair("nadir", 3, 0, dem, width=48, height=48)
     sun = lighting_preset("side")
     pa, pb = render_pair(dem, rig, sun, HAPKE, seed=4)
-    # Radiance stays below 1 here, so a unit gain leaves it unclipped.
+    # Each view rendered as one band of all its rows.
     ceiling = sun_ceiling(dem, sun_direction(sun))
-    raw_a, raw_b = (_render(dem, rig, view_id, sun, HAPKE, 4, ceiling, 1.0)[0] for view_id in (0, 1))
-    assert exposure_gain(raw_a.image) != exposure_gain(raw_b.image)
-    for prod, raw in ((pa, raw_a), (pb, raw_b)):
-        assert prod.image.tobytes() == np.clip(raw.image * exposure_gain(raw_a.image), 0.0, 1.0).tobytes()
-        assert prod.depth.tobytes() == raw.depth.tobytes()
+    raw_a, raw_b = (_render_band(dem, rig, view_id, sun, HAPKE, 4, ceiling, slice(0, 48)) for view_id in (0, 1))
+    assert exposure_gain(raw_a[0]) != exposure_gain(raw_b[0])
+    for prod, (radiance, depth) in ((pa, raw_a), (pb, raw_b)):
+        assert prod.image.tobytes() == np.clip(radiance * exposure_gain(raw_a[0]), 0.0, 1.0).tobytes()
+        assert prod.depth.tobytes() == depth.tobytes()
     # View a does not depend on pose_b: a rig whose views share one pose
     # renders that pose's one view.
     same_a, _ = render_pair(dem, CameraRig(rig.intrinsics, rig.pose_a, rig.pose_a, rig.psf_sigma, rig.rays_per_pixel),
@@ -294,6 +293,25 @@ def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
     _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # 1 band at 1 thread, 8 at 8
     render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1)
     assert len(sweeps) == 1
+
+
+def test_camera_b_below_terrain_fails_before_any_work(sweeps, monkeypatch, flat_dem):
+    import lunarforge.renderer as renderer
+
+    bands = []
+    real = renderer._render_band
+
+    def counting(*args):
+        bands.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(renderer, "_render_band", counting)
+    intr = Intrinsics(width=16, height=16, fov_deg=45.0)
+    above = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 200.0]))
+    below = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, -5.0]))
+    with pytest.raises(CameraBelowTerrainError):
+        pinhole_pair(flat_dem, intr, above, below)
+    assert sweeps == [] and bands == []
 
 
 def test_generate_sweeps_one_ceiling_per_pair(sweeps, tmp_path):
