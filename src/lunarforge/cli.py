@@ -5,9 +5,9 @@ Subcommands: generate, evaluate, render-pair, synth-dem, visualize.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  All artifacts are
 byte-deterministic for a fixed seed, independent of the thread count
 (LUNARFORGE_THREADS sets it; the default is min(4, cores)).  generate and
-render-pair write one pair after another, and each pair's render_pair runs
-both views' row bands on one pool of that many threads; evaluate scores the
-pairs on one such pool.
+render-pair render one rig after another: each rig's render_pair traces it
+once, shades it under every lighting, and runs both views' row bands on one
+pool of that many threads.  evaluate scores the pairs on one such pool.
 """
 
 from __future__ import annotations
@@ -81,19 +81,20 @@ def synth_dem_for_band(
 def _pair_artifacts(
     out_dir: Path,
     pair_id: str,
-    dem: DemGrid,
     spec,
     rig: CameraRig,
     sun: SunConfig,
     hapke: HapkeParams,
     render_seed: int,
     stride: int,
+    products,
 ) -> PairRecord:
-    """Render one pair and write every artifact; returns its manifest record."""
+    """Write every artifact of one pair, the rig's (view a, view b) products
+    under sun; returns its manifest record."""
     pair_dir = out_dir / pair_id
     pair_dir.mkdir(parents=True, exist_ok=True)
     try:
-        prod_a, prod_b = render_pair(dem, rig, sun, hapke, seed=render_seed)
+        prod_a, prod_b = products
         corr = gt_correspondences(prod_a, prod_b, stride=stride)
 
         paths = {
@@ -183,6 +184,7 @@ def _scene(args, bands: list[int], lightings: list[str]):
     for message, ok in (
         ("--res must be >= 1", args.res >= 1),
         ("--synth-size must be >= 16", not args.synth or args.synth_size >= 16),
+        ("--synth-craters and --synth-octaves must be >= 0", args.synth_craters >= 0 and args.synth_octaves >= 0),
         ("--psf-sigma must be finite and >= 0", math.isfinite(args.psf_sigma) and args.psf_sigma >= 0),
         # Without a PSF each pixel casts one ray whatever this says.
         ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
@@ -221,21 +223,26 @@ def cmd_generate(args) -> int:
         raise UsageError("--pairs must be >= 1")
     dems, hapke, rig_args = _scene(args, bands, lightings)
 
-    # Build the render task list first so records land in manifest order.
-    tasks = []
+    # Sample every rig before rendering any, so a bad rig fails the run first.
+    rigs = []
     for band in bands:
         for idx in range(args.pairs):
             pair_seed = args.seed * 100003 + band * 101 + idx
             spec, rig = sample_pair(args.trajectory, pair_seed, band, dems[band], **rig_args)
-            for lid in lightings:
-                pair_id = f"{args.trajectory}_b{band:02d}_p{idx:03d}_{lid}"
-                tasks.append((pair_id, dems[band], replace(spec, lighting=lid), rig, lighting_preset(lid), pair_seed))
+            rigs.append((band, idx, pair_seed, spec, rig))
 
+    # A rig's lightings share its pair seed, so one render_pair traces the
+    # rig once and shades it under every lighting.
     out_dir = Path(args.out)
-    records = [
-        _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, seed, args.stride)
-        for pair_id, dem, spec, rig, sun, seed in tasks
-    ]
+    suns = [lighting_preset(lid) for lid in lightings]
+    records = []
+    for band, idx, pair_seed, spec, rig in rigs:
+        products = render_pair(dems[band], rig, suns, hapke, seed=pair_seed)
+        for lid, sun, pair in zip(lightings, suns, products):
+            pair_id = f"{args.trajectory}_b{band:02d}_p{idx:03d}_{lid}"
+            records.append(_pair_artifacts(
+                out_dir, pair_id, replace(spec, lighting=lid), rig, sun, hapke, pair_seed, args.stride, pair
+            ))
     header = {
         "format": "lunarforge-manifest",
         "version": 1,
@@ -449,7 +456,8 @@ def cmd_render_pair(args) -> int:
     pair_id = f"{args.trajectory}_b{args.band:02d}_p000_{args.lighting}"
     out_dir = Path(args.out)
     sun = lighting_preset(args.lighting)
-    record = _pair_artifacts(out_dir, pair_id, dem, spec, rig, sun, hapke, args.seed, args.stride)
+    (pair,) = render_pair(dem, rig, [sun], hapke, seed=args.seed)
+    record = _pair_artifacts(out_dir, pair_id, spec, rig, sun, hapke, args.seed, args.stride, pair)
     print(f"rendered {record.pair_id} into {out_dir}")
     return 0
 
@@ -457,6 +465,8 @@ def cmd_render_pair(args) -> int:
 def cmd_synth_dem(args) -> int:
     if args.width < 16 or args.height < 16 or not math.isfinite(args.cell_size) or not args.cell_size > 0:
         raise UsageError("--width and --height must be >= 16 and --cell-size finite and > 0")
+    if args.craters < 0 or args.octaves < 0:
+        raise UsageError("--craters and --octaves must be >= 0")
     dem = synth_crater_dem(
         args.seed, args.width, args.height, args.cell_size, args.craters, args.octaves
     )
@@ -468,8 +478,10 @@ def cmd_synth_dem(args) -> int:
 def cmd_visualize(args) -> int:
     if args.mode not in ("hillshade", "slope"):
         raise UsageError(f"unknown mode {args.mode!r}; expected hillshade or slope")
-    if not (math.isfinite(args.azimuth) and math.isfinite(args.elevation)):
-        raise UsageError("--azimuth and --elevation must be finite")
+    if not math.isfinite(args.azimuth):
+        raise UsageError("--azimuth must be finite")
+    if not 0 < args.elevation <= 90:
+        raise UsageError("--elevation must be in (0, 90]")
     if args.spacing is not None and not (math.isfinite(args.spacing) and args.spacing > 0):
         raise UsageError("--spacing must be finite and > 0")
     raster, meta = formats.read_f32_raster(args.input)

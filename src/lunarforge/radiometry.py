@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import _heightfield
-from .terrain import DemGrid, surface_normal
+from .terrain import DemGrid
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,15 @@ def sun_direction(cfg: SunConfig) -> np.ndarray:
 def shade_points(
     dem: DemGrid,
     points: np.ndarray,
+    normals: np.ndarray,
     view_dirs: np.ndarray,
     sun: SunConfig,
     params: HapkeParams,
     ceiling: np.ndarray,
 ) -> np.ndarray:
     """Radiance (relative units) leaving (N, 3) hit points toward the camera;
-    view_dirs point from surface to camera.
+    normals are the points' unit surface normals and view_dirs point from
+    surface to camera.
 
     Zero where a point is shadowed, where the sun is below its facet's horizon
     (mu0 <= 0), or where the facet faces away from the camera (mu <= 0).
@@ -135,15 +137,8 @@ def shade_points(
     view_dirs = np.asarray(view_dirs, dtype=np.float64)
     if points.shape[0] == 0:
         return np.zeros(0)
-    # Normals need a one-cell margin; clamp queries into it.
-    cs = dem.cell_size
-    qx = np.clip(points[:, 0], dem.x_min + cs, dem.x_max - cs)
-    qy = np.clip(points[:, 1], dem.y_min + cs, dem.y_max - cs)
-    normals = surface_normal(dem, qx, qy)
-    del qx, qy
     s = sun_direction(sun)
     mu0, mu = normals @ s, np.einsum("ij,ij->i", normals, view_dirs)
-    del normals
     facing = (mu0 > 0) & (mu > 0)
     lit = np.zeros(len(points), dtype=bool)
     if facing.any():

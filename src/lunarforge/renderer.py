@@ -2,23 +2,30 @@
 
 render_pair is the one render call and the whole pair driver.  A view is
 (rig, view id): view 0 looks from the rig's pose_a and view 1 from its
-pose_b, with the rig's intrinsics, PSF sigma and rays per pixel.  Every view
-is shaded, and view b takes view a's exposure gain.  render_pair checks both
-cameras against the terrain, sweeps the sun's shadow ceiling
-(_heightfield.sun_ceiling) once, and hands it down to every row band's
-shading; no module state holds it.  A view's radiance before the gain is a
-pure function of (DEM, rig, sun, seed, view id): PSF jitter comes from a
-single stream keyed by (seed, view id), pixels are partitioned into row bands
-whose outputs land in disjoint buffer slices, and no cross-pixel reductions
-occur, so results are bitwise identical for any worker count and across runs.
+pose_b, with the rig's intrinsics, PSF sigma and rays per pixel.  render_pair
+takes the rig's suns and shades every view under each, and under each sun
+view b takes view a's exposure gain.  It checks both cameras against the
+terrain, sweeps each sun's shadow ceiling (_heightfield.sun_ceiling) once,
+and hands the ceilings down to every row band's shading; no module state
+holds them.  A view's radiance under a sun before the gain is a pure
+function of (DEM, rig, sun, seed, view id): PSF jitter comes from a single
+stream keyed by (seed, view id), pixels are partitioned into row bands whose
+outputs land in disjoint buffer slices, and no cross-pixel reductions occur,
+so results are bitwise identical for any worker count, across runs, and
+whichever other suns are rendered with it.
 Each band draws its own jitter, on its own thread: it advances the view's
 stream to the band's first row and draws exactly the numbers a whole-view
 draw would have given its rows, so no view-sized jitter array is ever held.
 
+Only shadow rays and shading depend on the sun.  So each band runs one
+geometry pass (central and jittered traces, hit points, view directions,
+surface normals) and then one shading pass per sun over what it holds, and
+memory stays bounded per band whatever the number of suns.
+
 Each view splits into the fewest equal, contiguous row bands of at most
 BAND_PIXELS pixels whose count is a multiple of the thread count
 (resolve_workers).  Both views' bands are one task list, view a's first, and
-one pool of that many threads renders a pair; a 1-thread pool runs the tasks
+one pool of that many threads renders a rig; a 1-thread pool runs the tasks
 one at a time in order.  So the threads start with equal shares, and each
 band is large enough that its numpy calls run long enough for the threads to
 overlap.  The plan changes with the thread count; the pixels do not.
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,10 +45,12 @@ from scipy.special import ndtri
 from . import _heightfield
 from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points, unproject
 from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
-from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height
+from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height, surface_normal
 
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
-# shading peak at about 210-230 B per ray, so near 7.5 MB per thread.
+# shading peak at about 235 B per ray under a 15-70 degree sun, whatever the
+# number of suns, so near 7.7 MB per thread; a 3 degree sun traces more
+# shadow rays and peaks near 300 B.
 BAND_PIXELS = 8192
 
 
@@ -114,9 +124,12 @@ def _psf_jitter(seed: int, view_id: int, rows: slice, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, rows):
-    """Render one horizontal band of rows of one rig view, shading under the
-    sun's ceiling; returns (radiance, depth) arrays."""
+def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, rows):
+    """Render one horizontal band of rows of one rig view under each sun,
+    shaded under that sun's ceiling; returns ([radiance per sun], depth).
+
+    The geometry pass (central and jittered traces, hit points, view
+    directions, surface normals) runs once and every sun shades it."""
     intr = rig.intrinsics
     pose = (rig.pose_a, rig.pose_b)[view_id]
     h = rows.stop - rows.start
@@ -144,12 +157,18 @@ def _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, rows):
     del jt
     pts += pose.translation
     np.negative(view, out=view)
-    shaded = shade_points(dem, pts, view, sun, hapke, ceiling)
-    del pts, view
-    radiance = np.zeros(h * w * rpp)
-    radiance[jhit] = shaded
-    radiance = radiance.reshape(h, w, rpp).mean(axis=2)
-    return radiance, depth
+    # Normals need a one-cell margin; clamp queries into it.
+    cs = dem.cell_size
+    normals = surface_normal(
+        dem, np.clip(pts[:, 0], dem.x_min + cs, dem.x_max - cs), np.clip(pts[:, 1], dem.y_min + cs, dem.y_max - cs)
+    )
+
+    radiances = []
+    for sun, ceiling in zip(suns, ceilings):
+        radiance = np.zeros(h * w * rpp)
+        radiance[jhit] = shade_points(dem, pts, normals, view, sun, hapke, ceiling)
+        radiances.append(radiance.reshape(h, w, rpp).mean(axis=2))
+    return radiances, depth
 
 
 def exposure_gain(radiance: np.ndarray) -> float:
@@ -161,16 +180,21 @@ def exposure_gain(radiance: np.ndarray) -> float:
 def render_pair(
     dem: DemGrid,
     rig: CameraRig,
-    sun: SunConfig,
+    suns: Sequence[SunConfig],
     hapke: HapkeParams,
     seed: int = 0,
-):
-    """Render both rig views, PSF-averaged radiance images plus central-ray
-    depth, with a shared gain taken from view a's 99th radiance percentile.
+) -> list[tuple[RenderProduct, RenderProduct]]:
+    """Render both rig views under each of suns, a non-empty sequence of
+    SunConfig: PSF-averaged radiance images plus central-ray depth.  Returns
+    one (view a, view b) per sun, in order; under each sun both views share
+    the gain taken from view a's 99th radiance percentile, and every sun's
+    products share the two depth arrays.
 
-    Both cameras are checked against the terrain before any work, then the
+    Both cameras are checked against the terrain before any work, then each
     sun's shadow ceiling is swept once and one pool renders both views' row
-    bands."""
+    bands, tracing each band once and shading it under every sun."""
+    if not suns:
+        raise ValueError("render_pair needs at least one sun")
     poses = (rig.pose_a, rig.pose_b)
     for pose in poses:
         x, y, z = pose.translation
@@ -180,28 +204,33 @@ def render_pair(
             continue
         if z <= ground:
             raise CameraBelowTerrainError("camera center is below the terrain surface")
-    ceiling = _heightfield.sun_ceiling(dem, sun_direction(sun))
+    ceilings = [_heightfield.sun_ceiling(dem, sun_direction(sun)) for sun in suns]
 
     intr = rig.intrinsics
-    radiance = [np.zeros((intr.height, intr.width)) for _ in poses]
-    depth = [np.zeros((intr.height, intr.width)) for _ in poses]
+    shape = (intr.height, intr.width)
+    radiance = [[np.zeros(shape) for _ in poses] for _ in suns]  # [sun][view]
+    depth = [np.zeros(shape) for _ in poses]
     n_workers = resolve_workers()
     tasks = [(view_id, band) for view_id in (0, 1) for band in _row_bands(intr.height, intr.width, n_workers)]
 
     def run(task):
         view_id, band = task
-        return _render_band(dem, rig, view_id, sun, hapke, seed, ceiling, band)
+        return _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, band)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for (view_id, band), (rad, dep) in zip(tasks, pool.map(run, tasks)):
-            radiance[view_id][band] = rad
+        for (view_id, band), (rads, dep) in zip(tasks, pool.map(run, tasks)):
             depth[view_id][band] = dep
+            for views, rad in zip(radiance, rads):
+                views[view_id][band] = rad
 
-    gain = exposure_gain(radiance[0])
-    return tuple(
-        RenderProduct(image=np.clip(rad * gain, 0.0, 1.0), depth=dep, intrinsics=intr, pose=pose)
-        for rad, dep, pose in zip(radiance, depth, poses)
-    )
+    pairs = []
+    for views in radiance:
+        gain = exposure_gain(views[0])
+        pairs.append(tuple(
+            RenderProduct(image=np.clip(rad * gain, 0.0, 1.0), depth=dep, intrinsics=intr, pose=pose)
+            for rad, dep, pose in zip(views, depth, poses)
+        ))
+    return pairs
 
 
 def depth_to_pointmap(product: RenderProduct) -> np.ndarray:

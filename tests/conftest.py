@@ -54,7 +54,7 @@ def oblique_scene():
     """One sigma=0 oblique pair with depth products and GT correspondences."""
     dem = synth_dem_for_band("oblique", 2, seed=7, size=128)
     spec, rig = sample_pair("oblique", 11, 2, dem, psf_sigma=0.0, rays_per_pixel=1, width=96, height=96)
-    prod_a, prod_b = render_pair(dem, rig, lighting_preset("overhead"), HapkeParams(), seed=6)
+    ((prod_a, prod_b),) = render_pair(dem, rig, [lighting_preset("overhead")], HapkeParams(), seed=6)
     corr = gt_correspondences(prod_a, prod_b, stride=3)
     return {"dem": dem, "spec": spec, "rig": rig, "prod_a": prod_a, "prod_b": prod_b, "corr": corr}
 
@@ -66,7 +66,7 @@ def nadir_gt_pair():
 
     dem = synth_dem_for_band("nadir", 0, seed=7, size=128)
     spec, rig = sample_pair("nadir", 3, 0, dem, psf_sigma=0.0, rays_per_pixel=1, width=64, height=64)
-    prod_a, prod_b = render_pair(dem, rig, lighting_preset("side"), HapkeParams(), seed=5)
+    ((prod_a, prod_b),) = render_pair(dem, rig, [lighting_preset("side")], HapkeParams(), seed=5)
     pm_a = depth_to_pointmap(prod_a)
     pm_b = depth_to_pointmap(prod_b)
     gt = PairGroundTruth(

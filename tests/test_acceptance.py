@@ -74,7 +74,7 @@ def test_criterion_02_analytic_flat_render():
         intr = Intrinsics(width=128, height=128, fov_deg=45.0)
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2000.0]))
         rig = CameraRig(intrinsics=intr, pose_a=pose, pose_b=pose, psf_sigma=0.0, rays_per_pixel=1)
-        prod, _ = render_pair(flat, rig, SUN, HAPKE, seed=0)
+        ((prod, _),) = render_pair(flat, rig, [SUN], HAPKE, seed=0)
         assert np.isfinite(prod.depth).all()
         vv, uu = np.meshgrid(np.arange(128.0), np.arange(128.0), indexing="ij")
         d = camera_dirs(intr, uu, vv)
@@ -155,7 +155,7 @@ def test_criterion_04_pose_recovery_closed_loop():
                 dem = dem_cache[key]
                 spec, rig = sample_pair(kind, 1000 + i, band, dem, psf_sigma=0.0,
                                         rays_per_pixel=1, width=64, height=64)
-                pa, pb = render_pair(dem, rig, SUN, HAPKE, seed=i)
+                ((pa, pb),) = render_pair(dem, rig, [SUN], HAPKE, seed=i)
                 corr = gt_correspondences(pa, pb, stride=4)
                 assert len(corr) >= 8, (kind, i, len(corr))
                 rel_gt = relative_pose(rig.pose_a, rig.pose_b)
@@ -307,7 +307,7 @@ def test_criterion_10_degenerate_inputs(tmp_path, nadir_gt_pair):
         rig0 = nadir_gt_pair["rig"]
         rig = CameraRig(intrinsics=rig0.intrinsics, pose_a=rig0.pose_a, pose_b=rig0.pose_a,
                         psf_sigma=0.0, rays_per_pixel=1)
-        pa, pb = render_pair(dem, rig, SUN, HAPKE, seed=1)
+        ((pa, pb),) = render_pair(dem, rig, [SUN], HAPKE, seed=1)
         corr = gt_correspondences(pa, pb, stride=2)
         with pytest.raises(DegenerateBaselineError):
             estimate_essential(corr, rig.intrinsics, rig.intrinsics, RansacParams(seed=1))

@@ -71,6 +71,28 @@ def test_generate_three_pairs_match_serial(tmp_path, monkeypatch, renderer_pools
     assert trees[1] == trees[8]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_generate_lightings_together_match_each_alone(tmp_path, monkeypatch, threads):
+    # One render per rig shades every lighting; each lighting's pair
+    # directories are those of a run with that lighting alone, and the
+    # manifest lists the union of both runs' records.
+    monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+    argv = GEN_ARGS + ["--trajectory", "oblique", "--bands", "0,5", "--pairs", "2", "--res", "48"]
+    trees, manifests = {}, {}
+    for lighting in ("side,back", "side", "back"):
+        out = tmp_path / lighting
+        assert run(argv + ["--lighting", lighting, "--out", str(out)]) == 0
+        trees[lighting] = tree_digest(out)
+        header, *records = (out / "manifest.jsonl").read_text().splitlines()
+        manifests[lighting] = header, sorted(records)
+        del trees[lighting]["manifest.jsonl"]
+    assert len(trees["side,back"]) == 2 * 2 * 2 * 12  # bands x pairs x lightings x files
+    assert trees["side,back"] == {**trees["side"], **trees["back"]}
+    header, records = manifests["side,back"]
+    assert header == manifests["side"][0] == manifests["back"][0]
+    assert records == sorted(manifests["side"][1] + manifests["back"][1])
+
+
 def test_render_pair_lone_pair_uses_every_worker(tmp_path, monkeypatch, renderer_pools):
     argv = ["render-pair", "--synth", "--trajectory", "nadir", "--res", "64", "--synth-size", "96"]
     trees = []
@@ -114,6 +136,8 @@ INVALID_SCENE_VALUES = [
         ("--res", "0"),
         ("--stride", "0"),
         ("--synth-size", "8"),
+        ("--synth-craters", "-2"),
+        ("--synth-octaves", "-1"),
         ("--lighting", ","),
     ]
     for command in sorted(SCENE_ARGV)
@@ -165,12 +189,16 @@ def test_bad_thread_cap_is_a_usage_error(dataset, tmp_path, monkeypatch, capsys,
     pytest.param(["synth-dem", "--cell-size", "0"], id="synth-dem-cell-size-0"),
     pytest.param(["synth-dem", "--cell-size", "-5"], id="synth-dem-cell-size-negative"),
     pytest.param(["synth-dem", "--cell-size", "inf"], id="synth-dem-cell-size-inf"),
+    pytest.param(["synth-dem", "--craters", "-1"], id="synth-dem-craters-negative"),
+    pytest.param(["synth-dem", "--octaves", "-3"], id="synth-dem-octaves-negative"),
     pytest.param(["visualize", "--mode", "slope", "--spacing", "0"], id="visualize-spacing-0"),
     pytest.param(["visualize", "--mode", "hillshade", "--spacing", "-1"], id="visualize-spacing-negative"),
     pytest.param(["visualize", "--mode", "hillshade", "--spacing", "inf"], id="visualize-spacing-inf"),
     pytest.param(["visualize", "--mode", "slope", "--spacing", "inf"], id="visualize-slope-spacing-inf"),
     pytest.param(["visualize", "--mode", "hillshade", "--azimuth", "nan"], id="visualize-azimuth-nan"),
     pytest.param(["visualize", "--mode", "hillshade", "--elevation", "inf"], id="visualize-elevation-inf"),
+    pytest.param(["visualize", "--mode", "hillshade", "--elevation", "0"], id="visualize-elevation-0"),
+    pytest.param(["visualize", "--mode", "hillshade", "--elevation", "-30"], id="visualize-elevation-negative"),
 ])
 def test_bad_raster_geometry_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     # The input raster does not exist and synthesis fails the run, so either

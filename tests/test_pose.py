@@ -70,7 +70,7 @@ def test_essential_zero_baseline_flags_degenerate(flat_dem):
     intr = Intrinsics(width=32, height=32, fov_deg=45.0)
     pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 150.0]))
     rig = CameraRig(intrinsics=intr, pose_a=pose, pose_b=pose, psf_sigma=0.0, rays_per_pixel=1)
-    prod, _ = render_pair(flat_dem, rig, SunConfig(azimuth=100, elevation=45), HapkeParams())
+    ((prod, _),) = render_pair(flat_dem, rig, [SunConfig(azimuth=100, elevation=45)], HapkeParams())
     corr = gt_correspondences(prod, prod, stride=2)
     with pytest.raises(DegenerateBaselineError):
         estimate_essential(corr, intr, intr, RansacParams(seed=1))

@@ -124,8 +124,9 @@ def shadowed(dem, points, sun_dir):
 def shade(dem, points, view_dirs, sun):
     """shade_points of (N, 3) points, or of one point, under the sun's own
     ceiling."""
-    return shade_points(dem, np.reshape(points, (-1, 3)), np.reshape(view_dirs, (-1, 3)), sun, DEFAULTS,
-                        sun_ceiling(dem, sun_direction(sun)))
+    points = np.reshape(points, (-1, 3))
+    return shade_points(dem, points, surface_normal(dem, points[:, 0], points[:, 1]), np.reshape(view_dirs, (-1, 3)),
+                        sun, DEFAULTS, sun_ceiling(dem, sun_direction(sun)))
 
 
 def test_flat_terrain_always_lit(flat_dem):

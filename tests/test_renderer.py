@@ -37,7 +37,8 @@ HAPKE = HapkeParams()
 def pinhole_pair(dem, intr, pose_a, pose_b, sun=SUN, seed=0):
     """render_pair of a one-ray-per-pixel rig without PSF."""
     rig = CameraRig(intr, pose_a, pose_b, psf_sigma=0.0, rays_per_pixel=1)
-    return render_pair(dem, rig, sun, HAPKE, seed=seed)
+    (pair,) = render_pair(dem, rig, [sun], HAPKE, seed=seed)
+    return pair
 
 
 def pinhole_view(dem, intr, pose, sun=SUN, seed=0):
@@ -202,32 +203,49 @@ def test_row_bands_of_the_benchmark_views(size, threads, count, rows):
     assert {b.stop - b.start for b in bands} == {rows}
 
 
-def test_band_peak_memory_per_jittered_ray():
-    """Traced peak of one 64-row band of generate's default 128 px oblique
-    scene (band 0, seed 22, PSF 0.5 px, 4 rays per pixel, side sun), the
-    band's own PSF jitter draw included: every stage frees what it no longer
-    needs, about 210 B per PSF ray."""
+def _band_peak_per_ray(lighting_ids):
+    """Traced peak bytes per PSF ray of one 64-row band of generate's default
+    128 px oblique scene (band 0, seed 22, PSF 0.5 px, 4 rays per pixel) shaded
+    under the given lightings, the band's own PSF jitter draw included, and
+    the band's radiance under each lighting."""
     import tracemalloc
 
     seed = 22 * 100003  # generate's seed for pair 0 of band 0 under --seed 22
     dem = synth_dem_for_band("oblique", 0, seed=22, size=160)
     _, rig = sample_pair("oblique", seed, 0, dem, width=128, height=128, psf_sigma=0.5, rays_per_pixel=4)
-    sun = lighting_preset("side")
-    ceiling = sun_ceiling(dem, sun_direction(sun))
+    suns = [lighting_preset(lid) for lid in lighting_ids]
+    ceilings = [sun_ceiling(dem, sun_direction(sun)) for sun in suns]
     band = slice(64, 128)  # the second band, whose draw skips the first's
 
     def render():
-        return _render_band(dem, rig, 0, sun, HAPKE, seed, ceiling, band)
+        return _render_band(dem, rig, 0, suns, HAPKE, seed, ceilings, band)
 
     render()  # the DEM's cached bounds, outside the measurement
     tracemalloc.start()
     try:
-        radiance, _ = render()
+        radiances, _ = render()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak / (64 * 128 * 4), radiances
+
+
+def test_band_peak_memory_per_jittered_ray():
+    """Under the side sun every stage frees what it no longer needs: about
+    235 B per PSF ray."""
+    peak, (radiance,) = _band_peak_per_ray(["side"])
     assert (radiance > 0).mean() > 0.5  # a lit band: the shading ran
-    assert peak / (64 * 128 * 4) <= 300
+    assert peak <= 300
+
+
+def test_band_peak_memory_does_not_grow_with_the_suns():
+    """A band holds one geometry pass and shades one sun at a time, so a
+    second sun adds only its band-sized radiance."""
+    one, _ = _band_peak_per_ray(["side"])
+    two, radiances = _band_peak_per_ray(["side", "back"])
+    assert all((radiance > 0).mean() > 0.5 for radiance in radiances)
+    assert two <= 300
+    assert two <= one + 8 / 4  # one float64 per pixel, over 4 rays per pixel
 
 
 def test_render_deterministic_across_runs_and_workers(monkeypatch):
@@ -236,7 +254,7 @@ def test_render_deterministic_across_runs_and_workers(monkeypatch):
     runs = []
     for workers in ("1", "1", "8"):
         monkeypatch.setenv("LUNARFORGE_THREADS", workers)
-        pa, pb = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=9)
+        ((pa, pb),) = render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=9)
         runs.append((pa, pb))
     for pa, pb in runs[1:]:
         assert pa.image.tobytes() == runs[0][0].image.tobytes()
@@ -249,20 +267,67 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     spec, rig = sample_pair("nadir", 3, 0, dem, width=48, height=48)
     sun = lighting_preset("side")
-    pa, pb = render_pair(dem, rig, sun, HAPKE, seed=4)
+    ((pa, pb),) = render_pair(dem, rig, [sun], HAPKE, seed=4)
     # Each view rendered as one band of all its rows.
     ceiling = sun_ceiling(dem, sun_direction(sun))
-    raw_a, raw_b = (_render_band(dem, rig, view_id, sun, HAPKE, 4, ceiling, slice(0, 48)) for view_id in (0, 1))
+    raw_a, raw_b = (_render_band(dem, rig, view_id, [sun], HAPKE, 4, [ceiling], slice(0, 48)) for view_id in (0, 1))
     assert exposure_gain(raw_a[0]) != exposure_gain(raw_b[0])
-    for prod, (radiance, depth) in ((pa, raw_a), (pb, raw_b)):
+    for prod, ((radiance,), depth) in ((pa, raw_a), (pb, raw_b)):
         assert prod.image.tobytes() == np.clip(radiance * exposure_gain(raw_a[0]), 0.0, 1.0).tobytes()
         assert prod.depth.tobytes() == depth.tobytes()
     # View a does not depend on pose_b: a rig whose views share one pose
     # renders that pose's one view.
-    same_a, _ = render_pair(dem, CameraRig(rig.intrinsics, rig.pose_a, rig.pose_a, rig.psf_sigma, rig.rays_per_pixel),
-                            sun, HAPKE, seed=4)
+    ((same_a, _),) = render_pair(dem, CameraRig(rig.intrinsics, rig.pose_a, rig.pose_a, rig.psf_sigma, rig.rays_per_pixel),
+                                 [sun], HAPKE, seed=4)
     assert same_a.image.tobytes() == pa.image.tobytes()
     assert same_a.depth.tobytes() == pa.depth.tobytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "8"])
+def test_render_pair_traces_each_band_once_whatever_the_suns(monkeypatch, workers):
+    """Three suns cost each band task one central and one jittered trace, as
+    one sun does; every other ray is a shadow ray traced inside shadow_mask.
+    Each sun's products are byte-identical to a render under that sun alone."""
+    import threading
+
+    from lunarforge import _heightfield
+
+    monkeypatch.setenv("LUNARFORGE_THREADS", workers)
+    inside_shadow = threading.local()
+    primary = []
+    real_intersect, real_shadow = _heightfield.intersect_rays, _heightfield.shadow_mask
+
+    def counting_intersect(*args):
+        if not getattr(inside_shadow, "on", False):
+            primary.append(len(args[1]))
+        return real_intersect(*args)
+
+    def flagging_shadow(*args):
+        inside_shadow.on = True
+        try:
+            return real_shadow(*args)
+        finally:
+            inside_shadow.on = False
+
+    monkeypatch.setattr(_heightfield, "intersect_rays", counting_intersect)
+    monkeypatch.setattr(_heightfield, "shadow_mask", flagging_shadow)
+    dem = synth_dem_for_band("oblique", 0, seed=7, size=96)
+    _, rig = sample_pair("oblique", 3, 0, dem, width=48, height=48)
+    suns = [lighting_preset(lid) for lid in ("side", "back", "polar")]
+    tasks = 2 * len(_row_bands(48, 48, int(workers)))
+    pairs = render_pair(dem, rig, suns, HAPKE, seed=2)
+    assert len(pairs) == len(suns)
+    assert len(primary) == 2 * tasks
+    assert sum(primary) == 2 * 48 * 48 * (1 + rig.rays_per_pixel)
+    for sun, pair in zip(suns, pairs):
+        primary.clear()
+        (alone,) = render_pair(dem, rig, [sun], HAPKE, seed=2)
+        assert len(primary) == 2 * tasks
+        for got, want in zip(pair, alone):
+            assert got.image.tobytes() == want.image.tobytes()
+            assert got.depth.tobytes() == want.depth.tobytes()
+            assert got.pose is want.pose and got.intrinsics is want.intrinsics
+    assert len({pair[0].image.tobytes() for pair in pairs}) == len(suns)  # the suns differ
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +356,27 @@ def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
     monkeypatch.setenv("LUNARFORGE_THREADS", workers)
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # 1 band at 1 thread, 8 at 8
-    render_pair(dem, rig, lighting_preset("polar"), HAPKE, seed=1)
+    render_pair(dem, rig, [lighting_preset("polar")], HAPKE, seed=1)
     assert len(sweeps) == 1
 
 
-def test_camera_b_below_terrain_fails_before_any_work(sweeps, monkeypatch, flat_dem):
+@pytest.fixture
+def bands(monkeypatch):
+    """Rows of every _render_band call."""
     import lunarforge.renderer as renderer
 
-    bands = []
+    seen = []
     real = renderer._render_band
 
     def counting(*args):
-        bands.append(args[-1])
+        seen.append(args[-1])
         return real(*args)
 
     monkeypatch.setattr(renderer, "_render_band", counting)
+    return seen
+
+
+def test_camera_b_below_terrain_fails_before_any_work(sweeps, bands, flat_dem):
     intr = Intrinsics(width=16, height=16, fov_deg=45.0)
     above = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 200.0]))
     below = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, -5.0]))
@@ -314,9 +385,19 @@ def test_camera_b_below_terrain_fails_before_any_work(sweeps, monkeypatch, flat_
     assert sweeps == [] and bands == []
 
 
+def test_render_pair_without_suns_fails_before_any_work(sweeps, bands):
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=16, height=16)
+    for suns in ([], ()):
+        with pytest.raises(ValueError, match="at least one sun"):
+            render_pair(dem, rig, suns, HAPKE, seed=1)
+    assert sweeps == [] and bands == []
+
+
 def test_generate_sweeps_one_ceiling_per_pair(sweeps, tmp_path):
-    """Bands 0 and 5 under the side and back suns are four pairs, each one
-    sweep; the two lightings of a band share its DEM, not its ceiling."""
+    """Bands 0 and 5 under the side and back suns are four pairs of two rigs:
+    each rig's one render sweeps each sun once, in lighting order; the two
+    lightings of a band share its DEM, not its ceiling."""
     from lunarforge.cli import main
 
     argv = ["generate", "--synth", "--trajectory", "oblique", "--bands", "0,5", "--pairs", "1",
@@ -364,7 +445,7 @@ def test_psf_jitter_is_drawn_once_per_band_of_each_view(monkeypatch):
     monkeypatch.setattr(renderer, "_psf_jitter", counting)
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
-    render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1)
+    render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=1)
     # two views, each drawn one row band at a time
     assert len(seen) == 2 * len(_row_bands(32, 32, resolve_workers()))
 
@@ -372,8 +453,8 @@ def test_psf_jitter_is_drawn_once_per_band_of_each_view(monkeypatch):
 def test_render_seed_changes_psf_image():
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
     spec, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
-    pa1, _ = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1)
-    pa2, _ = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=2)
+    ((pa1, _),) = render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=1)
+    ((pa2, _),) = render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=2)
     assert pa1.image.tobytes() != pa2.image.tobytes()
     # Depth uses the unjittered central ray: seed-independent.
     assert pa1.depth.tobytes() == pa2.depth.tobytes()
@@ -531,6 +612,6 @@ def test_disjoint_views_zero_correspondences():
     dem = synth_dem_for_band("nadir", 0, seed=7, allow_disjoint=True)
     spec, rig = sample_pair("nadir", 4, 0, dem, psf_sigma=0.0, rays_per_pixel=1,
                             width=32, height=32, allow_disjoint=True)
-    pa, pb = render_pair(dem, rig, lighting_preset("side"), HAPKE, seed=1)
+    ((pa, pb),) = render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=1)
     corr = gt_correspondences(pa, pb, stride=2)
     assert len(corr) == 0
