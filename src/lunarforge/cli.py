@@ -7,7 +7,9 @@ byte-deterministic for a fixed seed, independent of the thread count
 (LUNARFORGE_THREADS sets it; the default is min(4, cores)).  generate and
 render-pair render one rig after another: each rig's render_pair traces it
 once, shades it under every lighting, and runs both views' row bands on one
-pool of that many threads.  evaluate scores the pairs on one such pool.
+pool of that many threads.  A rig's depth, pointmaps and correspondences are
+computed once and the same bytes are written into each lighting's pair
+directory.  evaluate scores the pairs on one such pool.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import __version__, formats
 from .camera import CameraRig, Pose, gsd
 from .metrics import MetricsReport, PairGroundTruth, PairPrediction, evaluate_pair
 from .pose import pose_accuracy_table
-from .radiometry import HapkeParams, SunConfig
+from .radiometry import HapkeParams
 from .renderer import depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
 from .terrain import DemGrid, hillshade, load_dem, slope_map, synth_crater_dem, write_dem
 from .trajectory import ALTITUDE_BANDS_M, FOV_DEG, KINDS, LIGHTING_PRESETS, lighting_preset, sample_pair
@@ -78,70 +80,79 @@ def synth_dem_for_band(
     return synth_crater_dem(seed, size, size, cell, craters, octaves)
 
 
-def _pair_artifacts(
+def _rig_artifacts(
     out_dir: Path,
-    pair_id: str,
+    prefix: str,
     spec,
+    dem: DemGrid,
     rig: CameraRig,
-    sun: SunConfig,
+    lightings: list[str],
     hapke: HapkeParams,
     render_seed: int,
     stride: int,
-    products,
-) -> PairRecord:
-    """Write every artifact of one pair, the rig's (view a, view b) products
-    under sun; returns its manifest record."""
-    pair_dir = out_dir / pair_id
-    pair_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        prod_a, prod_b = products
-        corr = gt_correspondences(prod_a, prod_b, stride=stride)
+) -> list[PairRecord]:
+    """Render one rig under each lighting preset and write one pair directory,
+    prefix_<lighting>, per lighting; returns their manifest records.  Depth,
+    pointmaps and correspondences are the rig's, computed once and written
+    into every directory.  A directory whose writing fails is removed."""
+    suns = [lighting_preset(lid) for lid in lightings]
+    pairs = render_pair(dem, rig, suns, hapke, seed=render_seed)
+    prod_a, prod_b = pairs[0]
+    corr = gt_correspondences(prod_a, prod_b, stride=stride)
+    pointmaps = {"a": depth_to_pointmap(prod_a), "b": depth_to_pointmap(prod_b)}
+    baseline_3d = float(np.linalg.norm(rig.pose_b.translation - rig.pose_a.translation))
+    gsd_m = gsd(spec.altitude_m, rig.intrinsics.fov_deg, rig.intrinsics.width)
 
-        paths = {
-            "image_a": f"{pair_id}/image_a.pgm",
-            "image_b": f"{pair_id}/image_b.pgm",
-            "depth_a": f"{pair_id}/depth_a.f32",
-            "depth_b": f"{pair_id}/depth_b.f32",
-            "pointmap_a": f"{pair_id}/pointmap_a.f32",
-            "pointmap_b": f"{pair_id}/pointmap_b.f32",
-            "correspondences": f"{pair_id}/correspondences.csv",
-            "meta": f"{pair_id}/meta.json",
-        }
-        for view, prod in (("a", prod_a), ("b", prod_b)):
-            formats.write_pgm16(out_dir / paths[f"image_{view}"], prod.image)
-            formats.write_f32_raster(
-                out_dir / paths[f"depth_{view}"], prod.depth,
-                {"kind": "ray_depth", "units": "m"},
-            )
-            formats.write_f32_raster(
-                out_dir / paths[f"pointmap_{view}"], depth_to_pointmap(prod),
-                {"kind": "pointmap", "frame": "world", "reference_pose": prod.pose.to_json_dict()},
-            )
-        formats.write_correspondences_csv(out_dir / paths["correspondences"], corr)
+    records = []
+    for lid, sun, pair in zip(lightings, suns, pairs):
+        pair_id = f"{prefix}_{lid}"
+        pair_dir = out_dir / pair_id
+        pair_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            paths = {
+                "image_a": f"{pair_id}/image_a.pgm",
+                "image_b": f"{pair_id}/image_b.pgm",
+                "depth_a": f"{pair_id}/depth_a.f32",
+                "depth_b": f"{pair_id}/depth_b.f32",
+                "pointmap_a": f"{pair_id}/pointmap_a.f32",
+                "pointmap_b": f"{pair_id}/pointmap_b.f32",
+                "correspondences": f"{pair_id}/correspondences.csv",
+                "meta": f"{pair_id}/meta.json",
+            }
+            for view, prod in zip("ab", pair):
+                formats.write_pgm16(out_dir / paths[f"image_{view}"], prod.image)
+                formats.write_f32_raster(
+                    out_dir / paths[f"depth_{view}"], prod.depth,
+                    {"kind": "ray_depth", "units": "m"},
+                )
+                formats.write_f32_raster(
+                    out_dir / paths[f"pointmap_{view}"], pointmaps[view],
+                    {"kind": "pointmap", "frame": "world", "reference_pose": prod.pose.to_json_dict()},
+                )
+            formats.write_correspondences_csv(out_dir / paths["correspondences"], corr)
 
-        baseline_3d = float(np.linalg.norm(rig.pose_b.translation - rig.pose_a.translation))
-        gsd_m = gsd(spec.altitude_m, rig.intrinsics.fov_deg, rig.intrinsics.width)
-        record = PairRecord(
-            pair_id=pair_id,
-            trajectory=spec.to_json_dict(),
-            lighting=spec.lighting,
-            paths=paths,
-            gsd_m=gsd_m,
-            baseline_m=baseline_3d,
-            altitude_m=spec.altitude_m,
-        )
-        meta = asdict(record)
-        meta["intrinsics"] = rig.intrinsics.to_json_dict()
-        meta["pose_a"] = rig.pose_a.to_json_dict()
-        meta["pose_b"] = rig.pose_b.to_json_dict()
-        meta["sun"] = sun.to_json_dict()
-        meta["hapke"] = hapke.to_json_dict()
-        meta["render_seed"] = render_seed
-        formats.write_json(out_dir / paths["meta"], meta)
-        return record
-    except BaseException:
-        shutil.rmtree(pair_dir, ignore_errors=True)
-        raise
+            record = PairRecord(
+                pair_id=pair_id,
+                trajectory=replace(spec, lighting=lid).to_json_dict(),
+                lighting=lid,
+                paths=paths,
+                gsd_m=gsd_m,
+                baseline_m=baseline_3d,
+                altitude_m=spec.altitude_m,
+            )
+            meta = asdict(record)
+            meta["intrinsics"] = rig.intrinsics.to_json_dict()
+            meta["pose_a"] = rig.pose_a.to_json_dict()
+            meta["pose_b"] = rig.pose_b.to_json_dict()
+            meta["sun"] = sun.to_json_dict()
+            meta["hapke"] = hapke.to_json_dict()
+            meta["render_seed"] = render_seed
+            formats.write_json(out_dir / paths["meta"], meta)
+        except BaseException:
+            shutil.rmtree(pair_dir, ignore_errors=True)
+            raise
+        records.append(record)
+    return records
 
 
 def _parse_list(text: str, what: str, kind=int) -> list:
@@ -231,18 +242,15 @@ def cmd_generate(args) -> int:
             spec, rig = sample_pair(args.trajectory, pair_seed, band, dems[band], **rig_args)
             rigs.append((band, idx, pair_seed, spec, rig))
 
-    # A rig's lightings share its pair seed, so one render_pair traces the
-    # rig once and shades it under every lighting.
+    # A rig's lightings share its pair seed, so each rig is traced once and
+    # shaded under every lighting.
     out_dir = Path(args.out)
-    suns = [lighting_preset(lid) for lid in lightings]
     records = []
     for band, idx, pair_seed, spec, rig in rigs:
-        products = render_pair(dems[band], rig, suns, hapke, seed=pair_seed)
-        for lid, sun, pair in zip(lightings, suns, products):
-            pair_id = f"{args.trajectory}_b{band:02d}_p{idx:03d}_{lid}"
-            records.append(_pair_artifacts(
-                out_dir, pair_id, replace(spec, lighting=lid), rig, sun, hapke, pair_seed, args.stride, pair
-            ))
+        records += _rig_artifacts(
+            out_dir, f"{args.trajectory}_b{band:02d}_p{idx:03d}", spec, dems[band], rig, lightings,
+            hapke, pair_seed, args.stride,
+        )
     header = {
         "format": "lunarforge-manifest",
         "version": 1,
@@ -450,14 +458,14 @@ def cmd_evaluate(args) -> int:
 def cmd_render_pair(args) -> int:
     dems, hapke, rig_args = _scene(args, [args.band], [args.lighting])
     dem = dems[args.band]
-    spec, rig = sample_pair(args.trajectory, args.seed, args.band, dem, lighting=args.lighting, **rig_args)
+    spec, rig = sample_pair(args.trajectory, args.seed, args.band, dem, **rig_args)
     if args.zero_baseline:
         rig = replace(rig, pose_b=rig.pose_a)
-    pair_id = f"{args.trajectory}_b{args.band:02d}_p000_{args.lighting}"
     out_dir = Path(args.out)
-    sun = lighting_preset(args.lighting)
-    (pair,) = render_pair(dem, rig, [sun], hapke, seed=args.seed)
-    record = _pair_artifacts(out_dir, pair_id, spec, rig, sun, hapke, args.seed, args.stride, pair)
+    (record,) = _rig_artifacts(
+        out_dir, f"{args.trajectory}_b{args.band:02d}_p000", spec, dem, rig, [args.lighting],
+        hapke, args.seed, args.stride,
+    )
     print(f"rendered {record.pair_id} into {out_dir}")
     return 0
 

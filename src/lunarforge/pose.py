@@ -262,18 +262,6 @@ def estimate_essential(
     return EssentialEstimate(E=e_unit, inliers=np.flatnonzero(best_inliers), relative_pose=rel)
 
 
-def essential_from_poses(pose_a: Pose, pose_b: Pose) -> np.ndarray:
-    """Ground-truth essential matrix (unit Frobenius norm) for two poses."""
-    rel = relative_pose(pose_a, pose_b)
-    t = rel.translation
-    tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0.0]])
-    e = rel.rotation.T @ tx
-    n = np.linalg.norm(e)
-    if n == 0:
-        raise DegenerateBaselineError("zero baseline has no essential matrix")
-    return e / n
-
-
 # ---------------------------------------------------------------------------
 # PnP
 # ---------------------------------------------------------------------------

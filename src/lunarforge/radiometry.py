@@ -118,15 +118,17 @@ def sun_direction(cfg: SunConfig) -> np.ndarray:
 def shade_points(
     dem: DemGrid,
     points: np.ndarray,
-    normals: np.ndarray,
+    mu0: np.ndarray,
+    mu: np.ndarray,
     view_dirs: np.ndarray,
     sun: SunConfig,
     params: HapkeParams,
     ceiling: np.ndarray,
 ) -> np.ndarray:
     """Radiance (relative units) leaving (N, 3) hit points toward the camera;
-    normals are the points' unit surface normals and view_dirs point from
-    surface to camera.
+    mu0 and mu are the cosines of incidence and emission, each point's unit
+    surface normal dotted with sun_direction(sun) and with its view
+    direction, and view_dirs point from surface to camera.
 
     Zero where a point is shadowed, where the sun is below its facet's horizon
     (mu0 <= 0), or where the facet faces away from the camera (mu <= 0).
@@ -138,7 +140,6 @@ def shade_points(
     if points.shape[0] == 0:
         return np.zeros(0)
     s = sun_direction(sun)
-    mu0, mu = normals @ s, np.einsum("ij,ij->i", normals, view_dirs)
     facing = (mu0 > 0) & (mu > 0)
     lit = np.zeros(len(points), dtype=bool)
     if facing.any():

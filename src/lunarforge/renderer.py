@@ -17,10 +17,12 @@ Each band draws its own jitter, on its own thread: it advances the view's
 stream to the band's first row and draws exactly the numbers a whole-view
 draw would have given its rows, so no view-sized jitter array is ever held.
 
-Only shadow rays and shading depend on the sun.  So each band runs one
-geometry pass (central and jittered traces, hit points, view directions,
-surface normals) and then one shading pass per sun over what it holds, and
-memory stays bounded per band whatever the number of suns.
+Only shadow rays and the incidence cosine mu0 depend on the sun.  So each
+band runs one geometry pass (central and jittered traces, hit points, view
+directions, surface normals), takes the emission cosine mu once and each
+sun's mu0 from the normals, frees the normals, and then runs one shading pass
+per sun: shade_points takes the cosines, not the normals.  Memory stays
+bounded per band whatever the number of suns.
 
 Each view splits into the fewest equal, contiguous row bands of at most
 BAND_PIXELS pixels whose count is a multiple of the thread count
@@ -50,7 +52,7 @@ from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_he
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
 # shading peak at about 235 B per ray under a 15-70 degree sun, whatever the
 # number of suns, so near 7.7 MB per thread; a 3 degree sun traces more
-# shadow rays and peaks near 300 B.
+# shadow rays and peaks near 276 B alone, 292 B with two higher suns.
 BAND_PIXELS = 8192
 
 
@@ -157,16 +159,20 @@ def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, rows):
     del jt
     pts += pose.translation
     np.negative(view, out=view)
-    # Normals need a one-cell margin; clamp queries into it.
+    # Normals need a one-cell margin; clamp queries into it.  Only mu0
+    # depends on the sun, so the normals go before any shadow ray is traced.
     cs = dem.cell_size
     normals = surface_normal(
         dem, np.clip(pts[:, 0], dem.x_min + cs, dem.x_max - cs), np.clip(pts[:, 1], dem.y_min + cs, dem.y_max - cs)
     )
+    mu = np.einsum("ij,ij->i", normals, view)
+    mu0s = [normals @ sun_direction(sun) for sun in suns]
+    del normals
 
     radiances = []
-    for sun, ceiling in zip(suns, ceilings):
+    for sun, ceiling, mu0 in zip(suns, ceilings, mu0s):
         radiance = np.zeros(h * w * rpp)
-        radiance[jhit] = shade_points(dem, pts, normals, view, sun, hapke, ceiling)
+        radiance[jhit] = shade_points(dem, pts, mu0, mu, view, sun, hapke, ceiling)
         radiances.append(radiance.reshape(h, w, rpp).mean(axis=2))
     return radiances, depth
 

@@ -3,13 +3,19 @@
 Nothing here shares traversal or search code with the package: the ray
 oracle visits every cell a ray crosses, nearest neighbors are O(n^2), rotation
 angles go through quaternions, and Pearson is a direct scalar transcription.
+It also holds the helpers only tests need: rotations about the x and y axes
+and the ground-truth essential matrix of two poses.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
+
+from lunarforge.camera import Pose, relative_pose
+from lunarforge.pose import DegenerateBaselineError
 
 
 def bilinear(dem, x, y):
@@ -119,6 +125,105 @@ def brute_force_shadowed(dem, point, sun_dir, bias):
     return bool(hit[0])
 
 
+def reference_render(dem, rig, suns, hapke, seed):
+    """Scalar reference of render_pair: (depths, images) with depths[view]
+    the (H, W) central-ray depth and images[sun][view] the (H, W) image.
+
+    Each ray is followed on its own: a pixel's rays are its centre offset by
+    a Gaussian PSF sample, drawn as one row-major (H, W, rays, 2) array of
+    uniforms from the stream keyed by (seed, view id), stratified on a
+    k x k grid when rays = k^2, and mapped through the normal inverse CDF.
+    Hits come from brute_force_hits.  At a hit the normal is the central
+    difference of bilinear heights one cell either side, queried at least one
+    cell inside the footprint; the view direction is the reversed ray.  A lit
+    facing point returns irradiance * mu0 * hapke_reference(mu0, min(mu, 1),
+    g); it is shadowed when brute_force_shadowed hits from half a cell toward
+    the sun, and lit when that start leaves the footprint, since the ray then
+    moves away from it.  A pixel averages its rays, a miss counting 0, and
+    under each sun both views take the gain 1 / p99 of view a's radiance (1
+    for a black view) and are clipped to [0, 1].
+    """
+    intr = rig.intrinsics
+    h, w, rpp, sigma = intr.height, intr.width, rig.rays_per_pixel, rig.psf_sigma
+    f = intr.width / (2 * math.tan(math.radians(intr.fov_deg) / 2))
+    cs = dem.cell_size
+    k = round(math.sqrt(rpp))
+    gauss = NormalDist()
+    sun_dirs = []
+    for sun in suns:
+        a, e = math.radians(sun.azimuth), math.radians(sun.elevation)
+        sun_dirs.append(np.array([math.cos(e) * math.sin(a), math.cos(e) * math.cos(a), math.sin(e)]))
+
+    def ray(pose, u, v):
+        d = np.array([(u - intr.cx) / f, -(v - intr.cy) / f, -1.0])
+        return pose.rotation @ (d / math.sqrt(d @ d))
+
+    def hits(pose, dirs):
+        return brute_force_hits(dem, np.tile(pose.translation, (len(dirs), 1)), np.array(dirs))
+
+    def normal(x, y):
+        x = min(max(x, dem.x_min + cs), dem.x_max - cs)
+        y = min(max(y, dem.y_min + cs), dem.y_max - cs)
+        dzdx = (bilinear(dem, x + cs, y) - bilinear(dem, x - cs, y)) / (2 * cs)
+        dzdy = (bilinear(dem, x, y + cs) - bilinear(dem, x, y - cs)) / (2 * cs)
+        n = np.array([-dzdx, -dzdy, 1.0])
+        return n / math.sqrt(n @ n)
+
+    def radiance(p, view, sun, s):
+        n = normal(p[0], p[1])
+        mu0, mu = float(n @ s), float(n @ view)
+        if mu0 <= 0 or mu <= 0:
+            return 0.0
+        start = p + 0.5 * cs * s
+        inside = dem.x_min <= start[0] <= dem.x_max and dem.y_min <= start[1] <= dem.y_max
+        if inside and brute_force_shadowed(dem, p, s, 0.5 * cs):
+            return 0.0
+        g = math.acos(min(max(float(view @ s), -1.0), 1.0))
+        return sun.irradiance * mu0 * hapke_reference(mu0, min(mu, 1.0), g, hapke.w, hapke.B0, hapke.h_opp, hapke.xi)
+
+    def p99(values):
+        x = sorted(float(v) for v in values.ravel())
+        pos = 0.99 * (len(x) - 1)
+        lo = math.floor(pos)
+        return x[lo] + (pos - lo) * (x[min(lo + 1, len(x) - 1)] - x[lo])
+
+    pixels = [(v, u) for v in range(h) for u in range(w)]
+    depths, radiances = [], [[] for _ in suns]
+    for view_id, pose in enumerate((rig.pose_a, rig.pose_b)):
+        t, hit = hits(pose, [ray(pose, u, v) for v, u in pixels])
+        depths.append(np.where(hit, t, np.nan).reshape(h, w))
+
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, view_id, 0x5AF))))
+        draw = rng.random((h, w, rpp, 2))
+        dirs = []
+        for v, u in pixels:
+            for q in range(rpp):
+                r0, r1 = draw[v, u, q]
+                if k * k == rpp:
+                    r0, r1 = (q // k + r0) / k, (q % k + r1) / k
+                du = sigma * gauss.inv_cdf(min(max(r0, 1e-9), 1 - 1e-9))
+                dv = sigma * gauss.inv_cdf(min(max(r1, 1e-9), 1 - 1e-9))
+                dirs.append(ray(pose, u + du, v + dv))
+        t, hit = hits(pose, dirs)
+        for sun, s, views in zip(suns, sun_dirs, radiances):
+            rad = np.zeros((h, w))
+            for i, (v, u) in enumerate(pixels):
+                total = 0.0
+                for q in range(rpp):
+                    j = i * rpp + q
+                    if hit[j]:
+                        total += radiance(pose.translation + t[j] * dirs[j], -dirs[j], sun, s)
+                rad[v, u] = total / rpp
+            views.append(rad)
+
+    images = []
+    for views in radiances:
+        top = p99(views[0])
+        gain = 1.0 / top if top > 0 else 1.0
+        images.append([np.clip(rad * gain, 0.0, 1.0) for rad in views])
+    return depths, images
+
+
 def brute_force_nn_means(pred, gt):
     """O(n^2) accuracy/completeness/chamfer."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -127,6 +232,28 @@ def brute_force_nn_means(pred, gt):
     acc = float(np.mean(np.sqrt(d2.min(axis=1))))
     compl = float(np.mean(np.sqrt(d2.min(axis=0))))
     return acc, compl, (acc + compl) / 2
+
+
+def rot_x(deg: float) -> np.ndarray:
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
+
+
+def rot_y(deg: float) -> np.ndarray:
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
+
+
+def essential_from_poses(pose_a: Pose, pose_b: Pose) -> np.ndarray:
+    """Ground-truth essential matrix (unit Frobenius norm) for two poses."""
+    rel = relative_pose(pose_a, pose_b)
+    t = rel.translation
+    tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0.0]])
+    e = rel.rotation.T @ tx
+    n = np.linalg.norm(e)
+    if n == 0:
+        raise DegenerateBaselineError("zero baseline has no essential matrix")
+    return e / n
 
 
 def quaternion_angle_deg(r1, r2):

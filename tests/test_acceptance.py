@@ -221,7 +221,8 @@ def test_criterion_06_alignment_absorption(nadir_gt_pair):
         gt_cloud = np.concatenate([pm_a[np.isfinite(pm_a).all(-1)], pm_b[np.isfinite(pm_b).all(-1)]])
         rng = np.random.default_rng(66)
         for s in (0.5, 2.0):
-            from lunarforge.camera import rot_x, rot_z
+            from lunarforge.camera import rot_z
+            from oracles import rot_x
 
             r = rot_z(rng.uniform(0, 360)) @ rot_x(rng.uniform(-70, 70))
             t = rng.normal(0, 1000, 3)

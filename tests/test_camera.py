@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lunarforge import Intrinsics, Pose, gsd, project, relative_pose, unproject
-from lunarforge.camera import BehindCameraError, CameraRig, look_at, pixel_rays, rot_x, rot_z
+from lunarforge.camera import BehindCameraError, CameraRig, look_at, pixel_rays, rot_z
+from oracles import rot_x
 
 # Altitude (m) -> published effective GSD (m/px) at 45 deg FOV, 512 px.
 GSD_TABLE = [

@@ -93,6 +93,35 @@ def test_generate_lightings_together_match_each_alone(tmp_path, monkeypatch, thr
     assert records == sorted(manifests["side"][1] + manifests["back"][1])
 
 
+def test_generate_computes_each_rigs_geometry_once(tmp_path, monkeypatch):
+    # Depth, pointmaps and correspondences depend on the rig alone: a
+    # two-lighting run computes them once per rig and writes the same bytes
+    # into both lightings' pair directories.
+    from lunarforge import cli
+
+    calls = {"gt_correspondences": 0, "depth_to_pointmap": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    argv = GEN_ARGS + ["--trajectory", "oblique", "--bands", "0,5", "--res", "48", "--lighting", "side,back"]
+    assert run(argv + ["--out", str(out)]) == 0
+    rigs = 2  # bands x pairs
+    assert calls == {"gt_correspondences": rigs, "depth_to_pointmap": 2 * rigs}
+    sides = sorted(out.glob("*_side"))
+    assert len(sides) == rigs
+    for side in sides:
+        back = side.with_name(side.name.removesuffix("_side") + "_back")
+        geometry = sorted(p.name for pattern in ("depth_*", "pointmap_*", "correspondences.csv")
+                          for p in side.glob(pattern))
+        assert len(geometry) == 9  # two depths and two pointmaps with sidecars, one CSV
+        for name in geometry:
+            assert (side / name).read_bytes() == (back / name).read_bytes(), name
+
+
 def test_render_pair_lone_pair_uses_every_worker(tmp_path, monkeypatch, renderer_pools):
     argv = ["render-pair", "--synth", "--trajectory", "nadir", "--res", "64", "--synth-size", "96"]
     trees = []

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from lunarforge import PairPrediction, evaluate_pair, scale_invariant_loss
-from lunarforge.camera import rot_y, rot_z
+from lunarforge.camera import rot_z
 from lunarforge.metrics import (
     DegenerateMetricError,
     _window_mean,
@@ -354,7 +354,7 @@ def test_evaluate_similarity_absorbed(nadir_gt_pair):
     gt = nadir_gt_pair["gt"]
     rng = np.random.default_rng(30)
     for s in (0.5, 2.0):
-        r = rot_z(rng.uniform(0, 360)) @ rot_y(rng.uniform(-60, 60))
+        r = rot_z(rng.uniform(0, 360)) @ oracles.rot_y(rng.uniform(-60, 60))
         t = rng.normal(0, 500, 3)
 
         def xform(pm):

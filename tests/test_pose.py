@@ -17,16 +17,16 @@ from lunarforge import (
     solve_pnp,
     umeyama,
 )
-from lunarforge.camera import Intrinsics, relative_pose, rot_x, rot_y, rot_z
+from lunarforge.camera import Intrinsics, relative_pose, rot_z
 from lunarforge import pose as pose_mod
 from lunarforge.pose import (
     DegenerateBaselineError,
     DegenerateGeometryError,
     InsufficientMatchesError,
     RansacError,
-    essential_from_poses,
     pose_accuracy_table,
 )
+from oracles import essential_from_poses, rot_x, rot_y
 
 
 def random_rotation(rng):

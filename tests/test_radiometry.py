@@ -123,10 +123,13 @@ def shadowed(dem, points, sun_dir):
 
 def shade(dem, points, view_dirs, sun):
     """shade_points of (N, 3) points, or of one point, under the sun's own
-    ceiling."""
+    ceiling, with the cosines of the points' surface normals."""
     points = np.reshape(points, (-1, 3))
-    return shade_points(dem, points, surface_normal(dem, points[:, 0], points[:, 1]), np.reshape(view_dirs, (-1, 3)),
-                        sun, DEFAULTS, sun_ceiling(dem, sun_direction(sun)))
+    view_dirs = np.reshape(view_dirs, (-1, 3))
+    normals = surface_normal(dem, points[:, 0], points[:, 1])
+    s = sun_direction(sun)
+    return shade_points(dem, points, normals @ s, np.einsum("ij,ij->i", normals, view_dirs), view_dirs,
+                        sun, DEFAULTS, sun_ceiling(dem, s))
 
 
 def test_flat_terrain_always_lit(flat_dem):
