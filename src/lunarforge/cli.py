@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.  All artifacts are
 byte-deterministic for a fixed seed, independent of the thread count
 (LUNARFORGE_THREADS sets it; the default is min(4, cores)).  generate and
 render-pair render one rig after another: each rig's render_pair traces it
-once, shades it under every lighting, and runs both views' row bands on one
-pool of that many threads.  A rig's depth, pointmaps and correspondences are
+once, shades it under every lighting, and renders its two views as two tasks
+on one pool of that many threads, each walking its view's row bands in
+order.  A rig's depth, pointmaps and correspondences are
 computed once and the same bytes are written into each lighting's pair
 directory.  evaluate scores the pairs on one such pool.
 """
@@ -493,10 +494,11 @@ def cmd_visualize(args) -> int:
     if args.spacing is not None and not (math.isfinite(args.spacing) and args.spacing > 0):
         raise UsageError("--spacing must be finite and > 0")
     raster, meta = formats.read_f32_raster(args.input)
-    if raster.ndim == 3:
+    shape = raster.shape
+    if raster.ndim == 3 and shape[2] == 3:
         raster = raster[..., 2]  # pointmap input: use the elevation channel
-    elif raster.ndim != 2:
-        raise UsageError("input raster must be 2D (depth) or HxWx3 (pointmap)")
+    if raster.ndim != 2 or min(raster.shape) < 2:
+        raise UsageError(f"input raster must be 2D (depth) or HxWx3 (pointmap), at least 2x2; got {shape}")
     # A DEM sidecar (see write_dem) carries its cell size; other rasters default to 1 m.
     spacing = args.spacing if args.spacing is not None else float(meta.get("cell_size", 1.0))
     if args.mode == "hillshade":

@@ -11,11 +11,11 @@ holds them.  A view's radiance under a sun before the gain is a pure
 function of (DEM, rig, sun, seed, view id): PSF jitter comes from a single
 stream keyed by (seed, view id), pixels are partitioned into row bands whose
 outputs land in disjoint buffer slices, and no cross-pixel reductions occur,
-so results are bitwise identical for any worker count, across runs, and
-whichever other suns are rendered with it.
-Each band draws its own jitter, on its own thread: it advances the view's
-stream to the band's first row and draws exactly the numbers a whole-view
-draw would have given its rows, so no view-sized jitter array is ever held.
+so results are bitwise identical for any band plan and thread count,
+across runs, and whichever other suns are rendered with it.
+Each band draws its own jitter: it advances the view's stream to the band's
+first row and draws exactly the numbers a whole-view draw would have given
+its rows, so no view-sized jitter array is ever held.
 
 Only shadow rays and the incidence cosine mu0 depend on the sun.  So each
 band runs one geometry pass (central and jittered traces, hit points, view
@@ -24,13 +24,13 @@ sun's mu0 from the normals, frees the normals, and then runs one shading pass
 per sun: shade_points takes the cosines, not the normals.  Memory stays
 bounded per band whatever the number of suns.
 
-Each view splits into the fewest equal, contiguous row bands of at most
-BAND_PIXELS pixels whose count is a multiple of the thread count
-(resolve_workers).  Both views' bands are one task list, view a's first, and
-one pool of that many threads renders a rig; a 1-thread pool runs the tasks
-one at a time in order.  So the threads start with equal shares, and each
-band is large enough that its numpy calls run long enough for the threads to
-overlap.  The plan changes with the thread count; the pixels do not.
+A view is the pool's task: one pool of resolve_workers() threads renders a
+rig's two views, and a 1-thread pool renders view a, then view b.  Each view
+task walks its row bands in row order, the fewest equal, contiguous bands of
+at most BAND_PIXELS pixels, so at most one band per view, two per rig, is in
+flight, and each band is large enough that its numpy calls run long enough
+for the two views' threads to overlap.  The plan depends on the view's size
+alone; the thread count sets only the pool size.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_he
 
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
 # shading peak at about 235 B per ray under a 15-70 degree sun, whatever the
-# number of suns, so near 7.7 MB per thread; a 3 degree sun traces more
+# number of suns, so near 7.7 MB per view task; a 3 degree sun traces more
 # shadow rays and peaks near 276 B alone, 292 B with two higher suns.
 BAND_PIXELS = 8192
 
@@ -76,9 +76,9 @@ class RenderProduct:
 
 
 def resolve_workers() -> int:
-    """Thread count of the tile and pair pools: LUNARFORGE_THREADS when set,
-    else min(4, cores).  ValueError when it is set but not a positive
-    integer."""
+    """Thread count of the render pool, whose tasks are a rig's two views, and
+    of evaluate's pair pool: LUNARFORGE_THREADS when set, else min(4, cores).
+    ValueError when it is set but not a positive integer."""
     text = os.environ.get("LUNARFORGE_THREADS")
     if not text:
         return min(4, os.cpu_count() or 1)
@@ -87,13 +87,11 @@ def resolve_workers() -> int:
     return int(text)
 
 
-def _row_bands(height: int, width: int, workers: int) -> list[slice]:
-    """The fewest equal, contiguous row bands of at most BAND_PIXELS pixels
-    (one row if a row is wider) whose count is a multiple of workers, or one
-    band per row when there are too few rows for that."""
+def _row_bands(height: int, width: int) -> list[slice]:
+    """The fewest equal, contiguous row bands of at most BAND_PIXELS pixels,
+    or of one row if a row is wider; a view task renders them in order."""
     rows = max(1, BAND_PIXELS // width)
     count = -(-height // rows)
-    count = min(height, -(-count // workers) * workers)
     size, extra = divmod(height, count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
@@ -197,8 +195,9 @@ def render_pair(
     products share the two depth arrays.
 
     Both cameras are checked against the terrain before any work, then each
-    sun's shadow ceiling is swept once and one pool renders both views' row
-    bands, tracing each band once and shading it under every sun."""
+    sun's shadow ceiling is swept once and one pool renders the two views as
+    two tasks.  Each task walks its view's row bands in order, tracing each
+    band once and shading it under every sun."""
     if not suns:
         raise ValueError("render_pair needs at least one sun")
     poses = (rig.pose_a, rig.pose_b)
@@ -216,18 +215,16 @@ def render_pair(
     shape = (intr.height, intr.width)
     radiance = [[np.zeros(shape) for _ in poses] for _ in suns]  # [sun][view]
     depth = [np.zeros(shape) for _ in poses]
-    n_workers = resolve_workers()
-    tasks = [(view_id, band) for view_id in (0, 1) for band in _row_bands(intr.height, intr.width, n_workers)]
 
-    def run(task):
-        view_id, band = task
-        return _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, band)
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for (view_id, band), (rads, dep) in zip(tasks, pool.map(run, tasks)):
+    def render_view(view_id):
+        for band in _row_bands(intr.height, intr.width):
+            rads, dep = _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, band)
             depth[view_id][band] = dep
             for views, rad in zip(radiance, rads):
                 views[view_id][band] = rad
+
+    with ThreadPoolExecutor(max_workers=resolve_workers()) as pool:
+        list(pool.map(render_view, (0, 1)))
 
     pairs = []
     for views in radiance:

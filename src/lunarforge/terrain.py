@@ -416,14 +416,6 @@ def surface_normal(dem: DemGrid, x, y):
     j, u = _cell(fx, w)
     i, v = _cell(fy, h)
 
-    def on_row(f):  # sample_height at column coordinate f, on (x, y)'s row
-        jj, uu = _cell(f, w)
-        return _blend(e, i * w + jj, w, uu, v)
-
-    def on_column(f):  # and at row coordinate f, on its column
-        ii, vv = _cell(f, h)
-        return _blend(e, ii * w + j, w, u, vv)
-
     def central(c, origin, n, sample):  # along one axis, c the world coordinate
         lo, hi = (c - s - origin) / s, (c + s - origin) / s
         eps = 1e-9
@@ -432,8 +424,8 @@ def surface_normal(dem: DemGrid, x, y):
             raise OutOfBoundsError("query outside the grid footprint")
         return (sample(hi) - sample(lo)) / (2 * s)
 
-    dzdx = central(x, dem.origin_x, w, on_row)
-    dzdy = central(y, dem.origin_y, h, on_column)
+    dzdx = central(x, dem.origin_x, w, lambda f: bilinear(dem.elevations, f, fy))
+    dzdy = central(y, dem.origin_y, h, lambda f: bilinear(dem.elevations, fx, f))
     nodata_x, nodata_y = np.isnan(dzdx), np.isnan(dzdy)
     if nodata_x.any() or nodata_y.any():
         gx = gy = np.full(np.shape(fx), np.nan)

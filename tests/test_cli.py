@@ -642,6 +642,22 @@ def test_visualize_dem_spacing_from_cell_size(tmp_path):
     assert slope_image(dem) != slope_image(bare)  # 1 m default without a cell size
 
 
+@pytest.mark.parametrize("shape, code", [
+    ((8, 8), 0), ((2, 2), 0), ((8, 8, 3), 0),
+    ((8, 8, 1), 2), ((8, 8, 2), 2), ((8, 8, 4), 2), ((1, 8), 2), ((8, 1), 2), ((1, 8, 3), 2),
+])
+@pytest.mark.parametrize("mode", ["hillshade", "slope"])
+def test_visualize_takes_a_2d_raster_or_a_pointmap(tmp_path, capsys, shape, code, mode):
+    raster = tmp_path / "r.f32"
+    formats.write_f32_raster(raster, np.arange(math.prod(shape), dtype=np.float64).reshape(shape), {})
+    out = tmp_path / "o.pgm"
+    assert run(["visualize", "--input", str(raster), "--mode", mode, "--out", str(out)]) == code
+    if code == 2:
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "usage" and str(shape) in payload["detail"]
+    assert out.exists() == (code == 0)
+
+
 def test_visualize_unknown_mode_exit_2(tmp_path):
     raster = tmp_path / "r.f32"
     formats.write_f32_raster(raster, np.zeros((8, 8)), {})

@@ -4,6 +4,7 @@ shadow rays use."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -395,6 +396,62 @@ def test_sun_ceiling_bounds_the_sunward_horizon(elevation):
         i = np.clip(np.floor((y - dem.origin_y) / dem.cell_size).astype(int), 0, dem.height - 2)
         j = np.clip(np.floor((x - dem.origin_x) / dem.cell_size).astype(int), 0, dem.width - 2)
         assert (horizon <= ceiling[i, j]).all()
+
+
+def _exact_ceiling(dem, s):
+    """The sweep's recursion in exact rationals, in the DEM's own (row,
+    column) cells: C(p, q) = max(M(p, q), max(C(p', q), C(p', q')) - kL),
+    where p' is the next cell sun-ward along the sun's dominant horizontal
+    axis, q' the next along the other, M(p, q) the larger cell maximum of
+    (p, q) and (p, q'), and kL the sweep's float step taken exactly.  None
+    stands for -inf: no terrain sun-ward."""
+    sx, sy, sz = (float(c) for c in s)
+    swap = abs(sy) > abs(sx)  # the dominant axis is y: p is the row
+    dom, minor = (sy, sx) if swap else (sx, sy)
+    kl = Fraction(sz * dem.cell_size / abs(dom))
+    step_p, step_q = (-1 if dom < 0 else 1), (-1 if minor < 0 else 1)
+    cm = dem.cell_max if swap else dem.cell_max.T  # cm[p, q]
+    n_p, n_q = cm.shape
+
+    def cell(p, q):
+        inside = 0 <= p < n_p and 0 <= q < n_q and not np.isnan(cm[p, q])
+        return Fraction(float(cm[p, q])) if inside else None
+
+    def top(*values):
+        values = [v for v in values if v is not None]
+        return max(values) if values else None
+
+    exact = {}
+    for p in (range(n_p - 1, -1, -1) if step_p > 0 else range(n_p)):
+        for q in range(n_q):
+            behind = top(exact.get((p + step_p, q)), exact.get((p + step_p, q + step_q)))
+            exact[p, q] = top(cell(p, q), cell(p, q + step_q), None if behind is None else behind - kl)
+    return [[exact[(i, j) if swap else (j, i)] for j in range(dem.width - 1)] for i in range(dem.height - 1)]
+
+
+def test_sun_ceiling_rounding_margin_covers_the_exact_sweep():
+    """The float sweep rounds each subtraction of kL, and its 1e-9 relative
+    margin must cover that: over 40 random 12 x 12 DEMs (some with nodata,
+    some 1700 m up) and suns, every cell's float ceiling is at least the
+    exact one, and exceeds it by no more than the margin's order."""
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 0xCE1])
+        e = rng.normal(0.0, 30.0, (12, 12)) + (1700.0 if seed % 2 else 0.0)
+        if seed % 5 == 0:
+            e[rng.random(e.shape) < 0.1] = np.nan
+        dem = DemGrid(width=12, height=12, cell_size=float(rng.uniform(0.5, 10.0)),
+                      origin_x=float(rng.uniform(-1e3, 1e3)), origin_y=float(rng.uniform(-1e3, 1e3)), elevations=e)
+        azimuth = CEILING_AZIMUTHS[seed % len(CEILING_AZIMUTHS)]
+        s = _sun(float(rng.uniform(0.0, 360.0)) if azimuth is None else azimuth, float(rng.uniform(1.0, 80.0)))
+        ceiling = sun_ceiling(dem, s)
+        for i, row in enumerate(_exact_ceiling(dem, s)):
+            for j, want in enumerate(row):
+                got = ceiling[i, j]
+                if want is None:
+                    assert got == -np.inf, (seed, i, j)
+                    continue
+                assert Fraction(float(got)) >= want, (seed, i, j)
+                assert got - float(want) <= 4e-9 * (1.0 + abs(got)), (seed, i, j)
 
 
 @pytest.mark.parametrize("elevation", CEILING_ELEVATIONS)

@@ -25,7 +25,6 @@ from lunarforge.renderer import (
     _render_band,
     _row_bands,
     exposure_gain,
-    resolve_workers,
 )
 from lunarforge.trajectory import lighting_preset
 
@@ -178,28 +177,50 @@ def test_polar_sun_shadows_pixels_a_15_degree_sun_lights():
 
 def test_row_bands_partition_the_rows():
     grid = itertools.product([1, 2, 5, 32, 64, 96, 127, 128, 192, 300, 512, 1000],
-                             [1, 32, 96, 128, 192, 512, 8191, 8192, 9000], [1, 2, 3, 4, 8])
-    for height, width, threads in grid:
-        bands = _row_bands(height, width, threads)
+                             [1, 32, 96, 128, 192, 512, 8191, 8192, 9000])
+    for height, width in grid:
+        bands = _row_bands(height, width)
         assert bands[0].start == 0 and bands[-1].stop == height
         assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
         rows = [b.stop - b.start for b in bands]
         assert min(rows) >= 1 and max(rows) - min(rows) <= 1
-        assert len(bands) % threads == 0 or len(bands) == height
         assert max(rows) * width <= BAND_PIXELS or max(rows) == 1
-        # The fewest such bands: with one round of threads fewer, a band
-        # would be too large.
-        fewer = len(bands) - threads
+        # The fewest such bands: with one band fewer, a band would be too
+        # large.
+        fewer = len(bands) - 1
         assert fewer < 1 or -(-height // fewer) * width > BAND_PIXELS
 
 
-@pytest.mark.parametrize("size, threads, count, rows", [
-    (128, 2, 2, 64), (192, 2, 6, 32), (512, 2, 32, 16), (32, 8, 8, 4), (32, 1, 1, 32), (128, 1, 2, 64),
-])
-def test_row_bands_of_the_benchmark_views(size, threads, count, rows):
-    bands = _row_bands(size, size, threads)
+BENCHMARK_VIEW_PLANS = [  # size, threads, band count, band heights
+    (128, 2, 2, (64,)), (192, 2, 5, (38, 39)), (512, 2, 32, (16,)),
+    (32, 8, 1, (32,)), (32, 1, 1, (32,)), (128, 1, 2, (64,)),
+]
+
+
+@pytest.mark.parametrize("size, threads, count, rows", BENCHMARK_VIEW_PLANS,
+                         ids=["-".join(map(str, (s, t, c, *r))) for s, t, c, r in BENCHMARK_VIEW_PLANS])
+def test_row_bands_of_the_benchmark_views(monkeypatch, size, threads, count, rows):
+    """The plan of a size x size view, and the bands render_pair walks for
+    each view at the given thread count: the same plan at every count."""
+    from lunarforge import renderer
+
+    bands = _row_bands(size, size)
     assert len(bands) == count
-    assert {b.stop - b.start for b in bands} == {rows}
+    assert sorted({b.stop - b.start for b in bands}) == list(rows)
+
+    walked = {0: [], 1: []}
+
+    def blank(dem, rig, view_id, suns, hapke, seed, ceilings, band):
+        walked[view_id].append(band)
+        shape = (band.stop - band.start, size)
+        return [np.zeros(shape) for _ in suns], np.zeros(shape)
+
+    monkeypatch.setenv("LUNARFORGE_THREADS", str(threads))
+    monkeypatch.setattr(renderer, "_render_band", blank)
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=48)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=size, height=size)
+    render_pair(dem, rig, [lighting_preset("side")], HAPKE)
+    assert walked == {0: bands, 1: bands}
 
 
 def _band_peak_per_ray(lighting_ids):
@@ -321,7 +342,7 @@ def test_render_pair_matches_the_scalar_reference():
 
 @pytest.mark.parametrize("workers", ["1", "2", "8"])
 def test_render_pair_traces_each_band_once_whatever_the_suns(monkeypatch, workers):
-    """Three suns cost each band task one central and one jittered trace, as
+    """Three suns cost each row band one central and one jittered trace, as
     one sun does; every other ray is a shadow ray traced inside shadow_mask.
     Each sun's products are byte-identical to a render under that sun alone."""
     import threading
@@ -350,15 +371,15 @@ def test_render_pair_traces_each_band_once_whatever_the_suns(monkeypatch, worker
     dem = synth_dem_for_band("oblique", 0, seed=7, size=96)
     _, rig = sample_pair("oblique", 3, 0, dem, width=48, height=48)
     suns = [lighting_preset(lid) for lid in ("side", "back", "polar")]
-    tasks = 2 * len(_row_bands(48, 48, int(workers)))
+    bands = 2 * len(_row_bands(48, 48))
     pairs = render_pair(dem, rig, suns, HAPKE, seed=2)
     assert len(pairs) == len(suns)
-    assert len(primary) == 2 * tasks
+    assert len(primary) == 2 * bands
     assert sum(primary) == 2 * 48 * 48 * (1 + rig.rays_per_pixel)
     for sun, pair in zip(suns, pairs):
         primary.clear()
         (alone,) = render_pair(dem, rig, [sun], HAPKE, seed=2)
-        assert len(primary) == 2 * tasks
+        assert len(primary) == 2 * bands
         for got, want in zip(pair, alone):
             assert got.image.tobytes() == want.image.tobytes()
             assert got.depth.tobytes() == want.depth.tobytes()
@@ -391,7 +412,7 @@ def sweeps(monkeypatch):
 def test_render_pair_sweeps_one_ceiling(sweeps, monkeypatch, workers):
     monkeypatch.setenv("LUNARFORGE_THREADS", workers)
     dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
-    _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # 1 band at 1 thread, 8 at 8
+    _, rig = sample_pair("nadir", 3, 0, dem, width=64, height=64)  # 1 band per view
     render_pair(dem, rig, [lighting_preset("polar")], HAPKE, seed=1)
     assert len(sweeps) == 1
 
@@ -462,10 +483,16 @@ def test_band_jitter_draws_concatenate_to_the_whole_view_draw(height, width, rpp
     from lunarforge.renderer import _psf_jitter
 
     whole = _whole_view_jitter(11, 1, height, width, rpp, 0.5)
-    for workers in (1, 2, 3, 8):
-        bands = _row_bands(height, width, workers)
+    plans = {
+        "whole view": [0, height],
+        "one row per band": list(range(height + 1)),
+        "uneven": [0, 5, 6, height // 2 + 3, height],
+        "_row_bands": [0] + [rows.stop for rows in _row_bands(height, width)],
+    }
+    for plan, cuts in plans.items():
+        bands = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
         drawn = np.concatenate([_psf_jitter(11, 1, rows, width, rpp, 0.5) for rows in bands])
-        assert drawn.tobytes() == whole.tobytes(), (workers, len(bands))
+        assert drawn.tobytes() == whole.tobytes(), plan
 
 
 def test_psf_jitter_is_drawn_once_per_band_of_each_view(monkeypatch):
@@ -483,7 +510,75 @@ def test_psf_jitter_is_drawn_once_per_band_of_each_view(monkeypatch):
     _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
     render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=1)
     # two views, each drawn one row band at a time
-    assert len(seen) == 2 * len(_row_bands(32, 32, resolve_workers()))
+    assert len(seen) == 2 * len(_row_bands(32, 32))
+
+
+@pytest.mark.parametrize("band_pixels, count", [(96, 100), (BAND_PIXELS, 2), (96 * 100, 1)],
+                         ids=["one row", "default", "whole view"])
+def test_render_pair_bytes_do_not_depend_on_the_band_plan(monkeypatch, band_pixels, count):
+    """Bands of one row, the default plan (2 bands of 50 rows) and one band
+    per view render the same bytes at 1 and 2 threads."""
+    from lunarforge import renderer
+
+    dem = synth_dem_for_band("oblique", 0, seed=7, size=96)
+    _, rig = sample_pair("oblique", 3, 0, dem, width=96, height=100)
+    suns = [lighting_preset("side"), lighting_preset("polar")]
+    want = [(p.image.tobytes(), p.depth.tobytes()) for pair in render_pair(dem, rig, suns, HAPKE, seed=6) for p in pair]
+    monkeypatch.setattr(renderer, "BAND_PIXELS", band_pixels)
+    assert len(_row_bands(100, 96)) == count
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LUNARFORGE_THREADS", threads)
+        got = [(p.image.tobytes(), p.depth.tobytes()) for pair in render_pair(dem, rig, suns, HAPKE, seed=6) for p in pair]
+        assert got == want, threads
+
+
+def test_render_pair_runs_each_view_as_one_task_with_its_bands_in_order(monkeypatch):
+    """However many threads, a render is two pool tasks, one per view: at
+    most two bands are in flight, and each view's bands run on one thread,
+    top to bottom."""
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    from lunarforge import renderer
+
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    lock = threading.Lock()
+    live = most = 0
+    seen = {0: [], 1: []}  # view id -> [(rows, thread)]
+    real = renderer._render_band
+
+    def tracking(dem, rig, view_id, *args):
+        nonlocal live, most
+        with lock:
+            live += 1
+            most = max(most, live)
+            seen[view_id].append((args[-1], threading.get_ident()))
+        try:
+            time.sleep(0.005)  # long enough for any other pool task to start
+            return real(dem, rig, view_id, *args)
+        finally:
+            with lock:
+                live -= 1
+
+    monkeypatch.setenv("LUNARFORGE_THREADS", "8")
+    monkeypatch.setattr(renderer, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(renderer, "_render_band", tracking)
+    monkeypatch.setattr(renderer, "BAND_PIXELS", 4 * 32)  # 8 bands of 4 rows per view
+    dem = synth_dem_for_band("nadir", 0, seed=7, size=96)
+    _, rig = sample_pair("nadir", 3, 0, dem, width=32, height=32)
+    render_pair(dem, rig, [lighting_preset("side")], HAPKE, seed=1)
+    assert len(submitted) == 2
+    assert most <= 2
+    for calls in seen.values():
+        assert [rows for rows, _ in calls] == _row_bands(32, 32)
+        assert len({thread for _, thread in calls}) == 1
 
 
 def test_render_seed_changes_psf_image():
