@@ -10,7 +10,9 @@ once, shades it under every lighting, and renders its two views as two tasks
 on one pool of that many threads, each walking its view's row bands in
 order.  A rig's depth, pointmaps and correspondences are
 computed once and the same bytes are written into each lighting's pair
-directory.  evaluate scores the pairs on one such pool.
+directory.  evaluate scores the pairs on one such pool: each pair's report
+entry is ok, missing or error, and the aggregate is computed from the
+entries alone, its per-kind means skipping flagged values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__, formats
 from .camera import CameraRig, Pose, gsd
-from .metrics import MetricsReport, PairGroundTruth, PairPrediction, evaluate_pair
+from .metrics import REPORT_FIELDS, PairGroundTruth, PairPrediction, evaluate_pair
 from .pose import pose_accuracy_table
 from .radiometry import HapkeParams
 from .renderer import depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
@@ -363,17 +365,14 @@ def cmd_evaluate(args) -> int:
     thresholds.sort()
     records = _read_manifest(gt_dir)
 
-    # Pose errors are summarised by the RRA/RTA tables, not by means.
-    mean_fields = tuple(f for f in MetricsReport._FIELDS if f not in ("rra_deg", "rta_deg"))
-
     def score(record):
-        """(record, report, error): report None when the prediction is missing
-        or failed to load; error describes a load failure."""
+        """The pair's report entry: status ok, missing (no prediction) or
+        error (its prediction or ground truth failed to load)."""
         pair_id = record["pair_id"]
         try:
             pred = _load_prediction(pred_dir, pair_id)
             if pred is None:
-                return record, None, None
+                return {"pair_id": pair_id, "status": "missing"}
             gt = _load_ground_truth(gt_dir, record)
             for view in ("a", "b"):
                 shape = getattr(pred, f"pointmap_{view}").shape
@@ -381,77 +380,56 @@ def cmd_evaluate(args) -> int:
                 if shape != gt_shape:
                     raise ValueError(f"pointmap_{view} has shape {shape}, ground truth {gt_shape}")
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            return record, None, {"type": type(exc).__name__, "detail": str(exc)}
-        return record, evaluate_pair(pred, gt, seed=args.seed), None
+            return {"pair_id": pair_id, "status": "error", "error": {"type": type(exc).__name__, "detail": str(exc)}}
+        report = evaluate_pair(pred, gt, seed=args.seed)
+        return {"pair_id": pair_id, "status": "ok", "kind": record["trajectory"]["kind"], **report.to_json_dict()}
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        results = list(pool.map(score, records))  # manifest order preserved
+        entries = list(pool.map(score, records))  # manifest order preserved
 
-    lines = []
-    rra_errors = []
-    rta_errors = []
-    rta_degenerate = 0
-    missing = []
-    failed = []
-    by_kind: dict[str, list] = {}
-    for record, report, error in results:
-        pair_id = record["pair_id"]
-        if error is not None:
-            failed.append(pair_id)
-            lines.append({"pair_id": pair_id, "status": "error", "error": error})
-            continue
-        if report is None:
-            missing.append(pair_id)
-            lines.append({"pair_id": pair_id, "status": "missing"})
-            continue
-        entry = {"pair_id": pair_id, "status": "ok", "kind": record["trajectory"]["kind"]}
-        entry.update(report.to_json_dict())
-        lines.append(entry)
-        if report.rra_deg is not None:
-            rra_errors.append(report.rra_deg)
-        if report.rta_deg is not None:
-            rta_errors.append(report.rta_deg)
-        elif "rta_deg" in report.flags:
-            rta_degenerate += 1
-        by_kind.setdefault(record["trajectory"]["kind"], []).append(report)
-
+    # The aggregate is computed from the entries alone; a flagged value is a string.
+    ok = [e for e in entries if e["status"] == "ok"]
+    missing = sorted(e["pair_id"] for e in entries if e["status"] == "missing")
+    failed = sorted(e["pair_id"] for e in entries if e["status"] == "error")
     aggregate = {
         "type": "aggregate",
         "pairs_total": len(records),
-        "pairs_evaluated": len(records) - len(missing) - len(failed),
+        "pairs_evaluated": len(ok),
         "pairs_missing": len(missing),
-        "missing": sorted(missing),
+        "missing": missing,
         "pairs_failed": len(failed),
-        "failed": sorted(failed),
-        "rta_degenerate_count": rta_degenerate,
+        "failed": failed,
+        "rta_degenerate_count": sum("rta_deg" in e["flags"] for e in ok),
         "all_missing_warning": bool(records) and len(missing) == len(records),
     }
-    if rra_errors:
-        aggregate["rra_table"] = {
-            _threshold_key(t): v for t, v in pose_accuracy_table(rra_errors, thresholds).items()
+    for metric in ("rra", "rta"):
+        errors = [e[f"{metric}_deg"] for e in ok if isinstance(e[f"{metric}_deg"], float)]
+        if errors:
+            table = pose_accuracy_table(errors, thresholds)
+            aggregate[f"{metric}_table"] = {_threshold_key(t): v for t, v in table.items()}
+
+    def mean(values):
+        values = [v for v in values if isinstance(v, float)]
+        return float(np.mean(values)) if values else "degenerate"
+
+    # Pose errors are summarised by the tables, not by means.
+    aggregate["by_kind"] = {
+        kind: {
+            name: mean(e[name] for e in ok if e["kind"] == kind)
+            for name in REPORT_FIELDS if name not in ("rra_deg", "rta_deg")
         }
-    if rta_errors:
-        aggregate["rta_table"] = {
-            _threshold_key(t): v for t, v in pose_accuracy_table(rta_errors, thresholds).items()
-        }
-    kinds_summary = {}
-    for kind, reports in sorted(by_kind.items()):
-        summary = {}
-        for name in mean_fields:
-            vals = [getattr(r, name) for r in reports if getattr(r, name) is not None]
-            summary[name] = float(np.mean(vals)) if vals else "degenerate"
-        kinds_summary[kind] = summary
-    aggregate["by_kind"] = kinds_summary
+        for kind in sorted({e["kind"] for e in ok})
+    }
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    out_lines = [json.dumps(entry, sort_keys=True, allow_nan=False) for entry in lines]
+    out_lines = [json.dumps(entry, sort_keys=True, allow_nan=False) for entry in entries]
     out_lines.append(json.dumps(aggregate, sort_keys=True, allow_nan=False))
     report_path.write_text("\n".join(out_lines) + "\n")
     if aggregate["all_missing_warning"]:
         print("warning: no predictions found for any pair", file=sys.stderr)
     if failed:
-        print(f"warning: {len(failed)} predictions failed to load: {', '.join(sorted(failed))}", file=sys.stderr)
+        print(f"warning: {len(failed)} pairs failed to load: {', '.join(failed)}", file=sys.stderr)
     print(f"evaluated {aggregate['pairs_evaluated']}/{aggregate['pairs_total']} pairs -> {report_path}")
     return 0
 
@@ -501,12 +479,13 @@ def cmd_visualize(args) -> int:
         raise UsageError(f"input raster must be 2D (depth) or HxWx3 (pointmap), at least 2x2; got {shape}")
     # A DEM sidecar (see write_dem) carries its cell size; other rasters default to 1 m.
     spacing = args.spacing if args.spacing is not None else float(meta.get("cell_size", 1.0))
+    if not np.isfinite(raster).any():
+        raise UsageError("input raster has no finite value")
+    raster = np.nan_to_num(raster, nan=float(np.nanmean(raster)))
     if args.mode == "hillshade":
-        img = hillshade(np.nan_to_num(raster, nan=float(np.nanmean(raster))), spacing,
-                        args.azimuth, args.elevation)
+        img = hillshade(raster, spacing, args.azimuth, args.elevation)
     else:
-        slopes = slope_map(np.nan_to_num(raster, nan=float(np.nanmean(raster))), spacing)
-        img = np.clip(slopes / 45.0, 0.0, 1.0)  # linear 0-45 degree ramp
+        img = np.clip(slope_map(raster, spacing) / 45.0, 0.0, 1.0)  # linear 0-45 degree ramp
     formats.write_pgm8(args.out, np.nan_to_num(img, nan=0.0))
     print(f"wrote {args.mode} image to {args.out}")
     return 0

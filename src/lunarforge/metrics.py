@@ -293,7 +293,7 @@ class MetricsReport:
 
     def to_json_dict(self) -> dict:
         out = {}
-        for name in self._FIELDS:
+        for name in REPORT_FIELDS:
             value = getattr(self, name)
             if value is None:
                 out[name] = self.flags.get(name, "degenerate")
@@ -305,7 +305,7 @@ class MetricsReport:
 
 
 # The scalar metrics in report order: every field but the alignment and flags.
-MetricsReport._FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name not in ("alignment", "flags"))
+REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name not in ("alignment", "flags"))
 
 
 def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> MetricsReport:

@@ -147,8 +147,8 @@ def shade_points(
     idx = np.flatnonzero(lit)
     radiance = np.zeros(len(points))
     if idx.size:
+        # A unit normal's cosines can round above 1 on a facet facing the sun or camera.
+        mu0_lit = np.minimum(mu0[idx], 1.0)
         g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
-        radiance[idx] = sun.irradiance * mu0[idx] * hapke_brdf(
-            mu0[idx], np.minimum(mu[idx], 1.0), g, params
-        )
+        radiance[idx] = sun.irradiance * mu0_lit * hapke_brdf(mu0_lit, np.minimum(mu[idx], 1.0), g, params)
     return radiance

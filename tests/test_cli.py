@@ -9,6 +9,7 @@ import pytest
 
 from lunarforge import formats
 from lunarforge.cli import main
+from lunarforge.pose import pose_accuracy_table
 
 
 def tree_digest(root: Path) -> dict:
@@ -477,7 +478,7 @@ def test_evaluate_opens_one_pair_pool_at_every_thread_count(two_pair_dataset, tm
 
 
 @pytest.mark.parametrize("defect", ["depth_shape", "depth_nan"])
-def test_evaluate_flags_a_bad_ground_truth_depth_and_scores_the_rest(two_pair_dataset, tmp_path, defect):
+def test_evaluate_flags_a_bad_ground_truth_depth_and_scores_the_rest(two_pair_dataset, tmp_path, capsys, defect):
     gt = tmp_path / "gt"
     shutil.copytree(two_pair_dataset, gt)
     pred = tmp_path / "pred"
@@ -503,6 +504,56 @@ def test_evaluate_flags_a_bad_ground_truth_depth_and_scores_the_rest(two_pair_da
     assert entries[good]["status"] == "ok"
     assert entries[good]["chamfer_m"] < 1e-4
     assert entries[good]["flags"] == {}
+    if defect == "depth_shape":
+        assert f"warning: 1 pairs failed to load: {bad}\n" in capsys.readouterr().err
+
+
+# The scalar metrics that by_kind averages: every report field but the pose errors.
+MEAN_FIELDS = ("accuracy_m", "completeness_m", "chamfer_m", "accuracy_rel", "completeness_rel", "chamfer_rel",
+               "slope_corr", "slope_mae_deg", "profile_mae_m", "profile_corr", "ssim", "si_loss")
+
+
+def test_evaluate_aggregate_is_computed_from_the_entries(tmp_path):
+    """One pair missing, one with a degenerate predicted baseline and no
+    ground-truth depth in either view, one a copy of the ground truth: every
+    aggregate field follows from the entry lines alone."""
+    gt = tmp_path / "gt"
+    assert run(GEN_ARGS + ["--lighting", "side,back,overhead", "--out", str(gt)]) == 0
+    pred = tmp_path / "pred"
+    missing, degenerate, copy = _copy_predictions(gt, pred)
+    shutil.rmtree(pred / missing)
+    pose_a = formats.read_json(gt / degenerate / "meta.json")["pose_a"]
+    for view in ("a", "b"):
+        (pred / degenerate / f"pose_{view}.json").write_text(json.dumps(pose_a))
+        depth, meta = formats.read_f32_raster(gt / degenerate / f"depth_{view}.f32")
+        formats.write_f32_raster(gt / degenerate / f"depth_{view}.f32", np.full(depth.shape, np.nan), meta)
+    *entries, aggregate = (json.loads(ln) for ln in _evaluate(gt, pred, tmp_path / "r.jsonl").splitlines())
+
+    assert [(e["pair_id"], e["status"]) for e in entries] == [
+        (missing, "missing"), (degenerate, "ok"), (copy, "ok"),
+    ]
+    ok = entries[1:]
+    assert ok[0]["flags"]["rta_deg"] == "degenerate_baseline"
+    assert {"ssim", "profile"} <= set(ok[0]["flags"])
+    assert isinstance(ok[0]["ssim"], str) and isinstance(ok[1]["ssim"], float)
+    assert ok[1]["flags"] == {}
+
+    def floats(values):
+        return [v for v in values if isinstance(v, float)]
+
+    expected = {
+        "type": "aggregate", "pairs_total": 3, "pairs_evaluated": 2, "pairs_missing": 1, "missing": [missing],
+        "pairs_failed": 0, "failed": [], "rta_degenerate_count": 1, "all_missing_warning": False,
+    }
+    for metric in ("rra", "rta"):
+        table = pose_accuracy_table(floats(e[f"{metric}_deg"] for e in ok), [2.0, 5.0, 15.0, 30.0])
+        expected[f"{metric}_table"] = {str(int(tau)): share for tau, share in table.items()}
+    expected["by_kind"] = {"nadir": {
+        name: float(np.mean(vals)) if (vals := floats(e[name] for e in ok)) else "degenerate"
+        for name in MEAN_FIELDS
+    }}
+    assert aggregate == expected
+    assert expected["by_kind"]["nadir"]["ssim"] == ok[1]["ssim"]
 
 
 def _evaluate(gt, pred, report):
@@ -658,6 +709,18 @@ def test_visualize_takes_a_2d_raster_or_a_pointmap(tmp_path, capsys, shape, code
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["hillshade", "slope"])
+def test_visualize_raster_without_a_finite_value_is_a_usage_error(tmp_path, capsys, mode):
+    raster = tmp_path / "nan.f32"
+    formats.write_f32_raster(raster, np.full((8, 8), np.nan), {})
+    out = tmp_path / "o.pgm"
+    assert run(["visualize", "--input", str(raster), "--mode", mode, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "usage", "detail": "input raster has no finite value"}
+    assert not out.exists()
+
+
 def test_visualize_unknown_mode_exit_2(tmp_path):
     raster = tmp_path / "r.f32"
     formats.write_f32_raster(raster, np.zeros((8, 8)), {})
@@ -677,6 +740,26 @@ def test_synth_dem_round_trip(tmp_path):
     dem = load_dem(out, "raw_f32")
     ref = synth_crater_dem(3, 48, 40, 5.0, 3, 2)
     assert np.allclose(dem.elevations, ref.elevations, atol=1e-5)  # f32 storage
+
+
+def test_generate_over_a_plane_facing_the_sun(tmp_path):
+    # Every facet's normal is the overhead sun's direction, so the incidence
+    # cosine n.s rounds to just above 1 at some hit points.
+    from lunarforge import DemGrid, sun_direction, write_dem
+    from lunarforge.trajectory import lighting_preset
+
+    s = sun_direction(lighting_preset("overhead"))
+    size, cell = 160, 36.0
+    half = (size - 1) * cell / 2
+    x, y = np.meshgrid(np.arange(size) * cell - half, np.arange(size) * cell - half)
+    dem = tmp_path / "plane.f32"
+    write_dem(DemGrid(width=size, height=size, cell_size=cell, origin_x=-half, origin_y=-half,
+                      elevations=-(s[0] * x + s[1] * y) / s[2]), dem, "raw_f32")
+    out = tmp_path / "out"
+    assert run(["generate", "--dem", str(dem), "--trajectory", "nadir", "--bands", "0",
+                "--lighting", "overhead", "--res", "64", "--out", str(out)]) == 0
+    image = formats.read_pgm16(out / "nadir_b00_p000_overhead" / "image_a.pgm")
+    assert image.min() > 0  # the whole plane is lit
 
 
 def test_render_pair_zero_baseline(tmp_path):

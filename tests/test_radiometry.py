@@ -215,6 +215,20 @@ def test_shade_composes_golden(flat_dem):
     assert got > 0
 
 
+def test_shade_clamps_an_incidence_cosine_that_rounds_above_one(flat_dem):
+    # A unit normal dotted with the sun direction can come out at 1 + 2**-52
+    # on a facet that faces the sun; it shades as the facet it is, mu0 = 1.
+    sun = SunConfig(azimuth=0.0, elevation=90.0)
+    points, views = np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]])
+    ceiling = sun_ceiling(flat_dem, sun_direction(sun))
+
+    def radiance(mu0):
+        return shade_points(flat_dem, points, np.array([mu0]), np.ones(1), views, sun, DEFAULTS, ceiling)
+
+    assert radiance(1.0 + 2.0**-52).tolist() == radiance(1.0).tolist()
+    assert radiance(1.0)[0] > 0
+
+
 def test_shade_nonnegative_random():
     dem = synth_crater_dem(4, 48, 48, 2.0, 3, 3)
     sun = SunConfig(azimuth=150.0, elevation=20.0)
