@@ -273,10 +273,12 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
     if not manifest.exists():
         raise UsageError(f"no manifest.jsonl in {gt_dir}")
     records = []
-    for line in manifest.read_text().splitlines():
+    for number, line in enumerate(manifest.read_text().splitlines(), 1):
         obj = json.loads(line)
         if obj.get("format") == "lunarforge-manifest":
             continue
+        if "pair_id" not in obj:
+            raise UsageError(f"manifest.jsonl line {number} has no pair_id")
         records.append(obj)
     return records
 
@@ -367,9 +369,10 @@ def cmd_evaluate(args) -> int:
 
     def score(record):
         """The pair's report entry: status ok, missing (no prediction) or
-        error (its prediction or ground truth failed to load)."""
+        error (its record, prediction or ground truth failed to load)."""
         pair_id = record["pair_id"]
         try:
+            kind = record["trajectory"]["kind"]
             pred = _load_prediction(pred_dir, pair_id)
             if pred is None:
                 return {"pair_id": pair_id, "status": "missing"}
@@ -382,7 +385,7 @@ def cmd_evaluate(args) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return {"pair_id": pair_id, "status": "error", "error": {"type": type(exc).__name__, "detail": str(exc)}}
         report = evaluate_pair(pred, gt, seed=args.seed)
-        return {"pair_id": pair_id, "status": "ok", "kind": record["trajectory"]["kind"], **report.to_json_dict()}
+        return {"pair_id": pair_id, "status": "ok", "kind": kind, **report.to_json_dict()}
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         entries = list(pool.map(score, records))  # manifest order preserved
@@ -479,8 +482,12 @@ def cmd_visualize(args) -> int:
         raise UsageError(f"input raster must be 2D (depth) or HxWx3 (pointmap), at least 2x2; got {shape}")
     # A DEM sidecar (see write_dem) carries its cell size; other rasters default to 1 m.
     spacing = args.spacing if args.spacing is not None else float(meta.get("cell_size", 1.0))
-    if not np.isfinite(raster).any():
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise UsageError(f"sidecar cell_size must be finite and > 0, got {spacing}")
+    finite = np.isfinite(raster)
+    if not finite.any():
         raise UsageError("input raster has no finite value")
+    raster = np.where(finite, raster, np.nan)  # ±inf cells get the mean of the finite ones, as NaN cells do
     raster = np.nan_to_num(raster, nan=float(np.nanmean(raster)))
     if args.mode == "hillshade":
         img = hillshade(raster, spacing, args.azimuth, args.elevation)

@@ -1,6 +1,10 @@
 """Relative-pose recovery and scoring: essential matrix, PnP, RRA/RTA, and
 RANSAC similarity alignment.
 
+All three estimators run one RANSAC loop, `_ransac`: it draws hypotheses,
+scores them and refits the best to a fixed point.  Each estimator passes its
+own fit and inlier test; only `ransac_align` also certifies its consensus.
+
 Pixel matches are lifted to projective ray coordinates in each camera's own
 frame; the essential matrix here satisfies h2^T E h1 = 0 for those rays.
 """
@@ -41,10 +45,12 @@ class RansacParams:
     confidence of having drawn one all-inlier sample (Fischler & Bolles
     1981).  It stops at once when every point is an inlier.  ``iterations``
     is a hard cap on the number of samples drawn, degenerate ones included.
-    ``ransac_align`` also rejects a final consensus that would need more than
-    ``iterations`` samples, so the cap sets the smallest inlier ratio it can
-    certify: w_min ~ (1 - 0.001**(1/iterations))**(1/3), about 0.15 at the
-    default 2000 and 0.5 at 50.
+    Every estimator then refits the best hypothesis to a fixed point (at most
+    _REFIT_ROUNDS rounds).  Only ``ransac_align`` also rejects a final
+    consensus that would need more than ``iterations`` samples, so the cap
+    sets the smallest inlier ratio it can certify: w_min ~ (1 -
+    0.001**(1/iterations))**(1/3), about 0.15 at the default 2000 and 0.5 at
+    50.
     """
 
     iterations: int = 2000
@@ -57,7 +63,7 @@ class RansacParams:
 
 
 _CONFIDENCE = 0.999  # p of the adaptive stopping rule
-_REFIT_ROUNDS = 20  # cap on ransac_align's refit-to-a-fixed-point rounds
+_REFIT_ROUNDS = 20  # cap on _ransac's refit-to-a-fixed-point rounds, for every estimator
 
 
 def _hypotheses_needed(count: int, n: int, sample_size: int) -> float:
@@ -71,31 +77,45 @@ def _hypotheses_needed(count: int, n: int, sample_size: int) -> float:
     return math.ceil(math.log(1.0 - _CONFIDENCE) / math.log1p(-p_good))
 
 
-def _ransac(n: int, sample_size: int, hypothesis, params: RansacParams, tag: int):
-    """Hypothesise-and-score loop shared by the estimators.
+def _ransac(name: str, n: int, sample_size: int, fit, inliers_of, params: RansacParams, tag: int):
+    """The RANSAC loop of every estimator: hypothesise, score, refit.
 
-    `hypothesis(idx)` fits a model to the sampled indices and returns its
-    boolean inlier mask over all `n` points, or None for a degenerate sample.
-    Samples come from a generator seeded by (params.seed, tag), so a fixed
-    seed gives a fixed hypothesis sequence.  Returns (best mask, its count);
-    the mask is None when every sample was degenerate.
+    `fit(rows)` fits a model to the selected rows and raises ValueError (numpy's
+    LinAlgError is one) on a degenerate set, whose sample is then skipped;
+    `inliers_of(model)` is its boolean mask over all `n` points.  Samples come
+    from a generator seeded by (params.seed, tag).  The best hypothesis is refit
+    to a fixed point: fit its inliers and recompute the mask until the mask
+    stops changing (at most _REFIT_ROUNDS rounds) or would drop below
+    `sample_size` points.  Returns (model, mask); raises RansacError when no
+    hypothesis explains `sample_size` points.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(params.seed, tag)))
-    best_mask = None
+    mask = None
     best_count = -1
     needed = math.inf
     drawn = 0
     while drawn < min(needed, params.iterations):
         drawn += 1
-        mask = hypothesis(rng.choice(n, size=sample_size, replace=False))
-        if mask is None:
+        try:
+            model = fit(rng.choice(n, size=sample_size, replace=False))
+        except ValueError:
             continue
-        count = int(mask.sum())
+        candidate = inliers_of(model)
+        count = int(candidate.sum())
         if count > best_count:
             best_count = count
-            best_mask = mask
+            mask = candidate
             needed = _hypotheses_needed(count, n, sample_size)
-    return best_mask, best_count
+    if mask is None or best_count < sample_size:
+        raise RansacError(f"{name} RANSAC found no consensus set")
+    model = fit(mask)
+    for _ in range(_REFIT_ROUNDS):
+        refit_mask = inliers_of(model)
+        if refit_mask.sum() < sample_size or np.array_equal(refit_mask, mask):
+            break
+        mask = refit_mask
+        model = fit(mask)
+    return model, mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +232,10 @@ def estimate_essential(
 
     matches holds (u1, v1, u2, v2) rows, as gt_correspondences returns them.
     Returns the pose of camera 2 in camera 1's frame with unit translation.
-    Raises DegenerateBaselineError when a pure rotation explains the matches.
+    The winner is refit to a fixed point (see _ransac); once that converges,
+    `inliers` are the matches whose Sampson distance to E is below the
+    threshold.  Raises DegenerateBaselineError when a pure rotation explains
+    the matches.
     """
     h1, h2 = _match_rays(matches, intr1, intr2)
     n = len(h1)
@@ -223,28 +246,14 @@ def estimate_essential(
             "matches are consistent with a pure rotation; baseline unobservable"
         )
 
-    focal = intr1.focal_px
-
-    def hypothesis(idx):
-        try:
-            e = _eight_point(h1[idx], h2[idx])
-        except np.linalg.LinAlgError:
-            return None
-        return _sampson_px(e, h1, h2, focal) < ransac.inlier_threshold
-
-    best_inliers, best_count = _ransac(n, 8, hypothesis, ransac, 0xE55)
-    if best_inliers is None or best_count < 8:
-        raise RansacError("essential RANSAC found no consensus set")
-
-    e = _eight_point(h1[best_inliers], h2[best_inliers])
-    err = _sampson_px(e, h1, h2, focal)
-    best_inliers = err < ransac.inlier_threshold
-    if best_inliers.sum() >= 8:
-        e = _eight_point(h1[best_inliers], h2[best_inliers])
+    e, inliers = _ransac(
+        "essential", n, 8, lambda rows: _eight_point(h1[rows], h2[rows]),
+        lambda e: _sampson_px(e, h1, h2, intr1.focal_px) < ransac.inlier_threshold, ransac, 0xE55,
+    )
 
     # Cheirality: pick the candidate putting the most inliers in front of both.
-    hi1 = h1[best_inliers]
-    hi2 = h2[best_inliers]
+    hi1 = h1[inliers]
+    hi2 = h2[inliers]
     best_pose = None
     best_front = -1
     for r21, t21 in _decompose_essential(e):
@@ -259,7 +268,7 @@ def estimate_essential(
     t_rel = t_rel / np.linalg.norm(t_rel)
     rel = Pose(rotation=orthonormalized(r_rel), translation=t_rel)
     e_unit = e / np.linalg.norm(e)
-    return EssentialEstimate(E=e_unit, inliers=np.flatnonzero(best_inliers), relative_pose=rel)
+    return EssentialEstimate(E=e_unit, inliers=np.flatnonzero(inliers), relative_pose=rel)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +365,9 @@ def solve_pnp(
     """Camera-to-world pose from (pixel, world point) matches, given as the
     tuple ((N, 2) pixels, (N, 3) world points).
 
-    DLT initialization inside RANSAC followed by Gauss-Newton refinement on
-    the inlier set.  Needs >= 6 non-degenerate matches.
+    DLT hypotheses inside RANSAC, refit by DLT to a fixed point, followed by
+    Gauss-Newton refinement on the final inlier set.  Needs >= 6
+    non-degenerate matches.
     """
     pixels, pts = matches_2d3d
     pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -374,11 +384,8 @@ def solve_pnp(
     xy = image_plane(intr, pixels[:, 0], pixels[:, 1])[:, :2] * [1.0, -1.0]
     thresh_norm = ransac.inlier_threshold / intr.focal_px
 
-    def hypothesis(idx):
-        try:
-            r, t = _dlt_pose(xy[idx], pts[idx])
-        except (DegenerateGeometryError, np.linalg.LinAlgError):
-            return None
+    def inliers_of(model):
+        r, t = model
         pc = pts @ r.T + t
         z = pc[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -386,12 +393,10 @@ def solve_pnp(
             err = np.linalg.norm(proj - xy, axis=1)
         return (z > 0) & np.isfinite(err) & (err < thresh_norm)
 
-    best, best_count = _ransac(n, 6, hypothesis, ransac, 0x9A9)
-    if best is None or best_count < 6:
-        raise RansacError("PnP RANSAC found no consensus set")
-
-    r, t = _dlt_pose(xy[best], pts[best])
-    r, t = _gauss_newton_pnp(r, t, xy[best], pts[best])
+    (r, t), inliers = _ransac(
+        "PnP", n, 6, lambda rows: _dlt_pose(xy[rows], pts[rows]), inliers_of, ransac, 0x9A9
+    )
+    r, t = _gauss_newton_pnp(r, t, xy[inliers], pts[inliers])
     # Back to the -z-forward convention: R_c2w = (F R)^T, center = -R^T t.
     rotation = (_FLIP @ r).T
     center = -r.T @ t
@@ -497,10 +502,9 @@ def ransac_align(
     Returns (SimilarityTransform, inlier mask).  The threshold is in meters.
     The loop stops adaptively with confidence p = 0.999 (see RansacParams;
     ``iterations`` is a hard cap).  The winner is then refit to a fixed
-    point: umeyama on its inliers, recompute the mask, repeat until the mask
-    stops changing (at most 20 rounds) or would drop below 3 points.  So the
-    result depends little on which hypothesis found the consensus, and so on
-    where the loop stopped.  Raises RansacError when the final consensus is
+    point by umeyama on its inliers, as in every estimator here (see
+    _ransac).  So the result depends little on which hypothesis found the
+    consensus, and so on where the loop stopped.  Raises RansacError when the final consensus is
     too small to certify: finding it with confidence p would take more than
     ``iterations`` hypotheses (at the default 2000, an inlier ratio below
     about 0.15).
@@ -510,25 +514,11 @@ def ransac_align(
     if pred.shape != gt.shape or len(pred) < 3:
         raise ValueError("alignment needs >= 3 index-paired points")
 
-    def inliers_of(transform):
-        return _residual_inliers(transform, pred, gt, ransac.inlier_threshold)
-
-    def hypothesis(idx):
-        try:
-            return inliers_of(umeyama(pred[idx], gt[idx]))
-        except ValueError:  # DegenerateGeometryError included
-            return None
-
-    mask, count = _ransac(len(pred), 3, hypothesis, ransac, 0xA116)
-    if mask is None or count < 3:
-        raise RansacError("similarity RANSAC found no consensus set")
-    transform = umeyama(pred[mask], gt[mask])
-    for _ in range(_REFIT_ROUNDS):
-        refit_mask = inliers_of(transform)
-        if refit_mask.sum() < 3 or np.array_equal(refit_mask, mask):
-            break
-        mask = refit_mask
-        transform = umeyama(pred[mask], gt[mask])
+    # umeyama is looked up at call time, so a wrapper on pose.umeyama sees every call.
+    transform, mask = _ransac(
+        "similarity", len(pred), 3, lambda rows: umeyama(pred[rows], gt[rows]),
+        lambda transform: _residual_inliers(transform, pred, gt, ransac.inlier_threshold), ransac, 0xA116,
+    )
     count = int(mask.sum())
     if _hypotheses_needed(count, len(pred), 3) > ransac.iterations:
         raise RansacError(

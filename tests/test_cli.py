@@ -508,6 +508,47 @@ def test_evaluate_flags_a_bad_ground_truth_depth_and_scores_the_rest(two_pair_da
         assert f"warning: 1 pairs failed to load: {bad}\n" in capsys.readouterr().err
 
 
+def _edit_manifest(gt, index, edit):
+    """Apply `edit` to the manifest's pair record number `index` (0-based)."""
+    manifest = gt / "manifest.jsonl"
+    header, *records = manifest.read_text().splitlines()
+    record = json.loads(records[index])
+    edit(record)
+    records[index] = json.dumps(record, sort_keys=True)
+    manifest.write_text("\n".join([header, *records]) + "\n")
+
+
+def test_evaluate_flags_a_record_without_a_trajectory_and_scores_the_rest(two_pair_dataset, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(two_pair_dataset, gt)
+    pred = tmp_path / "pred"
+    bad, good = _copy_predictions(gt, pred)
+    _edit_manifest(gt, 0, lambda record: record.pop("trajectory"))
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 0
+    lines = [json.loads(ln) for ln in report.read_text().splitlines()]
+    entries = {ln["pair_id"]: ln for ln in lines[:-1]}
+    assert entries[bad] == {"pair_id": bad, "status": "error",
+                            "error": {"type": "KeyError", "detail": "'trajectory'"}}
+    assert entries[good]["status"] == "ok" and entries[good]["kind"] == "nadir"
+    assert lines[-1]["failed"] == [bad] and lines[-1]["pairs_evaluated"] == 1
+    assert f"warning: 1 pairs failed to load: {bad}\n" in capsys.readouterr().err
+
+
+def test_evaluate_record_without_a_pair_id_is_a_usage_error(two_pair_dataset, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(two_pair_dataset, gt)
+    pred = tmp_path / "pred"
+    _copy_predictions(gt, pred)
+    _edit_manifest(gt, 1, lambda record: record.pop("pair_id"))
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    # Line 1 is the format header, so the second pair record is line 3.
+    assert payload == {"error": "usage", "detail": "manifest.jsonl line 3 has no pair_id"}
+    assert not report.exists()
+
+
 # The scalar metrics that by_kind averages: every report field but the pose errors.
 MEAN_FIELDS = ("accuracy_m", "completeness_m", "chamfer_m", "accuracy_rel", "completeness_rel", "chamfer_rel",
                "slope_corr", "slope_mae_deg", "profile_mae_m", "profile_corr", "ssim", "si_loss")
@@ -719,6 +760,38 @@ def test_visualize_raster_without_a_finite_value_is_a_usage_error(tmp_path, caps
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "usage", "detail": "input raster has no finite value"}
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["hillshade", "slope"])
+def test_visualize_fills_an_infinite_cell_like_a_nan_one(tmp_path, mode, inf):
+    def image(first, second):
+        values = np.arange(64, dtype=np.float64).reshape(8, 8)
+        values[2, 3], values[5, 6] = first, second
+        raster = tmp_path / "r.f32"
+        formats.write_f32_raster(raster, values, {})
+        out = tmp_path / "o.pgm"
+        assert run(["visualize", "--input", str(raster), "--mode", mode, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert image(inf, math.nan) == image(math.nan, math.nan)
+
+
+@pytest.mark.parametrize("cell_size", [math.nan, 0.0, -2.0])
+@pytest.mark.parametrize("mode", ["hillshade", "slope"])
+def test_visualize_bad_sidecar_cell_size_is_a_usage_error(tmp_path, capsys, mode, cell_size):
+    raster = tmp_path / "dem.f32"
+    formats.write_f32_raster(raster, np.arange(64, dtype=np.float64).reshape(8, 8), {"cell_size": cell_size})
+    out = tmp_path / "o.pgm"
+    assert run(["visualize", "--input", str(raster), "--mode", mode, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "usage",
+                       "detail": f"sidecar cell_size must be finite and > 0, got {cell_size}"}
+    assert not out.exists()
+    # --spacing overrides the sidecar.
+    assert run(["visualize", "--input", str(raster), "--mode", mode, "--spacing", "5",
+                "--out", str(out)]) == 0
 
 
 def test_visualize_unknown_mode_exit_2(tmp_path):

@@ -76,6 +76,22 @@ def test_essential_zero_baseline_flags_degenerate(flat_dem):
         estimate_essential(corr, intr, intr, RansacParams(seed=1))
 
 
+def test_essential_inliers_are_the_sampson_inliers_of_the_returned_e(oblique_scene):
+    # Noisy matches with 30% outliers: the refit runs to a fixed point, so
+    # the inlier set and E agree.
+    rig = oblique_scene["rig"]
+    rng = np.random.default_rng(0)
+    pairs = oblique_scene["corr"] + rng.normal(0, 0.7, oblique_scene["corr"].shape)
+    bad = rng.choice(len(pairs), size=3 * len(pairs) // 10, replace=False)
+    pairs[bad, 2:] += rng.uniform(-20, 20, (len(bad), 2))
+    params = RansacParams(inlier_threshold=1.0, seed=0)
+    est = estimate_essential(pairs, rig.intrinsics, rig.intrinsics, params)
+    h1, h2 = pose_mod._match_rays(pairs, rig.intrinsics, rig.intrinsics)
+    sampson = pose_mod._sampson_px(est.E, h1, h2, rig.intrinsics.focal_px)
+    assert np.array_equal(est.inliers, np.flatnonzero(sampson < params.inlier_threshold))
+    assert 0.5 * len(pairs) < len(est.inliers) < 0.75 * len(pairs)
+
+
 def test_essential_requires_eight_matches():
     intr = Intrinsics(width=32, height=32, fov_deg=45.0)
     pairs = np.tile([1.0, 2.0, 3.0, 4.0], (7, 1))
@@ -541,6 +557,58 @@ def test_essential_and_pnp_deterministic_for_fixed_seed(oblique_scene):
     p2 = solve_pnp((pixels, pts), rig.intrinsics, params)
     assert p1.rotation.tobytes() == p2.rotation.tobytes()
     assert p1.translation.tobytes() == p2.translation.tobytes()
+
+
+def test_ransac_skips_a_degenerate_sample():
+    fits = []
+
+    def fit(rows):
+        fits.append(rows)
+        if len(fits) == 1:
+            raise np.linalg.LinAlgError("singular")
+        if len(fits) == 2:
+            raise DegenerateGeometryError("collinear")
+        return "model"
+
+    def inliers_of(model):
+        return np.ones(10, dtype=bool)
+
+    model, mask = pose_mod._ransac("test", 10, 3, fit, inliers_of, RansacParams(), 1)
+    assert model == "model" and mask.all()
+    # Two skipped samples, one full consensus (the loop stops at once), one refit.
+    assert len(fits) == 4 and fits[-1] is mask
+
+
+def test_ransac_propagates_an_error_that_is_not_a_value_error():
+    def fit(rows):
+        raise ZeroDivisionError("a bug, not a degenerate sample")
+
+    with pytest.raises(ZeroDivisionError):
+        pose_mod._ransac("test", 10, 3, fit, lambda model: np.ones(10, dtype=bool), RansacParams(), 1)
+
+
+def _scattered_problem(estimator, rng):
+    """Scattered inputs that no hypothesis explains at a threshold of 1e-6."""
+    intr = Intrinsics(width=96, height=96, fov_deg=45.0)
+    params = RansacParams(iterations=50, inlier_threshold=1e-6)
+    if estimator == "essential":
+        return lambda: estimate_essential(rng.uniform(0, 96, (60, 4)), intr, intr, params)
+    if estimator == "PnP":
+        pixels, pts = rng.uniform(0, 96, (60, 2)), rng.uniform(-5e4, 5e4, (60, 3))
+        return lambda: solve_pnp((pixels, pts), intr, params)
+    pred, gt = rng.uniform(-5e4, 5e4, (2, 60, 3))
+    return lambda: ransac_align(pred, gt, params)
+
+
+@pytest.mark.parametrize("estimator", ["essential", "PnP", "similarity"])
+def test_each_estimator_reports_no_consensus_by_name(estimator):
+    # The pattern of test_evaluate_all_outlier_prediction_flags_alignment,
+    # for every estimator: scattered inputs, a threshold where no hypothesis
+    # explains even its own sample, and the estimator's message.
+    solve = _scattered_problem(estimator, np.random.default_rng(40))
+    with pytest.raises(RansacError) as info:
+        solve()
+    assert str(info.value) == f"{estimator} RANSAC found no consensus set"
 
 
 def _per_point_pnp_jacobian(pc):
