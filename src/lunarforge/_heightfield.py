@@ -33,6 +33,8 @@ skip only rays that cannot meet the terrain, with a relative margin
 (1e-9 (1 + |C+|)) that absorbs rounding in the sweep and in the traversal's
 own arithmetic.  C+ is a function of (DEM, sun) alone: the caller sweeps it
 once with sun_ceiling and passes it to every shadow_mask call under that sun.
+The sweep keeps only a row of state per column, so it holds one DEM-sized
+array, the C+ it returns, and writes each finished column into it.
 
 The walk keeps its state only for the live rays, cut down one array at a
 time on each step that ends one, and reads the cell grids through flat
@@ -69,37 +71,42 @@ import numpy as np
 from .terrain import DemGrid, bilinear
 
 
+@np.errstate(invalid="ignore")  # the margin's -inf + inf at the zenith; NaN maps to -inf below
 def sun_ceiling(dem: DemGrid, sun_dir) -> np.ndarray:
     """(height-1, width-1) sun-ward ceiling C+ per cell, raised by the rounding
     margin: a point of a cell strictly above it is lit by the sun in the unit
     direction sun_dir (above the horizon).  -inf where no terrain lies
     sun-ward."""
     sx, sy, sz = (float(c) for c in sun_dir)
-    cm = np.where(np.isnan(dem.cell_max), -np.inf, dem.cell_max)
     # Sweep frame a[c, r]: c along the sun's dominant horizontal axis, r along
-    # the other, both flipped so the sun lies toward increasing c and r.
+    # the other, both flipped so the sun lies toward increasing c and r.  The
+    # sweep writes each column c of the ceiling through the same view.
     swap = abs(sy) > abs(sx)
     dom, minor = (sy, sx) if swap else (sx, sy)
     flips = (slice(None, None, -1 if dom < 0 else 1), slice(None, None, -1 if minor < 0 else 1))
-    a = (cm if swap else cm.T)[flips]
+    ceil = np.empty_like(dem.cell_max)
+    a, out = ((dem.cell_max, ceil) if swap else (dem.cell_max.T, ceil.T))
+    a, out = a[flips], out[flips]
     kl = sz * dem.cell_size / abs(dom) if dom else np.inf  # at the zenith no ray leaves its column
-    n_c, n_r = a.shape
-    pad = np.full((n_c, n_r + 1), -np.inf)
-    pad[:, :n_r] = a
-    block = np.maximum(pad[:, :-1], pad[:, 1:])  # M
-
-    ceil = np.full((n_c, n_r + 1), -np.inf)
-    ceil[-1, :n_r] = block[-1]
+    n_r = a.shape[1]
+    # Row buffers one cell longer than a column, that cell NaN: no terrain
+    # there.  NaN stands for "no terrain" throughout, as fmax skips it.
+    edge = np.full(n_r + 1, np.nan)  # cellmax of column c
+    prev = np.full(n_r + 1, np.nan)  # C+ of column c+1, without the margin
+    block = np.empty(n_r)  # M
     nxt = np.empty(n_r)
-    for c in range(n_c - 2, -1, -1):
-        np.maximum(ceil[c + 1, :-1], ceil[c + 1, 1:], out=nxt)
+    for c in range(len(a) - 1, -1, -1):
+        edge[:n_r] = a[c]
+        np.fmax(edge[:-1], edge[1:], out=block)
+        np.fmax(prev[:-1], prev[1:], out=nxt)
         nxt -= kl
-        np.maximum(block[c], nxt, out=ceil[c, :n_r])
-
-    ceil = ceil[:, :n_r][flips]
-    ceil = np.ascontiguousarray(ceil if swap else ceil.T)
-    finite = np.isfinite(ceil)
-    ceil[finite] += 1e-9 * (1.0 + np.abs(ceil[finite]))
+        np.fmax(block, nxt, out=prev[:n_r])
+        # ceil gets C+ raised by the margin 1e-9 (1 + |C+|); prev keeps C+ itself.
+        np.abs(prev[:n_r], out=nxt)
+        nxt += 1.0
+        nxt *= 1e-9
+        np.add(prev[:n_r], nxt, out=out[c])
+    ceil[np.isnan(ceil)] = -np.inf
     ceil.flags.writeable = False  # shared by every row band's thread
     return ceil
 

@@ -60,15 +60,14 @@ class DemGrid:
             )
         if np.isinf(elev).any():
             raise ValueError("elevations must be finite or NaN (nodata)")
-        finite = elev[np.isfinite(elev)]
-        if finite.size:
-            lo, hi = LUNAR_ELEVATION_RANGE
-            if finite.min() < lo or finite.max() > hi:
-                warnings.warn(
-                    "elevations outside the lunar range "
-                    f"[{lo}, {hi}] m; site-specific bound, not fatal",
-                    stacklevel=3,
-                )
+        # fmin/fmax skip nodata; an all-nodata grid gives NaN, which no bound flags.
+        lo, hi = LUNAR_ELEVATION_RANGE
+        if np.fmin.reduce(elev, axis=None) < lo or np.fmax.reduce(elev, axis=None) > hi:
+            warnings.warn(
+                "elevations outside the lunar range "
+                f"[{lo}, {hi}] m; site-specific bound, not fatal",
+                stacklevel=3,
+            )
         elev.flags.writeable = False
         object.__setattr__(self, "elevations", elev)
 
@@ -78,7 +77,10 @@ class DemGrid:
     def cell_max(self) -> np.ndarray:
         """(height-1, width-1) highest corner of each cell; NaN where all four are nodata."""
         e = self.elevations
-        m = np.fmax(np.fmax(e[:-1, :-1], e[:-1, 1:]), np.fmax(e[1:, :-1], e[1:, 1:]))
+        m = np.fmax(e[:-1, :-1], e[:-1, 1:])
+        # fmax(fmax(a, b), fmax(c, d)): fmax may keep either zero of a tie
+        # between -0.0 and 0.0, so this grouping keeps their bits.
+        np.fmax(m, np.fmax(e[1:, :-1], e[1:, 1:]), out=m)
         m.flags.writeable = False
         return m
 
@@ -267,7 +269,12 @@ def _value_noise(rng, width: int, height: int, lattice: int) -> np.ndarray:
     vf = vf * vf * (3 - 2 * vf)
     # Blend along u once per lattice row, then pick and blend rows along v.
     rows = nodes[:, ui] * (1 - uf) + nodes[:, ui + 1] * uf
-    return rows[vi] * (1 - vf[:, None]) + rows[vi + 1] * vf[:, None]
+    noise = rows[vi]
+    noise *= 1 - vf[:, None]
+    far = rows[vi + 1]
+    far *= vf[:, None]
+    noise += far
+    return noise
 
 
 def add_crater(
@@ -319,7 +326,10 @@ def synth_crater_dem(
     amp = min(0.01 * extent, 400.0)
     for octave in range(fractal_octaves):
         lattice = min(4 * 2**octave, max(width, height))
-        z += amp * _value_noise(rng, width, height, lattice)
+        noise = _value_noise(rng, width, height, lattice)
+        noise *= amp
+        z += noise
+        del noise
         amp *= 0.5
     xs = np.arange(width) * cell_size
     ys = np.arange(height) * cell_size

@@ -3,8 +3,11 @@
 Nothing here shares traversal or search code with the package: the ray
 oracle visits every cell a ray crosses, nearest neighbors are O(n^2), rotation
 angles go through quaternions, and Pearson is a direct scalar transcription.
-It also holds the helpers only tests need: rotations about the x and y axes
-and the ground-truth essential matrix of two poses.
+The whole-DEM passes that work in place (the sun-ward ceiling sweep, cell
+maxima, DEM synthesis) are checked bit for bit against their formulas over
+whole-grid arrays here.  It also holds the helpers only tests need:
+rotations about the x and y axes and the ground-truth essential matrix of
+two poses.
 """
 
 from __future__ import annotations
@@ -123,6 +126,87 @@ def brute_force_shadowed(dem, point, sun_dir, bias):
     origin = np.asarray(point, dtype=np.float64) + bias * np.asarray(sun_dir)
     _, hit = brute_force_hits(dem, origin[None, :], np.asarray(sun_dir)[None, :])
     return bool(hit[0])
+
+
+def reference_cell_max(e):
+    """Highest corner of each cell of elevations e, NaN where all four are
+    nodata: one fmax per corner pair and one over the pairs."""
+    return np.fmax(np.fmax(e[:-1, :-1], e[:-1, 1:]), np.fmax(e[1:, :-1], e[1:, 1:]))
+
+
+def reference_sun_ceiling(dem, sun_dir):
+    """The sun-ward ceiling C+ swept with whole-grid arrays: no terrain is
+    -inf, M is one maximum over a padded copy of the cell maxima, and the
+    margin goes on the finite cells of the finished grid at once."""
+    sx, sy, sz = (float(c) for c in sun_dir)
+    cm = np.where(np.isnan(dem.cell_max), -np.inf, dem.cell_max)
+    swap = abs(sy) > abs(sx)
+    dom, minor = (sy, sx) if swap else (sx, sy)
+    flips = (slice(None, None, -1 if dom < 0 else 1), slice(None, None, -1 if minor < 0 else 1))
+    a = (cm if swap else cm.T)[flips]
+    kl = sz * dem.cell_size / abs(dom) if dom else np.inf
+    n_c, n_r = a.shape
+    pad = np.full((n_c, n_r + 1), -np.inf)
+    pad[:, :n_r] = a
+    block = np.maximum(pad[:, :-1], pad[:, 1:])
+
+    ceil = np.full((n_c, n_r + 1), -np.inf)
+    ceil[-1, :n_r] = block[-1]
+    for c in range(n_c - 2, -1, -1):
+        ceil[c, :n_r] = np.maximum(block[c], np.maximum(ceil[c + 1, :-1], ceil[c + 1, 1:]) - kl)
+
+    ceil = ceil[:, :n_r][flips]
+    ceil = np.ascontiguousarray(ceil if swap else ceil.T)
+    finite = np.isfinite(ceil)
+    ceil[finite] += 1e-9 * (1.0 + np.abs(ceil[finite]))
+    return ceil
+
+
+def value_noise_four_gathers(rng, width, height, lattice):
+    """Value noise as each output cell's blend of its four lattice nodes,
+    gathered per cell."""
+    nodes = rng.uniform(-1.0, 1.0, size=(lattice + 1, lattice + 1))
+    u = np.linspace(0.0, lattice, width)
+    v = np.linspace(0.0, lattice, height)
+    ui = np.minimum(u.astype(int), lattice - 1)
+    vi = np.minimum(v.astype(int), lattice - 1)
+    uf = u - ui
+    vf = v - vi
+    uf = uf * uf * (3 - 2 * uf)
+    vf = vf * vf * (3 - 2 * vf)
+    n00 = nodes[np.ix_(vi, ui)]
+    n10 = nodes[np.ix_(vi, ui + 1)]
+    n01 = nodes[np.ix_(vi + 1, ui)]
+    n11 = nodes[np.ix_(vi + 1, ui + 1)]
+    top = n00 * (1 - uf[None, :]) + n10 * uf[None, :]
+    bot = n01 * (1 - uf[None, :]) + n11 * uf[None, :]
+    return top * (1 - vf[:, None]) + bot * vf[:, None]
+
+
+def reference_synth_elevations(seed, width, height, cell_size, crater_count, fractal_octaves):
+    """synth_crater_dem's elevations from its formula written out: the same
+    draws, each octave's scaled noise added as a new array, and each crater's
+    bowl and rim as whole-grid expressions."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x1F2E3D)))
+    extent = min(width, height) * cell_size
+    z = np.zeros((height, width))
+    amp = min(0.01 * extent, 400.0)
+    for octave in range(fractal_octaves):
+        z = z + amp * value_noise_four_gathers(rng, width, height, min(4 * 2**octave, max(width, height)))
+        amp *= 0.5
+    xs = np.arange(width) * cell_size
+    ys = np.arange(height) * cell_size
+    for _ in range(crater_count):
+        cx = rng.uniform(0.1, 0.9) * (width - 1) * cell_size
+        cy = rng.uniform(0.1, 0.9) * (height - 1) * cell_size
+        radius = rng.uniform(0.06, 0.16) * extent
+        depth = min(0.25 * radius, 1200.0) * rng.uniform(0.8, 1.2)
+        rim_height = min(0.06 * radius, 280.0) * rng.uniform(0.8, 1.2)
+        r = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
+        inside = r < radius
+        z[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
+        z = z + rim_height * np.exp(-(((r - radius) / (0.2 * radius)) ** 2))
+    return z
 
 
 def reference_render(dem, rig, suns, hapke, seed):

@@ -454,6 +454,57 @@ def test_sun_ceiling_rounding_margin_covers_the_exact_sweep():
                 assert got - float(want) <= 4e-9 * (1.0 + abs(got)), (seed, i, j)
 
 
+# One azimuth inside each of the 8 octants, and the four axes.
+SWEEP_AZIMUTHS = [0.0, 90.0, 180.0, 270.0, *(22.5 + 45.0 * k for k in range(8))]
+
+
+def _edge_and_narrow_dems():
+    """Crater DEMs with NaN nodes, a block of nodata cells, and a nodata
+    edge column and row of cells, and strips of them 2 and 3 nodes (1 and 2
+    cells) wide or high; the last seed has no nodata."""
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 0x5EE])
+        e = synth_crater_dem(seed, 24, 19, 3.0, 3, 3).elevations.copy()
+        if seed < 2:
+            e[rng.random(e.shape) < 0.06] = np.nan
+            e[7:11, 9:14] = np.nan
+            edge = slice(None, 2) if seed else slice(-2, None)
+            e[:, edge] = np.nan
+            e[edge, :] = np.nan
+        for grid in (e, e[:, :2], e[:2, :], e[8:11, :], e[:, 8:10], e[7:10, 8:10]):
+            yield DemGrid(width=grid.shape[1], height=grid.shape[0], cell_size=3.0,
+                          origin_x=0.0, origin_y=0.0, elevations=grid)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("elevation", CEILING_ELEVATIONS)
+def test_sun_ceiling_equals_the_whole_grid_sweep_bit_for_bit(elevation):
+    """The row-buffer sweep gives the bits of oracles.reference_sun_ceiling,
+    the sweep over whole-grid arrays, on the ceiling scenes and on the edge
+    and narrow DEMs under a sun in every octant and on every axis."""
+    for dem, s, _ in _ceiling_scenes(elevation):
+        _assert_same_bits(sun_ceiling(dem, s), oracles.reference_sun_ceiling(dem, s))
+    for dem in _edge_and_narrow_dems():
+        for azimuth in SWEEP_AZIMUTHS:
+            s = _sun(azimuth, elevation)
+            _assert_same_bits(sun_ceiling(dem, s), oracles.reference_sun_ceiling(dem, s))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sun_ceiling_at_the_exact_zenith_equals_the_whole_grid_sweep():
+    """At the exact zenith kL is inf, so a cell with no terrain beside
+    terrain sweeps to -inf; its margin must raise no warning, and the
+    ceiling is the whole-grid sweep's, bit for bit."""
+    zenith = np.array([0.0, 0.0, 1.0])
+    dems = [dem for dem, _, _ in _ceiling_scenes(30.0)][::len(CEILING_AZIMUTHS)]
+    for dem in [*dems, *_edge_and_narrow_dems()]:
+        _assert_same_bits(sun_ceiling(dem, zenith), oracles.reference_sun_ceiling(dem, zenith))
+
+
 @pytest.mark.parametrize("elevation", CEILING_ELEVATIONS)
 def test_shadow_mask_equals_tracing_every_shadow_ray(elevation):
     """The ceiling's two shortcuts (a lit origin, a walk that ends above the

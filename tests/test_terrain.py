@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,25 @@ def test_elevation_range_warning():
         make_dem(np.full((4, 4), 5000.0))
 
 
+@pytest.mark.parametrize("outlier", [-5000.0, 5000.0])
+def test_elevation_range_warning_skips_nodata(outlier):
+    e = np.full((4, 5), 100.0)
+    e[0] = np.nan
+    e[2, 3] = outlier
+    with pytest.warns(UserWarning, match="lunar range"):
+        make_dem(e)
+
+
+def test_in_range_and_all_nodata_grids_do_not_warn():
+    e = np.full((4, 5), 1800.0)
+    e[1, :3] = np.nan
+    e[3, 4] = -4300.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_dem(e)
+        make_dem(np.full((4, 5), np.nan))
+
+
 def test_rejects_inf():
     bad = np.zeros((4, 4))
     bad[1, 1] = np.inf
@@ -215,36 +235,38 @@ def test_synth_deterministic():
     assert a.elevations.tobytes() != c.elevations.tobytes()
 
 
-def _value_noise_four_gathers(rng, width, height, lattice):
-    """Value noise as each output cell's blend of its four lattice nodes,
-    gathered per cell."""
-    nodes = rng.uniform(-1.0, 1.0, size=(lattice + 1, lattice + 1))
-    u = np.linspace(0.0, lattice, width)
-    v = np.linspace(0.0, lattice, height)
-    ui = np.minimum(u.astype(int), lattice - 1)
-    vi = np.minimum(v.astype(int), lattice - 1)
-    uf = u - ui
-    vf = v - vi
-    uf = uf * uf * (3 - 2 * uf)
-    vf = vf * vf * (3 - 2 * vf)
-    n00 = nodes[np.ix_(vi, ui)]
-    n10 = nodes[np.ix_(vi, ui + 1)]
-    n01 = nodes[np.ix_(vi + 1, ui)]
-    n11 = nodes[np.ix_(vi + 1, ui + 1)]
-    top = n00 * (1 - uf[None, :]) + n10 * uf[None, :]
-    bot = n01 * (1 - uf[None, :]) + n11 * uf[None, :]
-    return top * (1 - vf[:, None]) + bot * vf[:, None]
-
-
 # (width, height, lattice): the lattice of synth_crater_dem's octaves reaches
 # max(width, height) on small DEMs.
 @pytest.mark.parametrize("shape", [(16, 16, 4), (40, 23, 8), (23, 40, 32), (17, 31, 31), (31, 17, 31), (640, 640, 32)])
 def test_value_noise_equals_the_four_gather_formula(shape):
     width, height, lattice = shape
     got = _value_noise(np.random.default_rng(lattice), width, height, lattice)
-    want = _value_noise_four_gathers(np.random.default_rng(lattice), width, height, lattice)
+    want = oracles.value_noise_four_gathers(np.random.default_rng(lattice), width, height, lattice)
     assert got.shape == (height, width)
     assert got.tobytes() == want.tobytes()
+
+
+# (seed, width, height, cell_size, craters, octaves): the lattice reaches the
+# DEM's size at 17 x 31 with 5 octaves; 640 x 640 is render_large_dem's DEM.
+@pytest.mark.parametrize("args", [(9, 48, 40, 2.0, 4, 3), (2, 17, 31, 5.0, 3, 5), (24, 640, 640, 3.0, 6, 4)])
+def test_synth_equals_its_formula_bit_for_bit(args):
+    """Each octave scaled and added in place gives the bits of adding each
+    scaled octave as a new array."""
+    want = oracles.reference_synth_elevations(*args)
+    assert np.array_equal(synth_crater_dem(*args).elevations.view(np.int64), want.view(np.int64))
+
+
+def test_cell_max_equals_its_formula_bit_for_bit():
+    """cell_max keeps the grouping fmax(fmax(a, b), fmax(c, d)), and with it
+    the bits of signed zeros and the NaN of all-nodata cells."""
+    rng = np.random.default_rng(0xCE11)
+    for shape in [(2, 2), (2, 37), (37, 2), (31, 41), (64, 129)]:
+        mixed = rng.choice([-0.0, 0.0, 1.5, -1.5, np.nan], size=shape)
+        holes = rng.normal(0.0, 50.0, shape)
+        holes[rng.random(shape) < 0.3] = np.nan
+        for e in (mixed, holes):
+            want = oracles.reference_cell_max(e)
+            assert np.array_equal(make_dem(e).cell_max.view(np.int64), want.view(np.int64))
 
 
 def test_synth_has_no_nodata():
