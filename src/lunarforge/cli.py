@@ -1,18 +1,20 @@
 """Command-line interface: dataset generation, evaluation, single-pair
 rendering, synthetic DEM creation, and visualization.
 
-Subcommands: generate, evaluate, render-pair, synth-dem, visualize.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  All artifacts are
+Subcommands: generate, evaluate, render-pair, synth-dem, visualize.  Exit
+codes: 0 success, 1 runtime failure, 2 usage error, each failure one JSON line
+on stderr.  argparse checks each flag's value where the flag is declared, and
+the commands only what spans flags or reads input.  All artifacts are
 byte-deterministic for a fixed seed, independent of the thread count
 (LUNARFORGE_THREADS sets it; the default is min(4, cores)).  generate and
 render-pair render one rig after another: each rig's render_pair traces it
 once, shades it under every lighting, and renders its two views as two tasks
-on one pool of that many threads, each walking its view's row bands in
-order.  A rig's depth, pointmaps and correspondences are
-computed once and the same bytes are written into each lighting's pair
-directory.  evaluate scores the pairs on one such pool: each pair's report
-entry is ok, missing or error, and the aggregate is computed from the
-entries alone, its per-kind means skipping flagged values.
+on one pool of that many threads, each walking its view's row bands in order.
+A rig's depth, pointmaps and correspondences are computed once and the same
+bytes are written into each lighting's pair directory.  evaluate scores the
+pairs on one such pool: each pair's report entry is ok, missing or error, and
+the aggregate is computed from the entries alone, its per-kind means skipping
+flagged values.
 """
 
 from __future__ import annotations
@@ -158,17 +160,38 @@ def _rig_artifacts(
     return records
 
 
-def _parse_list(text: str, what: str, kind=int) -> list:
-    try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what} list: {text!r}") from None
+def _checked(parse, ok, rule: str):
+    """An argparse type: parse the flag's text, and accept the value if
+    ok(value); otherwise the error says the flag takes `rule`."""
+    def check(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return check
 
 
-def _check_distinct(what: str, values: list) -> None:
-    repeated = sorted({x for x in values if values.count(x) > 1})
-    if repeated:
-        raise UsageError(f"duplicate {what} entries: {repeated}")
+def _int_at_least(low: int):
+    return _checked(int, lambda n: n >= low, f"an integer >= {low}")
+
+
+_POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_BAND = _checked(int, lambda b: 0 <= b < len(ALTITUDE_BANDS_M), f"a band index 0..{len(ALTITUDE_BANDS_M) - 1}")
+_LIGHTING = _checked(str.strip, LIGHTING_PRESETS.__contains__, f"one of {'|'.join(LIGHTING_PRESETS)}")
+
+
+def _comma_list(item):
+    """An argparse type: a non-empty comma list of distinct values, each
+    parsed and checked by `item`; blank entries are skipped."""
+    def parse(text: str) -> list:
+        values = [item(tok) for tok in text.split(",") if tok.strip()]
+        if not values or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"expected a non-empty list of distinct entries, got {text!r}")
+        return values
+    return parse
 
 
 def _thread_count() -> int:
@@ -179,40 +202,21 @@ def _thread_count() -> int:
         raise UsageError(str(exc)) from None
 
 
-def _scene(args, bands: list[int], lightings: list[str]):
-    """Validate the scene flags of generate and render-pair, then build one DEM
-    per band.  Returns ({band: DemGrid}, HapkeParams, sample_pair keyword
-    arguments).  Invalid values raise UsageError before any DEM is built."""
-    if args.trajectory not in KINDS:
-        raise UsageError(f"unknown trajectory kind {args.trajectory!r}")
-    for band in bands:
-        if not 0 <= band < len(ALTITUDE_BANDS_M):
-            raise UsageError(f"band index {band} outside [0, {len(ALTITUDE_BANDS_M) - 1}]")
-    for lid in lightings:
-        if lid not in LIGHTING_PRESETS:
-            raise UsageError(f"unknown lighting preset {lid!r}")
-    for what, values in (("band", bands), ("lighting preset", lightings)):
-        if not values:
-            raise UsageError(f"empty {what} list")
-        _check_distinct(what, values)
-    for message, ok in (
-        ("--res must be >= 1", args.res >= 1),
-        ("--synth-size must be >= 16", not args.synth or args.synth_size >= 16),
-        ("--synth-craters and --synth-octaves must be >= 0", args.synth_craters >= 0 and args.synth_octaves >= 0),
-        ("--psf-sigma must be finite and >= 0", math.isfinite(args.psf_sigma) and args.psf_sigma >= 0),
-        # Without a PSF each pixel casts one ray whatever this says.
-        ("--rays-per-pixel must be >= 1", args.psf_sigma == 0 or args.rays_per_pixel >= 1),
-        ("--stride must be >= 1", args.stride >= 1),
-    ):
-        if not ok:
-            raise UsageError(message)
+def _scene(args, bands: list[int]):
+    """Check the scene flags of generate and render-pair that depend on each
+    other or on the environment, then build one DEM per band.  Returns
+    ({band: DemGrid}, HapkeParams, sample_pair keyword arguments).  Invalid
+    values raise UsageError before any DEM is built."""
+    if args.synth and args.synth_size < 16:
+        raise UsageError("--synth-size must be >= 16")
+    # Without a PSF each pixel casts one ray whatever --rays-per-pixel says.
+    if args.psf_sigma != 0 and args.rays_per_pixel < 1:
+        raise UsageError("--rays-per-pixel must be >= 1")
     _thread_count()
     try:
         hapke = HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi)
     except ValueError as exc:
         raise UsageError(f"bad Hapke parameters: {exc}") from None
-    if not args.dem and not args.synth:
-        raise UsageError("either --dem or --synth is required")
 
     input_dem = load_dem(args.dem, args.dem_format) if args.dem else None
     dems = {
@@ -231,15 +235,11 @@ def _scene(args, bands: list[int], lightings: list[str]):
 
 
 def cmd_generate(args) -> int:
-    bands = _parse_list(args.bands, "band")
-    lightings = _parse_list(args.lighting, "lighting preset", str.strip)
-    if args.pairs < 1:
-        raise UsageError("--pairs must be >= 1")
-    dems, hapke, rig_args = _scene(args, bands, lightings)
+    dems, hapke, rig_args = _scene(args, args.bands)
 
     # Sample every rig before rendering any, so a bad rig fails the run first.
     rigs = []
-    for band in bands:
+    for band in args.bands:
         for idx in range(args.pairs):
             pair_seed = args.seed * 100003 + band * 101 + idx
             spec, rig = sample_pair(args.trajectory, pair_seed, band, dems[band], **rig_args)
@@ -251,7 +251,7 @@ def cmd_generate(args) -> int:
     records = []
     for band, idx, pair_seed, spec, rig in rigs:
         records += _rig_artifacts(
-            out_dir, f"{args.trajectory}_b{band:02d}_p{idx:03d}", spec, dems[band], rig, lightings,
+            out_dir, f"{args.trajectory}_b{band:02d}_p{idx:03d}", spec, dems[band], rig, args.lighting,
             hapke, pair_seed, args.stride,
         )
     header = {
@@ -274,11 +274,19 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
         raise UsageError(f"no manifest.jsonl in {gt_dir}")
     records = []
     for number, line in enumerate(manifest.read_text().splitlines(), 1):
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        if not isinstance(obj, dict):
+            raise UsageError(f"manifest.jsonl line {number} is not a JSON object")
         if obj.get("format") == "lunarforge-manifest":
             continue
         if "pair_id" not in obj:
             raise UsageError(f"manifest.jsonl line {number} has no pair_id")
+        pair_id = obj["pair_id"]  # the pair's directory under --pred
+        if not (isinstance(pair_id, str) and pair_id and "/" not in pair_id and "\\" not in pair_id):
+            raise UsageError(f"manifest.jsonl line {number} pair_id {pair_id!r} is not a directory name")
         records.append(obj)
     return records
 
@@ -360,11 +368,7 @@ def cmd_evaluate(args) -> int:
     if not pred_dir.is_dir():
         raise UsageError(f"prediction directory {pred_dir} does not exist")
     n_workers = _thread_count()
-    thresholds = _parse_list(args.thresholds, "threshold", float)
-    if not thresholds or not all(math.isfinite(t) and t > 0 for t in thresholds):
-        raise UsageError(f"--thresholds must list finite values > 0, got {args.thresholds!r}")
-    _check_distinct("threshold", thresholds)
-    thresholds.sort()
+    thresholds = sorted(args.thresholds)
     records = _read_manifest(gt_dir)
 
     def score(record):
@@ -438,7 +442,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_render_pair(args) -> int:
-    dems, hapke, rig_args = _scene(args, [args.band], [args.lighting])
+    dems, hapke, rig_args = _scene(args, [args.band])
     dem = dems[args.band]
     spec, rig = sample_pair(args.trajectory, args.seed, args.band, dem, **rig_args)
     if args.zero_baseline:
@@ -453,10 +457,6 @@ def cmd_render_pair(args) -> int:
 
 
 def cmd_synth_dem(args) -> int:
-    if args.width < 16 or args.height < 16 or not math.isfinite(args.cell_size) or not args.cell_size > 0:
-        raise UsageError("--width and --height must be >= 16 and --cell-size finite and > 0")
-    if args.craters < 0 or args.octaves < 0:
-        raise UsageError("--craters and --octaves must be >= 0")
     dem = synth_crater_dem(
         args.seed, args.width, args.height, args.cell_size, args.craters, args.octaves
     )
@@ -466,14 +466,6 @@ def cmd_synth_dem(args) -> int:
 
 
 def cmd_visualize(args) -> int:
-    if args.mode not in ("hillshade", "slope"):
-        raise UsageError(f"unknown mode {args.mode!r}; expected hillshade or slope")
-    if not math.isfinite(args.azimuth):
-        raise UsageError("--azimuth must be finite")
-    if not 0 < args.elevation <= 90:
-        raise UsageError("--elevation must be in (0, 90]")
-    if args.spacing is not None and not (math.isfinite(args.spacing) and args.spacing > 0):
-        raise UsageError("--spacing must be finite and > 0")
     raster, meta = formats.read_f32_raster(args.input)
     shape = raster.shape
     if raster.ndim == 3 and shape[2] == 3:
@@ -499,16 +491,19 @@ def cmd_visualize(args) -> int:
 
 
 def _add_scene_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dem", help="input DEM path (omit with --synth)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dem", help="input DEM path")
+    source.add_argument("--synth", action="store_true", help="synthesize a crater DEM per band")
     p.add_argument("--dem-format", default="raw_f32", choices=["raw_f32", "ascii_grid"])
-    p.add_argument("--synth", action="store_true", help="synthesize a crater DEM per band")
     p.add_argument("--synth-size", type=int, default=160, help="synthetic DEM cells per side")
-    p.add_argument("--synth-craters", type=int, default=6)
-    p.add_argument("--synth-octaves", type=int, default=4)
-    p.add_argument("--res", type=int, default=128, help="render resolution (desk-scale default; full is 512)")
-    p.add_argument("--psf-sigma", type=float, default=0.5, help="Gaussian PSF sigma in pixels")
+    p.add_argument("--synth-craters", type=_int_at_least(0), default=6)
+    p.add_argument("--synth-octaves", type=_int_at_least(0), default=4)
+    p.add_argument("--res", type=_int_at_least(1), default=128,
+                   help="render resolution (desk-scale default; full is 512)")
+    p.add_argument("--psf-sigma", type=_checked(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0"),
+                   default=0.5, help="Gaussian PSF sigma in pixels")
     p.add_argument("--rays-per-pixel", type=int, default=4)
-    p.add_argument("--stride", type=int, default=4, help="correspondence sampling stride")
+    p.add_argument("--stride", type=_int_at_least(1), default=4, help="correspondence sampling stride")
     p.add_argument("--allow-disjoint", action="store_true",
                    help="permit non-overlapping stereo footprints (stress case)")
     p.add_argument("--hapke-w", type=float, default=0.25)
@@ -517,57 +512,66 @@ def _add_scene_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hapke-xi", type=float, default=-0.25)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every parse error as a UsageError, which main reports as JSON."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lunarforge", description=__doc__)
+    parser = _Parser(prog="lunarforge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lunarforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="render a batch of stereo pairs with ground truth")
     _add_scene_flags(g)
-    g.add_argument("--trajectory", required=True, help="nadir | oblique | dynamic")
-    g.add_argument("--bands", default="0", help="comma list of altitude band indices 0..9")
-    g.add_argument("--pairs", type=int, default=1, help="pairs per band")
-    g.add_argument("--lighting", default="side", help=f"comma list of {'|'.join(LIGHTING_PRESETS)}")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--trajectory", required=True, choices=KINDS)
+    g.add_argument("--bands", type=_comma_list(_BAND), default="0",
+                   help="comma list of altitude band indices 0..9")
+    g.add_argument("--pairs", type=_int_at_least(1), default=1, help="pairs per band")
+    g.add_argument("--lighting", type=_comma_list(_LIGHTING), default="side",
+                   help=f"comma list of {'|'.join(LIGHTING_PRESETS)}")
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("evaluate", help="score predictions against a generated dataset")
     e.add_argument("--gt", required=True, help="generated dataset directory")
     e.add_argument("--pred", required=True, help="directory of per-pair predictions")
-    e.add_argument("--thresholds", default="2,5,15,30", help="comma list of degrees")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--thresholds", type=_comma_list(_POSITIVE), default="2,5,15,30", help="comma list of degrees")
+    e.add_argument("--seed", type=_int_at_least(0), default=0)
     e.add_argument("--report", required=True, help="output JSON-lines report path")
     e.set_defaults(func=cmd_evaluate)
 
     r = sub.add_parser("render-pair", help="render a single stereo pair")
     _add_scene_flags(r)
-    r.add_argument("--trajectory", required=True)
-    r.add_argument("--band", type=int, default=0)
-    r.add_argument("--lighting", default="side", help="|".join(LIGHTING_PRESETS))
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--trajectory", required=True, choices=KINDS)
+    r.add_argument("--band", type=_BAND, default=0)
+    r.add_argument("--lighting", default="side", choices=list(LIGHTING_PRESETS))
+    r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.add_argument("--zero-baseline", action="store_true",
                    help="use the same pose for both views (stress case)")
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_render_pair)
 
     s = sub.add_parser("synth-dem", help="write a synthetic crater DEM")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--width", type=int, default=160)
-    s.add_argument("--height", type=int, default=160)
-    s.add_argument("--cell-size", type=float, default=5.0)
-    s.add_argument("--craters", type=int, default=6)
-    s.add_argument("--octaves", type=int, default=4)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
+    s.add_argument("--width", type=_int_at_least(16), default=160)
+    s.add_argument("--height", type=_int_at_least(16), default=160)
+    s.add_argument("--cell-size", type=_POSITIVE, default=5.0)
+    s.add_argument("--craters", type=_int_at_least(0), default=6)
+    s.add_argument("--octaves", type=_int_at_least(0), default=4)
     s.add_argument("--format", default="raw_f32", choices=["raw_f32", "ascii_grid"])
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth_dem)
 
     v = sub.add_parser("visualize", help="hillshade or slope image from a raster")
     v.add_argument("--input", required=True, help="raw f32 raster (depth or pointmap)")
-    v.add_argument("--mode", required=True, help="hillshade | slope")
-    v.add_argument("--azimuth", type=float, default=315.0)
-    v.add_argument("--elevation", type=float, default=45.0)
-    v.add_argument("--spacing", type=float, default=None, help="cell spacing in meters")
+    v.add_argument("--mode", required=True, choices=["hillshade", "slope"])
+    v.add_argument("--azimuth", type=_checked(float, math.isfinite, "a finite number"), default=315.0)
+    v.add_argument("--elevation", type=_checked(float, lambda x: 0 < x <= 90, "degrees in (0, 90]"), default=45.0)
+    v.add_argument("--spacing", type=_POSITIVE, default=None, help="cell spacing in meters")
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_visualize)
 
@@ -575,16 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        # Every seeded subcommand takes --seed; numpy seeds are non-negative.
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version print and exit 0
+        return int(exc.code or 0)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
         return 2

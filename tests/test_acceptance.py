@@ -292,8 +292,9 @@ def test_criterion_09_generate_determinism(tmp_path, monkeypatch):
 def test_criterion_09_command_renders_in_parallel_only_above_one_thread(
         tmp_path, monkeypatch, renderer_pools, workers, pools):
     # So "workers {1, 8}" compares a serial run with a parallel one: each of
-    # the 2 pairs opens one pool, which at 1 thread runs its tasks one at a
-    # time, and at 8 threads runs both views' 32 rows as 8 bands of 4 each.
+    # the 2 pairs opens one pool, which at 1 thread runs its two view tasks
+    # one at a time, and at 8 threads runs them at once, each one band of 32
+    # rows.
     monkeypatch.setenv("LUNARFORGE_THREADS", workers)
     assert main(CRITERION_09_ARGS + ["--out", str(tmp_path / "run")]) == 0
     assert renderer_pools == pools

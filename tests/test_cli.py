@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lunarforge
 from lunarforge import formats
 from lunarforge.cli import main
 from lunarforge.pose import pose_accuracy_table
@@ -45,8 +49,8 @@ def test_generate_deterministic_trees(tmp_path):
 
 
 def test_generate_worker_count_invariance(tmp_path, monkeypatch):
-    # At 64 px a view is one band on 1 thread and as many bands as threads
-    # above that, so every count above 1 opens the pool.
+    # At 64 px a view is one band at any thread count; the count sets how
+    # many of the rig's two view tasks run at once.
     trees = []
     for threads in ("1", "2", "8"):
         monkeypatch.setenv("LUNARFORGE_THREADS", threads)
@@ -58,7 +62,7 @@ def test_generate_worker_count_invariance(tmp_path, monkeypatch):
 
 def test_generate_three_pairs_match_serial(tmp_path, monkeypatch, renderer_pools):
     # Pairs render one after another, each on one pool of LUNARFORGE_THREADS
-    # threads over both views' bands (8 bands of 8 rows per view at 8).
+    # threads whose two tasks are the pair's views (one band of 64 rows each).
     argv = GEN_ARGS + ["--pairs", "3", "--res", "64", "--lighting", "side"]
     trees = {}
     for threads in (1, 8):
@@ -136,15 +140,19 @@ def test_render_pair_lone_pair_uses_every_worker(tmp_path, monkeypatch, renderer
 
 
 def test_generate_trees_match_under_every_band_plan(tmp_path, monkeypatch):
-    # At 96 px a view is 2 bands of 48 rows at 1 and 2 threads (serial at 1),
-    # 3 bands of 32 at 3 threads and 8 bands of 12 at 8.
+    # The band plan depends on BAND_PIXELS alone: a 96 px view is 1 band of
+    # 96 rows, 3 of 32, 8 of 12 or 96 of one row.  Each band draws its own
+    # part of the view's jitter, so the plan does not change a byte.
+    import lunarforge.renderer as renderer
+
     trees = []
-    for threads in ("1", "2", "3", "8"):
-        monkeypatch.setenv("LUNARFORGE_THREADS", threads)
-        out = tmp_path / f"w{threads}"
+    for bands, rows in ((1, 96), (3, 32), (8, 12), (96, 1)):
+        monkeypatch.setattr(renderer, "BAND_PIXELS", 96 * rows)
+        assert len(renderer._row_bands(96, 96)) == bands
+        out = tmp_path / f"b{bands}"
         assert run(GEN_ARGS + ["--res", "96", "--lighting", "side", "--out", str(out)]) == 0
         trees.append(tree_digest(out))
-    assert trees[0] == trees[1] == trees[2] == trees[3]
+    assert all(tree == trees[0] for tree in trees)
 
 
 SCENE_ARGV = {
@@ -268,6 +276,49 @@ def test_negative_seed_is_a_usage_error(dataset, tmp_path, monkeypatch, capsys, 
     assert payload["error"] == "usage"
     assert "--seed" in payload["detail"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(GEN_ARGS + ["--res", "abc", "--out", "out"], "--res", id="res-not-an-integer"),
+    pytest.param(GEN_ARGS + ["--dem-format", "foo", "--out", "out"], "--dem-format", id="unknown-dem-format"),
+    pytest.param(GEN_ARGS + ["--trajectory", "sideways", "--out", "out"], "--trajectory", id="unknown-trajectory"),
+    pytest.param(GEN_ARGS, "--out", id="missing-out"),
+    pytest.param(["evaluate", "--gt", "out", "--pred", "out"], "--report", id="missing-report"),
+    pytest.param(["synth-dem", "--out", "out", "--bogus"], "--bogus", id="unknown-flag"),
+    pytest.param([], "command", id="no-subcommand"),
+])
+def test_parse_error_is_one_json_usage_line(tmp_path, monkeypatch, capsys, argv, flag):
+    # argparse's own wording differs across Python versions; the flag's name
+    # in the detail does not.
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "usage"
+    assert flag in payload["detail"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    pytest.param(["generate", "--synth", "--trajectory", "nadir", "--res", "abc", "--out", "out"], 2, "usage",
+                 id="parse-error"),
+    pytest.param(["evaluate", "--gt", "missing", "--pred", "missing", "--report", "out"], 2, "usage",
+                 id="command-usage-error"),
+    pytest.param(["visualize", "--input", "missing.f32", "--mode", "slope", "--out", "out"], 1,
+                 "FileNotFoundError", id="runtime-failure"),
+])
+def test_python_m_lunarforge_exits_with_one_json_line(tmp_path, argv, code, error):
+    src = str(Path(lunarforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "lunarforge", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == error
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rays_per_pixel_is_not_checked_without_psf(tmp_path):
@@ -546,6 +597,27 @@ def test_evaluate_record_without_a_pair_id_is_a_usage_error(two_pair_dataset, tm
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     # Line 1 is the format header, so the second pair record is line 3.
     assert payload == {"error": "usage", "detail": "manifest.jsonl line 3 has no pair_id"}
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("line, problem", [
+    pytest.param("not json", "is not a JSON object", id="not-json"),
+    pytest.param("[1, 2]", "is not a JSON object", id="not-an-object"),
+    *(pytest.param(json.dumps({"pair_id": pair_id}), f"pair_id {pair_id!r} is not a directory name", id=name)
+      for name, pair_id in (("pair-id-number", 5), ("pair-id-empty", ""), ("pair-id-path", "sub/pair"))),
+])
+def test_evaluate_malformed_manifest_line_is_a_usage_error(two_pair_dataset, tmp_path, capsys, line, problem):
+    gt = tmp_path / "gt"
+    shutil.copytree(two_pair_dataset, gt)
+    pred = tmp_path / "pred"
+    _copy_predictions(gt, pred)
+    manifest = gt / "manifest.jsonl"
+    header, _, *records = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header, line, *records]) + "\n")
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "usage", "detail": f"manifest.jsonl line 2 {problem}"}
     assert not report.exists()
 
 
