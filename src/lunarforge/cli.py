@@ -37,11 +37,17 @@ from .pose import pose_accuracy_table
 from .radiometry import HapkeParams
 from .renderer import depth_to_pointmap, gt_correspondences, render_pair, resolve_workers
 from .terrain import DemGrid, hillshade, load_dem, slope_map, synth_crater_dem, write_dem
-from .trajectory import ALTITUDE_BANDS_M, FOV_DEG, KINDS, LIGHTING_PRESETS, lighting_preset, sample_pair
+from .trajectory import ALTITUDE_BANDS_M, KINDS, LIGHTING_PRESETS, lighting_preset, sample_pair, synth_extent_m
 
 
 class UsageError(ValueError):
     """Invalid flag combination or value; maps to exit code 2."""
+
+
+# A pair directory's file names, by their key in a manifest record's paths.
+PAIR_FILES = {key: f"{key}.{ext}" for key, ext in (
+    ("image_a", "pgm"), ("image_b", "pgm"), ("depth_a", "f32"), ("depth_b", "f32"),
+    ("pointmap_a", "f32"), ("pointmap_b", "f32"), ("correspondences", "csv"), ("meta", "json"))}
 
 
 @dataclass
@@ -55,20 +61,6 @@ class PairRecord:
     gsd_m: float
     baseline_m: float
     altitude_m: float
-
-
-def synth_extent_m(kind: str, band_index: int, allow_disjoint: bool) -> float:
-    """Tile width needed so both view frusta stay inside a synthetic DEM."""
-    alt = ALTITUDE_BANDS_M[band_index] * 1.05
-    if kind == "dynamic":
-        alt *= 1.30
-    tilt_max = 0.0 if kind == "nadir" else 35.0
-    half_fov = math.radians(FOV_DEG) / 2
-    reach = alt * math.tan(math.radians(tilt_max) + half_fov)
-    half = reach + 0.25 * alt
-    if allow_disjoint:
-        half += 5.5 * alt * math.tan(half_fov)
-    return 2.3 * half
 
 
 def synth_dem_for_band(
@@ -114,16 +106,7 @@ def _rig_artifacts(
         pair_dir = out_dir / pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
         try:
-            paths = {
-                "image_a": f"{pair_id}/image_a.pgm",
-                "image_b": f"{pair_id}/image_b.pgm",
-                "depth_a": f"{pair_id}/depth_a.f32",
-                "depth_b": f"{pair_id}/depth_b.f32",
-                "pointmap_a": f"{pair_id}/pointmap_a.f32",
-                "pointmap_b": f"{pair_id}/pointmap_b.f32",
-                "correspondences": f"{pair_id}/correspondences.csv",
-                "meta": f"{pair_id}/meta.json",
-            }
+            paths = {key: f"{pair_id}/{name}" for key, name in PAIR_FILES.items()}
             for view, prod in zip("ab", pair):
                 formats.write_pgm16(out_dir / paths[f"image_{view}"], prod.image)
                 formats.write_f32_raster(
@@ -138,7 +121,7 @@ def _rig_artifacts(
 
             record = PairRecord(
                 pair_id=pair_id,
-                trajectory=replace(spec, lighting=lid).to_json_dict(),
+                trajectory={**spec.to_json_dict(), "lighting": lid},
                 lighting=lid,
                 paths=paths,
                 gsd_m=gsd_m,
@@ -272,7 +255,7 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
     manifest = gt_dir / "manifest.jsonl"
     if not manifest.exists():
         raise UsageError(f"no manifest.jsonl in {gt_dir}")
-    records = []
+    records, seen = [], {}  # seen: pair_id -> its line number
     for number, line in enumerate(manifest.read_text().splitlines(), 1):
         try:
             obj = json.loads(line)
@@ -287,6 +270,9 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
         pair_id = obj["pair_id"]  # the pair's directory under --pred
         if not (isinstance(pair_id, str) and pair_id and "/" not in pair_id and "\\" not in pair_id):
             raise UsageError(f"manifest.jsonl line {number} pair_id {pair_id!r} is not a directory name")
+        if pair_id in seen:
+            raise UsageError(f"manifest.jsonl lines {seen[pair_id]} and {number} have the same pair_id {pair_id!r}")
+        seen[pair_id] = number
         records.append(obj)
     return records
 
@@ -329,8 +315,8 @@ def _load_prediction(pred_dir: Path, pair_id: str) -> PairPrediction | None:
     a pose is not finite.
     """
     pdir = pred_dir / pair_id
-    pm_a = pdir / "pointmap_a.f32"
-    pm_b = pdir / "pointmap_b.f32"
+    pm_a = pdir / PAIR_FILES["pointmap_a"]
+    pm_b = pdir / PAIR_FILES["pointmap_b"]
     if not pm_a.exists() or not pm_b.exists():
         return None
     pose_files = [pdir / "pose_a.json", pdir / "pose_b.json"]
@@ -339,8 +325,8 @@ def _load_prediction(pred_dir: Path, pair_id: str) -> PairPrediction | None:
         raise ValueError("pose_a.json and pose_b.json must come together")
     if all(present):
         pose_a, pose_b = (Pose.from_json_dict(formats.read_json(f)) for f in pose_files)
-    elif (pdir / "meta.json").exists():
-        meta = formats.read_json(pdir / "meta.json")
+    elif (pdir / PAIR_FILES["meta"]).exists():
+        meta = formats.read_json(pdir / PAIR_FILES["meta"])
         pose_a = Pose.from_json_dict(meta["pose_a"])
         pose_b = Pose.from_json_dict(meta["pose_b"])
     else:
@@ -501,15 +487,15 @@ def _add_scene_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--res", type=_int_at_least(1), default=128,
                    help="render resolution (desk-scale default; full is 512)")
     p.add_argument("--psf-sigma", type=_checked(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0"),
-                   default=0.5, help="Gaussian PSF sigma in pixels")
-    p.add_argument("--rays-per-pixel", type=int, default=4)
+                   default=CameraRig.psf_sigma, help="Gaussian PSF sigma in pixels")
+    p.add_argument("--rays-per-pixel", type=int, default=CameraRig.rays_per_pixel)
     p.add_argument("--stride", type=_int_at_least(1), default=4, help="correspondence sampling stride")
     p.add_argument("--allow-disjoint", action="store_true",
                    help="permit non-overlapping stereo footprints (stress case)")
-    p.add_argument("--hapke-w", type=float, default=0.25)
-    p.add_argument("--hapke-b0", type=float, default=1.0)
-    p.add_argument("--hapke-h", type=float, default=0.05)
-    p.add_argument("--hapke-xi", type=float, default=-0.25)
+    p.add_argument("--hapke-w", type=float, default=HapkeParams.w)
+    p.add_argument("--hapke-b0", type=float, default=HapkeParams.B0)
+    p.add_argument("--hapke-h", type=float, default=HapkeParams.h_opp)
+    p.add_argument("--hapke-xi", type=float, default=HapkeParams.xi)
 
 
 class _Parser(argparse.ArgumentParser):

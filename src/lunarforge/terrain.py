@@ -36,28 +36,22 @@ class NodataError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DemGrid:
-    """Regular raster of terrain heights with georeferencing metadata."""
+    """Regular raster of terrain heights with georeferencing metadata; its
+    width and height are those of elevations."""
 
-    width: int
-    height: int
     cell_size: float
     origin_x: float
     origin_y: float
     elevations: np.ndarray  # (height, width) float64, NaN = nodata
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise ValueError("DemGrid must be at least 2x2")
         if not math.isfinite(self.cell_size) or self.cell_size <= 0:
             raise ValueError("cell_size must be finite and > 0")
         if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
             raise ValueError("origin_x and origin_y must be finite")
         elev = np.asarray(self.elevations, dtype=np.float64)
-        if elev.shape != (self.height, self.width):
-            raise ValueError(
-                f"elevations shape {elev.shape} does not match "
-                f"(height, width)=({self.height}, {self.width})"
-            )
+        if elev.ndim != 2 or min(elev.shape) < 2:
+            raise ValueError(f"elevations must be a 2-D array of at least 2x2, got shape {elev.shape}")
         if np.isinf(elev).any():
             raise ValueError("elevations must be finite or NaN (nodata)")
         # fmin/fmax skip nodata; an all-nodata grid gives NaN, which no bound flags.
@@ -70,6 +64,14 @@ class DemGrid:
             )
         elev.flags.writeable = False
         object.__setattr__(self, "elevations", elev)
+
+    @property
+    def width(self) -> int:
+        return self.elevations.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.elevations.shape[0]
 
     # Bounds that every heightfield traversal reads.  elevations is read-only,
     # so they are computed once per grid and cannot go stale.
@@ -195,8 +197,6 @@ def _load_ascii_grid(path: Path) -> DemGrid:
     grid = values.reshape(nrows, ncols)[::-1]  # north-up file order -> south-first rows
     return _loaded_grid(
         path,
-        width=ncols,
-        height=nrows,
         cell_size=header["cellsize"],
         origin_x=header["xllcorner"] + 0.5 * header["cellsize"],
         origin_y=header["yllcorner"] + 0.5 * header["cellsize"],
@@ -232,15 +232,12 @@ def _load_raw_f32(path: Path) -> DemGrid:
         raise DemFormatError(f"sidecar missing key {exc}") from exc
     except (OSError, TypeError, ValueError) as exc:
         raise DemFormatError(f"cannot read raw_f32 DEM {path}: {exc}") from exc
-    if elevations.ndim != 2:
-        raise DemFormatError(f"DEM raster must be 2D, sidecar shape is {list(elevations.shape)}")
-    height, width = elevations.shape
-    return _loaded_grid(path, width=width, height=height, elevations=elevations, **georef)
+    return _loaded_grid(path, elevations=elevations, **georef)
 
 
 def _loaded_grid(path: Path, **fields) -> DemGrid:
-    """DemGrid(**fields) of a file read from path; a grid it rejects (a
-    non-finite cell size or origin, say) is a DemFormatError."""
+    """DemGrid(**fields) of a file read from path; a grid it rejects (a raster
+    that is not 2-D, a non-finite cell size or origin) is a DemFormatError."""
     try:
         return DemGrid(**fields)
     except ValueError as exc:
@@ -341,8 +338,6 @@ def synth_crater_dem(
         rim_height = min(0.06 * radius, 280.0) * rng.uniform(0.8, 1.2)
         add_crater(z, xs, ys, cx, cy, radius, depth, rim_height, 0.2 * radius)
     return DemGrid(
-        width=width,
-        height=height,
         cell_size=cell_size,
         origin_x=0.0,
         origin_y=0.0,

@@ -1,17 +1,20 @@
 """Seeded sampling of stereo camera pairs for the three descent motion families.
 
-Altitudes come from ten fixed bands (3.5 km .. 30.5 km) with a +/-5% jitter,
-measured above the mean terrain height inside the expected footprint.  The
-horizontal baseline has a random compass heading and length
-baseline_frac * altitude; oblique and dynamic pairs pitch toward a shared
-ground target on the perpendicular bisector of the baseline, displaced so the
-nominal off-nadir angle equals tilt_deg.
+Altitudes come from ten fixed bands (3.5 km .. 30.5 km) with a relative
++/-ALTITUDE_JITTER, above the mean terrain height inside the expected footprint.
+FAMILIES is the one table of each family's baseline fraction, tilt, roll and
+altitude delta ranges: sample_pair draws from it, TrajectorySpec is checked
+against it and synth_extent_m sizes synthetic DEMs by it.  The baseline has a
+random compass heading and length baseline_frac * altitude; oblique and dynamic
+pairs pitch toward a shared ground target on the baseline's perpendicular
+bisector, so the nominal off-nadir angle is tilt_deg.  A spec has no lighting:
+one rig is rendered under every lighting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,7 +24,22 @@ from .terrain import DemGrid
 
 ALTITUDE_BANDS_M = (3500.0, 6200.0, 9500.0, 12800.0, 16100.0, 19400.0, 22700.0, 26000.0, 29200.0, 30500.0)
 
-KINDS = ("nadir", "oblique", "dynamic")
+# Relative altitude jitter around a band's altitude.
+ALTITUDE_JITTER = 0.05
+
+# Each family's ranges, drawn in this order after the altitude and heading: a
+# (low, high) pair uniformly (nothing is drawn when low == high), a list by
+# rng.choice.
+FAMILIES = {
+    "nadir": {"baseline_frac": (0.04, 0.10), "tilt_deg": (0.0, 0.0), "roll_deg": (0.0, 0.0),
+              "altitude_delta_frac": (0.0, 0.0)},
+    "oblique": {"baseline_frac": (0.04, 0.10), "tilt_deg": (20.0, 35.0), "roll_deg": (0.0, 0.0),
+                "altitude_delta_frac": [0.0, 0.05, 0.15]},
+    "dynamic": {"baseline_frac": (0.05, 0.18), "tilt_deg": (0.0, 35.0), "roll_deg": (-10.0, 10.0),
+                "altitude_delta_frac": (-0.30, 0.30)},
+}
+
+KINDS = tuple(FAMILIES)
 
 # Horizontal field of view of every sampled camera, in degrees.
 FOV_DEG = 45.0
@@ -54,37 +72,26 @@ class TrajectorySpec:
     roll_deg: float
     altitude_delta_frac: float
     heading_deg: float
-    lighting: str
     seed: int
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.kind == "nadir":
-            if not 0.04 <= self.baseline_frac <= 0.10:
-                raise ValueError("nadir baseline_frac must be in [0.04, 0.10]")
-            if self.tilt_deg != 0 or self.roll_deg != 0 or self.altitude_delta_frac != 0:
-                raise ValueError("nadir pairs have zero tilt, roll and altitude delta")
-        elif self.kind == "oblique":
-            if not 20 <= self.tilt_deg <= 35:
-                raise ValueError("oblique tilt_deg must be in [20, 35]")
-        elif self.kind == "dynamic":
-            if abs(self.altitude_delta_frac) > 0.30:
-                raise ValueError("dynamic altitude delta must be within +/-30%")
-            if abs(self.roll_deg) > 10:
-                raise ValueError("dynamic roll must be within +/-10 degrees")
-            if not 0.05 <= self.baseline_frac <= 0.18:
-                raise ValueError("dynamic baseline_frac must be in [0.05, 0.18]")
+        for name, allowed in FAMILIES[self.kind].items():
+            value = getattr(self, name)
+            if isinstance(allowed, list):
+                if value not in allowed:
+                    raise ValueError(f"{self.kind} {name} must be one of {allowed}, got {value}")
+            elif not allowed[0] <= value <= allowed[1]:
+                raise ValueError(f"{self.kind} {name} must be in [{allowed[0]}, {allowed[1]}], got {value}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrajectorySpec":
-        return cls(**{k: d[k] for k in (
-            "kind", "altitude_m", "baseline_frac", "tilt_deg", "roll_deg",
-            "altitude_delta_frac", "heading_deg", "lighting", "seed",
-        )})
+        """A manifest record's trajectory; other keys, its lighting among them, are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def lighting_preset(preset_id: str) -> SunConfig:
@@ -172,16 +179,38 @@ def _check_inside(dem: DemGrid, polys, margin: float) -> None:
             )
 
 
+def synth_extent_m(kind: str, band_index: int, allow_disjoint: bool) -> float:
+    """Tile width that keeps both view frusta inside a synthetic DEM: the top of
+    the band's jitter, dynamic's altitude delta and the family's largest tilt."""
+    family = FAMILIES[kind]
+    alt = ALTITUDE_BANDS_M[band_index] * (1.0 + ALTITUDE_JITTER)
+    if kind == "dynamic":
+        alt *= 1.0 + family["altitude_delta_frac"][1]
+    half_fov = math.radians(FOV_DEG) / 2
+    reach = alt * math.tan(math.radians(family["tilt_deg"][1]) + half_fov)
+    half = reach + 0.25 * alt
+    if allow_disjoint:
+        half += 5.5 * alt * math.tan(half_fov)
+    return 2.3 * half
+
+
+def _draw(rng, allowed) -> float:
+    """One value from a FAMILIES entry; a constant range draws nothing."""
+    if isinstance(allowed, list):
+        return float(rng.choice(allowed))
+    low, high = allowed
+    return float(rng.uniform(low, high)) if low < high else low
+
+
 def sample_pair(
     kind: str,
     seed: int,
     band_index: int,
     dem: DemGrid,
-    lighting: str = "side",
     width: int = 128,
     height: int = 128,
-    psf_sigma: float = 0.5,
-    rays_per_pixel: int = 4,
+    psf_sigma: float = CameraRig.psf_sigma,
+    rays_per_pixel: int = CameraRig.rays_per_pixel,
     allow_disjoint: bool = False,
 ):
     """Draw one stereo pair deterministically from (kind, seed, band_index).
@@ -197,21 +226,9 @@ def sample_pair(
         np.random.SeedSequence(entropy=(int(seed), int(band_index), KINDS.index(kind)))
     )
 
-    altitude = ALTITUDE_BANDS_M[band_index] * (1.0 + rng.uniform(-0.05, 0.05))
+    altitude = ALTITUDE_BANDS_M[band_index] * (1.0 + rng.uniform(-ALTITUDE_JITTER, ALTITUDE_JITTER))
     heading = float(rng.uniform(0.0, 360.0))
-    if kind == "nadir":
-        baseline_frac = float(rng.uniform(0.04, 0.10))
-        tilt = roll = delta = 0.0
-    elif kind == "oblique":
-        baseline_frac = float(rng.uniform(0.04, 0.10))
-        tilt = float(rng.uniform(20.0, 35.0))
-        roll = 0.0
-        delta = float(rng.choice([0.0, 0.05, 0.15]))
-    else:
-        baseline_frac = float(rng.uniform(0.05, 0.18))
-        tilt = float(rng.uniform(0.0, 35.0))
-        roll = float(rng.uniform(-10.0, 10.0))
-        delta = float(rng.uniform(-0.30, 0.30))
+    baseline_frac, tilt, roll, delta = (_draw(rng, allowed) for allowed in FAMILIES[kind].values())
     side = float(rng.choice([-1.0, 1.0]))
 
     spec = TrajectorySpec(
@@ -222,7 +239,6 @@ def sample_pair(
         roll_deg=roll,
         altitude_delta_frac=delta,
         heading_deg=heading,
-        lighting=lighting,
         seed=int(seed),
     )
 

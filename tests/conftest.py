@@ -39,7 +39,7 @@ def cli_pools(monkeypatch):
 @pytest.fixture(scope="session")
 def flat_dem():
     return DemGrid(
-        width=64, height=64, cell_size=10.0, origin_x=-315.0, origin_y=-315.0,
+        cell_size=10.0, origin_x=-315.0, origin_y=-315.0,
         elevations=np.zeros((64, 64)),
     )
 

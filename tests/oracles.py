@@ -5,7 +5,8 @@ oracle visits every cell a ray crosses, nearest neighbors are O(n^2), rotation
 angles go through quaternions, and Pearson is a direct scalar transcription.
 The whole-DEM passes that work in place (the sun-ward ceiling sweep, cell
 maxima, DEM synthesis) are checked bit for bit against their formulas over
-whole-grid arrays here.  It also holds the helpers only tests need:
+whole-grid arrays here, and the synthetic tile width against its formula
+with the family constants written out.  It also holds the helpers only tests need:
 rotations about the x and y axes and the ground-truth essential matrix of
 two poses.
 """
@@ -207,6 +208,22 @@ def reference_synth_elevations(seed, width, height, cell_size, crater_count, fra
         z[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
         z = z + rim_height * np.exp(-(((r - radius) / (0.2 * radius)) ** 2))
     return z
+
+
+def reference_synth_extent_m(kind, band_index, allow_disjoint):
+    """Tile width of a synthetic DEM for (kind, band): the formula with its
+    constants written out, as it stood before the family table held them."""
+    bands = (3500.0, 6200.0, 9500.0, 12800.0, 16100.0, 19400.0, 22700.0, 26000.0, 29200.0, 30500.0)
+    alt = bands[band_index] * 1.05
+    if kind == "dynamic":
+        alt *= 1.30
+    tilt_max = 0.0 if kind == "nadir" else 35.0
+    half_fov = math.radians(45.0) / 2
+    reach = alt * math.tan(math.radians(tilt_max) + half_fov)
+    half = reach + 0.25 * alt
+    if allow_disjoint:
+        half += 5.5 * alt * math.tan(half_fov)
+    return 2.3 * half
 
 
 def reference_render(dem, rig, suns, hapke, seed):

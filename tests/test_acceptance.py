@@ -69,8 +69,7 @@ def test_criterion_01_gsd_table():
 
 def test_criterion_02_analytic_flat_render():
     def check():
-        flat = DemGrid(width=64, height=64, cell_size=60.0, origin_x=-1890.0,
-                       origin_y=-1890.0, elevations=np.zeros((64, 64)))
+        flat = DemGrid(cell_size=60.0, origin_x=-1890.0, origin_y=-1890.0, elevations=np.zeros((64, 64)))
         intr = Intrinsics(width=128, height=128, fov_deg=45.0)
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2000.0]))
         rig = CameraRig(intrinsics=intr, pose_a=pose, pose_b=pose, psf_sigma=0.0, rays_per_pixel=1)

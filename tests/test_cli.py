@@ -12,7 +12,9 @@ import pytest
 
 import lunarforge
 from lunarforge import formats
-from lunarforge.cli import main
+from lunarforge.camera import CameraRig
+from lunarforge.cli import build_parser, main
+from lunarforge.radiometry import HapkeParams
 from lunarforge.pose import pose_accuracy_table
 
 
@@ -355,6 +357,20 @@ def test_generate_lighting_variants(tmp_path):
     assert {m["sun"]["azimuth"] for m in metas} == {150.0, 250.0, 0.0}
 
 
+def test_record_trajectory_carries_the_pairs_lighting(two_pair_dataset):
+    records = [json.loads(ln) for ln in (two_pair_dataset / "manifest.jsonl").read_text().splitlines()[1:]]
+    assert sorted(r["lighting"] for r in records) == ["back", "side"]
+    for record in records:
+        meta = formats.read_json(two_pair_dataset / record["paths"]["meta"])
+        assert record["trajectory"]["lighting"] == meta["trajectory"]["lighting"] == record["lighting"]
+
+
+def test_scene_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["render-pair", "--synth", "--trajectory", "nadir", "--out", "x"])
+    assert HapkeParams(w=args.hapke_w, B0=args.hapke_b0, h_opp=args.hapke_h, xi=args.hapke_xi) == HapkeParams()
+    assert (args.psf_sigma, args.rays_per_pixel) == (CameraRig.psf_sigma, CameraRig.rays_per_pixel)
+
+
 def test_manifest_completeness(dataset):
     lines = (dataset / "manifest.jsonl").read_text().splitlines()
     header = json.loads(lines[0])
@@ -618,6 +634,21 @@ def test_evaluate_malformed_manifest_line_is_a_usage_error(two_pair_dataset, tmp
     assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "usage", "detail": f"manifest.jsonl line 2 {problem}"}
+    assert not report.exists()
+
+
+def test_evaluate_repeated_pair_id_is_a_usage_error(two_pair_dataset, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(two_pair_dataset, gt)
+    pred = tmp_path / "pred"
+    first, _ = _copy_predictions(gt, pred)
+    manifest = gt / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([*lines, lines[1]]) + "\n")
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "usage", "detail": f"manifest.jsonl lines 2 and 4 have the same pair_id {first!r}"}
     assert not report.exists()
 
 
@@ -898,7 +929,7 @@ def test_generate_over_a_plane_facing_the_sun(tmp_path):
     half = (size - 1) * cell / 2
     x, y = np.meshgrid(np.arange(size) * cell - half, np.arange(size) * cell - half)
     dem = tmp_path / "plane.f32"
-    write_dem(DemGrid(width=size, height=size, cell_size=cell, origin_x=-half, origin_y=-half,
+    write_dem(DemGrid(cell_size=cell, origin_x=-half, origin_y=-half,
                       elevations=-(s[0] * x + s[1] * y) / s[2]), dem, "raw_f32")
     out = tmp_path / "out"
     assert run(["generate", "--dem", str(dem), "--trajectory", "nadir", "--bands", "0",
@@ -947,8 +978,7 @@ def test_runtime_failure_error_json_and_cleanup(tmp_path, capsys):
         from lunarforge import DemGrid, write_dem
         import numpy as np
 
-        tiny = DemGrid(width=16, height=16, cell_size=10.0, origin_x=0.0, origin_y=0.0,
-                       elevations=np.zeros((16, 16)))
+        tiny = DemGrid(cell_size=10.0, origin_x=0.0, origin_y=0.0, elevations=np.zeros((16, 16)))
         dem_path = tmp_path / "tiny.f32"
         write_dem(tiny, dem_path, "raw_f32")
         out = tmp_path / "fail2"
@@ -992,7 +1022,7 @@ def test_generate_over_a_dem_with_a_nodata_hole(tmp_path, hole):
     elevations = dem.elevations.copy()
     elevations[hole] = np.nan
     dem_path = tmp_path / "holed.f32"
-    write_dem(DemGrid(width=dem.width, height=dem.height, cell_size=dem.cell_size, origin_x=dem.origin_x,
+    write_dem(DemGrid(cell_size=dem.cell_size, origin_x=dem.origin_x,
                       origin_y=dem.origin_y, elevations=elevations), dem_path, "raw_f32")
     out = tmp_path / "out"
     assert run(["generate", "--dem", str(dem_path), "--trajectory", "nadir", "--bands", "0",

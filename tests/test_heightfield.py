@@ -30,8 +30,7 @@ def _designed_ray(corners, start_uv, step, w_hit, w_origin):
     and starts at w_origin.  Returns (dem, origin, unit direction, t_hit).
     """
     e = CELL * np.asarray(corners, dtype=np.float64)
-    dem = DemGrid(width=e.shape[1], height=e.shape[0], cell_size=CELL,
-                  origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    dem = DemGrid(cell_size=CELL, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
     step = CELL * np.asarray(step, dtype=np.float64)
     hit = np.array([ORIGIN[0] + CELL * start_uv[0], ORIGIN[1] + CELL * start_uv[1], 0.0]) + w_hit * step
     hit[2] = oracles.bilinear(dem, hit[0], hit[1])
@@ -162,8 +161,7 @@ def test_intersect_rays_matches_the_oracle(scene):
     (acceptance 03)."""
     seed, offset, min_zenith = scene
     base = synth_crater_dem(seed, 32, 32, 5.0, 2, 3)
-    dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
-                  origin_x=base.origin_x + offset, origin_y=base.origin_y - offset,
+    dem = DemGrid(cell_size=base.cell_size, origin_x=base.origin_x + offset, origin_y=base.origin_y - offset,
                   elevations=base.elevations)
     rng = np.random.default_rng(seed)
     n = 120
@@ -214,8 +212,7 @@ def test_intersect_rays_does_not_depend_on_batching():
     base = synth_crater_dem(4, 37, 29, 4.0, 3, 3)
     e = base.elevations.copy()
     e[rng.random(e.shape) < 0.05] = np.nan
-    dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
-                  origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    dem = DemGrid(cell_size=base.cell_size, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
     zmax = float(np.nanmax(e))
     n = 400
     pad = 4 * dem.cell_size
@@ -256,8 +253,7 @@ def test_axis_parallel_and_subnormal_rays_match_the_oracle(axis):
     to 2e-3 cell) and do not depend on batching."""
     rng = np.random.default_rng(17 + axis)
     base = synth_crater_dem(9, 33, 27, 5.0, 3, 3)
-    dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
-                  origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=base.elevations)
+    dem = DemGrid(cell_size=base.cell_size, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=base.elevations)
     n = 300
     margin = 0.5 * dem.cell_size
     x = rng.uniform(dem.x_min + margin, dem.x_max - margin, n)
@@ -295,7 +291,7 @@ def _flat_cell_start(z_offset_ulps):
     h = 1234.567
     e = np.full((4, 4), h)
     e[0, 0] = h + 50.0
-    dem = DemGrid(width=4, height=4, cell_size=CELL, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    dem = DemGrid(cell_size=CELL, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
     rng = np.random.default_rng(5)
     x = dem.origin_x + (1.0 + rng.random(200_000)) * CELL
     y = dem.origin_y + (1.0 + rng.random(200_000)) * CELL
@@ -348,7 +344,7 @@ def _ceiling_scenes(elevation):
         if seed % 2:
             e[rng.random(e.shape) < 0.04] = np.nan
         offset = 1.5e6 if seed % 3 == 0 else 0.0
-        dem = DemGrid(width=base.width, height=base.height, cell_size=base.cell_size,
+        dem = DemGrid(cell_size=base.cell_size,
                       origin_x=base.origin_x + offset, origin_y=base.origin_y - offset, elevations=e)
         for azimuth in CEILING_AZIMUTHS:
             if azimuth is None:
@@ -439,7 +435,7 @@ def test_sun_ceiling_rounding_margin_covers_the_exact_sweep():
         e = rng.normal(0.0, 30.0, (12, 12)) + (1700.0 if seed % 2 else 0.0)
         if seed % 5 == 0:
             e[rng.random(e.shape) < 0.1] = np.nan
-        dem = DemGrid(width=12, height=12, cell_size=float(rng.uniform(0.5, 10.0)),
+        dem = DemGrid(cell_size=float(rng.uniform(0.5, 10.0)),
                       origin_x=float(rng.uniform(-1e3, 1e3)), origin_y=float(rng.uniform(-1e3, 1e3)), elevations=e)
         azimuth = CEILING_AZIMUTHS[seed % len(CEILING_AZIMUTHS)]
         s = _sun(float(rng.uniform(0.0, 360.0)) if azimuth is None else azimuth, float(rng.uniform(1.0, 80.0)))
@@ -472,8 +468,7 @@ def _edge_and_narrow_dems():
             e[:, edge] = np.nan
             e[edge, :] = np.nan
         for grid in (e, e[:, :2], e[:2, :], e[8:11, :], e[:, 8:10], e[7:10, 8:10]):
-            yield DemGrid(width=grid.shape[1], height=grid.shape[0], cell_size=3.0,
-                          origin_x=0.0, origin_y=0.0, elevations=grid)
+            yield DemGrid(cell_size=3.0, origin_x=0.0, origin_y=0.0, elevations=grid)
 
 
 def _assert_same_bits(got, want):

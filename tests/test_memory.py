@@ -37,7 +37,7 @@ def dem():
 
 
 def _regrid(dem):
-    return DemGrid(width=dem.width, height=dem.height, cell_size=dem.cell_size,
+    return DemGrid(cell_size=dem.cell_size,
                    origin_x=dem.origin_x, origin_y=dem.origin_y, elevations=dem.elevations)
 
 

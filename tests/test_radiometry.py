@@ -198,7 +198,7 @@ def test_shade_zero_when_sun_below_facet():
     # tips 40 deg past the sun's horizon, so mu0 < 0.
     n = np.array([-math.sin(math.radians(70)), 0.0, math.cos(math.radians(70))])
     xs = np.arange(16) - 7.5
-    dem = DemGrid(width=16, height=16, cell_size=1.0, origin_x=-7.5, origin_y=-7.5,
+    dem = DemGrid(cell_size=1.0, origin_x=-7.5, origin_y=-7.5,
                   elevations=np.tile(math.tan(math.radians(70)) * xs, (16, 1)))
     assert np.allclose(surface_normal(dem, 0.0, 0.0), n, rtol=0, atol=1e-12)
     sun = SunConfig(azimuth=90.0, elevation=30.0)

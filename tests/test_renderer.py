@@ -708,7 +708,7 @@ def test_crater_occlusion_against_visibility_oracle():
     coords = np.arange(96.0) * 4.0
     add_crater(z, coords, coords, cx=190.0, cy=190.0, radius=120.0, depth=60.0,
                rim_height=15.0, rim_sigma=20.0)
-    dem = DemGrid(width=96, height=96, cell_size=4.0, origin_x=0.0, origin_y=0.0, elevations=z)
+    dem = DemGrid(cell_size=4.0, origin_x=0.0, origin_y=0.0, elevations=z)
     cx, cy = 190.0, 190.0
     floor_z = float(z.min())
 

@@ -12,8 +12,7 @@ from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, _v
 
 def make_dem(elev, cell=1.0, ox=0.0, oy=0.0):
     elev = np.asarray(elev, dtype=np.float64)
-    return DemGrid(width=elev.shape[1], height=elev.shape[0], cell_size=cell,
-                   origin_x=ox, origin_y=oy, elevations=elev)
+    return DemGrid(cell_size=cell, origin_x=ox, origin_y=oy, elevations=elev)
 
 
 def plane_dem(a, b, c, n=16, cell=1.0):
@@ -84,7 +83,7 @@ def test_raw_f32_round_trip_randomized(tmp_path):
         elev = rng.normal(0, 100, size=(h, w))
         if k % 2:
             elev[rng.random(elev.shape) < 0.1] = np.nan
-        dem = DemGrid(width=int(w), height=int(h), cell_size=float(rng.uniform(0.5, 20)),
+        dem = DemGrid(cell_size=float(rng.uniform(0.5, 20)),
                       origin_x=float(rng.normal()), origin_y=float(rng.normal()),
                       elevations=elev.astype(np.float32).astype(np.float64))
         p1 = tmp_path / f"a{k}.f32"
@@ -128,6 +127,10 @@ def _break_legacy_width_height(p, sidecar, meta):
     sidecar.write_text(json.dumps(meta))
 
 
+def _break_three_d_shape(p, sidecar, meta):
+    sidecar.write_text(json.dumps({**meta, "shape": [2, 2, 4]}))  # the same 16 values
+
+
 def _break_infinite_cell_size(p, sidecar, meta):
     sidecar.write_text(json.dumps({**meta, "cell_size": float("inf")}))
 
@@ -142,7 +145,7 @@ def _break_infinite_origin_y(p, sidecar, meta):
 
 @pytest.mark.parametrize("breaker", [
     _break_missing_sidecar, _break_malformed_json, _break_missing_cell_size,
-    _break_size_mismatch, _break_legacy_width_height,
+    _break_size_mismatch, _break_legacy_width_height, _break_three_d_shape,
     _break_infinite_cell_size, _break_nan_origin_x, _break_infinite_origin_y,
 ], ids=lambda f: f.__name__[len("_break_"):])
 def test_load_raw_f32_malformed(tmp_path, breaker):
@@ -171,9 +174,21 @@ def test_load_ascii_invalid_header_value(tmp_path, bad):
     ("cell_size", np.inf), ("cell_size", np.nan), ("origin_x", np.nan), ("origin_y", -np.inf),
 ])
 def test_grid_rejects_non_finite_georeferencing(field, value):
-    fields = dict(width=2, height=2, cell_size=1.0, origin_x=0.0, origin_y=0.0, elevations=np.zeros((2, 2)))
+    fields = dict(cell_size=1.0, origin_x=0.0, origin_y=0.0, elevations=np.zeros((2, 2)))
     with pytest.raises(ValueError, match=field.split("_")[0]):
         DemGrid(**{**fields, field: value})
+
+
+def test_grid_size_is_the_shape_of_its_elevations():
+    dem = DemGrid(2.0, -1.0, 3.0, np.zeros((3, 5)))
+    assert (dem.width, dem.height) == (5, 3)
+    assert (dem.x_max, dem.y_max) == (7.0, 7.0)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2), (1, 4), (4, 1), (0, 0)])
+def test_grid_rejects_elevations_that_are_not_2d_and_at_least_2x2(shape):
+    with pytest.raises(ValueError, match="2-D array of at least 2x2"):
+        DemGrid(1.0, 0.0, 0.0, np.zeros(shape))
 
 
 def test_ascii_round_trip(tmp_path):

@@ -5,11 +5,14 @@ from lunarforge import sample_pair
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.trajectory import (
     ALTITUDE_BANDS_M,
+    KINDS,
     FootprintTooSmallError,
     TrajectorySpec,
     footprint_overlap,
     lighting_preset,
+    synth_extent_m,
 )
+from oracles import reference_synth_extent_m
 
 DOWN = np.array([0.0, 0.0, -1.0])
 
@@ -29,7 +32,7 @@ def test_lighting_presets():
 
 def test_spec_invariants_enforced():
     base = dict(kind="nadir", altitude_m=3500.0, baseline_frac=0.05, tilt_deg=0.0,
-                roll_deg=0.0, altitude_delta_frac=0.0, heading_deg=10.0, lighting="side", seed=1)
+                roll_deg=0.0, altitude_delta_frac=0.0, heading_deg=10.0, seed=1)
     TrajectorySpec(**base)
     with pytest.raises(ValueError):
         TrajectorySpec(**{**base, "baseline_frac": 0.2})
@@ -42,6 +45,36 @@ def test_spec_invariants_enforced():
                           "baseline_frac": 0.1})
     with pytest.raises(ValueError):
         TrajectorySpec(**{**base, "kind": "spiral"})
+
+
+# A spec inside each family's ranges.
+VALID_SPECS = {
+    "oblique": dict(kind="oblique", altitude_m=3500.0, baseline_frac=0.05, tilt_deg=25.0, roll_deg=0.0,
+                    altitude_delta_frac=0.05, heading_deg=10.0, seed=1),
+    "dynamic": dict(kind="dynamic", altitude_m=3500.0, baseline_frac=0.1, tilt_deg=10.0, roll_deg=5.0,
+                    altitude_delta_frac=-0.2, heading_deg=10.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("oblique", "baseline_frac", 0.2),
+    ("oblique", "altitude_delta_frac", 0.3),
+    ("oblique", "altitude_delta_frac", 0.1),  # between the choices
+    ("dynamic", "tilt_deg", 40.0),
+    ("dynamic", "baseline_frac", float("nan")),
+])
+def test_spec_checks_every_range_of_its_family(kind, field, value):
+    TrajectorySpec(**VALID_SPECS[kind])
+    with pytest.raises(ValueError, match=f"{kind} {field}"):
+        TrajectorySpec(**{**VALID_SPECS[kind], field: value})
+
+
+@pytest.mark.parametrize("allow_disjoint", [False, True])
+@pytest.mark.parametrize("band", range(len(ALTITUDE_BANDS_M)))
+@pytest.mark.parametrize("kind", KINDS)
+def test_synth_extent_matches_the_reference_formula_bit_for_bit(kind, band, allow_disjoint):
+    got = synth_extent_m(kind, band, allow_disjoint)
+    assert got.hex() == reference_synth_extent_m(kind, band, allow_disjoint).hex()
 
 
 def test_nadir_pair_geometry():
@@ -128,8 +161,7 @@ def test_allow_disjoint_produces_no_overlap():
 def test_footprint_too_small():
     import lunarforge as lf
 
-    tiny = lf.DemGrid(width=16, height=16, cell_size=10.0, origin_x=0.0, origin_y=0.0,
-                      elevations=np.zeros((16, 16)))
+    tiny = lf.DemGrid(cell_size=10.0, origin_x=0.0, origin_y=0.0, elevations=np.zeros((16, 16)))
     with pytest.raises(FootprintTooSmallError):
         sample_pair("nadir", 1, 9, tiny)
 
@@ -144,8 +176,14 @@ def test_invalid_band():
 
 def test_spec_json_round_trip():
     dem = synth_dem_for_band("dynamic", 1, seed=7)
-    spec, _ = sample_pair("dynamic", 3, 1, dem, lighting="back")
+    spec, _ = sample_pair("dynamic", 3, 1, dem)
     d = spec.to_json_dict()
     assert set(d) == {"kind", "altitude_m", "baseline_frac", "tilt_deg", "roll_deg",
-                      "altitude_delta_frac", "heading_deg", "lighting", "seed"}
+                      "altitude_delta_frac", "heading_deg", "seed"}
     assert TrajectorySpec.from_json_dict(d) == spec
+
+
+def test_spec_from_json_ignores_the_lighting_of_a_record():
+    dem = synth_dem_for_band("oblique", 1, seed=7)
+    spec, _ = sample_pair("oblique", 3, 1, dem)
+    assert TrajectorySpec.from_json_dict({**spec.to_json_dict(), "lighting": "polar"}) == spec
