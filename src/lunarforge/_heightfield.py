@@ -34,12 +34,23 @@ skip only rays that cannot meet the terrain, with a relative margin
 own arithmetic.  C+ is a function of (DEM, sun) alone: the caller sweeps it
 once with sun_ceiling and passes it to every shadow_mask call under that sun.
 The sweep keeps only a row of state per column, so it holds one DEM-sized
-array, the C+ it returns, and writes each finished column into it.
+array, the C+ it returns.  It reads the cell maxima and writes C+ through a
+buffer of SWEEP_COLUMNS columns, so a sweep along x copies whole row
+segments of the grids, not one strided element per row.
 
 The walk keeps its state only for the live rays, cut down one array at a
-time on each step that ends one, and reads the cell grids through flat
-indices.  All arithmetic is elementwise per ray, so results are bitwise
-identical regardless of how rays are batched or tiled.
+time on each step that ends one, and reads the cell grids through int64 flat
+indices of int32 cell indices.  A row broadcast to every ray (stride 0: a
+camera's origin, the sun's direction) stays one value: what the walk derives
+from it (oz, or dz, the steps and t_delta) is a scalar that no step
+compacts.  The crossing test reads a ray's position and slope in cell units
+from its row of the origins and directions, or from the shared row, rather
+than holding them per ray, and a segment's end heights are recomputed from
+t each step.  So a live camera ray holds 74 B (its row, t, t_stop, the two
+cell indices and t_max, dz, the steps and t_delta) and a live shadow ray
+56 B.  All arithmetic is elementwise per ray, so results are bitwise
+identical regardless of how rays are batched or tiled, and whether a row is
+shared or written out.
 
 Each step moves every live ray into its next cell without a branch:
 ix += step_x * go_x and t_max_x += t_delta_x * go_x, and the same on y with
@@ -68,7 +79,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .terrain import DemGrid, bilinear
+from .terrain import DemGrid, _blend
+
+# Columns of the ceiling sweep's buffer: a few of a large DEM's rows.
+SWEEP_COLUMNS = 32
 
 
 @np.errstate(invalid="ignore")  # the margin's -inf + inf at the zenith; NaN maps to -inf below
@@ -88,25 +102,34 @@ def sun_ceiling(dem: DemGrid, sun_dir) -> np.ndarray:
     a, out = ((dem.cell_max, ceil) if swap else (dem.cell_max.T, ceil.T))
     a, out = a[flips], out[flips]
     kl = sz * dem.cell_size / abs(dom) if dom else np.inf  # at the zenith no ray leaves its column
-    n_r = a.shape[1]
+    n_c, n_r = a.shape
     # Row buffers one cell longer than a column, that cell NaN: no terrain
     # there.  NaN stands for "no terrain" throughout, as fmax skips it.
     edge = np.full(n_r + 1, np.nan)  # cellmax of column c
     prev = np.full(n_r + 1, np.nan)  # C+ of column c+1, without the margin
     block = np.empty(n_r)  # M
     nxt = np.empty(n_r)
-    for c in range(len(a) - 1, -1, -1):
-        edge[:n_r] = a[c]
-        np.fmax(edge[:-1], edge[1:], out=block)
-        np.fmax(prev[:-1], prev[1:], out=nxt)
-        nxt -= kl
-        np.fmax(block, nxt, out=prev[:n_r])
-        # ceil gets C+ raised by the margin 1e-9 (1 + |C+|); prev keeps C+ itself.
-        np.abs(prev[:n_r], out=nxt)
-        nxt += 1.0
-        nxt *= 1e-9
-        np.add(prev[:n_r], nxt, out=out[c])
-    ceil[np.isnan(ceil)] = -np.inf
+    # Columns go through one contiguous buffer of SWEEP_COLUMNS of them: a
+    # sweep along x reads and writes whole row segments of the grids, not
+    # one strided element per row.
+    cols = np.empty((min(SWEEP_COLUMNS, n_c), n_r))
+    for stop in range(n_c, 0, -len(cols)):
+        start = max(stop - len(cols), 0)
+        buf = cols[:stop - start]
+        buf[...] = a[start:stop]
+        for c in range(len(buf) - 1, -1, -1):
+            edge[:n_r] = buf[c]
+            np.fmax(edge[:-1], edge[1:], out=block)
+            np.fmax(prev[:-1], prev[1:], out=nxt)
+            nxt -= kl
+            np.fmax(block, nxt, out=prev[:n_r])
+            # The ceiling gets C+ raised by the margin 1e-9 (1 + |C+|); prev keeps C+ itself.
+            np.abs(prev[:n_r], out=nxt)
+            nxt += 1.0
+            nxt *= 1e-9
+            np.add(prev[:n_r], nxt, out=buf[c])
+        buf[np.isnan(buf)] = -np.inf
+        out[start:stop] = buf
     ceil.flags.writeable = False  # shared by every row band's thread
     return ceil
 
@@ -180,10 +203,58 @@ def _clip(dem: DemGrid, o: np.ndarray, d: np.ndarray):
 def _columns(a: np.ndarray, ids: np.ndarray):
     """The x, y and z columns of rows ids of the (N, 3) array a.  A row
     broadcast to every ray (stride 0: one camera's origin, the sun's
-    direction) is filled in rather than gathered."""
+    direction) gives its three values, and when ids is every row the columns
+    are views; only a strict subset is gathered."""
     if a.strides[0] == 0 and len(a):
-        return tuple(np.full(len(ids), a[0, k]) for k in range(3))
-    return tuple(a[ids, k] for k in range(3))
+        return a[0, 0], a[0, 1], a[0, 2]
+    if len(ids) == len(a):
+        return a[:, 0], a[:, 1], a[:, 2]
+    return a[ids, 0], a[ids, 1], a[ids, 2]
+
+
+def _rows(a: np.ndarray, r: np.ndarray, k: int):
+    """Column k of rows r of the (N, 3) array a; one value if a is a
+    broadcast row."""
+    return a[0, k] if a.strides[0] == 0 else a[r, k]
+
+
+def _live(a, keep: np.ndarray):
+    """Per-ray state a cut down to the rays keep; a shared value stays one."""
+    return a[keep] if np.ndim(a) else a
+
+
+def _flat(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
+    """int64 flat index row * n + col of a grid n wide: the int32 cell
+    indices fit a row, a DEM's cell count may exceed 2**31."""
+    k = np.multiply(row, n, dtype=np.int64)
+    k += col
+    return k
+
+
+def _first_cell(f: np.ndarray, n: int) -> np.ndarray:
+    """int32 index of the cell holding f, along an axis of n nodes, clamped
+    into the grid.  f is finite: _clip drops every ray with a NaN or
+    infinite parameter."""
+    c = np.floor(f)
+    np.clip(c, 0, n - 2, out=c)
+    return c.astype(np.int32)
+
+
+_BIG = np.finfo(np.float64).max
+
+
+def _axis(origin: float, cs: float, i: np.ndarray, oc, dc):
+    """(step, t_delta, t_max) of the walk along one axis for rays oc + dc t
+    in cells i: the int8 step of the cell index, the t from one boundary to
+    the next and the t of the next boundary.  A ray parallel to the axis, or
+    so nearly that cs / |dc| overflows, never crosses a boundary on it:
+    t_max is inf and t_delta is clamped to the largest float, so that its
+    t_delta * 0 in the branch-free advance is 0, not inf * 0 = NaN."""
+    step = np.where(dc > 0, np.int8(1), np.int8(-1))
+    t_delta = np.abs(cs / dc)
+    t_max = (origin + (i + (step > 0)) * cs - oc) / dc
+    np.copyto(t_max, np.inf, where=~(t_delta <= _BIG))
+    return step, np.minimum(t_delta, _BIG), t_max
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -194,17 +265,14 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     e, cellmax = dem.elevations.ravel(), dem.cell_max.ravel()
     if ceiling is not None:
         ceiling = ceiling.ravel()
-    ids, t, t_stop = _clip(dem, o, d)
-    ox, oy, oz = _columns(o, ids)
-    dx, dy, dz = _columns(d, ids)
-
-    # The walk state of the live rays; ray maps them back to rows of ids.
-    ray = np.arange(len(ids))
+    # The walk state of the live rays; ray holds their rows of o and d.
+    ray, t, t_stop = _clip(dem, o, d)
+    ox, oy, oz = _columns(o, ray)
+    dx, dy, dz = _columns(d, ray)
     z = oz + dz * t
     fx = (ox + dx * t - dem.origin_x) / cs
     fy = (oy + dy * t - dem.origin_y) / cs
-    ix = np.clip(np.floor(fx).astype(np.int64), 0, w - 2)
-    iy = np.clip(np.floor(fy).astype(np.int64), 0, h - 2)
+    ix, iy = _first_cell(fx, w), _first_cell(fy, h)
 
     # Immediate hit when the ray already starts below the surface inside
     # the footprint (self-intersection guard for biased shadow rays).  Only a
@@ -212,28 +280,18 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     # margin, or off the grid by a rounding error (where bilinear
     # extrapolates), can be below, so only those candidates are blended.
     margin = 1e-14 * max(abs(v) for v in dem.z_range)
-    below = np.zeros(len(ids), dtype=bool)
-    cand = np.flatnonzero((z <= cellmax[iy * (w - 1) + ix] + margin)
+    below = np.zeros(len(ray), dtype=bool)
+    cand = np.flatnonzero((z <= cellmax[_flat(iy, ix, w - 1)] + margin)
                           | (fx < 0) | (fx > w - 1) | (fy < 0) | (fy > h - 1))
-    below[cand] = z[cand] - bilinear(dem.elevations, fx[cand], fy[cand]) < 0
-    del fx, fy, cand
-    hit_rows, hit_t = [np.flatnonzero(below)], [t[below]]
+    cx, cy = ix[cand], iy[cand]  # the cells bilinear clamps the starts into
+    below[cand] = z[cand] - _blend(e, _flat(cy, cx, w), w, fx[cand] - cx, fy[cand] - cy) < 0
+    del z, fx, fy, cand, cx, cy
+    hit_rows, hit_t = [ray[below]], [t[below]]
 
-    # Steps fit in int8; cell indices stay int64, as a DEM may exceed 2**31 cells.
-    step_x, step_y = (np.where(c > 0, np.int8(1), np.int8(-1)) for c in (dx, dy))
-    # A ray parallel to an axis, or so nearly that cs / |d| overflows, never
-    # crosses a boundary on it.  t_delta is clamped to the largest float, so
-    # that its t_delta * 0 in the branch-free advance is 0, not inf * 0 = NaN.
-    big = np.finfo(np.float64).max
-    t_delta_x, t_delta_y = np.abs(cs / dx), np.abs(cs / dy)
-    t_max_x = np.where(t_delta_x <= big, (dem.origin_x + (ix + (step_x > 0)) * cs - ox) / dx, np.inf)
-    t_max_y = np.where(t_delta_y <= big, (dem.origin_y + (iy + (step_y > 0)) * cs - oy) / dy, np.inf)
-    np.minimum(t_delta_x, big, out=t_delta_x)
-    np.minimum(t_delta_y, big, out=t_delta_y)
-    # The ray in cell units, (pu + bu t, pv + bv t), for the crossing test.
-    pu, pv = (ox - dem.origin_x) / cs, (oy - dem.origin_y) / cs
-    bu, bv = dx / cs, dy / cs
-    del ox, oy, dx, dy
+    step_x, t_delta_x, t_max_x = _axis(dem.origin_x, cs, ix, ox, dx)
+    del ox, dx
+    step_y, t_delta_y, t_max_y = _axis(dem.origin_y, cs, iy, oy, dy)
+    del oy, dy
 
     end = below
     while True:
@@ -241,51 +299,54 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
             keep = np.flatnonzero(~end)
             del end
             ray = ray[keep]
-            oz = oz[keep]
-            dz = dz[keep]
             t = t[keep]
-            z = z[keep]
             t_stop = t_stop[keep]
             ix = ix[keep]
             iy = iy[keep]
-            step_x = step_x[keep]
-            step_y = step_y[keep]
-            t_delta_x = t_delta_x[keep]
-            t_delta_y = t_delta_y[keep]
             t_max_x = t_max_x[keep]
             t_max_y = t_max_y[keep]
+            oz = _live(oz, keep)
+            dz = _live(dz, keep)
+            step_x = _live(step_x, keep)
+            step_y = _live(step_y, keep)
+            t_delta_x = _live(t_delta_x, keep)
+            t_delta_y = _live(t_delta_y, keep)
             del keep
         if not ray.size:
             break
-        t1 = np.minimum(np.minimum(t_max_x, t_max_y), t_stop)
-        z1 = oz + dz * t1
-        cell = iy * (w - 1) + ix
+        t1 = np.minimum(t_max_x, t_max_y)
+        np.minimum(t1, t_stop, out=t1)
         end = t1 >= t_stop
 
         # Per-cell max-height early-out: skip the crossing test when the ray
-        # segment stays above everything the cell can reach (or the cell is
-        # all nodata).
+        # segment, from height z to z1, stays above everything the cell can
+        # reach (or the cell is all nodata).
+        cell = _flat(iy, ix, w - 1)
+        z, z1 = oz + dz * t, oz + dz * t1
         consider = np.minimum(z, z1) <= cellmax[cell]
+        del z1
         if ceiling is not None:
             clear = z > ceiling[cell]
             end |= clear
             consider &= ~clear
-        del cell
+            del clear
+        del cell, z
 
         s = np.flatnonzero(consider)
         del consider
         if s.size:
             r = ray[s]
-            found, t_found = _cell_hits(e, w, s, r, ix, iy, pu, pv, bu, bv, oz, dz, t, t1)
+            found, t_found = _cell_hits(dem, e, o, d, r, s, ix, iy, t, t1)
             hit_rows.append(r[found])
             hit_t.append(t_found)
             end[s[found]] = True
+            del r
         del s
 
         # Advance every ray to its next cell boundary; a ray that leaves the
         # grid ends (a negative index views as a huge unsigned one).
-        t, z = t1, z1
-        del t1, z1
+        t = t1
+        del t1
         go_x = t_max_x <= t_max_y
         ix += step_x * go_x
         t_max_x += t_delta_x * go_x
@@ -293,32 +354,35 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
         iy += step_y * go_x
         t_max_y += t_delta_y * go_x
         del go_x
-        end |= (ix.view(np.uint64) > w - 2) | (iy.view(np.uint64) > h - 2)
-    return ids[np.concatenate(hit_rows)], np.concatenate(hit_t)
+        end |= (ix.view(np.uint32) > w - 2) | (iy.view(np.uint32) > h - 2)
+    return np.concatenate(hit_rows), np.concatenate(hit_t)
 
 
-def _cell_hits(e, w, sel, r, ix, iy, pu, pv, bu, bv, oz, dz, t0, t1):
-    """Crossing test of the walk's rays sel, rays r, over their segments t0..t1
-    in cells (ix, iy) of a grid w wide with flat elevations e; in cell units
-    ray r is (pu + bu t, pv + bv t), at height oz + dz t.  Returns (found,
-    t): the positions in sel of the segments that dip below the cell's
-    bilinear patch, and where each first does.  Each gathered temporary is
-    dropped once it is used."""
+def _cell_hits(dem, e, o, d, r, sel, ix, iy, t0, t1):
+    """Crossing test of the walk's rays sel, rows r of o and d, over their
+    segments t0..t1 in cells (ix, iy) of dem, whose flat elevations are e.
+    In cell units a ray is (pu + bu t, pv + bv t), at height oz + dz t;
+    each is read from its row of o or d, and is one value for a broadcast
+    row.  Returns (found, t): the positions in sel of the segments that dip
+    below the cell's bilinear patch, and where each first does.  Each
+    gathered temporary is dropped once it is used."""
+    cs, w = dem.cell_size, dem.width
     cx, cy = ix[sel], iy[sel]
-    k = cy * w + cx
+    k = _flat(cy, cx, w)
     z00, z10, z01, z11 = e[k], e[1:][k], e[w:][k], e[w + 1:][k]
     del k
     alpha = z10 - z00
     beta = z01 - z00
     gamma = z00 + z11 - z10 - z01
     del z10, z01, z11
-    au, av = pu[r] - cx, pv[r] - cy
+    au = (_rows(o, r, 0) - dem.origin_x) / cs - cx
+    av = (_rows(o, r, 1) - dem.origin_y) / cs - cy
     del cx, cy
-    bu, bv = bu[r], bv[r]
+    bu, bv = _rows(d, r, 0) / cs, _rows(d, r, 1) / cs
     qa = -gamma * bu * bv
-    qb = dz[sel] - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
+    qb = _rows(d, r, 2) - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
     del bu, bv
-    qc = oz[sel] - z00 - alpha * au - beta * av - gamma * au * av
+    qc = _rows(o, r, 2) - z00 - alpha * au - beta * av - gamma * au * av
     del z00, alpha, beta, gamma, au, av
     t0, t1 = t0[sel], t1[sel]
 

@@ -152,6 +152,14 @@ class CameraRig:
             raise ValueError("rays_per_pixel must be 1 when psf_sigma is 0")
 
 
+def norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a (..., 3) array: sqrt((x*x +
+    y*y) + z*z), summed in the order np.linalg.norm(axis=-1) sums, so equal
+    to it bit for bit, without its (..., 3) temporary."""
+    x, y, z = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def project_points(intr: Intrinsics, pose: Pose, points: np.ndarray):
     """(u, v, Euclidean ray depth, in_front) of (N, 3) world points; u and v
     are NaN where a point is not strictly in front of the camera."""
@@ -162,7 +170,7 @@ def project_points(intr: Intrinsics, pose: Pose, points: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(in_front, intr.cx + f * pc[:, 0] / (-z), np.nan)
         v = np.where(in_front, intr.cy - f * pc[:, 1] / (-z), np.nan)
-    return u, v, np.linalg.norm(pc, axis=1), in_front
+    return u, v, norms(pc), in_front
 
 
 def project(intr: Intrinsics, pose: Pose, world_point):
@@ -201,7 +209,8 @@ def image_plane(intr: Intrinsics, u, v) -> np.ndarray:
 def camera_dirs(intr: Intrinsics, u, v) -> np.ndarray:
     """Unit ray directions through pixels, in the camera frame."""
     d = image_plane(intr, u, v)
-    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+    d /= norms(d)[..., None]
+    return d
 
 
 def pixel_rays(intr: Intrinsics, pose: Pose, u, v):

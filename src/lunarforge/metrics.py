@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .camera import Pose, relative_pose
+from .camera import Pose, norms, relative_pose
 from .pose import (
     DegenerateBaselineError,
     RansacError,
@@ -69,7 +69,7 @@ def scene_scale(gt_cloud: np.ndarray) -> float:
     gt = np.asarray(gt_cloud, dtype=np.float64).reshape(-1, 3)
     if len(gt) == 0:
         raise ValueError("empty ground-truth cloud")
-    return float(np.mean(np.linalg.norm(gt - gt.mean(axis=0), axis=1)))
+    return float(np.mean(norms(gt - gt.mean(axis=0))))
 
 
 def relative_error(metric_m: float, scale_m: float) -> float:
@@ -232,11 +232,11 @@ def scale_invariant_loss(pred_points, gt_points) -> float:
     gt = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
     if len(pred) == 0 or pred.shape != gt.shape:
         raise ValueError("pointmaps must share >= 1 valid pixel")
-    z_gt = float(np.mean(np.linalg.norm(gt, axis=1)))
-    z_pred = float(np.mean(np.linalg.norm(pred, axis=1)))
+    z_gt = float(np.mean(norms(gt)))
+    z_pred = float(np.mean(norms(pred)))
     if z_gt == 0 or z_pred == 0:
         raise DegenerateMetricError("zero normalizer: all points at the origin")
-    return float(np.mean(np.linalg.norm(gt / z_gt - pred / z_pred, axis=1)))
+    return float(np.mean(norms(gt / z_gt - pred / z_pred)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +338,7 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
     if report.alignment is not None:
         transform = report.alignment
         aligned_cloud = transform.apply(pred_cloud)
+        del pred_cloud
         acc, compl, chamfer = accuracy_completeness(aligned_cloud, gt_cloud)
         report.accuracy_m = acc
         report.completeness_m = compl
@@ -350,8 +351,9 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
         except DegenerateMetricError as exc:
             report.flags["relative"] = str(exc)
 
-        # Dense per-view rasters of the aligned prediction, world frame: NaN
-        # off the shared mask, the aligned cloud scattered back onto it.
+        # Dense per-view rasters of the aligned prediction's elevation and
+        # ray depth: NaN off the shared mask, the aligned cloud's values
+        # scattered back onto it.
         per_view: dict[str, list] = {}
         start = 0
         for gt_world, shared, gt_depth, gt_pose in (
@@ -363,17 +365,18 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
                 continue
             view_cloud = aligned_cloud[start:start + count]
             start += count
-            aligned = np.full(gt_world.shape, np.nan)
-            aligned[shared] = view_cloud
+            pred_z = np.full(shared.shape, np.nan)
+            pred_z[shared] = view_cloud[:, 2]
             gt_z = np.where(shared, gt_world[..., 2], np.nan)
-            pred_depth = np.linalg.norm(aligned - gt_pose.translation, axis=-1)
+            pred_depth = np.full(shared.shape, np.nan)
+            pred_depth[shared] = norms(view_cloud - gt_pose.translation)
             gt_depth_m = np.where(shared, gt_depth, np.nan)
             # Pointmap loss in the ground-truth view-a frame.
             aligned_view1 = gt.pose_a.world_to_camera(view_cloud)
             gt_view1 = gt.pose_a.world_to_camera(gt_world[shared])
             # Built here so each metric is looked up when it is called.
             for flag, names, metric, args in (
-                ("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, (aligned[..., 2], gt_z, gt.gsd_m)),
+                ("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, (pred_z, gt_z, gt.gsd_m)),
                 ("ssim", ("ssim",), ssim_depth, (pred_depth, gt_depth_m)),
                 ("profile", ("profile_mae_m", "profile_corr"), profile_metrics, (pred_depth, gt_depth_m)),
                 ("si_loss", ("si_loss",), scale_invariant_loss, (aligned_view1, gt_view1)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, Pose, image_plane, orthonormalized, relative_pose
+from .camera import Intrinsics, Pose, image_plane, norms, orthonormalized, relative_pose
 
 
 class InsufficientMatchesError(ValueError):
@@ -483,13 +483,10 @@ def umeyama(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
 
 
 def _residual_inliers(transform: SimilarityTransform, src: np.ndarray, dst: np.ndarray, threshold: float) -> np.ndarray:
-    """Rows where |transform(src) - dst| < threshold.  The norm sums
-    (x*x + y*y) + z*z, in the order np.linalg.norm(axis=1) does, so the mask
-    is the same bit for bit, without norm's (n, 3) temporaries."""
+    """Rows where |transform(src) - dst| < threshold."""
     d = transform.apply(src)
     d -= dst
-    x, y, z = d.T
-    return np.sqrt(x * x + y * y + z * z) < threshold
+    return norms(d) < threshold
 
 
 def ransac_align(

@@ -92,19 +92,19 @@ def phase_hg(g, xi):
 def hapke_brdf(mu0, mu, g, params: HapkeParams):
     """Reflectance factor for cosine of incidence mu0, cosine of emission mu,
     phase angle g (radians).  Symmetric under swapping mu0 and mu."""
-    mu0 = np.asarray(mu0, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    mu0, mu, g = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (mu0, mu, g)))
     if np.any(mu0 <= 0) or np.any(mu0 > 1) or np.any(mu <= 0) or np.any(mu > 1):
         raise ValueError("mu0 and mu must lie in (0, 1]")
     if np.any(g < 0) or np.any(g > np.pi):
         raise ValueError("phase angle must lie in [0, pi]")
-    b = opposition_surge(g, params.B0, params.h_opp)
-    p = phase_hg(g, params.xi)
-    hh = h_function(mu0, params.w) * h_function(mu, params.w)
+    # (1 + B) P + H(mu0) H(mu) - 1, one term at a time in one buffer.
+    f = 1 + opposition_surge(g, params.B0, params.h_opp)
+    f *= phase_hg(g, params.xi)
+    f += h_function(mu0, params.w) * h_function(mu, params.w)
+    f -= 1
     # Reciprocal form: the incidence cosine is applied by the caller
     # (shade_points multiplies by mu0), keeping mu0 <-> mu symmetry exact.
-    r = (params.w / (4 * np.pi)) / (mu0 + mu) * ((1 + b) * p + hh - 1)
+    r = (params.w / (4 * np.pi)) / (mu0 + mu) * f
     return float(r) if r.ndim == 0 else r
 
 
@@ -145,10 +145,13 @@ def shade_points(
     if facing.any():
         lit[facing] = ~_heightfield.shadow_mask(dem, points[facing], s, ceiling)
     idx = np.flatnonzero(lit)
-    radiance = np.zeros(len(points))
-    if idx.size:
-        # A unit normal's cosines can round above 1 on a facet facing the sun or camera.
-        mu0_lit = np.minimum(mu0[idx], 1.0)
-        g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
-        radiance[idx] = sun.irradiance * mu0_lit * hapke_brdf(mu0_lit, np.minimum(mu[idx], 1.0), g, params)
+    if not idx.size:
+        return np.zeros(len(points))
+    # A unit normal's cosines can round above 1 on a facet facing the sun or camera.
+    mu0_lit = np.minimum(mu0[idx], 1.0)
+    g = np.arccos(np.clip(view_dirs[idx] @ s, -1.0, 1.0))
+    shaded = sun.irradiance * mu0_lit * hapke_brdf(mu0_lit, np.minimum(mu[idx], 1.0), g, params)
+    del mu0_lit, g
+    radiance = np.zeros(len(points))  # after the shading, so not held across its temporaries
+    radiance[idx] = shaded
     return radiance

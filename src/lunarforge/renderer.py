@@ -22,7 +22,12 @@ band runs one geometry pass (central and jittered traces, hit points, view
 directions, surface normals), takes the emission cosine mu once and each
 sun's mu0 from the normals, frees the normals, and then runs one shading pass
 per sun: shade_points takes the cosines, not the normals.  Memory stays
-bounded per band whatever the number of suns.
+bounded per band whatever the number of suns.  Each phase frees what it no
+longer needs, so at 4 PSF rays per pixel under a 15-70 degree sun the traced
+peak per PSF ray is about 45 B in the central walk, 165 B in the jittered
+walk, 171 B at the surface normals, 143 B in the shadow test and 149 B in
+the shading.  The walks keep a row that every ray shares, the camera's
+origin or the sun's direction, as one value (see _heightfield).
 
 A view is the pool's task: one pool of resolve_workers() threads renders a
 rig's two views, and a 1-thread pool renders view a, then view b.  Each view
@@ -50,9 +55,10 @@ from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
 from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height, surface_normal
 
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
-# shading peak at about 235 B per ray under a 15-70 degree sun, whatever the
-# number of suns, so near 7.7 MB per view task; a 3 degree sun traces more
-# shadow rays and peaks near 276 B alone, 292 B with two higher suns.
+# shading peak at about 171 B per ray under a 15-70 degree sun, at the
+# surface normals, whatever the number of suns, so near 5.6 MB per view
+# task; a 3 degree sun's shadow walk traces most rays and peaks near 199 B
+# alone, 215 B with two higher suns.
 BAND_PIXELS = 8192
 
 
@@ -169,8 +175,10 @@ def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, rows):
 
     radiances = []
     for sun, ceiling, mu0 in zip(suns, ceilings, mu0s):
-        radiance = np.zeros(h * w * rpp)
-        radiance[jhit] = shade_points(dem, pts, mu0, mu, view, sun, hapke, ceiling)
+        shaded = shade_points(dem, pts, mu0, mu, view, sun, hapke, ceiling)
+        radiance = np.zeros(h * w * rpp)  # after the shading, so never held across its shadow rays
+        radiance[jhit] = shaded
+        del shaded
         radiances.append(radiance.reshape(h, w, rpp).mean(axis=2))
     return radiances, depth
 

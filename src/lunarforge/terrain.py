@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
+from .camera import norms
 
 # Site-specific plausibility bounds for lunar south-pole elevations (meters).
 LUNAR_ELEVATION_RANGE = (-4350.0, 1850.0)
@@ -252,25 +253,45 @@ def _write_raw_f32(dem: DemGrid, path: Path) -> None:
 # Synthetic terrain
 # ---------------------------------------------------------------------------
 
+# Rows of the synthetic grid built at a time: a block's temporaries are a
+# tenth of a 640-row DEM, so synthesis holds little more than the grid.
+SYNTH_BLOCK_ROWS = 64
 
-def _value_noise(rng, width: int, height: int, lattice: int) -> np.ndarray:
-    """Smoothstep-interpolated value noise in [-1, 1] on a coarse lattice."""
+
+def _lattice_axis(n: int, lattice: int):
+    """(cell, weight) of n evenly spaced samples across lattice cells: the
+    lattice cell of each and the smoothstep of its fraction across it."""
+    t = np.linspace(0.0, lattice, n)
+    cell = np.minimum(t.astype(int), lattice - 1)
+    f = t - cell
+    return cell, f * f * (3 - 2 * f)
+
+
+def _value_noise(rng, width: int, height: int, lattice: int):
+    """Smoothstep-interpolated value noise in [-1, 1] on a coarse lattice.
+
+    Draws the lattice's nodes from rng and returns noise(rows), the noise at
+    a slice of rows of the (height, width) grid; every element is the same
+    whichever rows are asked for.
+    """
     nodes = rng.uniform(-1.0, 1.0, size=(lattice + 1, lattice + 1))
-    u = np.linspace(0.0, lattice, width)
-    v = np.linspace(0.0, lattice, height)
-    ui = np.minimum(u.astype(int), lattice - 1)
-    vi = np.minimum(v.astype(int), lattice - 1)
-    uf = u - ui
-    vf = v - vi
-    uf = uf * uf * (3 - 2 * uf)
-    vf = vf * vf * (3 - 2 * vf)
-    # Blend along u once per lattice row, then pick and blend rows along v.
-    rows = nodes[:, ui] * (1 - uf) + nodes[:, ui + 1] * uf
-    noise = rows[vi]
-    noise *= 1 - vf[:, None]
-    far = rows[vi + 1]
-    far *= vf[:, None]
-    noise += far
+    (ui, uf), (vi, vf) = _lattice_axis(width, lattice), _lattice_axis(height, lattice)
+    cu = 1 - uf
+
+    def noise(rows: slice) -> np.ndarray:
+        near, wv = vi[rows], vf[rows]
+        first = near[0]  # vi never decreases
+        # Blend along u once per lattice row these rows read, then pick and blend rows along v.
+        lattice_rows = nodes[first:near[-1] + 2]
+        blend = lattice_rows[:, ui] * cu + lattice_rows[:, ui + 1] * uf
+        near = near - first
+        out = blend[near]
+        out *= 1 - wv[:, None]
+        far = blend[near + 1]
+        far *= wv[:, None]
+        out += far
+        return out
+
     return noise
 
 
@@ -318,25 +339,36 @@ def synth_crater_dem(
         raise ValueError("synthetic DEM must be at least 16x16")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x1F2E3D)))
     extent = min(width, height) * cell_size
-    z = np.zeros((height, width), dtype=np.float64)
-    # Amplitudes scale with the tile but saturate at lunar-plausible relief.
-    amp = min(0.01 * extent, 400.0)
+    # Every draw first, in the order of the whole-grid synthesis: each
+    # octave's lattice, then each crater.  Amplitudes scale with the tile but
+    # saturate at lunar-plausible relief.
+    octaves, amp = [], min(0.01 * extent, 400.0)
     for octave in range(fractal_octaves):
-        lattice = min(4 * 2**octave, max(width, height))
-        noise = _value_noise(rng, width, height, lattice)
-        noise *= amp
-        z += noise
-        del noise
+        octaves.append((_value_noise(rng, width, height, min(4 * 2**octave, max(width, height))), amp))
         amp *= 0.5
-    xs = np.arange(width) * cell_size
-    ys = np.arange(height) * cell_size
+    craters = []
     for _ in range(crater_count):
         cx = rng.uniform(0.1, 0.9) * (width - 1) * cell_size
         cy = rng.uniform(0.1, 0.9) * (height - 1) * cell_size
         radius = rng.uniform(0.06, 0.16) * extent
         depth = min(0.25 * radius, 1200.0) * rng.uniform(0.8, 1.2)
         rim_height = min(0.06 * radius, 280.0) * rng.uniform(0.8, 1.2)
-        add_crater(z, xs, ys, cx, cy, radius, depth, rim_height, 0.2 * radius)
+        craters.append((cx, cy, radius, depth, rim_height, 0.2 * radius))
+    # Then z, one block of rows at a time: each element gets every octave's
+    # scaled noise added to 0, then every crater, as over the whole grid.
+    xs = np.arange(width) * cell_size
+    ys = np.arange(height) * cell_size
+    z = np.zeros((height, width), dtype=np.float64)
+    for start in range(0, height, SYNTH_BLOCK_ROWS):
+        rows = slice(start, start + SYNTH_BLOCK_ROWS)
+        block = z[rows]
+        for noise, amp in octaves:
+            layer = noise(rows)
+            layer *= amp
+            block += layer
+            del layer
+        for crater in craters:
+            add_crater(block, xs, ys[rows], *crater)
     return DemGrid(
         cell_size=cell_size,
         origin_x=0.0,
@@ -361,7 +393,7 @@ def _blend(flat: np.ndarray, k, w: int, u, v):
     """Bilinear blend of the cell whose low corner is flat[k], on a grid of
     row length w, at fractions (u, v); NaN if a corner is."""
     cu, cv = 1 - u, 1 - v
-    return flat[k] * cu * cv + flat[k + 1] * u * cv + flat[k + w] * cu * v + flat[k + w + 1] * u * v
+    return flat[k] * cu * cv + flat[1:][k] * u * cv + flat[w:][k] * cu * v + flat[w + 1:][k] * u * v
 
 
 def bilinear(grid: np.ndarray, fx, fy):
@@ -417,22 +449,31 @@ def surface_normal(dem: DemGrid, x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     e, w, h = np.ravel(dem.elevations), dem.width, dem.height
-    fx, fy = (x - dem.origin_x) / s, (y - dem.origin_y) / s
-    j, u = _cell(fx, w)
-    i, v = _cell(fy, h)
+
+    def grid(c, origin):  # a world coordinate in fractional grid indices
+        return (c - origin) / s
+
+    j, u = _cell(grid(x, dem.origin_x), w)
+    i, v = _cell(grid(y, dem.origin_y), h)
 
     def central(c, origin, n, sample):  # along one axis, c the world coordinate
-        lo, hi = (c - s - origin) / s, (c + s - origin) / s
         eps = 1e-9
         # Written as "inside" so that a NaN coordinate fails every comparison.
-        if not np.all((lo >= -eps) & (hi <= n - 1 + eps)):
+        if not np.all((grid(c - s, origin) >= -eps) & (grid(c + s, origin) <= n - 1 + eps)):
             raise OutOfBoundsError("query outside the grid footprint")
-        return (sample(hi) - sample(lo)) / (2 * s)
+        # Each sample's grid coordinate is formed again where it is used, so
+        # only one is held at a time.
+        high = sample(*_cell(grid(c + s, origin), n))
+        return (high - sample(*_cell(grid(c - s, origin), n))) / (2 * s)
 
-    dzdx = central(x, dem.origin_x, w, lambda f: bilinear(dem.elevations, f, fy))
-    dzdy = central(y, dem.origin_y, h, lambda f: bilinear(dem.elevations, fx, f))
+    # The two samples of an axis lie in the row (column) of cells of (x, y):
+    # they share its cell along the other axis with the patch fallback, and
+    # each is the bilinear sample there.
+    dzdx = central(x, dem.origin_x, w, lambda jj, uu: _blend(e, i * w + jj, w, uu, v))
+    dzdy = central(y, dem.origin_y, h, lambda ii, vv: _blend(e, ii * w + j, w, u, vv))
     nodata_x, nodata_y = np.isnan(dzdx), np.isnan(dzdy)
     if nodata_x.any() or nodata_y.any():
+        fx, fy = grid(x, dem.origin_x), grid(y, dem.origin_y)
         gx = gy = np.full(np.shape(fx), np.nan)
         dj, di = np.where(u < 0.5, -1, 1), np.where(v < 0.5, -1, 1)
         for jj, ii in ((j, i), (j + dj, i), (j, i + di), (j + dj, i + di)):
@@ -443,13 +484,13 @@ def surface_normal(dem: DemGrid, x, y):
         dzdy = np.where(nodata_y, gy, dzdy)
         if np.isnan(dzdx).any() or np.isnan(dzdy).any():
             raise NodataError("bilinear neighborhood contains nodata")
-    del fx, fy, j, u, i, v
+    del j, u, i, v
     n = np.empty(np.shape(dzdx) + (3,))
     np.negative(dzdx, out=n[..., 0])
     np.negative(dzdy, out=n[..., 1])
     n[..., 2] = 1.0
     del dzdx, dzdy
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    n /= norms(n)[..., None]
     return n
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lunarforge import Intrinsics, Pose, gsd, project, relative_pose, unproject
-from lunarforge.camera import BehindCameraError, CameraRig, look_at, pixel_rays, rot_z
+from lunarforge.camera import BehindCameraError, CameraRig, look_at, norms, pixel_rays, rot_z
 from oracles import rot_x
 
 # Altitude (m) -> published effective GSD (m/px) at 45 deg FOV, 512 px.
@@ -96,6 +96,21 @@ def test_pixel_ray_unit_norm_random():
     v = rng.uniform(-1, 512, 500)
     _, d = pixel_rays(intr, pose, u, v)
     assert np.max(np.abs(np.linalg.norm(d, axis=-1) - 1)) < 1e-12
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_norms_equal_linalg_norm_bit_for_bit():
+    """norms sums (x*x + y*y) + z*z in the order np.linalg.norm(axis=-1)
+    does: the same bits on rows of every magnitude, rows that overflow or
+    underflow, signed zeros and subnormals, and rows with NaN or inf, for
+    (N, 3), (H, W, 3) and (3,) arrays."""
+    rng = np.random.default_rng(0x40E)
+    n = 60000
+    a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-200.0, 200.0, (n, 1))
+    for value in (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324):
+        a[rng.random((n, 3)) < 0.02] = value
+    for rows in (a, a.reshape(200, 300, 3), a[7]):
+        assert np.array_equal(norms(rows).view(np.int64), np.linalg.norm(rows, axis=-1).view(np.int64))
 
 
 def test_gsd_reproduces_published_table():

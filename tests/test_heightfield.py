@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lunarforge import DemGrid
-from lunarforge._heightfield import intersect_rays, shadow_mask, sun_ceiling
+from lunarforge._heightfield import SWEEP_COLUMNS, _clip, intersect_rays, shadow_mask, sun_ceiling
 from lunarforge.radiometry import SunConfig, sun_direction
 from lunarforge.terrain import synth_crater_dem
 
@@ -238,6 +238,40 @@ def test_intersect_rays_does_not_depend_on_batching():
     shadow_origins = points + 0.5 * dem.cell_size * s
     _assert_batching_free(dem, shadow_origins, np.broadcast_to(s, shadow_origins.shape),
                           sun_ceiling(dem, s), rng)
+
+
+def test_broadcast_rows_give_the_bits_of_the_same_rows_written_out():
+    """A row broadcast to every ray stays one value in the walk: a camera's
+    origin, over rays of which some miss the footprint (so the walk gathers
+    the rest) or all meet it (so it reads views), and the sun's direction,
+    traced with the sun's ceiling.  (t, hit) has the bits of the same rows
+    written out, which the walk gathers row by row."""
+    rng = np.random.default_rng(0xB0A)
+    base = synth_crater_dem(8, 41, 35, 4.0, 3, 3)
+    e = base.elevations.copy()
+    e[rng.random(e.shape) < 0.04] = np.nan
+    dem = DemGrid(cell_size=base.cell_size, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    center = np.array([(dem.x_min + dem.x_max) / 2, (dem.y_min + dem.y_max) / 2, float(np.nanmax(e)) + 300.0])
+    n = 500
+    for spread, clipped in ((1.2, True), (0.05, False)):
+        dirs = np.column_stack([rng.uniform(-spread, spread, (n, 2)), -np.ones(n)])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        origins = np.broadcast_to(center, dirs.shape)
+        assert (len(_clip(dem, origins, dirs)[0]) < n) == clipped
+        t, hit = intersect_rays(dem, origins, dirs)
+        t_rows, hit_rows = intersect_rays(dem, np.tile(center, (n, 1)), dirs)
+        assert hit.any() and t.tobytes() == t_rows.tobytes() and np.array_equal(hit, hit_rows)
+
+    for azimuth, elevation in ((200.0, 8.0), (75.0, 2.0)):
+        s = _sun(azimuth, elevation)
+        x, y = _cell_points(dem, rng, n)
+        points = np.column_stack([x, y, oracles.bilinear(dem, x, y)])
+        origins = points[np.isfinite(points[:, 2])] + 0.5 * dem.cell_size * s
+        ceiling = sun_ceiling(dem, s)
+        t, hit = intersect_rays(dem, origins, np.broadcast_to(s, origins.shape), ceiling)
+        t_rows, hit_rows = intersect_rays(dem, origins, np.tile(s, (len(origins), 1)), ceiling)
+        assert hit.any() and not hit.all()
+        assert t.tobytes() == t_rows.tobytes() and np.array_equal(hit, hit_rows)
 
 
 # Horizontal direction components for which cell_size / d overflows or is
@@ -487,6 +521,18 @@ def test_sun_ceiling_equals_the_whole_grid_sweep_bit_for_bit(elevation):
         for azimuth in SWEEP_AZIMUTHS:
             s = _sun(azimuth, elevation)
             _assert_same_bits(sun_ceiling(dem, s), oracles.reference_sun_ceiling(dem, s))
+
+
+def test_sun_ceiling_sweeps_several_column_buffers_bit_for_bit():
+    """Along either axis a sweep of more columns than its buffer holds, the
+    last buffer partly filled, gives the whole-grid sweep's bits."""
+    rng = np.random.default_rng(0x5EE9)
+    e = synth_crater_dem(6, 3 * SWEEP_COLUMNS + 6, 2 * SWEEP_COLUMNS + 4, 3.0, 4, 3).elevations.copy()
+    e[rng.random(e.shape) < 0.05] = np.nan
+    dem = DemGrid(cell_size=3.0, origin_x=0.0, origin_y=0.0, elevations=e)
+    for azimuth in SWEEP_AZIMUTHS:
+        s = _sun(azimuth, 10.0)
+        _assert_same_bits(sun_ceiling(dem, s), oracles.reference_sun_ceiling(dem, s))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

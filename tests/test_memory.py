@@ -2,7 +2,8 @@
 
 A budget is the peak of what one call allocates, traced by tracemalloc, in
 grids: DEM-sized float64 arrays.  Each pass holds at most one grid besides
-its result, plus boolean masks (1/8 grid) and row buffers.
+its result, plus boolean masks (1/8 grid) and row buffers; the ceiling sweep
+and DEM synthesis hold only their result and buffers of a few rows.
 """
 
 import tracemalloc
@@ -48,7 +49,7 @@ def test_sun_ceiling_holds_its_result_and_row_buffers(dem, azimuth):
         s = np.array([0.0, 0.0, 1.0])
     else:
         s = sun_direction(SunConfig(azimuth=azimuth, elevation=20.0))
-    assert _peak_grids(lambda: sun_ceiling(dem, s)) <= 1.2
+    assert _peak_grids(lambda: sun_ceiling(dem, s)) <= 1.1
 
 
 def test_cell_max_holds_its_result_and_one_temporary(dem):
@@ -61,4 +62,5 @@ def test_dem_validation_copies_no_elevations(dem):
 
 
 def test_synth_crater_dem_adds_each_octave_in_place():
-    assert _peak_grids(lambda: synth_crater_dem(24, SIZE, SIZE, 3.0, 6, 4)) <= 3.2
+    """Every octave and crater goes into the grid a block of rows at a time."""
+    assert _peak_grids(lambda: synth_crater_dem(24, SIZE, SIZE, 3.0, 6, 4)) <= 1.3

@@ -255,7 +255,7 @@ def test_synth_deterministic():
 @pytest.mark.parametrize("shape", [(16, 16, 4), (40, 23, 8), (23, 40, 32), (17, 31, 31), (31, 17, 31), (640, 640, 32)])
 def test_value_noise_equals_the_four_gather_formula(shape):
     width, height, lattice = shape
-    got = _value_noise(np.random.default_rng(lattice), width, height, lattice)
+    got = _value_noise(np.random.default_rng(lattice), width, height, lattice)(slice(None))
     want = oracles.value_noise_four_gathers(np.random.default_rng(lattice), width, height, lattice)
     assert got.shape == (height, width)
     assert got.tobytes() == want.tobytes()
@@ -263,9 +263,14 @@ def test_value_noise_equals_the_four_gather_formula(shape):
 
 # (seed, width, height, cell_size, craters, octaves): the lattice reaches the
 # DEM's size at 17 x 31 with 5 octaves; 640 x 640 is render_large_dem's DEM.
-@pytest.mark.parametrize("args", [(9, 48, 40, 2.0, 4, 3), (2, 17, 31, 5.0, 3, 5), (24, 640, 640, 3.0, 6, 4)])
+# The rest have heights of one 64-row block, one row past one or two blocks
+# and a partial last block, no craters or no octaves.
+@pytest.mark.parametrize("args", [(9, 48, 40, 2.0, 4, 3), (2, 17, 31, 5.0, 3, 5), (24, 640, 640, 3.0, 6, 4),
+                                  (11, 33, 64, 1.0, 2, 2), (13, 70, 129, 3.0, 3, 6), (5, 100, 130, 4.0, 0, 4),
+                                  (7, 90, 200, 2.5, 5, 0), (3, 257, 65, 6.0, 4, 3)])
 def test_synth_equals_its_formula_bit_for_bit(args):
-    """Each octave scaled and added in place gives the bits of adding each
+    """Filling the grid a block of rows at a time, each octave scaled and
+    added in place, gives the bits of the whole-grid synthesis that adds each
     scaled octave as a new array."""
     want = oracles.reference_synth_elevations(*args)
     assert np.array_equal(synth_crater_dem(*args).elevations.view(np.int64), want.view(np.int64))
