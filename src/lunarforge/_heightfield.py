@@ -39,18 +39,19 @@ buffer of SWEEP_COLUMNS columns, so a sweep along x copies whole row
 segments of the grids, not one strided element per row.
 
 The walk keeps its state only for the live rays, cut down one array at a
-time on each step that ends one, and reads the cell grids through int64 flat
-indices of int32 cell indices.  A row broadcast to every ray (stride 0: a
-camera's origin, the sun's direction) stays one value: what the walk derives
-from it (oz, or dz, the steps and t_delta) is a scalar that no step
-compacts.  The crossing test reads a ray's position and slope in cell units
-from its row of the origins and directions, or from the shared row, rather
-than holding them per ray, and a segment's end heights are recomputed from
-t each step.  So a live camera ray holds 74 B (its row, t, t_stop, the two
-cell indices and t_max, dz, the steps and t_delta) and a live shadow ray
-56 B.  All arithmetic is elementwise per ray, so results are bitwise
-identical regardless of how rays are batched or tiled, and whether a row is
-shared or written out.
+time on each step that ends one.  It addresses the grids through terrain:
+int32 cell indices (_cell), int64 flat indices (_flat), the corner gather
+(_corners) and bilinear.  A row broadcast to every ray (stride 0: a camera's
+origin, the sun's direction) stays one value: what the walk derives from it
+(oz, or dz, the steps and t_delta) is a scalar that no step compacts.  The
+crossing test reads a ray's position and slope in cell units from its row of
+the origins and directions, or from the shared row, rather than holding them
+per ray, and a segment's end heights are recomputed from t each step.  So a
+live camera ray holds 74 B (its row, t, t_stop, the two cell indices and
+t_max, dz, the steps and t_delta) and a live shadow ray 56 B.  All
+arithmetic is elementwise per ray, so results are bitwise identical
+regardless of how rays are batched or tiled, and whether a row is shared or
+written out.
 
 Each step moves every live ray into its next cell without a branch:
 ix += step_x * go_x and t_max_x += t_delta_x * go_x, and the same on y with
@@ -79,7 +80,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .terrain import DemGrid, _blend
+from .terrain import DemGrid, _cell, _corners, _flat, bilinear
 
 # Columns of the ceiling sweep's buffer: a few of a large DEM's rows.
 SWEEP_COLUMNS = 32
@@ -223,23 +224,6 @@ def _live(a, keep: np.ndarray):
     return a[keep] if np.ndim(a) else a
 
 
-def _flat(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
-    """int64 flat index row * n + col of a grid n wide: the int32 cell
-    indices fit a row, a DEM's cell count may exceed 2**31."""
-    k = np.multiply(row, n, dtype=np.int64)
-    k += col
-    return k
-
-
-def _first_cell(f: np.ndarray, n: int) -> np.ndarray:
-    """int32 index of the cell holding f, along an axis of n nodes, clamped
-    into the grid.  f is finite: _clip drops every ray with a NaN or
-    infinite parameter."""
-    c = np.floor(f)
-    np.clip(c, 0, n - 2, out=c)
-    return c.astype(np.int32)
-
-
 _BIG = np.finfo(np.float64).max
 
 
@@ -272,7 +256,7 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     z = oz + dz * t
     fx = (ox + dx * t - dem.origin_x) / cs
     fy = (oy + dy * t - dem.origin_y) / cs
-    ix, iy = _first_cell(fx, w), _first_cell(fy, h)
+    ix, iy = _cell(fx, w), _cell(fy, h)
 
     # Immediate hit when the ray already starts below the surface inside
     # the footprint (self-intersection guard for biased shadow rays).  Only a
@@ -283,9 +267,8 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     below = np.zeros(len(ray), dtype=bool)
     cand = np.flatnonzero((z <= cellmax[_flat(iy, ix, w - 1)] + margin)
                           | (fx < 0) | (fx > w - 1) | (fy < 0) | (fy > h - 1))
-    cx, cy = ix[cand], iy[cand]  # the cells bilinear clamps the starts into
-    below[cand] = z[cand] - _blend(e, _flat(cy, cx, w), w, fx[cand] - cx, fy[cand] - cy) < 0
-    del z, fx, fy, cand, cx, cy
+    below[cand] = z[cand] - bilinear(dem.elevations, fx[cand], fy[cand]) < 0
+    del z, fx, fy, cand
     hit_rows, hit_t = [ray[below]], [t[below]]
 
     step_x, t_delta_x, t_max_x = _axis(dem.origin_x, cs, ix, ox, dx)
@@ -368,9 +351,7 @@ def _cell_hits(dem, e, o, d, r, sel, ix, iy, t0, t1):
     gathered temporary is dropped once it is used."""
     cs, w = dem.cell_size, dem.width
     cx, cy = ix[sel], iy[sel]
-    k = _flat(cy, cx, w)
-    z00, z10, z01, z11 = e[k], e[1:][k], e[w:][k], e[w + 1:][k]
-    del k
+    z00, z10, z01, z11 = _corners(e, _flat(cy, cx, w), w)
     alpha = z10 - z00
     beta = z01 - z00
     gamma = z00 + z11 - z10 - z01
@@ -425,8 +406,7 @@ def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray, ceiling: 
     cs = dem.cell_size
     bias = 0.5 * cs * s
     ox, oy, oz = (p[:, k] + bias[k] for k in range(3))
-    ix = np.clip((ox - dem.origin_x) / cs, 0, dem.width - 2).astype(np.int64)
-    iy = np.clip((oy - dem.origin_y) / cs, 0, dem.height - 2).astype(np.int64)
+    ix, iy = _cell((ox - dem.origin_x) / cs, dem.width), _cell((oy - dem.origin_y) / cs, dem.height)
     inside = (ox >= dem.x_min) & (ox <= dem.x_max) & (oy >= dem.y_min) & (oy <= dem.y_max)
     traced = ~(inside & (oz > ceiling[iy, ix]))
     del ox, oy, oz, ix, iy, inside

@@ -17,11 +17,13 @@ import numpy as np
 
 
 def write_pgm16(path, image: np.ndarray) -> None:
-    """Write a [0, 1] float raster as a 16-bit P5 PGM."""
+    """Write a [0, 1] float raster as a 16-bit P5 PGM; ValueError for a
+    pixel outside [0, 1], NaN included."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("image must be 2D")
-    if np.nanmin(img) < 0 or np.nanmax(img) > 1:
+    # Written as "inside" so that a NaN pixel fails both comparisons.
+    if not np.all((img >= 0) & (img <= 1)):
         raise ValueError("image values must lie in [0, 1]")
     q = np.round(img * 65535).astype(">u2")
     h, w = q.shape

@@ -25,7 +25,7 @@ per sun: shade_points takes the cosines, not the normals.  Memory stays
 bounded per band whatever the number of suns.  Each phase frees what it no
 longer needs, so at 4 PSF rays per pixel under a 15-70 degree sun the traced
 peak per PSF ray is about 45 B in the central walk, 165 B in the jittered
-walk, 171 B at the surface normals, 143 B in the shadow test and 149 B in
+walk, 155 B at the surface normals, 141 B in the shadow test and 149 B in
 the shading.  The walks keep a row that every ray shares, the camera's
 origin or the sun's direction, as one value (see _heightfield).
 
@@ -55,8 +55,8 @@ from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
 from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height, surface_normal
 
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
-# shading peak at about 171 B per ray under a 15-70 degree sun, at the
-# surface normals, whatever the number of suns, so near 5.6 MB per view
+# shading peak at about 165 B per ray under a 15-70 degree sun, in the
+# jittered walk, whatever the number of suns, so near 5.4 MB per view
 # task; a 3 degree sun's shadow walk traces most rays and peaks near 199 B
 # alone, 215 B with two higher suns.
 BAND_PIXELS = 8192

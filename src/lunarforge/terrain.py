@@ -3,7 +3,10 @@
 The world frame is a local tangent plane: x east, y north, z up, meters.
 Cell (row i, col j) of a DemGrid is centered at
 (origin_x + j * cell_size, origin_y + i * cell_size); row index increases
-northward internally.  Nodata cells are stored as NaN.
+northward internally.  Nodata cells are stored as NaN.  This module owns
+grid addressing, for _heightfield too: _cell, _flat, _corners and
+_check_footprint are the one cell index, flat index, corner gather and
+footprint check, and bilinear the one bilinear sample.
 """
 
 from __future__ import annotations
@@ -383,40 +386,60 @@ def synth_crater_dem(
 
 
 def _cell(f, n: int):
-    """Cell index along an axis of n nodes, clamped into the grid, and the
-    fraction of the way across it (outside [0, 1] past the border cells)."""
-    c = np.clip(np.floor(f).astype(np.int64), 0, n - 2)
-    return c, f - c
+    """int32 index of the cell holding fractional grid coordinate f, along an
+    axis of n nodes, clamped into the grid.  The clamp is taken in float,
+    before the cast, so every f gives a valid index without a warning: cell 0
+    for NaN, whose fraction f - c stays NaN."""
+    c = np.asarray(np.floor(f))  # 0-d for a scalar f, so the clamp works in place
+    np.fmin(np.fmax(c, 0, out=c), n - 2, out=c)  # fmax takes NaN to 0
+    return c.astype(np.int32)
 
 
-def _blend(flat: np.ndarray, k, w: int, u, v):
-    """Bilinear blend of the cell whose low corner is flat[k], on a grid of
-    row length w, at fractions (u, v); NaN if a corner is."""
-    cu, cv = 1 - u, 1 - v
-    return flat[k] * cu * cv + flat[1:][k] * u * cv + flat[w:][k] * cu * v + flat[w + 1:][k] * u * v
+def _flat(row, col, w: int):
+    """int64 flat index row * w + col of a grid w wide: int32 cell indices
+    fit a row, a DEM's cell count may exceed 2**31."""
+    k = np.multiply(row, w, dtype=np.int64)
+    k += col
+    return k
+
+
+def _corners(flat: np.ndarray, k, w: int):
+    """(z00, z10, z01, z11): the corners of the cell whose low corner is
+    flat[k], on a grid of row length w, the next column first."""
+    return flat[k], flat[1:][k], flat[w:][k], flat[w + 1:][k]
+
+
+def _check_footprint(lo, hi, n: int) -> None:
+    """OutOfBoundsError unless every fractional grid coordinate lo >= 0 and
+    every hi <= n - 1, along an axis of n nodes, to 1e-9 grid units."""
+    eps = 1e-9
+    # Written as "inside" so that a NaN coordinate fails every comparison.
+    if not np.all((lo >= -eps) & (hi <= n - 1 + eps)):
+        raise OutOfBoundsError("query outside the grid footprint")
 
 
 def bilinear(grid: np.ndarray, fx, fy):
     """Bilinear sample of grid[fy, fx] at fractional (column, row) indices.
 
     The cell is clamped into the grid, so queries past the last row or column
-    extrapolate the border cell; a NaN corner makes the result NaN.
+    extrapolate the border cell; a NaN corner makes the result NaN.  The
+    query's coordinates and cells are dropped before the blend, which
+    gathers one corner at a time.
     """
     h, w = grid.shape
-    j, u = _cell(fx, w)
-    i, v = _cell(fy, h)
-    return _blend(grid.ravel(), i * w + j, w, u, v)
+    j, i = _cell(fx, w), _cell(fy, h)
+    k, u, v = _flat(i, j, w), fx - j, fy - i
+    del fx, fy, j, i
+    flat, cu, cv = grid.ravel(), 1 - u, 1 - v
+    return flat[k] * cu * cv + flat[1:][k] * u * cv + flat[w:][k] * cu * v + flat[w + 1:][k] * u * v
 
 
 def sample_height(dem: DemGrid, x, y):
     """Bilinear terrain height at world (x, y); accepts scalars or arrays."""
     fx = (np.asarray(x, dtype=np.float64) - dem.origin_x) / dem.cell_size
     fy = (np.asarray(y, dtype=np.float64) - dem.origin_y) / dem.cell_size
-    eps = 1e-9
-    # Written as "inside" so that a NaN coordinate fails every comparison.
-    inside = (fx >= -eps) & (fx <= dem.width - 1 + eps) & (fy >= -eps) & (fy <= dem.height - 1 + eps)
-    if not np.all(inside):
-        raise OutOfBoundsError("query outside the grid footprint")
+    _check_footprint(fx, fx, dem.width)
+    _check_footprint(fy, fy, dem.height)
     out = bilinear(dem.elevations, fx, fy)
     if not np.isfinite(out).all():
         raise NodataError("bilinear neighborhood contains nodata")
@@ -426,8 +449,7 @@ def sample_height(dem: DemGrid, x, y):
 def _patch_gradient(flat: np.ndarray, w: int, j, i, fx, fy, spacing: float):
     """(dz/dx, dz/dy) of the bilinear patch of cell (j, i) at fractional
     grid coordinates (fx, fy); NaN where a corner of the cell is nodata."""
-    k = i * w + j
-    z00, z10, z01, z11 = flat[k], flat[k + 1], flat[k + w], flat[k + w + 1]
+    z00, z10, z01, z11 = _corners(flat, _flat(i, j, w), w)
     u, v = fx - j, fy - i
     dzdx = ((z10 - z00) * (1 - v) + (z11 - z01) * v) / spacing
     dzdy = ((z01 - z00) * (1 - u) + (z11 - z10) * u) / spacing
@@ -443,7 +465,8 @@ def surface_normal(dem: DemGrid, x, y):
     of the cell holding (x, y).  A point on the edge of a nodata cell, such
     as a ray hit on the wall of a hole, may round into that cell, so the
     nearer neighbouring cells are tried next; NodataError if none of them
-    is complete.
+    is complete.  OutOfBoundsError, before any cell is looked up, if a
+    sample lies outside the footprint.
     """
     s = dem.cell_size
     x = np.asarray(x, dtype=np.float64)
@@ -453,38 +476,30 @@ def surface_normal(dem: DemGrid, x, y):
     def grid(c, origin):  # a world coordinate in fractional grid indices
         return (c - origin) / s
 
-    j, u = _cell(grid(x, dem.origin_x), w)
-    i, v = _cell(grid(y, dem.origin_y), h)
-
-    def central(c, origin, n, sample):  # along one axis, c the world coordinate
-        eps = 1e-9
-        # Written as "inside" so that a NaN coordinate fails every comparison.
-        if not np.all((grid(c - s, origin) >= -eps) & (grid(c + s, origin) <= n - 1 + eps)):
-            raise OutOfBoundsError("query outside the grid footprint")
-        # Each sample's grid coordinate is formed again where it is used, so
-        # only one is held at a time.
-        high = sample(*_cell(grid(c + s, origin), n))
-        return (high - sample(*_cell(grid(c - s, origin), n))) / (2 * s)
-
-    # The two samples of an axis lie in the row (column) of cells of (x, y):
-    # they share its cell along the other axis with the patch fallback, and
-    # each is the bilinear sample there.
-    dzdx = central(x, dem.origin_x, w, lambda jj, uu: _blend(e, i * w + jj, w, uu, v))
-    dzdy = central(y, dem.origin_y, h, lambda ii, vv: _blend(e, ii * w + j, w, u, vv))
+    _check_footprint(grid(x - s, dem.origin_x), grid(x + s, dem.origin_x), w)
+    _check_footprint(grid(y - s, dem.origin_y), grid(y + s, dem.origin_y), h)
+    fx, fy = grid(x, dem.origin_x), grid(y, dem.origin_y)
+    # Each axis's two samples are sample_height's one cell either side of
+    # (x, y); their grid coordinates are formed where they are used, so only
+    # one is held at a time.
+    high = bilinear(dem.elevations, grid(x + s, dem.origin_x), fy)
+    dzdx = (high - bilinear(dem.elevations, grid(x - s, dem.origin_x), fy)) / (2 * s)
+    high = bilinear(dem.elevations, fx, grid(y + s, dem.origin_y))
+    dzdy = (high - bilinear(dem.elevations, fx, grid(y - s, dem.origin_y))) / (2 * s)
+    del high
     nodata_x, nodata_y = np.isnan(dzdx), np.isnan(dzdy)
     if nodata_x.any() or nodata_y.any():
-        fx, fy = grid(x, dem.origin_x), grid(y, dem.origin_y)
+        j, i = _cell(fx, w), _cell(fy, h)
         gx = gy = np.full(np.shape(fx), np.nan)
-        dj, di = np.where(u < 0.5, -1, 1), np.where(v < 0.5, -1, 1)
+        dj, di = np.where(fx - j < 0.5, -1, 1), np.where(fy - i < 0.5, -1, 1)
         for jj, ii in ((j, i), (j + dj, i), (j, i + di), (j + dj, i + di)):
-            jj, ii = np.clip(jj, 0, w - 2), np.clip(ii, 0, h - 2)
-            px, py = _patch_gradient(e, w, jj, ii, fx, fy, s)
+            px, py = _patch_gradient(e, w, _cell(jj, w), _cell(ii, h), fx, fy, s)
             gx, gy = np.where(np.isnan(gx), px, gx), np.where(np.isnan(gy), py, gy)
         dzdx = np.where(nodata_x, gx, dzdx)
         dzdy = np.where(nodata_y, gy, dzdy)
         if np.isnan(dzdx).any() or np.isnan(dzdy).any():
             raise NodataError("bilinear neighborhood contains nodata")
-    del j, u, i, v
+    del fx, fy
     n = np.empty(np.shape(dzdx) + (3,))
     np.negative(dzdx, out=n[..., 0])
     np.negative(dzdy, out=n[..., 1])

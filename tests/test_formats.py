@@ -39,6 +39,11 @@ def test_pgm16_round_trip_is_within_half_a_level(tmp_path, img):
 def test_pgm16_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         formats.write_pgm16(tmp_path / "x.pgm", np.full((4, 4), 1.5))
+    # A non-finite pixel is out of range too, NaN included.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            formats.write_pgm16(tmp_path / "x.pgm", np.array([[0.5, bad], [1.0, 0.0]]))
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_pgm16_header_is_big_endian_p5(tmp_path):

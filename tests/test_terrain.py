@@ -7,7 +7,7 @@ import pytest
 
 from lunarforge import DemGrid, hillshade, load_dem, sample_height, slope_map, surface_normal, synth_crater_dem, write_dem
 import oracles
-from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, _value_noise, add_crater, bilinear
+from lunarforge.terrain import DemFormatError, NodataError, OutOfBoundsError, _flat, _value_noise, add_crater, bilinear
 
 
 def make_dem(elev, cell=1.0, ox=0.0, oy=0.0):
@@ -383,6 +383,20 @@ def test_sample_out_of_bounds():
             sample_height(dem, x, y)
 
 
+@pytest.mark.parametrize("query", ["sample_height", "surface_normal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_a_non_finite_or_huge_coordinate_is_out_of_bounds(query, bad):
+    """Both axes are checked against the footprint before a coordinate
+    becomes a cell index, so no cast of a NaN, an inf or a 1e300 warns."""
+    dem = plane_dem(0.1, 0.2, 3.0, n=8)
+    fn = {"sample_height": sample_height, "surface_normal": surface_normal}[query]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x, y in ((bad, 3.0), (3.0, bad), (bad, bad), ([3.0, bad], [3.0, 3.0]), ([3.0, 3.0], [bad, 3.0])):
+            with pytest.raises(OutOfBoundsError):
+                fn(dem, x, y)
+
+
 def test_sample_nodata_neighbor():
     elev = np.zeros((4, 4))
     elev[1, 1] = np.nan
@@ -412,6 +426,17 @@ def test_bilinear_matches_oracle():
     np.testing.assert_allclose(got, oracles.bilinear(dem, x, y), rtol=1e-12, atol=0)
 
 
+def test_flat_index_is_exact_past_2_to_the_31():
+    """int32 cell indices times a row length past 2**31 would wrap in int32;
+    _flat forms the product in int64."""
+    w = 70_000
+    row, col = np.array([70_000, 1], dtype=np.int32), np.array([69_999, 2], dtype=np.int32)
+    k = _flat(row, col, w)
+    assert k.dtype == np.int64
+    assert k.tolist() == [70_000 * 70_000 + 69_999, 70_002]
+    assert k[0] > 2**32
+
+
 def test_bilinear_propagates_nan_corner():
     grid = np.zeros((4, 4))
     grid[1, 1] = np.nan
@@ -422,6 +447,16 @@ def test_bilinear_propagates_nan_corner():
     got = bilinear(grid, fx, fy)
     assert np.isnan(got[:4]).all()
     assert np.array_equal(got[4:], [0.0, 0.0])
+
+
+def test_bilinear_of_a_nan_query_is_nan():
+    """A NaN coordinate finds a cell without a cast warning, and its
+    fraction makes the sample NaN."""
+    grid = np.arange(16.0).reshape(4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = bilinear(grid, np.array([np.nan, 1.5, 1.5]), np.array([1.0, np.nan, 1.0]))
+    assert np.isnan(got[:2]).all() and got[2] == 5.5
 
 
 def test_normal_flat(flat_dem):
