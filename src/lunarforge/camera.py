@@ -155,9 +155,13 @@ class CameraRig:
 def norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of a (..., 3) array: sqrt((x*x +
     y*y) + z*z), summed in the order np.linalg.norm(axis=-1) sums, so equal
-    to it bit for bit, without its (..., 3) temporary."""
+    to it bit for bit, without its (..., 3) temporary.  The squares are
+    summed into one buffer, so at most two (...) arrays are alive."""
     x, y, z = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
-    return np.sqrt(x * x + y * y + z * z)
+    total = x * x
+    total += y * y
+    total += z * z
+    return np.sqrt(total)
 
 
 def project_points(intr: Intrinsics, pose: Pose, points: np.ndarray):

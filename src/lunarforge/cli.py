@@ -255,8 +255,12 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
     manifest = gt_dir / "manifest.jsonl"
     if not manifest.exists():
         raise UsageError(f"no manifest.jsonl in {gt_dir}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"manifest.jsonl is not UTF-8 text: {exc}") from None
     records, seen = [], {}  # seen: pair_id -> its line number
-    for number, line in enumerate(manifest.read_text().splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
@@ -278,7 +282,8 @@ def _read_manifest(gt_dir: Path) -> list[dict]:
 
 
 def _load_pointmap(path: Path) -> tuple[np.ndarray, dict]:
-    """An HxWx3 pointmap raster, NaN where invalid, and its sidecar."""
+    """An HxWx3 pointmap raster, float32 as stored, NaN where invalid, and
+    its sidecar."""
     pts, meta = formats.read_f32_raster(path)
     if pts.ndim != 3 or pts.shape[2] != 3:
         raise ValueError(f"{path.name} has shape {pts.shape}, expected HxWx3")
@@ -458,6 +463,7 @@ def cmd_visualize(args) -> int:
         raster = raster[..., 2]  # pointmap input: use the elevation channel
     if raster.ndim != 2 or min(raster.shape) < 2:
         raise UsageError(f"input raster must be 2D (depth) or HxWx3 (pointmap), at least 2x2; got {shape}")
+    raster = raster.astype(np.float64)
     # A DEM sidecar (see write_dem) carries its cell size; other rasters default to 1 m.
     spacing = args.spacing if args.spacing is not None else float(meta.get("cell_size", 1.0))
     if not (math.isfinite(spacing) and spacing > 0):

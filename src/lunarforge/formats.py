@@ -2,7 +2,9 @@
 
 - images: 16-bit grayscale PGM (P5, maxval 65535, big-endian samples)
 - depth / pointmap rasters: raw little-endian float32, row-major, NaN =
-  invalid, with a JSON sidecar at <path>.json
+  invalid, with a JSON sidecar at <path>.json.  The reader returns the
+  stored float32 array; callers convert to float64 where they compute, so a
+  raster is held at half the size of a float64 copy.
 - correspondences: CSV with a "u1,v1,u2,v2" header line
 
 All writers are byte-deterministic for identical inputs.
@@ -77,14 +79,14 @@ def write_f32_raster(path, array: np.ndarray, meta: dict) -> None:
 
 
 def read_f32_raster(path):
-    """Inverse of write_f32_raster; returns (array, sidecar dict)."""
+    """Inverse of write_f32_raster; returns (float32 array, sidecar dict)."""
     meta = json.loads(Path(str(path) + ".json").read_text())
     shape = tuple(meta["shape"])
     raw = np.fromfile(path, dtype="<f4")
     expected = int(np.prod(shape))
     if raw.size != expected:
         raise ValueError(f"raster size {raw.size} does not match sidecar shape {shape}")
-    return raw.astype(np.float64).reshape(shape), meta
+    return raw.reshape(shape), meta
 
 
 def write_correspondences_csv(path, pairs: np.ndarray) -> None:

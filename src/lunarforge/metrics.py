@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .camera import Pose, norms, relative_pose
@@ -44,9 +43,10 @@ def _nn_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     points.  On terrain clouds of 32k points that builds in under half the
     time of scipy's default tree, and the queries cost about the same.  The
     tree's shape does not enter the distance arithmetic, so the distances
-    are the same with any tree.
+    are the same with any tree.  The tree indexes points in place, without
+    a copy of the cloud.
     """
-    tree = cKDTree(points, leafsize=32, compact_nodes=False, balanced_tree=False)
+    tree = cKDTree(points, leafsize=32, compact_nodes=False, balanced_tree=False, copy_data=False)
     return tree.query(queries, k=1)[0]
 
 
@@ -126,14 +126,40 @@ _SSIM_TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2) ** 2) / (
 _SSIM_TAPS /= _SSIM_TAPS.sum()
 
 
+def _taps_pass(img: np.ndarray, axis: int) -> np.ndarray:
+    """One pass of the 11-tap Gaussian along axis, zero outside the image.
+
+    The sums run in scipy.ndimage.correlate1d's order for a symmetric filter:
+    the centre tap times its weight, then, from the outermost pair of taps
+    inward, (x[i - j] + x[i + j]) * w[j] added in turn, w[j] being the weight
+    j taps from the centre.  So the result is
+    correlate1d(img, _SSIM_TAPS, axis, mode="constant") bit for bit.
+    """
+    half = SSIM_WINDOW // 2
+    n = img.shape[axis]
+    padding = [(0, 0)] * img.ndim
+    padding[axis] = (half, half)
+    padded = np.pad(img, padding)
+
+    def at(offset):  # x[i + offset] for every i, zero outside the image
+        return padded[(slice(None),) * axis + (slice(half + offset, half + offset + n),)]
+
+    out = img * _SSIM_TAPS[half]
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(at(-j), at(j), out=pair)
+        pair *= _SSIM_TAPS[half - j]
+        out += pair
+    return out
+
+
 def _window_mean(img: np.ndarray) -> np.ndarray:
     """Gaussian-weighted mean of img over the SSIM window centred on each
     pixel, zero outside the image.  The window is separable, so this is two
     passes of the 11-tap 1-D Gaussian, down the columns and then along the
     rows: 22 taps per pixel instead of 121.  The means match the 2-D sum up
     to rounding (~1e-15 relative)."""
-    cols = ndimage.correlate1d(img, _SSIM_TAPS, axis=0, mode="constant", cval=0.0)
-    return ndimage.correlate1d(cols, _SSIM_TAPS, axis=1, mode="constant", cval=0.0)
+    return _taps_pass(_taps_pass(img, 0), 1)
 
 
 def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
@@ -251,7 +277,9 @@ ALIGN_THRESHOLD_GSD = 3.0  # alignment inlier threshold, in ground-truth GSDs
 @dataclass(frozen=True, eq=False)
 class PairPrediction:
     """Predicted geometry for one stereo pair: (H, W, 3) pointmaps in any one
-    frame and scale, NaN where invalid."""
+    frame and scale, NaN where invalid.  The pointmaps may be held as stored
+    (float32, as evaluate reads them); evaluate_pair converts to float64
+    where it computes."""
 
     pointmap_a: np.ndarray
     pointmap_b: np.ndarray
@@ -261,7 +289,9 @@ class PairPrediction:
 
 @dataclass(frozen=True, eq=False)
 class PairGroundTruth:
-    """Rendered ground truth for one stereo pair."""
+    """Rendered ground truth for one stereo pair.  The rasters may be held as
+    stored (float32, as evaluate reads them); evaluate_pair and the metrics
+    convert to float64 where they compute."""
 
     pointmap_a: np.ndarray  # (H, W, 3) world frame, NaN where invalid
     pointmap_b: np.ndarray
@@ -321,8 +351,9 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
     report = MetricsReport()
     shared_a = np.isfinite(pred.pointmap_a).all(-1) & np.isfinite(gt.pointmap_a).all(-1)
     shared_b = np.isfinite(pred.pointmap_b).all(-1) & np.isfinite(gt.pointmap_b).all(-1)
-    gt_cloud = np.concatenate([gt.pointmap_a[shared_a], gt.pointmap_b[shared_b]])
-    pred_cloud = np.concatenate([pred.pointmap_a[shared_a], pred.pointmap_b[shared_b]])
+    # The rasters may be held as stored (float32); the clouds are float64.
+    gt_cloud = np.concatenate([gt.pointmap_a[shared_a], gt.pointmap_b[shared_b]], dtype=np.float64)
+    pred_cloud = np.concatenate([pred.pointmap_a[shared_a], pred.pointmap_b[shared_b]], dtype=np.float64)
 
     # Built outside the try: a bad seed is the caller's error, not degenerate geometry.
     params = RansacParams(iterations=ALIGN_ITERATIONS, inlier_threshold=ALIGN_THRESHOLD_GSD * gt.gsd_m, seed=seed)
@@ -350,6 +381,7 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
             report.chamfer_rel = relative_error(chamfer, scale)
         except DegenerateMetricError as exc:
             report.flags["relative"] = str(exc)
+        del gt_cloud  # the per-view metrics read the ground-truth rasters
 
         # Dense per-view rasters of the aligned prediction's elevation and
         # ray depth: NaN off the shared mask, the aligned cloud's values
@@ -371,18 +403,18 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
             pred_depth = np.full(shared.shape, np.nan)
             pred_depth[shared] = norms(view_cloud - gt_pose.translation)
             gt_depth_m = np.where(shared, gt_depth, np.nan)
-            # Pointmap loss in the ground-truth view-a frame.
-            aligned_view1 = gt.pose_a.world_to_camera(view_cloud)
-            gt_view1 = gt.pose_a.world_to_camera(gt_world[shared])
-            # Built here so each metric is looked up when it is called.
+            # Built here so each metric is looked up when it is called.  Each
+            # metric's arguments are made for its call alone: the pointmap
+            # loss's clouds in the ground-truth view-a frame live only then.
             for flag, names, metric, args in (
-                ("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, (pred_z, gt_z, gt.gsd_m)),
-                ("ssim", ("ssim",), ssim_depth, (pred_depth, gt_depth_m)),
-                ("profile", ("profile_mae_m", "profile_corr"), profile_metrics, (pred_depth, gt_depth_m)),
-                ("si_loss", ("si_loss",), scale_invariant_loss, (aligned_view1, gt_view1)),
+                ("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, lambda: (pred_z, gt_z, gt.gsd_m)),
+                ("ssim", ("ssim",), ssim_depth, lambda: (pred_depth, gt_depth_m)),
+                ("profile", ("profile_mae_m", "profile_corr"), profile_metrics, lambda: (pred_depth, gt_depth_m)),
+                ("si_loss", ("si_loss",), scale_invariant_loss, lambda: (
+                    gt.pose_a.world_to_camera(view_cloud), gt.pose_a.world_to_camera(gt_world[shared]))),
             ):
                 try:
-                    values = metric(*args)
+                    values = metric(*args())
                 except DegenerateMetricError as exc:
                     report.flags.setdefault(flag, str(exc))
                     continue

@@ -463,10 +463,10 @@ def umeyama(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
     mu_s = src.mean(axis=0)
     mu_d = dst.mean(axis=0)
     ds = src - mu_s
-    dd = dst - mu_d
-    var_s = (ds**2).sum() / len(src)
+    var_s = (ds**2).sum() / len(src)  # before dd, so ds**2 and dd are never both alive
     if var_s < 1e-300:
         raise DegenerateGeometryError("source points are coincident")
+    dd = dst - mu_d
     cov = dd.T @ ds / len(src)
     u, d, vt = np.linalg.svd(cov)
     if d[1] < 1e-12 * max(d[0], 1.0):

@@ -164,8 +164,8 @@ _ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "n
 
 def _load_ascii_grid(path: Path) -> DemGrid:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DemFormatError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if len(lines) < 6:

@@ -323,6 +323,17 @@ def test_python_m_lunarforge_exits_with_one_json_line(tmp_path, argv, code, erro
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_import_does_not_load_scipy_ndimage():
+    """Every invocation imports the CLI, and the SSIM window is numpy's, so
+    scipy.ndimage adds nothing to any subcommand's cold start."""
+    src = str(Path(lunarforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, lunarforge.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_rays_per_pixel_is_not_checked_without_psf(tmp_path):
     # With --psf-sigma 0 every pixel casts one central ray, so the ray count
     # is moot and any value renders.
@@ -634,6 +645,20 @@ def test_evaluate_malformed_manifest_line_is_a_usage_error(two_pair_dataset, tmp
     assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "usage", "detail": f"manifest.jsonl line 2 {problem}"}
+    assert not report.exists()
+
+
+def test_evaluate_manifest_that_is_not_utf8_is_a_usage_error(two_pair_dataset, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(two_pair_dataset, gt)
+    pred = tmp_path / "pred"
+    _copy_predictions(gt, pred)
+    (gt / "manifest.jsonl").write_bytes(b'\xff\xfe{"pair_id": "x"}\n')
+    report = tmp_path / "report.jsonl"
+    assert run(["evaluate", "--gt", str(gt), "--pred", str(pred), "--report", str(report)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "usage" and payload["detail"].startswith("manifest.jsonl is not UTF-8 text")
     assert not report.exists()
 
 

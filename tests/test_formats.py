@@ -78,8 +78,8 @@ def test_f32_raster_round_trip_is_the_float32_cast(tmp_path, arr):
     path = tmp_path / "r.f32"
     formats.write_f32_raster(path, arr, {"kind": "pointmap" if arr.ndim == 3 else "ray_depth"})
     back, meta = formats.read_f32_raster(path)
-    assert back.dtype == np.float64 and back.shape == arr.shape
-    assert back.tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+    assert back.dtype == np.float32 and back.shape == arr.shape
+    assert back.tobytes() == arr.astype(np.float32).tobytes()
     assert meta == {"kind": "pointmap" if arr.ndim == 3 else "ray_depth", "shape": list(arr.shape)}
 
 

@@ -3,11 +3,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from lunarforge import PairPrediction, evaluate_pair, scale_invariant_loss
+from lunarforge import (
+    HapkeParams,
+    PairGroundTruth,
+    PairPrediction,
+    Pose,
+    depth_to_pointmap,
+    evaluate_pair,
+    gsd,
+    lighting_preset,
+    render_pair,
+    sample_pair,
+    scale_invariant_loss,
+)
 from lunarforge.camera import rot_z
+from lunarforge.cli import synth_dem_for_band
 from lunarforge.metrics import (
+    _SSIM_TAPS,
     DegenerateMetricError,
     _window_mean,
     accuracy_completeness,
@@ -205,6 +221,20 @@ def test_ssim_window_means_match_the_oracle():
     np.testing.assert_allclose(got[full], mu[full], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("shape", [(128, 128), (37, 90), (1, 1), (3, 20), (20, 3)])
+def test_window_mean_is_two_correlate1d_passes_bit_for_bit(shape):
+    # scipy.ndimage stays the reference here: the numpy passes sum in its order.
+    from scipy import ndimage
+
+    rng = np.random.default_rng(list(shape))
+    depth_like = 1500.0 + rng.normal(0.0, 40.0, shape)
+    for img in (rng.normal(0.0, 1e3, shape), depth_like, depth_like**2, (rng.random(shape) < 0.7) * 1.0):
+        img[rng.random(shape) < 0.3] = 0.0  # exact zeros, as off the valid mask
+        cols = ndimage.correlate1d(img, _SSIM_TAPS, axis=0, mode="constant", cval=0.0)
+        expected = ndimage.correlate1d(cols, _SSIM_TAPS, axis=1, mode="constant", cval=0.0)
+        assert _window_mean(img).tobytes() == expected.tobytes()
+
+
 def test_ssim_random_uncorrelated_small():
     rng = np.random.default_rng(1)
     a = rng.normal(0, 1, (512, 512))
@@ -340,6 +370,37 @@ def test_evaluate_identity_perfect(nadir_gt_pair):
     assert rep.si_loss < 1e-12
     assert rep.rra_deg == 0.0 and rep.rta_deg == 0.0
     assert rep.flags == {}
+
+
+FAR_ORIGIN = np.array([1.5e6, -1.2e6, 0.0])  # metres; float32 spacing there is 0.125 m
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(["nadir", "oblique", "dynamic"]), st.integers(0, 9), st.integers(0, 2**16))
+def test_evaluate_identity_holds_for_float32_pointmaps_far_from_the_origin(kind, band, seed):
+    """A ground-truth copy whose pointmaps and poses sit 1.5e6 m from the
+    world origin, stored as float32 like the files, keeps acceptance 05's
+    identity values.  Only profile_mae_m feels the 0.125 m float32 spacing:
+    the predicted depths come from the stored coordinates (about 1-2 cm)."""
+    dem = synth_dem_for_band(kind, band, seed=seed, size=96)
+    spec, rig = sample_pair(kind, seed, band, dem, psf_sigma=0.0, rays_per_pixel=1, width=48, height=48)
+    ((prod_a, prod_b),) = render_pair(dem, rig, [lighting_preset("side")], HapkeParams(), seed=seed)
+    pm_a, pm_b = ((depth_to_pointmap(prod) + FAR_ORIGIN).astype(np.float32) for prod in (prod_a, prod_b))
+    pose_a, pose_b = (Pose(rotation=p.rotation, translation=p.translation + FAR_ORIGIN)
+                      for p in (rig.pose_a, rig.pose_b))
+    gt = PairGroundTruth(
+        pointmap_a=pm_a, pointmap_b=pm_b, pose_a=pose_a, pose_b=pose_b,
+        depth_a=prod_a.depth.astype(np.float32), depth_b=prod_b.depth.astype(np.float32),
+        gsd_m=gsd(spec.altitude_m, rig.intrinsics.fov_deg, rig.intrinsics.width),
+    )
+    rep = evaluate_pair(PairPrediction(pointmap_a=pm_a, pointmap_b=pm_b, pose_a=pose_a, pose_b=pose_b), gt)
+    assert rep.flags == {}
+    assert rep.accuracy_m < 1e-6 and rep.completeness_m < 1e-6 and rep.chamfer_m < 1e-6
+    assert rep.slope_corr > 1 - 1e-6
+    assert rep.ssim > 1 - 1e-6
+    assert rep.profile_corr > 1 - 1e-6
+    assert rep.si_loss < 1e-9
+    assert rep.rra_deg == 0.0 and rep.rta_deg == 0.0
 
 
 def test_evaluate_negative_seed_raises_instead_of_flagging(nadir_gt_pair):

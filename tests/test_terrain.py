@@ -64,6 +64,13 @@ def test_load_ascii_unmarked_nonfinite(tmp_path):
         load_dem(p, "ascii_grid")
 
 
+def test_load_ascii_non_utf8_bytes_is_a_format_error(tmp_path):
+    p = tmp_path / "bad.asc"
+    p.write_bytes(b"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\nnodata_value -9999\n\xff\xfe 0\n0 0\n")
+    with pytest.raises(DemFormatError, match="cannot read"):
+        load_dem(p, "ascii_grid")
+
+
 def test_ascii_north_up_row_order(tmp_path):
     # First data row is the northern edge -> highest y internally.
     p = tmp_path / "rows.asc"
