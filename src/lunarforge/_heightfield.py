@@ -34,9 +34,10 @@ skip only rays that cannot meet the terrain, with a relative margin
 own arithmetic.  C+ is a function of (DEM, sun) alone: the caller sweeps it
 once with sun_ceiling and passes it to every shadow_mask call under that sun.
 The sweep keeps only a row of state per column, so it holds one DEM-sized
-array, the C+ it returns.  It reads the cell maxima and writes C+ through a
-buffer of SWEEP_COLUMNS columns, so a sweep along x copies whole row
-segments of the grids, not one strided element per row.
+array, the C+ it returns.  It reads the cell maxima and writes C+ through
+buffers of SWEEP_COLUMNS columns, so a sweep along x copies whole row
+segments of the grids, not one strided element per row, and it takes M and
+the margin for a whole buffer at once, leaving four numpy calls per column.
 
 The walk keeps its state only for the live rays, cut down one array at a
 time on each step that ends one.  It addresses the grids through terrain:
@@ -48,10 +49,12 @@ crossing test reads a ray's position and slope in cell units from its row of
 the origins and directions, or from the shared row, rather than holding them
 per ray, and a segment's end heights are recomputed from t each step.  So a
 live camera ray holds 74 B (its row, t, t_stop, the two cell indices and
-t_max, dz, the steps and t_delta) and a live shadow ray 56 B.  All
-arithmetic is elementwise per ray, so results are bitwise identical
-regardless of how rays are batched or tiled, and whether a row is shared or
-written out.
+t_max, dz, the steps and t_delta) and a live shadow ray 56 B.  A step's
+crossing candidates are tested a quarter of the walk's rays at a time, and
+each test builds its sums in place, so its temporaries stay within the
+first step's.  All arithmetic is elementwise per ray, so results are
+bitwise identical regardless of how rays are batched, tiled or sliced, and
+whether a row is shared or written out.
 
 Each step moves every live ray into its next cell without a branch:
 ix += step_x * go_x and t_max_x += t_delta_x * go_x, and the same on y with
@@ -82,8 +85,8 @@ import numpy as np
 
 from .terrain import DemGrid, _cell, _corners, _flat, bilinear
 
-# Columns of the ceiling sweep's buffer: a few of a large DEM's rows.
-SWEEP_COLUMNS = 32
+# Columns of the ceiling sweep's buffers: a few of a large DEM's rows.
+SWEEP_COLUMNS = 16
 
 
 @np.errstate(invalid="ignore")  # the margin's -inf + inf at the zenith; NaN maps to -inf below
@@ -104,32 +107,34 @@ def sun_ceiling(dem: DemGrid, sun_dir) -> np.ndarray:
     a, out = a[flips], out[flips]
     kl = sz * dem.cell_size / abs(dom) if dom else np.inf  # at the zenith no ray leaves its column
     n_c, n_r = a.shape
-    # Row buffers one cell longer than a column, that cell NaN: no terrain
+    # A row buffer one cell longer than a column, that cell NaN: no terrain
     # there.  NaN stands for "no terrain" throughout, as fmax skips it.
-    edge = np.full(n_r + 1, np.nan)  # cellmax of column c
     prev = np.full(n_r + 1, np.nan)  # C+ of column c+1, without the margin
-    block = np.empty(n_r)  # M
     nxt = np.empty(n_r)
-    # Columns go through one contiguous buffer of SWEEP_COLUMNS of them: a
-    # sweep along x reads and writes whole row segments of the grids, not
-    # one strided element per row.
-    cols = np.empty((min(SWEEP_COLUMNS, n_c), n_r))
+    # Columns go through contiguous buffers of SWEEP_COLUMNS of them: a sweep
+    # along x reads and writes whole row segments of the grids, not one
+    # strided element per row.  Each buffer's M is taken at once, from the
+    # flat buffer: the cell after each is the next one of its column, but
+    # for the last, whose second cell lies beyond the grid (NaN).  The sweep
+    # writes each column's C+ over its M, and the block's margin, 1e-9
+    # (1 + |C+|), goes through the first buffer.
+    cols, ms = (np.empty((min(SWEEP_COLUMNS, n_c), n_r)) for _ in range(2))
     for stop in range(n_c, 0, -len(cols)):
         start = max(stop - len(cols), 0)
-        buf = cols[:stop - start]
+        buf, m = cols[:stop - start], ms[:stop - start]
         buf[...] = a[start:stop]
-        for c in range(len(buf) - 1, -1, -1):
-            edge[:n_r] = buf[c]
-            np.fmax(edge[:-1], edge[1:], out=block)
+        np.fmax(buf.reshape(-1)[:-1], buf.reshape(-1)[1:], out=m.reshape(-1)[:-1])
+        m[:, -1] = buf[:, -1]
+        for c in range(len(m) - 1, -1, -1):
             np.fmax(prev[:-1], prev[1:], out=nxt)
             nxt -= kl
-            np.fmax(block, nxt, out=prev[:n_r])
-            # The ceiling gets C+ raised by the margin 1e-9 (1 + |C+|); prev keeps C+ itself.
-            np.abs(prev[:n_r], out=nxt)
-            nxt += 1.0
-            nxt *= 1e-9
-            np.add(prev[:n_r], nxt, out=buf[c])
-        buf[np.isnan(buf)] = -np.inf
+            np.fmax(m[c], nxt, out=prev[:n_r])
+            m[c] = prev[:n_r]
+        np.abs(m, out=buf)
+        buf += 1.0
+        buf *= 1e-9
+        buf += m
+        np.fmax(buf, -np.inf, out=buf)  # NaN, no terrain sun-ward, to -inf
         out[start:stop] = buf
     ceil.flags.writeable = False  # shared by every row band's thread
     return ceil
@@ -276,6 +281,12 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     step_y, t_delta_y, t_max_y = _axis(dem.origin_y, cs, iy, oy, dy)
     del oy, dy
 
+    # The crossing test holds about a dozen temporaries per candidate, the
+    # early-out three per live ray (cell, lower end, cell maximum).  Taken a
+    # quarter of the walk's rays at a time, the candidates' temporaries stay
+    # within the first step's early-out, and a step makes more than one
+    # crossing test only when over a quarter of the rays are candidates.
+    part_size = len(ray) // 4 + 1
     end = below
     while True:
         if end.any():  # one array at a time, so old and new state never coexist
@@ -305,25 +316,31 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
         # segment, from height z to z1, stays above everything the cell can
         # reach (or the cell is all nodata).
         cell = _flat(iy, ix, w - 1)
-        z, z1 = oz + dz * t, oz + dz * t1
-        consider = np.minimum(z, z1) <= cellmax[cell]
-        del z1
+        z = dz * t  # oz + dz t at t, then z1 at t1, then the lower of the two
+        z += oz
+        low = dz * t1
+        low += oz
+        np.minimum(z, low, out=low)
         if ceiling is not None:
             clear = z > ceiling[cell]
+        del z
+        consider = low <= cellmax[cell]
+        del low, cell
+        if ceiling is not None:
             end |= clear
             consider &= ~clear
             del clear
-        del cell, z
 
         s = np.flatnonzero(consider)
         del consider
-        if s.size:
-            r = ray[s]
-            found, t_found = _cell_hits(dem, e, o, d, r, s, ix, iy, t, t1)
+        for k in range(0, s.size, part_size):
+            part = s[k:k + part_size]
+            r = ray[part]
+            found, t_found = _cell_hits(dem, e, o, d, r, part, ix, iy, t, t1)
             hit_rows.append(r[found])
             hit_t.append(t_found)
-            end[s[found]] = True
-            del r
+            end[part[found]] = True
+            del r, part, found, t_found
         del s
 
         # Advance every ray to its next cell boundary; a ray that leaves the
@@ -348,49 +365,118 @@ def _cell_hits(dem, e, o, d, r, sel, ix, iy, t0, t1):
     each is read from its row of o or d, and is one value for a broadcast
     row.  Returns (found, t): the positions in sel of the segments that dip
     below the cell's bilinear patch, and where each first does.  Each
-    gathered temporary is dropped once it is used."""
+    temporary is dropped once it is used, and each sum is built in place,
+    term by term in the order of the formula it stands for."""
     cs, w = dem.cell_size, dem.width
     cx, cy = ix[sel], iy[sel]
     z00, z10, z01, z11 = _corners(e, _flat(cy, cx, w), w)
     alpha = z10 - z00
     beta = z01 - z00
-    gamma = z00 + z11 - z10 - z01
+    gamma = z00 + z11
+    gamma -= z10
+    gamma -= z01
     del z10, z01, z11
     au = (_rows(o, r, 0) - dem.origin_x) / cs - cx
     av = (_rows(o, r, 1) - dem.origin_y) / cs - cy
     del cx, cy
+    # qc = oz - z00 - alpha au - beta av - gamma au av
+    qc = np.subtract(_rows(o, r, 2), z00)
+    del z00
+    term = alpha * au
+    qc -= term
+    np.multiply(beta, av, out=term)
+    qc -= term
+    np.multiply(gamma, au, out=term)
+    term *= av
+    qc -= term
+    del term
     bu, bv = _rows(d, r, 0) / cs, _rows(d, r, 1) / cs
-    qa = -gamma * bu * bv
-    qb = _rows(d, r, 2) - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
+    # qb = dz - alpha bu - beta bv - gamma (au bv + av bu), in alpha's buffer
+    qb = np.multiply(alpha, bu, out=alpha)
+    del alpha
+    np.subtract(_rows(d, r, 2), qb, out=qb)
+    beta *= bv
+    qb -= beta
+    del beta
+    au *= bv
+    av *= bu
+    au += av
+    del av
+    # qa = -gamma bu bv
+    qa = np.negative(gamma)
+    qa *= bu
+    qa *= bv
     del bu, bv
-    qc = _rows(o, r, 2) - z00 - alpha * au - beta * av - gamma * au * av
-    del z00, alpha, beta, gamma, au, av
+    au *= gamma
+    qb -= au
+    del au, gamma
     t0, t1 = t0[sel], t1[sel]
 
-    f1 = (qa * t1 + qb) * t1 + qc
-    tv = qb / (-2 * qa)
-    fv = (qa * tv + qb) * tv + qc
+    f1 = qa * t1  # (qa t1 + qb) t1 + qc
+    f1 += qb
+    f1 *= t1
+    f1 += qc
     end_cross = f1 < 0
+    tv = np.multiply(qa, -2, out=f1)  # qb / (-2 qa)
     del f1
-    found = np.flatnonzero(end_cross | ((tv > t0) & (tv < t1) & (fv < 0)))
+    np.divide(qb, tv, out=tv)
+    fv = qa * tv  # (qa tv + qb) tv + qc
+    fv += qb
+    fv *= tv
+    fv += qc
+    dip = fv < 0
     del fv
+    dip &= tv > t0
+    dip &= tv < t1
+    dip |= end_cross
+    found = np.flatnonzero(dip)
+    del dip
     if not found.size:
         return found, t0[found]
-    hi = np.where(end_cross, t1, tv)[found]
-    qa, qb, qc, lo = qa[found], qb[found], qc[found], t0[found]
+    # Cut down to the found segments one array at a time.
+    hi = t1[found]  # the segment's end, or the vertex where it does not cross
+    del t1
+    np.copyto(hi, tv[found], where=~end_cross[found])
+    del end_cross, tv
+    qa = qa[found]
+    qb = qb[found]
+    qc = qc[found]
+    lo = t0[found]
+    del t0
     # The hit is the downward root (f' = -sqrt(disc)) of
     # f(lo + s) = qa s^2 + b s + c, taken from the cancellation-free form of
     # the quadratic formula; c/q is also the root of a planar cell (qa = 0).
     # It is not the smallest root: for qa < 0 the ray is above the surface
     # between the two roots.
-    b = 2 * qa * lo + qb
-    c = (qa * lo + qb) * lo + qc
+    b = qa * 2  # 2 qa lo + qb
+    b *= lo
+    b += qb
+    c = qa * lo  # (qa lo + qb) lo + qc
+    c += qb
+    del qb
+    c *= lo
+    c += qc
+    del qc
     up = b > 0
-    sq = np.sqrt(np.maximum(b * b - 4 * qa * c, 0.0))
-    q = -0.5 * (b + np.where(up, sq, -sq))
-    root = lo + np.where(up, q / qa, c / q)
+    sq = b * b  # sqrt(max(b^2 - 4 qa c, 0)), negated where not up
+    disc = qa * 4
+    disc *= c
+    sq -= disc
+    del disc
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    np.negative(sq, out=sq, where=~up)
+    q = np.add(b, sq, out=sq)  # -0.5 (b -+ sq)
+    del b, sq
+    q *= -0.5
+    root = np.divide(c, q, out=c)  # lo + (q / qa if up else c / q)
+    np.divide(q, qa, out=root, where=up)
+    del q, qa, up
+    root += lo
     # fmax/fmin map a NaN root (f = f' = 0 at lo) to lo.
-    return found, np.fmin(np.fmax(root, lo), hi)
+    np.fmax(root, lo, out=root)
+    np.fmin(root, hi, out=root)
+    return found, root
 
 
 def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
@@ -411,6 +497,7 @@ def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray, ceiling: 
     traced = ~(inside & (oz > ceiling[iy, ix]))
     del ox, oy, oz, ix, iy, inside
     shadowed = np.zeros(len(p), dtype=bool)
-    rest = p[traced] + bias
+    rest = p[traced]  # gathered once, then biased in place
+    rest += bias
     _, shadowed[traced] = intersect_rays(dem, rest, np.broadcast_to(s, rest.shape), ceiling)
     return shadowed

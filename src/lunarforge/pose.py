@@ -511,9 +511,17 @@ def ransac_align(
     if pred.shape != gt.shape or len(pred) < 3:
         raise ValueError("alignment needs >= 3 index-paired points")
 
-    # umeyama is looked up at call time, so a wrapper on pose.umeyama sees every call.
+    def fit(rows):
+        # An all-inlier mask, as a copy of the ground truth gives, refits on
+        # the clouds themselves: a C-ordered cloud holds what its gather would.
+        # umeyama is looked up at call time, so a wrapper on pose.umeyama sees
+        # every call.
+        if rows.dtype == bool and rows.all() and pred.flags.c_contiguous and gt.flags.c_contiguous:
+            return umeyama(pred, gt)
+        return umeyama(pred[rows], gt[rows])
+
     transform, mask = _ransac(
-        "similarity", len(pred), 3, lambda rows: umeyama(pred[rows], gt[rows]),
+        "similarity", len(pred), 3, fit,
         lambda transform: _residual_inliers(transform, pred, gt, ransac.inlier_threshold), ransac, 0xA116,
     )
     count = int(mask.sum())

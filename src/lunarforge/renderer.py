@@ -18,16 +18,20 @@ first row and draws exactly the numbers a whole-view draw would have given
 its rows, so no view-sized jitter array is ever held.
 
 Only shadow rays and the incidence cosine mu0 depend on the sun.  So each
-band runs one geometry pass (central and jittered traces, hit points, view
+band runs one geometry pass (one primary trace of its central rays, which
+give the depth, followed by its PSF-jittered rays, then hit points, view
 directions, surface normals), takes the emission cosine mu once and each
 sun's mu0 from the normals, frees the normals, and then runs one shading pass
-per sun: shade_points takes the cosines, not the normals.  Memory stays
-bounded per band whatever the number of suns.  Each phase frees what it no
-longer needs, so at 4 PSF rays per pixel under a 15-70 degree sun the traced
-peak per PSF ray is about 45 B in the central walk, 165 B in the jittered
-walk, 155 B at the surface normals, 141 B in the shadow test and 149 B in
-the shading.  The walks keep a row that every ray shares, the camera's
-origin or the sun's direction, as one value (see _heightfield).
+per sun: shade_points takes the cosines, not the normals.  Each sun's mu0
+goes once that sun is shaded, the lowest sun, whose shadow walk traces the
+most rays, is shaded last, and each sun's radiance goes straight into the
+view's buffer, so the band's memory does not grow with the suns.  Each phase
+frees what it no longer needs, so at 4 PSF rays per pixel under a 15-70
+degree sun the traced peak per PSF ray is about 161 B in the primary walk,
+153 B at the surface normals, 139 B in the shadow test and 147 B in the
+shading; under a 3 degree sun the shadow walk peaks at about 182 B.  The
+walks keep a row that every ray shares, the camera's origin or the sun's
+direction, as one value (see _heightfield).
 
 A view is the pool's task: one pool of resolve_workers() threads renders a
 rig's two views, and a 1-thread pool renders view a, then view b.  Each view
@@ -55,10 +59,10 @@ from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
 from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height, surface_normal
 
 # Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
-# shading peak at about 165 B per ray under a 15-70 degree sun, in the
-# jittered walk, whatever the number of suns, so near 5.4 MB per view
-# task; a 3 degree sun's shadow walk traces most rays and peaks near 199 B
-# alone, 215 B with two higher suns.
+# shading peak at about 161 B per PSF ray under a 15-70 degree sun, in its
+# one primary walk of the central and jittered rays, so near 5.3 MB per view
+# task; a 3 degree sun's shadow walk traces most rays and peaks near 182 B,
+# with or without higher suns.
 BAND_PIXELS = 8192
 
 
@@ -130,12 +134,14 @@ def _psf_jitter(seed: int, view_id: int, rows: slice, width: int, rpp: int, sigm
     return sigma * ndtri(u)
 
 
-def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, rows):
+def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, radiance, depth, rows):
     """Render one horizontal band of rows of one rig view under each sun,
-    shaded under that sun's ceiling; returns ([radiance per sun], depth).
+    shaded under that sun's ceiling, into the view's buffers: depth[rows]
+    and, under suns[k], radiance[k][rows].
 
-    The geometry pass (central and jittered traces, hit points, view
-    directions, surface normals) runs once and every sun shades it."""
+    The geometry pass (one trace of the central and jittered rays, hit
+    points, view directions, surface normals) runs once and every sun
+    shades it."""
     intr = rig.intrinsics
     pose = (rig.pose_a, rig.pose_b)[view_id]
     h = rows.stop - rows.start
@@ -143,24 +149,24 @@ def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, rows):
     rpp = rig.rays_per_pixel
     vv, uu = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
 
-    # Central rays define the depth channel.
-    t, hit = _heightfield.intersect_rays(dem, *pixel_rays(intr, pose, uu.ravel(), vv.ravel()))
-    depth = np.where(hit, t, np.nan).reshape(h, w)
-    del t, hit
-
+    # One trace of the central rays, which define the depth channel, followed
+    # by the PSF-jittered rays, which the shading averages.
+    n = h * w
     jitter = _psf_jitter(seed, view_id, rows, w, rpp, rig.psf_sigma)
-    us = np.repeat(uu.ravel(), rpp) + jitter[..., 0].reshape(-1)
-    vs = np.repeat(vv.ravel(), rpp) + jitter[..., 1].reshape(-1)
+    us = np.concatenate([uu.ravel(), np.repeat(uu.ravel(), rpp) + jitter[..., 0].reshape(-1)])
+    vs = np.concatenate([vv.ravel(), np.repeat(vv.ravel(), rpp) + jitter[..., 1].reshape(-1)])
     del uu, vv, jitter
     origins, dirs = pixel_rays(intr, pose, us, vs)
     del us, vs
-    jt, jhit = _heightfield.intersect_rays(dem, origins, dirs)
+    t, hit = _heightfield.intersect_rays(dem, origins, dirs)
+    depth[rows] = np.where(hit[:n], t[:n], np.nan).reshape(h, w)
+    jhit = hit[n:]
     # One copy of the hit rays' directions places the points, origin +
     # t * direction, and then turns into their view directions.
-    view = dirs[jhit]
+    view = dirs[n:][jhit]
     del dirs
-    pts = jt[jhit, None] * view
-    del jt
+    pts = t[n:][jhit, None] * view
+    del t
     pts += pose.translation
     np.negative(view, out=view)
     # Normals need a one-cell margin; clamp queries into it.  Only mu0
@@ -173,14 +179,18 @@ def _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, rows):
     mu0s = [normals @ sun_direction(sun) for sun in suns]
     del normals
 
-    radiances = []
-    for sun, ceiling, mu0 in zip(suns, ceilings, mu0s):
-        shaded = shade_points(dem, pts, mu0, mu, view, sun, hapke, ceiling)
-        radiance = np.zeros(h * w * rpp)  # after the shading, so never held across its shadow rays
-        radiance[jhit] = shaded
+    # Each sun's mu0 goes once that sun is shaded.  The lowest sun, whose
+    # shadow walk traces the most rays, is shaded last, when no other mu0 is
+    # held.
+    for k in sorted(range(len(suns)), key=lambda k: -suns[k].elevation):
+        mu0, mu0s[k] = mu0s[k], None
+        shaded = shade_points(dem, pts, mu0, mu, view, suns[k], hapke, ceilings[k])
+        del mu0
+        rays = np.zeros(h * w * rpp)  # after the shading, so never held across its shadow rays
+        rays[jhit] = shaded
         del shaded
-        radiances.append(radiance.reshape(h, w, rpp).mean(axis=2))
-    return radiances, depth
+        np.mean(rays.reshape(h, w, rpp), axis=2, out=radiance[k][rows])
+        del rays
 
 
 def exposure_gain(radiance: np.ndarray) -> float:
@@ -226,10 +236,8 @@ def render_pair(
 
     def render_view(view_id):
         for band in _row_bands(intr.height, intr.width):
-            rads, dep = _render_band(dem, rig, view_id, suns, hapke, seed, ceilings, band)
-            depth[view_id][band] = dep
-            for views, rad in zip(radiance, rads):
-                views[view_id][band] = rad
+            _render_band(dem, rig, view_id, suns, hapke, seed, ceilings,
+                         [views[view_id] for views in radiance], depth[view_id], band)
 
     with ThreadPoolExecutor(max_workers=resolve_workers()) as pool:
         list(pool.map(render_view, (0, 1)))

@@ -309,21 +309,39 @@ def add_crater(
     rim_height: float,
     rim_sigma: float,
 ) -> None:
-    """Superpose one parabolic-bowl crater with a Gaussian rim annulus, in place.
+    """Superpose one parabolic-bowl crater with a Gaussian rim annulus, in place,
+    on z at the ascending cell coordinates xs (columns) and ys (rows).
 
-    The rim term, rim_height * exp(-((r - radius) / rim_sigma)^2), is built
-    in r's own buffer, one operation at a time.
+    The result is bitwise that of the crater over the whole grid, which is
+    computed only where it can change z:
+    - Only the rows and columns within reach = radius + 30 rim_sigma of the
+      centre.  Beyond, there is no bowl and the rim term, rim_height *
+      exp(-((r - radius) / rim_sigma)^2), has an exponent below -900, so its
+      exp underflows to exactly 0.0.  Adding +0.0 changes no z but -0.0,
+      which z must not hold there; a z that starts at +0.0 and only gains
+      sums, as synth_crater_dem's, never does.
+    - Within them, the rim term is built in r's own buffer, one operation at
+      a time, except where its exponent is below -708 and |z| >= 1e-280
+      max(1, |rim_height|).  There the term is below |rim_height| e^-708,
+      under half an ulp of z, so z + term is z: such a term is not formed,
+      and neither are the subnormals of its exp.
     """
-    r = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
+    reach = radius + 30 * rim_sigma
+    top, bottom = np.searchsorted(ys, (cy - reach, cy + reach))
+    left, right = np.searchsorted(xs, (cx - reach, cx + reach))
+    z = z[top:bottom, left:right]
+    r = np.hypot(xs[left:right][None, :] - cx, ys[top:bottom, None] - cy)
     inside = r < radius
     z[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
     np.subtract(r, radius, out=r)
     np.divide(r, rim_sigma, out=r)
     np.square(r, out=r)
     np.negative(r, out=r)
-    np.exp(r, out=r)
-    np.multiply(r, rim_height, out=r)
-    z += r
+    felt = r >= -708
+    felt |= np.abs(z) < 1e-280 * max(1.0, abs(rim_height))
+    np.exp(r, out=r, where=felt)
+    np.multiply(r, rim_height, out=r, where=felt)
+    np.add(z, r, out=z, where=felt)
 
 
 def synth_crater_dem(

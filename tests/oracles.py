@@ -4,9 +4,9 @@ Nothing here shares traversal or search code with the package: the ray
 oracle visits every cell a ray crosses, nearest neighbors are O(n^2), rotation
 angles go through quaternions, and Pearson is a direct scalar transcription.
 The whole-DEM passes that work in place (the sun-ward ceiling sweep, cell
-maxima, DEM synthesis) are checked bit for bit against their formulas over
-whole-grid arrays here, and the synthetic tile width against its formula
-with the family constants written out.  It also holds the helpers only tests need:
+maxima, DEM synthesis, each crater) are checked bit for bit against their
+formulas over whole-grid arrays here, and the synthetic tile width against
+its formula with the family constants written out.  It also holds the helpers only tests need:
 rotations about the x and y axes and the ground-truth essential matrix of
 two poses.
 """
@@ -182,6 +182,15 @@ def value_noise_four_gathers(rng, width, height, lattice):
     top = n00 * (1 - uf[None, :]) + n10 * uf[None, :]
     bot = n01 * (1 - uf[None, :]) + n11 * uf[None, :]
     return top * (1 - vf[:, None]) + bot * vf[:, None]
+
+
+def whole_grid_add_crater(z, xs, ys, cx, cy, radius, depth, rim_height, rim_sigma):
+    """terrain.add_crater's crater over the whole grid, in place: the bowl
+    and the rim's exp at every cell, however far from the centre."""
+    r = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
+    inside = r < radius
+    z[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
+    z += rim_height * np.exp(-(((r - radius) / rim_sigma) ** 2))
 
 
 def reference_synth_elevations(seed, width, height, cell_size, crater_count, fractal_octaves):

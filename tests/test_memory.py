@@ -120,7 +120,8 @@ def _eval_pair_peak_per_point(predictions):
 def test_evaluate_pair_holds_rasters_as_stored_and_few_cloud_copies(predictions):
     """A pair's four pointmaps and two depths stay float32 as read, and the
     clouds' float64 copies are few: the ground-truth cloud goes once Chamfer
-    and the scene scale are taken.  About 140 B (noisy) and 176 B (a copy,
-    where umeyama refits on every point) per shared point; with float64
-    rasters and the clouds kept to the end it was 200 and 226 B."""
-    assert _eval_pair_peak_per_point(predictions) <= 185
+    and the scene scale are taken, and a copy's all-inlier refit reads the
+    clouds without gathering them.  About 140 B (noisy) and 128 B (a copy)
+    per shared point; with float64 rasters and the clouds kept to the end it
+    was 200 and 226 B, and 176 B for a copy with the gathered refit."""
+    assert _eval_pair_peak_per_point(predictions) <= {"noisy": 185, "gt": 135}[predictions]

@@ -210,10 +210,8 @@ def test_row_bands_of_the_benchmark_views(monkeypatch, size, threads, count, row
 
     walked = {0: [], 1: []}
 
-    def blank(dem, rig, view_id, suns, hapke, seed, ceilings, band):
+    def blank(dem, rig, view_id, suns, hapke, seed, ceilings, radiance, depth, band):
         walked[view_id].append(band)
-        shape = (band.stop - band.start, size)
-        return [np.zeros(shape) for _ in suns], np.zeros(shape)
 
     monkeypatch.setenv("LUNARFORGE_THREADS", str(threads))
     monkeypatch.setattr(renderer, "_render_band", blank)
@@ -227,7 +225,8 @@ def _band_peak_per_ray(lighting_ids):
     """Traced peak bytes per PSF ray of one 64-row band of generate's default
     128 px oblique scene (band 0, seed 22, PSF 0.5 px, 4 rays per pixel) shaded
     under the given lightings, the band's own PSF jitter draw included, and
-    the band's radiance under each lighting."""
+    the band's radiance under each lighting.  The band writes into the view's
+    depth and radiance buffers, which exist before it and are not counted."""
     import tracemalloc
 
     seed = 22 * 100003  # generate's seed for pair 0 of band 0 under --seed 22
@@ -236,39 +235,47 @@ def _band_peak_per_ray(lighting_ids):
     suns = [lighting_preset(lid) for lid in lighting_ids]
     ceilings = [sun_ceiling(dem, sun_direction(sun)) for sun in suns]
     band = slice(64, 128)  # the second band, whose draw skips the first's
+    radiance, depth = [np.zeros((128, 128)) for _ in suns], np.zeros((128, 128))
 
     def render():
-        return _render_band(dem, rig, 0, suns, HAPKE, seed, ceilings, band)
+        _render_band(dem, rig, 0, suns, HAPKE, seed, ceilings, radiance, depth, band)
 
     render()  # the DEM's cached bounds, outside the measurement
     tracemalloc.start()
     try:
-        radiances, _ = render()
+        render()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (64 * 128 * 4), radiances
+    return peak / (64 * 128 * 4), [views[band] for views in radiance]
 
 
 @pytest.mark.parametrize("lighting", ["side", "polar"])
 def test_band_peak_memory_per_jittered_ray(lighting):
     """Every stage frees what it no longer needs, the normals go before the
-    shadow test, and the walk keeps a row shared by every ray as one value:
-    about 165 B per PSF ray under the side sun, in the jittered walk, and
-    199 B under the 3 degree polar sun, whose shadow walk traces most rays."""
+    shadow test, the walk keeps a row shared by every ray as one value, and
+    it tests the crossing candidates a quarter of its rays at a time: about
+    161 B per PSF ray under the side sun, in the band's one primary walk,
+    and 182 B under the 3 degree polar sun, whose shadow walk traces most
+    rays."""
     peak, (radiance,) = _band_peak_per_ray([lighting])
     assert (radiance > 0).mean() > 0.5  # a lit band: the shading ran
     assert peak <= {"side": 174, "polar": 210}[lighting]
 
 
 def test_band_peak_memory_does_not_grow_with_the_suns():
-    """A band holds one geometry pass and shades one sun at a time, so a
-    second sun adds only its band-sized radiance."""
+    """A band holds one geometry pass and shades one sun at a time into the
+    view's buffers.  Each sun's mu0 goes once that sun is shaded, and the
+    lowest sun, whose shadow walk sets the peak, is shaded last."""
     one, _ = _band_peak_per_ray(["side"])
     two, radiances = _band_peak_per_ray(["side", "back"])
     assert all((radiance > 0).mean() > 0.5 for radiance in radiances)
     assert two <= 174
     assert two <= one + 8 / 4  # one float64 per pixel, over 4 rays per pixel
+    polar, _ = _band_peak_per_ray(["polar"])
+    three, radiances = _band_peak_per_ray(["polar", "side", "back"])
+    assert all((radiance > 0).mean() > 0.5 for radiance in radiances)
+    assert three <= polar + 8 / 4
 
 
 def test_render_deterministic_across_runs_and_workers(monkeypatch):
@@ -293,10 +300,12 @@ def test_render_pair_is_two_render_views_with_a_shared_gain():
     ((pa, pb),) = render_pair(dem, rig, [sun], HAPKE, seed=4)
     # Each view rendered as one band of all its rows.
     ceiling = sun_ceiling(dem, sun_direction(sun))
-    raw_a, raw_b = (_render_band(dem, rig, view_id, [sun], HAPKE, 4, [ceiling], slice(0, 48)) for view_id in (0, 1))
-    assert exposure_gain(raw_a[0]) != exposure_gain(raw_b[0])
+    raw_a, raw_b = ([np.zeros((48, 48))], np.zeros((48, 48))), ([np.zeros((48, 48))], np.zeros((48, 48)))
+    for view_id, (radiance, depth) in enumerate((raw_a, raw_b)):
+        _render_band(dem, rig, view_id, [sun], HAPKE, 4, [ceiling], radiance, depth, slice(0, 48))
+    assert exposure_gain(raw_a[0][0]) != exposure_gain(raw_b[0][0])
     for prod, ((radiance,), depth) in ((pa, raw_a), (pb, raw_b)):
-        assert prod.image.tobytes() == np.clip(radiance * exposure_gain(raw_a[0]), 0.0, 1.0).tobytes()
+        assert prod.image.tobytes() == np.clip(radiance * exposure_gain(raw_a[0][0]), 0.0, 1.0).tobytes()
         assert prod.depth.tobytes() == depth.tobytes()
     # View a does not depend on pose_b: a rig whose views share one pose
     # renders that pose's one view.
@@ -343,9 +352,10 @@ def test_render_pair_matches_the_scalar_reference():
 
 @pytest.mark.parametrize("workers", ["1", "2", "8"])
 def test_render_pair_traces_each_band_once_whatever_the_suns(monkeypatch, workers):
-    """Three suns cost each row band one central and one jittered trace, as
-    one sun does; every other ray is a shadow ray traced inside shadow_mask.
-    Each sun's products are byte-identical to a render under that sun alone."""
+    """Three suns cost each row band one primary trace of its central and
+    jittered rays, as one sun does; every other ray is a shadow ray traced
+    inside shadow_mask.  Each sun's products are byte-identical to a render
+    under that sun alone."""
     import threading
 
     from lunarforge import _heightfield
@@ -375,12 +385,12 @@ def test_render_pair_traces_each_band_once_whatever_the_suns(monkeypatch, worker
     bands = 2 * len(_row_bands(48, 48))
     pairs = render_pair(dem, rig, suns, HAPKE, seed=2)
     assert len(pairs) == len(suns)
-    assert len(primary) == 2 * bands
+    assert len(primary) == bands
     assert sum(primary) == 2 * 48 * 48 * (1 + rig.rays_per_pixel)
     for sun, pair in zip(suns, pairs):
         primary.clear()
         (alone,) = render_pair(dem, rig, [sun], HAPKE, seed=2)
-        assert len(primary) == 2 * bands
+        assert len(primary) == bands
         for got, want in zip(pair, alone):
             assert got.image.tobytes() == want.image.tobytes()
             assert got.depth.tobytes() == want.depth.tobytes()

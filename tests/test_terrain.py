@@ -316,26 +316,48 @@ def test_crater_extrema_scan():
 
 
 def test_add_crater_is_bitwise_the_out_of_place_expression():
-    # The in-place rim must round exactly as the expression it replaced.
+    # The in-place rim, computed only within radius + 30 rim widths of the
+    # centre and never as a faint term, must round exactly as the whole-grid
+    # expression, for windows inside the grid, clipped by it or empty.
     rng = np.random.default_rng(13)
-    for _ in range(20):
+    for case in range(40):
         h, w = rng.integers(16, 80, 2)
         cell = rng.uniform(0.5, 30.0)
         xs, ys = np.arange(w) * cell, np.arange(h) * cell
-        z = rng.normal(0.0, 50.0, (h, w))
-        # Centres may fall outside the grid, radii may exceed it.
-        cx, cy = rng.uniform(-0.2, 1.2) * w * cell, rng.uniform(-0.2, 1.2) * h * cell
+        # Every fourth z is all +0.0, as before synthesis's first crater
+        # without noise.
+        z = np.zeros((h, w)) if case % 4 == 0 else rng.normal(0.0, 50.0, (h, w))
+        # Centres may fall outside the grid, radii may exceed it, and a
+        # centre far out leaves an empty window.
+        far = rng.choice([0.0, 10.0], p=[0.8, 0.2]) * rng.choice([-1, 1])
+        cx, cy = (rng.uniform(-0.2, 1.2) + far) * w * cell, rng.uniform(-0.2, 1.2) * h * cell
         radius = rng.uniform(0.02, 0.8) * min(h, w) * cell
         depth, rim_height, rim_sigma = rng.uniform(0.0, 0.3) * radius, rng.uniform(0.0, 0.1) * radius, rng.uniform(0.05, 0.4) * radius
 
         want = z.copy()
-        r = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
-        inside = r < radius
-        want[inside] -= depth * (1.0 - (r[inside] / radius) ** 2)
-        want += rim_height * np.exp(-(((r - radius) / rim_sigma) ** 2))
-
+        oracles.whole_grid_add_crater(want, xs, ys, cx, cy, radius, depth, rim_height, rim_sigma)
         add_crater(z, xs, ys, cx, cy, radius, depth, rim_height, rim_sigma)
         assert z.tobytes() == want.tobytes()
+
+
+def test_add_crater_keeps_the_faint_rim_on_tiny_cells():
+    """Cells of 0.0, +-1e-300 and subnormals far out under a faint rim, where
+    the rim's exp is subnormal or underflows: each gains exactly the whole-grid
+    term, as do the normal cells, which it cannot change."""
+    values = np.array([0.0, 1e-300, -1e-300, 5e-324, -2.5e-310, 1e-280, 1.0, -3.5])
+    z = values[np.arange(201 * 203) % len(values)].reshape(201, 203)
+    xs, ys = np.arange(203.0), np.arange(201.0)
+    # Reach 12 + 30 * 2.4 = 84 cells: the window lies inside the grid, and
+    # the cells from 6 radii out to it and past it hold every value.
+    args = 101.3, 99.7, 12.0, 3.0, 0.7, 2.4
+    want = z.copy()
+    oracles.whole_grid_add_crater(want, xs, ys, *args)
+    changed = want.view(np.int64) != z.view(np.int64)
+    r = np.hypot(xs[None, :] - 101.3, ys[:, None] - 99.7)
+    assert changed[(r > 6 * 12.0) & (z == 0.0)].any()  # a rim term past 6 radii
+    assert changed[(np.abs(z) == 1e-300) & (((r - 12.0) / 2.4) ** 2 > 708)].any()  # a subnormal term
+    add_crater(z, xs, ys, *args)
+    assert z.tobytes() == want.tobytes()
 
 
 def test_synth_single_crater_structure():
