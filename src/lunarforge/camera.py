@@ -9,7 +9,7 @@ point defaults to (width/2 - 0.5, height/2 - 0.5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,17 +41,11 @@ class Intrinsics:
         return self.width / (2 * math.tan(math.radians(self.fov_deg) / 2))
 
     def to_json_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "fov_deg": self.fov_deg,
-            "cx": self.cx,
-            "cy": self.cy,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Intrinsics":
-        return cls(width=d["width"], height=d["height"], fov_deg=d["fov_deg"], cx=d["cx"], cy=d["cy"])
+        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -290,6 +290,11 @@ def _load_pointmap(path: Path) -> tuple[np.ndarray, dict]:
     return pts, meta
 
 
+def _poses(d: dict) -> dict:
+    """The pose_a and pose_b entries of a meta or pose-file dict, as Poses."""
+    return {key: Pose.from_json_dict(d[key]) for key in ("pose_a", "pose_b")}
+
+
 def _load_ground_truth(gt_dir: Path, record: dict) -> PairGroundTruth:
     meta = formats.read_json(gt_dir / record["paths"]["meta"])
     pointmaps, depths = [], []
@@ -305,8 +310,7 @@ def _load_ground_truth(gt_dir: Path, record: dict) -> PairGroundTruth:
     return PairGroundTruth(
         pointmap_a=pointmaps[0],
         pointmap_b=pointmaps[1],
-        pose_a=Pose.from_json_dict(meta["pose_a"]),
-        pose_b=Pose.from_json_dict(meta["pose_b"]),
+        **_poses(meta),
         depth_a=depths[0],
         depth_b=depths[1],
         gsd_m=float(record["gsd_m"]),
@@ -329,21 +333,18 @@ def _load_prediction(pred_dir: Path, pair_id: str) -> PairPrediction | None:
     if any(present) and not all(present):
         raise ValueError("pose_a.json and pose_b.json must come together")
     if all(present):
-        pose_a, pose_b = (Pose.from_json_dict(formats.read_json(f)) for f in pose_files)
+        poses = _poses({f.stem: formats.read_json(f) for f in pose_files})
     elif (pdir / PAIR_FILES["meta"]).exists():
-        meta = formats.read_json(pdir / PAIR_FILES["meta"])
-        pose_a = Pose.from_json_dict(meta["pose_a"])
-        pose_b = Pose.from_json_dict(meta["pose_b"])
+        poses = _poses(formats.read_json(pdir / PAIR_FILES["meta"]))
     else:
         return None
     # A non-finite rotation already fails Pose's orthonormality check.
-    if not (np.isfinite(pose_a.translation).all() and np.isfinite(pose_b.translation).all()):
+    if not all(np.isfinite(pose.translation).all() for pose in poses.values()):
         raise ValueError("prediction pose translation is not finite")
     return PairPrediction(
         pointmap_a=_load_pointmap(pm_a)[0],
         pointmap_b=_load_pointmap(pm_b)[0],
-        pose_a=pose_a,
-        pose_b=pose_b,
+        **poses,
     )
 
 

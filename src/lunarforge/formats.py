@@ -27,46 +27,32 @@ def write_pgm16(path, image: np.ndarray) -> None:
     # Written as "inside" so that a NaN pixel fails both comparisons.
     if not np.all((img >= 0) & (img <= 1)):
         raise ValueError("image values must lie in [0, 1]")
-    q = np.round(img * 65535).astype(">u2")
-    h, w = q.shape
+    _write_pgm(path, np.round(img * 65535).astype(">u2"), 65535)
+
+
+def _write_pgm(path, samples: np.ndarray, maxval: int) -> None:
+    """The P5 layout: lines "P5", "W H" and maxval, then the row-major samples."""
+    h, w = samples.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(q.tobytes())
+        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(samples.tobytes())
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Read a P5 PGM written by write_pgm16 back into a [0, 1] float raster."""
-    data = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError("not a binary PGM (P5) file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 65535:
-        raise ValueError("expected 16-bit PGM (maxval 65535)")
-    pos += 1  # single whitespace after maxval
-    raster = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos)
+    """Read a P5 PGM written by write_pgm16 back into a [0, 1] float raster;
+    any other header, an 8-bit PGM's included, is a ValueError."""
+    magic, size, maxval, samples = Path(path).read_bytes().split(b"\n", 3)
+    if magic != b"P5" or maxval != b"65535":
+        raise ValueError("not a 16-bit binary PGM (P5, maxval 65535)")
+    w, h = (int(v) for v in size.split(b" "))
+    raster = np.frombuffer(samples, dtype=">u2", count=w * h)
     return raster.reshape(h, w).astype(np.float64) / 65535.0
 
 
 def write_pgm8(path, image: np.ndarray) -> None:
     """Write a [0, 1] float raster as an 8-bit P5 PGM (visualizations)."""
     img = np.asarray(image, dtype=np.float64)
-    q = np.round(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
-    h, w = q.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(q.tobytes())
+    _write_pgm(path, np.round(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8), 255)
 
 
 def write_f32_raster(path, array: np.ndarray, meta: dict) -> None:

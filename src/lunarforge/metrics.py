@@ -270,7 +270,6 @@ def scale_invariant_loss(pred_points, gt_points) -> float:
 # ---------------------------------------------------------------------------
 
 
-ALIGN_ITERATIONS = 2000  # RANSAC cap; also bounds the certifiable inlier ratio (RansacParams)
 ALIGN_THRESHOLD_GSD = 3.0  # alignment inlier threshold, in ground-truth GSDs
 
 
@@ -343,7 +342,7 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
 
     The prediction is aligned to the ground-truth world frame with a RANSAC
     similarity transform (index-paired points, ALIGN_THRESHOLD_GSD, at most
-    ALIGN_ITERATIONS hypotheses drawn from seed); distances, slope, SSIM,
+    RansacParams.iterations hypotheses drawn from seed); distances, slope, SSIM,
     profile and pointmap-loss metrics are computed on the aligned
     prediction, and RRA/RTA compare relative poses.  Degeneracies land in
     report.flags instead of NaN.
@@ -356,7 +355,7 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
     pred_cloud = np.concatenate([pred.pointmap_a[shared_a], pred.pointmap_b[shared_b]], dtype=np.float64)
 
     # Built outside the try: a bad seed is the caller's error, not degenerate geometry.
-    params = RansacParams(iterations=ALIGN_ITERATIONS, inlier_threshold=ALIGN_THRESHOLD_GSD * gt.gsd_m, seed=seed)
+    params = RansacParams(inlier_threshold=ALIGN_THRESHOLD_GSD * gt.gsd_m, seed=seed)
     if len(gt_cloud) >= 3:
         try:
             transform, _ = ransac_align(pred_cloud, gt_cloud, params)
@@ -383,9 +382,9 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
             report.flags["relative"] = str(exc)
         del gt_cloud  # the per-view metrics read the ground-truth rasters
 
-        # Dense per-view rasters of the aligned prediction's elevation and
-        # ray depth: NaN off the shared mask, the aligned cloud's values
-        # scattered back onto it.
+        # Dense float64 per-view rasters of elevation and ray depth, NaN off
+        # the shared mask: the aligned cloud's values and the ground truth's
+        # stored ones scattered onto it, so no metric makes its own copy.
         per_view: dict[str, list] = {}
         start = 0
         for gt_world, shared, gt_depth, gt_pose in (
@@ -399,10 +398,12 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
             start += count
             pred_z = np.full(shared.shape, np.nan)
             pred_z[shared] = view_cloud[:, 2]
-            gt_z = np.where(shared, gt_world[..., 2], np.nan)
+            gt_z = np.full(shared.shape, np.nan)
+            np.copyto(gt_z, gt_world[..., 2], where=shared)
             pred_depth = np.full(shared.shape, np.nan)
             pred_depth[shared] = norms(view_cloud - gt_pose.translation)
-            gt_depth_m = np.where(shared, gt_depth, np.nan)
+            gt_depth_m = np.full(shared.shape, np.nan)
+            np.copyto(gt_depth_m, gt_depth, where=shared)
             # Built here so each metric is looked up when it is called.  Each
             # metric's arguments are made for its call alone: the pointmap
             # loss's clouds in the ground-truth view-a frame live only then.

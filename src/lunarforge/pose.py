@@ -85,8 +85,9 @@ def _ransac(name: str, n: int, sample_size: int, fit, inliers_of, params: Ransac
     `inliers_of(model)` is its boolean mask over all `n` points.  Samples come
     from a generator seeded by (params.seed, tag).  The best hypothesis is refit
     to a fixed point: fit its inliers and recompute the mask until the mask
-    stops changing (at most _REFIT_ROUNDS rounds) or would drop below
-    `sample_size` points.  Returns (model, mask); raises RansacError when no
+    stops changing or would drop below `sample_size` points.  Returns (model,
+    mask); after _REFIT_ROUNDS rounds without a fixed point, the refit model
+    with the most inliers and its own mask.  Raises RansacError when no
     hypothesis explains `sample_size` points.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(params.seed, tag)))
@@ -109,13 +110,16 @@ def _ransac(name: str, n: int, sample_size: int, fit, inliers_of, params: Ransac
     if mask is None or best_count < sample_size:
         raise RansacError(f"{name} RANSAC found no consensus set")
     model = fit(mask)
+    best = None
     for _ in range(_REFIT_ROUNDS):
         refit_mask = inliers_of(model)
         if refit_mask.sum() < sample_size or np.array_equal(refit_mask, mask):
-            break
+            return model, mask
+        if best is None or refit_mask.sum() > best[1].sum():
+            best = model, refit_mask
         mask = refit_mask
         model = fit(mask)
-    return model, mask
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,10 +236,10 @@ def estimate_essential(
 
     matches holds (u1, v1, u2, v2) rows, as gt_correspondences returns them.
     Returns the pose of camera 2 in camera 1's frame with unit translation.
-    The winner is refit to a fixed point (see _ransac); once that converges,
-    `inliers` are the matches whose Sampson distance to E is below the
-    threshold.  Raises DegenerateBaselineError when a pure rotation explains
-    the matches.
+    The winner is refit to a fixed point (see _ransac), and `inliers` are
+    the matches whose Sampson distance to E is below the threshold, unless
+    a refit would leave fewer than 8.  Raises DegenerateBaselineError when a
+    pure rotation explains the matches.
     """
     h1, h2 = _match_rays(matches, intr1, intr2)
     n = len(h1)
@@ -492,7 +496,7 @@ def _residual_inliers(transform: SimilarityTransform, src: np.ndarray, dst: np.n
 def ransac_align(
     pred_cloud: np.ndarray,
     gt_cloud: np.ndarray,
-    ransac: RansacParams = RansacParams(iterations=2000, inlier_threshold=1.0),
+    ransac: RansacParams = RansacParams(),
 ):
     """RANSAC over 3-point umeyama hypotheses aligning pred to gt by index.
 

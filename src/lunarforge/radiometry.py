@@ -46,7 +46,7 @@ class HapkeParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HapkeParams":
-        return cls(w=d["w"], B0=d["B0"], h_opp=d["h_opp"], xi=d["xi"])
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class SunConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SunConfig":
-        return cls(azimuth=d["azimuth"], elevation=d["elevation"], irradiance=d["irradiance"])
+        return cls(**d)
 
 
 def h_function(x, w):

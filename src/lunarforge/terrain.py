@@ -210,18 +210,12 @@ def _load_ascii_grid(path: Path) -> DemGrid:
 
 def _write_ascii_grid(dem: DemGrid, path: Path) -> None:
     nodata = -9999.0
-    lines = [
-        f"ncols {dem.width}",
-        f"nrows {dem.height}",
-        f"xllcorner {dem.origin_x - 0.5 * dem.cell_size:.10g}",
-        f"yllcorner {dem.origin_y - 0.5 * dem.cell_size:.10g}",
-        f"cellsize {dem.cell_size:.10g}",
-        f"nodata_value {nodata:.10g}",
-    ]
-    grid = dem.elevations[::-1]  # back to north-up
-    for row in grid:
-        vals = [nodata if not math.isfinite(v) else v for v in row]
-        lines.append(" ".join(f"{v:.10g}" for v in vals))
+    corner = (dem.origin_x - 0.5 * dem.cell_size, dem.origin_y - 0.5 * dem.cell_size)
+    header = (dem.width, dem.height, *corner, dem.cell_size, nodata)
+    lines = [f"{key} {value:.10g}" for key, value in zip(_ASCII_HEADER_KEYS, header)]
+    row_format = " ".join(["%.10g"] * dem.width)
+    # Rows back to north-up; the elevations hold no inf, so only NaN is replaced.
+    lines += [row_format % tuple(row) for row in np.nan_to_num(dem.elevations[::-1], nan=nodata).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

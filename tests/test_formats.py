@@ -13,14 +13,24 @@ ROUND_TRIPS = settings(max_examples=60, deadline=None, derandomize=True,
 
 def test_pgm16_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    img = rng.random((20, 30))
+    images = [rng.random((20, 30))]
+    # A first sample of 0x0A0A or 0x2020 puts newline or space bytes right
+    # after the header, where the reader must not take them for header.
+    for first in (0x0A0A, 0x2020):
+        images += [np.array([[first / 65535]]), rng.random((3, 5))]
+        images[-1][0, 0] = first / 65535
     path = tmp_path / "img.pgm"
-    formats.write_pgm16(path, img)
-    back = formats.read_pgm16(path)
-    assert back.shape == img.shape
-    assert np.max(np.abs(back - img)) <= 0.5 / 65535 + 1e-12  # quantization only
-    formats.write_pgm16(tmp_path / "b.pgm", back)
-    assert (tmp_path / "b.pgm").read_bytes() == path.read_bytes()
+    for img in images:
+        formats.write_pgm16(path, img)
+        back = formats.read_pgm16(path)
+        assert back.shape == img.shape
+        assert np.max(np.abs(back - img)) <= 0.5 / 65535 + 1e-12  # quantization only
+        formats.write_pgm16(tmp_path / "b.pgm", back)
+        assert (tmp_path / "b.pgm").read_bytes() == path.read_bytes()
+    # The reader takes only write_pgm16's layout: an 8-bit PGM is refused.
+    formats.write_pgm8(path, images[0])
+    with pytest.raises(ValueError):
+        formats.read_pgm16(path)
 
 
 @ROUND_TRIPS

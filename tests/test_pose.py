@@ -76,12 +76,15 @@ def test_essential_zero_baseline_flags_degenerate(flat_dem):
         estimate_essential(corr, intr, intr, RansacParams(seed=1))
 
 
-def test_essential_inliers_are_the_sampson_inliers_of_the_returned_e(oblique_scene):
-    # Noisy matches with 30% outliers: the refit runs to a fixed point, so
-    # the inlier set and E agree.
+@pytest.mark.parametrize("noise_px", [0.3, 0.7])
+@pytest.mark.parametrize("draw", range(20))
+def test_essential_inliers_are_the_sampson_inliers_of_the_returned_e(oblique_scene, noise_px, draw):
+    # Noisy matches with 30% outliers: the inlier set and E agree, whether the
+    # refit reaches a fixed point or stops at its round cap (draws 0 and 2 at
+    # 0.3 px, and 1, 8, 13 and 14 at 0.7 px, do not settle).
     rig = oblique_scene["rig"]
-    rng = np.random.default_rng(0)
-    pairs = oblique_scene["corr"] + rng.normal(0, 0.7, oblique_scene["corr"].shape)
+    rng = np.random.default_rng(draw)
+    pairs = oblique_scene["corr"] + rng.normal(0, noise_px, oblique_scene["corr"].shape)
     bad = rng.choice(len(pairs), size=3 * len(pairs) // 10, replace=False)
     pairs[bad, 2:] += rng.uniform(-20, 20, (len(bad), 2))
     params = RansacParams(inlier_threshold=1.0, seed=0)
