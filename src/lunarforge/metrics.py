@@ -52,24 +52,33 @@ def _nn_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def accuracy_completeness(pred_cloud: np.ndarray, gt_cloud: np.ndarray):
     """Mean nearest-neighbor distances pred->gt (accuracy) and gt->pred
-    (completeness); chamfer is their average.  Clouds must be pre-aligned."""
+    (completeness); chamfer is their average.  Clouds must be pre-aligned.
+    Each mean is taken as soon as its query returns, so one query's
+    distances are alive at a time."""
     pred = np.asarray(pred_cloud, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_cloud, dtype=np.float64).reshape(-1, 3)
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("point clouds must be non-empty")
-    d_pred = _nn_distances(gt, pred)
-    d_gt = _nn_distances(pred, gt)
-    accuracy = float(np.mean(d_pred))
-    completeness = float(np.mean(d_gt))
+    accuracy = float(np.mean(_nn_distances(gt, pred)))
+    completeness = float(np.mean(_nn_distances(pred, gt)))
     return accuracy, completeness, (accuracy + completeness) / 2
 
 
+SCALE_CHUNK_ROWS = 4096  # cloud rows scene_scale centres at a time
+
+
 def scene_scale(gt_cloud: np.ndarray) -> float:
-    """Mean distance of ground-truth points to their centroid."""
+    """Mean distance of ground-truth points to their centroid.  The cloud is
+    centred SCALE_CHUNK_ROWS rows at a time into one buffer of distances."""
     gt = np.asarray(gt_cloud, dtype=np.float64).reshape(-1, 3)
     if len(gt) == 0:
         raise ValueError("empty ground-truth cloud")
-    return float(np.mean(norms(gt - gt.mean(axis=0))))
+    centroid = gt.mean(axis=0)
+    distances = np.empty(len(gt))
+    for start in range(0, len(gt), SCALE_CHUNK_ROWS):
+        rows = slice(start, start + SCALE_CHUNK_ROWS)
+        distances[rows] = norms(gt[rows] - centroid)
+    return float(np.mean(distances))
 
 
 def relative_error(metric_m: float, scale_m: float) -> float:
@@ -126,25 +135,38 @@ _SSIM_TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2) ** 2) / (
 _SSIM_TAPS /= _SSIM_TAPS.sum()
 
 
-def _taps_pass(img: np.ndarray, axis: int) -> np.ndarray:
-    """One pass of the 11-tap Gaussian along axis, zero outside the image.
+def _taps_pass(img: np.ndarray, axis: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """One pass of the 11-tap Gaussian along axis, zero outside img, at the
+    positions start..stop of that axis (all of them by default).
 
     The sums run in scipy.ndimage.correlate1d's order for a symmetric filter:
     the centre tap times its weight, then, from the outermost pair of taps
     inward, (x[i - j] + x[i + j]) * w[j] added in turn, w[j] being the weight
     j taps from the centre.  So the result is
-    correlate1d(img, _SSIM_TAPS, axis, mode="constant") bit for bit.
+    correlate1d(img, _SSIM_TAPS, axis, mode="constant")[start:stop] bit for
+    bit, and only the positions within 5 taps of start..stop are read.
     """
     half = SSIM_WINDOW // 2
     n = img.shape[axis]
-    padding = [(0, 0)] * img.ndim
-    padding[axis] = (half, half)
-    padded = np.pad(img, padding)
+    stop = n if stop is None else stop
+    lo, hi = max(start - half, 0), min(stop + half, n)
 
-    def at(offset):  # x[i + offset] for every i, zero outside the image
-        return padded[(slice(None),) * axis + (slice(half + offset, half + offset + n),)]
+    def along(first, end):  # index of positions first..end along axis
+        return (slice(None),) * axis + (slice(first, end),)
 
-    out = img * _SSIM_TAPS[half]
+    # Positions start - half .. stop + half, the ones outside img zero.
+    padded = img[along(lo, hi)]
+    before, after = half - (start - lo), half - (hi - stop)
+    if before or after:
+        shape = list(padded.shape)
+        shape[axis] += before + after
+        padded, inner = np.zeros(shape, dtype=img.dtype), padded
+        padded[along(before, before + hi - lo)] = inner
+
+    def at(offset):  # x[i + offset] for every output i, zero outside img
+        return padded[along(half + offset, half + offset + stop - start)]
+
+    out = at(0) * _SSIM_TAPS[half]
     pair = np.empty_like(out)
     for j in range(half, 0, -1):
         np.add(at(-j), at(j), out=pair)
@@ -153,13 +175,16 @@ def _taps_pass(img: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _window_mean(img: np.ndarray) -> np.ndarray:
+def _window_mean(img: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Gaussian-weighted mean of img over the SSIM window centred on each
-    pixel, zero outside the image.  The window is separable, so this is two
-    passes of the 11-tap 1-D Gaussian, down the columns and then along the
-    rows: 22 taps per pixel instead of 121.  The means match the 2-D sum up
-    to rounding (~1e-15 relative)."""
-    return _taps_pass(_taps_pass(img, 0), 1)
+    pixel of rows start..stop (all rows by default), zero outside img.  The
+    window is separable, so this is two passes of the 11-tap 1-D Gaussian,
+    down the columns and then along the rows: 22 taps per pixel instead of
+    121.  The means match the 2-D sum up to rounding (~1e-15 relative)."""
+    return _taps_pass(_taps_pass(img, 0, start, stop), 1)
+
+
+SSIM_STRIP_ROWS = 64  # SSIM map rows computed at a time
 
 
 def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
@@ -168,6 +193,12 @@ def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
     11x11 Gaussian window (sigma 1.5) applied as two separable 11-tap
     passes, K1=0.01, K2=0.03, dynamic range L = max - min of the
     ground-truth depths.
+
+    The map is computed SSIM_STRIP_ROWS rows at a time, each strip reading
+    the window's 5-row halo on either side, so only strip-sized means are
+    alive.  Every pixel sums the same terms in the same order as a
+    whole-view pass, and the fully supported values are averaged in row
+    order, so the result is the whole-view one bit for bit.
     """
     pred = np.asarray(pred_depth, dtype=np.float64)
     gt = np.asarray(gt_depth, dtype=np.float64)
@@ -176,29 +207,42 @@ def ssim_depth(pred_depth: np.ndarray, gt_depth: np.ndarray) -> float:
     valid = np.isfinite(pred) & np.isfinite(gt)
     if not valid.any():
         raise DegenerateMetricError("shared valid mask is empty")
-    gvals = gt[valid]
-    dr = float(gvals.max() - gvals.min())
+    dr = float(np.max(gt, where=valid, initial=-np.inf) - np.min(gt, where=valid, initial=np.inf))
     if dr == 0:
         raise DegenerateMetricError("constant ground-truth depth: L = 0")
 
-    x = np.where(valid, pred, 0.0)
-    y = np.where(valid, gt, 0.0)
-    support = _window_mean(valid.astype(np.float64))
-    full = support > 1 - 1e-9
+    half = SSIM_WINDOW // 2
+    height = len(valid)
+    # (first row, end row) of each strip, and of the rows its windows read.
+    strips = [(start, min(start + SSIM_STRIP_ROWS, height)) for start in range(0, height, SSIM_STRIP_ROWS)]
+    strips = [(start, stop, max(start - half, 0), min(stop + half, height)) for start, stop in strips]
+    full = np.empty(valid.shape, dtype=bool)
+    for start, stop, lo, hi in strips:
+        support = _window_mean(valid[lo:hi].astype(np.float64), start - lo, stop - lo)
+        full[start:stop] = support > 1 - 1e-9
     if not full.any():
         raise DegenerateMetricError("no window has full valid support")
 
-    mu_x = _window_mean(x)
-    mu_y = _window_mean(y)
-    var_x = _window_mean(x * x) - mu_x**2
-    var_y = _window_mean(y * y) - mu_y**2
-    cov = _window_mean(x * y) - mu_x * mu_y
     c1 = (SSIM_K1 * dr) ** 2
     c2 = (SSIM_K2 * dr) ** 2
-    ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-        (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
-    )
-    return float(np.mean(ssim_map[full]))
+    ssim_values = np.empty(int(full.sum()))  # the map at its fully supported pixels, in row order
+    filled = 0
+    for start, stop, lo, hi in strips:
+        x = np.where(valid[lo:hi], pred[lo:hi], 0.0)
+        y = np.where(valid[lo:hi], gt[lo:hi], 0.0)
+        mu_x = _window_mean(x, start - lo, stop - lo)
+        mu_y = _window_mean(y, start - lo, stop - lo)
+        var_x = _window_mean(x * x, start - lo, stop - lo) - mu_x**2
+        var_y = _window_mean(y * y, start - lo, stop - lo) - mu_y**2
+        cov = _window_mean(x * y, start - lo, stop - lo) - mu_x * mu_y
+        del x, y
+        ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+            (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
+        )
+        strip_values = ssim_map[full[start:stop]]
+        ssim_values[filled:filled + len(strip_values)] = strip_values
+        filled += len(strip_values)
+    return float(np.mean(ssim_values))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +426,23 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
             report.flags["relative"] = str(exc)
         del gt_cloud  # the per-view metrics read the ground-truth rasters
 
+        per_view: dict[str, list] = {}
+
+        def score(flag, names, metric, *args):
+            try:
+                values = metric(*args)
+            except DegenerateMetricError as exc:
+                report.flags.setdefault(flag, str(exc))
+                return
+            for name, value in zip(names, values if len(names) > 1 else (values,)):
+                per_view.setdefault(name, []).append(value)
+
         # Dense float64 per-view rasters of elevation and ray depth, NaN off
         # the shared mask: the aligned cloud's values and the ground truth's
         # stored ones scattered onto it, so no metric makes its own copy.
-        per_view: dict[str, list] = {}
+        # Each metric is looked up when it is called, and each raster lives
+        # only through the metrics that read it: the pointmap loss, last,
+        # builds its own clouds in the ground-truth view-a frame.
         start = 0
         for gt_world, shared, gt_depth, gt_pose in (
             (gt.pointmap_a, shared_a, gt.depth_a, gt.pose_a),
@@ -400,27 +457,17 @@ def evaluate_pair(pred: PairPrediction, gt: PairGroundTruth, seed: int = 0) -> M
             pred_z[shared] = view_cloud[:, 2]
             gt_z = np.full(shared.shape, np.nan)
             np.copyto(gt_z, gt_world[..., 2], where=shared)
+            score("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, pred_z, gt_z, gt.gsd_m)
+            del pred_z, gt_z
             pred_depth = np.full(shared.shape, np.nan)
             pred_depth[shared] = norms(view_cloud - gt_pose.translation)
             gt_depth_m = np.full(shared.shape, np.nan)
             np.copyto(gt_depth_m, gt_depth, where=shared)
-            # Built here so each metric is looked up when it is called.  Each
-            # metric's arguments are made for its call alone: the pointmap
-            # loss's clouds in the ground-truth view-a frame live only then.
-            for flag, names, metric, args in (
-                ("slope", ("slope_corr", "slope_mae_deg"), slope_metrics, lambda: (pred_z, gt_z, gt.gsd_m)),
-                ("ssim", ("ssim",), ssim_depth, lambda: (pred_depth, gt_depth_m)),
-                ("profile", ("profile_mae_m", "profile_corr"), profile_metrics, lambda: (pred_depth, gt_depth_m)),
-                ("si_loss", ("si_loss",), scale_invariant_loss, lambda: (
-                    gt.pose_a.world_to_camera(view_cloud), gt.pose_a.world_to_camera(gt_world[shared]))),
-            ):
-                try:
-                    values = metric(*args())
-                except DegenerateMetricError as exc:
-                    report.flags.setdefault(flag, str(exc))
-                    continue
-                for name, value in zip(names, values if len(names) > 1 else (values,)):
-                    per_view.setdefault(name, []).append(value)
+            score("ssim", ("ssim",), ssim_depth, pred_depth, gt_depth_m)
+            score("profile", ("profile_mae_m", "profile_corr"), profile_metrics, pred_depth, gt_depth_m)
+            del pred_depth, gt_depth_m
+            score("si_loss", ("si_loss",), scale_invariant_loss,
+                  gt.pose_a.world_to_camera(view_cloud), gt.pose_a.world_to_camera(gt_world[shared]))
         for name, values in per_view.items():
             setattr(report, name, float(np.mean(values)))
 

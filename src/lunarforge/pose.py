@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, Pose, image_plane, norms, orthonormalized, relative_pose
+from .camera import Intrinsics, Pose, image_plane, orthonormalized, relative_pose
 
 
 class InsufficientMatchesError(ValueError):
@@ -109,6 +109,7 @@ def _ransac(name: str, n: int, sample_size: int, fit, inliers_of, params: Ransac
             needed = _hypotheses_needed(count, n, sample_size)
     if mask is None or best_count < sample_size:
         raise RansacError(f"{name} RANSAC found no consensus set")
+    del candidate  # the last hypothesis's mask: the refit keeps only the best
     model = fit(mask)
     best = None
     for _ in range(_REFIT_ROUNDS):
@@ -455,23 +456,46 @@ def pose_accuracy_table(errors, thresholds) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def umeyama(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
-    """Least-squares similarity transform: dst ~= s R src + t.
+def _centred(cloud: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(cloud[rows] less its mean, that mean), the gather centred in place.
+    rows None selects every row; so does an all-True mask on a C-ordered
+    cloud, which holds what its gather would: both read the cloud itself."""
+    if rows is None or (rows.dtype == bool and rows.all() and cloud.flags.c_contiguous):
+        mean = cloud.mean(axis=0)
+        return cloud - mean, mean
+    # A C-ordered cloud's rows as 24-byte items: a mask over a 1-D array
+    # gathers without the index array numpy builds to mask a 2-D one.
+    items = cloud.view(np.dtype((np.void, 24)))[:, 0] if cloud.flags.c_contiguous else cloud
+    picked = items[rows].view(np.float64).reshape(-1, 3)
+    mean = picked.mean(axis=0)
+    picked -= mean
+    return picked, mean
+
+
+def umeyama(src: np.ndarray, dst: np.ndarray, rows=None) -> SimilarityTransform:
+    """Least-squares similarity transform: dst ~= s R src + t, fitted to the
+    rows that rows (a boolean mask or indices) selects, or to every row.
 
     Closed form; the rotation determinant is forced to +1 (no reflections).
+    Each cloud's rows are gathered only when needed and centred in place, so
+    the result equals umeyama(src[rows], dst[rows]) bit for bit while at
+    most two gathered copies are alive.
     """
     src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    if src.shape != dst.shape or len(src) < 3:
+    if rows is None:
+        n = len(src)
+    else:
+        rows = np.asarray(rows)
+        n = int(np.count_nonzero(rows)) if rows.dtype == bool else len(rows)
+    if src.shape != dst.shape or n < 3:
         raise ValueError("umeyama needs >= 3 paired points")
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    ds = src - mu_s
-    var_s = (ds**2).sum() / len(src)  # before dd, so ds**2 and dd are never both alive
+    ds, mu_s = _centred(src, rows)
+    var_s = (ds**2).sum() / n  # before dd, so ds**2 and dd are never both alive
     if var_s < 1e-300:
         raise DegenerateGeometryError("source points are coincident")
-    dd = dst - mu_d
-    cov = dd.T @ ds / len(src)
+    dd, mu_d = _centred(dst, rows)
+    cov = dd.T @ ds / n
     u, d, vt = np.linalg.svd(cov)
     if d[1] < 1e-12 * max(d[0], 1.0):
         raise DegenerateGeometryError("point configuration is collinear")
@@ -487,10 +511,17 @@ def umeyama(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
 
 
 def _residual_inliers(transform: SimilarityTransform, src: np.ndarray, dst: np.ndarray, threshold: float) -> np.ndarray:
-    """Rows where |transform(src) - dst| < threshold."""
+    """Rows where |transform(src) - dst| < threshold.  The residual is
+    squared in place and its squares summed (x*x + y*y) + z*z into its own
+    x column, camera.norms's order, so the mask is norms(transform.apply(src)
+    - dst) < threshold bit for bit with no buffer besides the residual."""
     d = transform.apply(src)
     d -= dst
-    return norms(d) < threshold
+    d *= d
+    dist = d[:, 0]
+    dist += d[:, 1]
+    dist += d[:, 2]
+    return np.sqrt(dist, out=dist) < threshold
 
 
 def ransac_align(
@@ -515,17 +546,10 @@ def ransac_align(
     if pred.shape != gt.shape or len(pred) < 3:
         raise ValueError("alignment needs >= 3 index-paired points")
 
-    def fit(rows):
-        # An all-inlier mask, as a copy of the ground truth gives, refits on
-        # the clouds themselves: a C-ordered cloud holds what its gather would.
-        # umeyama is looked up at call time, so a wrapper on pose.umeyama sees
-        # every call.
-        if rows.dtype == bool and rows.all() and pred.flags.c_contiguous and gt.flags.c_contiguous:
-            return umeyama(pred, gt)
-        return umeyama(pred[rows], gt[rows])
-
+    # umeyama is looked up at call time, so a wrapper on pose.umeyama sees
+    # every call.
     transform, mask = _ransac(
-        "similarity", len(pred), 3, fit,
+        "similarity", len(pred), 3, lambda rows: umeyama(pred, gt, rows),
         lambda transform: _residual_inliers(transform, pred, gt, ransac.inlier_threshold), ransac, 0xA116,
     )
     count = int(mask.sum())

@@ -439,3 +439,44 @@ def gaussian_window_means(img, valid, size=11, sigma=1.5):
                 means[i, j] = float(np.sum(kernel * patch))
                 full[i, j] = True
     return means, full
+
+
+def whole_view_ssim_depth(pred_depth, gt_depth, window=11, sigma=1.5, k1=0.01, k2=0.03):
+    """metrics.ssim_depth as one whole-view pass: every window mean is a
+    view-sized array, from two scipy.ndimage.correlate1d passes of the
+    normalized 11-tap Gaussian with zeros outside the view.  Raises
+    DegenerateMetricError with ssim_depth's messages."""
+    from scipy import ndimage
+
+    from lunarforge.metrics import DegenerateMetricError
+
+    taps = np.exp(-((np.arange(window) - (window - 1) / 2) ** 2) / (2 * sigma**2))
+    taps /= taps.sum()
+
+    def window_mean(img):
+        cols = ndimage.correlate1d(img, taps, axis=0, mode="constant", cval=0.0)
+        return ndimage.correlate1d(cols, taps, axis=1, mode="constant", cval=0.0)
+
+    pred = np.asarray(pred_depth, dtype=np.float64)
+    gt = np.asarray(gt_depth, dtype=np.float64)
+    valid = np.isfinite(pred) & np.isfinite(gt)
+    if not valid.any():
+        raise DegenerateMetricError("shared valid mask is empty")
+    gvals = gt[valid]
+    dr = float(gvals.max() - gvals.min())
+    if dr == 0:
+        raise DegenerateMetricError("constant ground-truth depth: L = 0")
+    x = np.where(valid, pred, 0.0)
+    y = np.where(valid, gt, 0.0)
+    full = window_mean(valid.astype(np.float64)) > 1 - 1e-9
+    if not full.any():
+        raise DegenerateMetricError("no window has full valid support")
+    mu_x = window_mean(x)
+    mu_y = window_mean(y)
+    var_x = window_mean(x * x) - mu_x**2
+    var_y = window_mean(y * y) - mu_y**2
+    cov = window_mean(x * y) - mu_x * mu_y
+    c1 = (k1 * dr) ** 2
+    c2 = (k2 * dr) ** 2
+    ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / ((mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2))
+    return float(np.mean(ssim_map[full]))

@@ -120,8 +120,13 @@ def _eval_pair_peak_per_point(predictions):
 def test_evaluate_pair_holds_rasters_as_stored_and_few_cloud_copies(predictions):
     """A pair's four pointmaps and two depths stay float32 as read, and the
     clouds' float64 copies are few: the ground-truth cloud goes once Chamfer
-    and the scene scale are taken, and a copy's all-inlier refit reads the
-    clouds without gathering them.  About 140 B (noisy) and 128 B (a copy)
-    per shared point; with float64 rasters and the clouds kept to the end it
-    was 200 and 226 B, and 176 B for a copy with the gathered refit."""
-    assert _eval_pair_peak_per_point(predictions) <= {"noisy": 185, "gt": 135}[predictions]
+    and the scene scale are taken, a copy's all-inlier refit reads the clouds
+    without gathering them, a partial refit holds one centred gather per
+    cloud, RANSAC scores in the residual's own buffer, SSIM holds strips and
+    each view's rasters go before the pointmap loss.  About 110 B (noisy)
+    and 128 B (a copy) per shared point, both in the refit; with float64
+    rasters and the clouds kept to the end it was 200 and 226 B, then 140 B
+    for noisy predictions with whole-cloud copies in the refit and the
+    scoring and 15 view-sized arrays in SSIM, and 176 B for a copy with the
+    gathered refit."""
+    assert _eval_pair_peak_per_point(predictions) <= {"noisy": 115, "gt": 135}[predictions]

@@ -20,10 +20,13 @@ from lunarforge import (
     sample_pair,
     scale_invariant_loss,
 )
-from lunarforge.camera import rot_z
+from lunarforge import metrics
+from lunarforge.camera import norms, rot_z
 from lunarforge.cli import synth_dem_for_band
 from lunarforge.metrics import (
     _SSIM_TAPS,
+    SCALE_CHUNK_ROWS,
+    SSIM_WINDOW,
     DegenerateMetricError,
     _window_mean,
     accuracy_completeness,
@@ -124,6 +127,13 @@ def test_relative_error_scales_with_scene():
     s2 = scene_scale(2 * gt)
     assert s2 == pytest.approx(2 * s1, rel=1e-12)
     assert relative_error(50.0, s2) == pytest.approx(relative_error(50.0, s1) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, SCALE_CHUNK_ROWS - 1, SCALE_CHUNK_ROWS, SCALE_CHUNK_ROWS + 1, 2 * SCALE_CHUNK_ROWS + 7])
+def test_scene_scale_in_chunks_is_the_whole_cloud_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    gt = (rng.normal(0, 300, (n, 3)) + [1.5e6, -1.2e6, 1.7e3]).astype(np.float32).astype(np.float64)
+    assert scene_scale(gt) == float(np.mean(norms(gt - gt.mean(axis=0))))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +243,67 @@ def test_window_mean_is_two_correlate1d_passes_bit_for_bit(shape):
         cols = ndimage.correlate1d(img, _SSIM_TAPS, axis=0, mode="constant", cval=0.0)
         expected = ndimage.correlate1d(cols, _SSIM_TAPS, axis=1, mode="constant", cval=0.0)
         assert _window_mean(img).tobytes() == expected.tobytes()
+        # Rows start..stop from only the rows their windows read.
+        for start, stop in ((0, 1), (2, shape[0] - 2), (shape[0] // 2, shape[0])):
+            if start >= stop:
+                continue
+            lo, hi = max(start - 5, 0), min(stop + 5, shape[0])
+            rows = _window_mean(img[lo:hi], start - lo, stop - lo)
+            assert rows.tobytes() == expected[start:stop].tobytes()
+
+
+def _ssim_outcome(ssim, pred, gt):
+    """ssim's value as its exact bits, or the message of its DegenerateMetricError."""
+    try:
+        return ssim(pred, gt).hex()
+    except DegenerateMetricError as exc:
+        return f"raises: {exc}"
+
+
+def _depth_pair(shape, seed, strip_rows):
+    """Depth-like rasters, NaN at 1% of pixels and on both sides of strip
+    boundaries at least 8 rows apart (in the ground truth above, in the
+    prediction alone below)."""
+    rng = np.random.default_rng([seed, *shape])
+    gt = 1500.0 + rng.normal(0.0, 40.0, shape)
+    pred = gt + rng.normal(0.0, 2.0, shape)
+    gt[rng.random(shape) < 0.01] = np.nan
+    for boundary in range(strip_rows, shape[0], max(strip_rows, 8)):
+        col = int(rng.integers(shape[1]))
+        gt[boundary - 1, col] = np.nan
+        pred[boundary, (col + 7) % shape[1]] = np.nan
+    return pred, gt
+
+
+@pytest.mark.parametrize("strip_rows", [64, 8, 1])
+@pytest.mark.parametrize("shape", [(128, 128), (128, 40), (100, 37), (64, 30), (40, 50), (16, 24), (11, 30),
+                                   (7, 30), (3, 20), (1, 1)])
+def test_ssim_strips_equal_the_whole_view_oracle(monkeypatch, shape, strip_rows):
+    # Heights that are and are not multiples of the strip, views shorter than
+    # one strip or than the 11-row window (no window has full support), and
+    # invalid pixels next to strip boundaries.
+    monkeypatch.setattr(metrics, "SSIM_STRIP_ROWS", strip_rows)
+    pred, gt = _depth_pair(shape, 16, strip_rows)
+    expected = _ssim_outcome(oracles.whole_view_ssim_depth, pred, gt)
+    assert _ssim_outcome(ssim_depth, pred, gt) == expected
+    assert _ssim_outcome(ssim_depth, gt, gt) == _ssim_outcome(oracles.whole_view_ssim_depth, gt, gt)
+    if min(shape) < SSIM_WINDOW:  # a 1 x 1 view is constant before that
+        assert expected in ("raises: no window has full valid support", "raises: constant ground-truth depth: L = 0")
+    elif min(shape) >= 30:
+        assert not expected.startswith("raises")
+
+
+@pytest.mark.parametrize("strip_rows", [64, 8])
+def test_ssim_strips_raise_what_the_whole_view_oracle_raises(monkeypatch, strip_rows):
+    monkeypatch.setattr(metrics, "SSIM_STRIP_ROWS", strip_rows)
+    pred, gt = _depth_pair((40, 40), 17, strip_rows)
+    holes = np.ones((40, 40))
+    holes[::9] = np.nan  # every 9th row invalid: no 11-row window is fully valid
+    for p, g in ((pred, np.full_like(gt, np.nan)), (pred, np.where(np.isfinite(gt), 1500.0, np.nan)),
+                 (pred, gt * holes)):
+        expected = _ssim_outcome(oracles.whole_view_ssim_depth, p, g)
+        assert expected.startswith("raises")
+        assert _ssim_outcome(ssim_depth, p, g) == expected
 
 
 def test_ssim_random_uncorrelated_small():

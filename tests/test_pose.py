@@ -17,7 +17,7 @@ from lunarforge import (
     solve_pnp,
     umeyama,
 )
-from lunarforge.camera import Intrinsics, relative_pose, rot_z
+from lunarforge.camera import Intrinsics, norms, relative_pose, rot_z
 from lunarforge import pose as pose_mod
 from lunarforge.pose import (
     DegenerateBaselineError,
@@ -372,9 +372,9 @@ def umeyama_sizes(monkeypatch):
     sizes = []
     original = pose_mod.umeyama
 
-    def counting(src, dst):
-        sizes.append(len(src))
-        return original(src, dst)
+    def counting(src, dst, rows=None):
+        sizes.append(len(src) if rows is None else len(np.asarray(src)[rows]))
+        return original(src, dst, rows)
 
     monkeypatch.setattr(pose_mod, "umeyama", counting)
     return sizes
@@ -505,18 +505,21 @@ def test_ransac_align_recovers_random_similarities_under_outliers(problem, outli
 
 
 def test_residual_inliers_equal_linalg_norm_bit_for_bit():
-    # RANSAC's scoring against the formula it replaced: SimilarityTransform.apply
-    # as one expression and np.linalg.norm, including residuals exactly at
-    # the threshold (strictly below counts).
+    # RANSAC's scoring against the formulas it replaced: SimilarityTransform.apply
+    # as one expression, np.linalg.norm and camera.norms, including residuals
+    # exactly at the threshold (strictly below counts), on float64 clouds and
+    # on float32-origin ones, as evaluate gathers them from stored rasters.
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        src = rng.normal(0, 50, (500, 3)) + rng.normal(0, 1e4, 3)
+    for origin in [np.float64] * 20 + [np.float32] * 10:
+        src = (rng.normal(0, 50, (500, 3)) + rng.normal(0, 1e4, 3)).astype(origin).astype(np.float64)
         t = pose_mod.SimilarityTransform(scale=10 ** rng.uniform(-2, 2), rotation=random_rotation(rng),
                                          translation=rng.normal(0, 1e3, 3))
         applied = t.scale * (src @ t.rotation.T) + t.translation
         assert t.apply(src).tobytes() == applied.tobytes()
         dst = applied + rng.normal(0, 1, src.shape) * rng.choice([0.01, 1.0, 100.0], (500, 1))
+        dst = dst.astype(origin).astype(np.float64)
         dist = np.linalg.norm(applied - dst, axis=1)
+        assert norms(t.apply(src) - dst).tobytes() == dist.tobytes()
         for threshold in (np.median(dist), *dist[:5], np.nextafter(dist[0], np.inf)):
             assert np.array_equal(pose_mod._residual_inliers(t, src, dst, threshold), dist < threshold)
     identity = pose_mod.SimilarityTransform(scale=1.0, rotation=np.eye(3), translation=np.zeros(3))
@@ -524,6 +527,39 @@ def test_residual_inliers_equal_linalg_norm_bit_for_bit():
     at_five = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [4.0, 0.0, 3.0]])
     assert not pose_mod._residual_inliers(identity, zeros, at_five, 5.0).any()
     assert pose_mod._residual_inliers(identity, zeros, at_five, np.nextafter(5.0, 6.0)).all()
+
+
+@pytest.mark.parametrize("rows", ["partial", "all", "three", "indices"])
+def test_umeyama_on_selected_rows_is_umeyama_on_their_gather(rows):
+    # float32-origin clouds far from the origin, as evaluate gathers them
+    # from stored rasters, on C-ordered and Fortran-ordered arrays: the
+    # in-place centring of each gather, and the all-True mask that reads a
+    # C-ordered cloud itself, give the gathered fit's bits.
+    rng = np.random.default_rng(45)
+    n = 3000
+    src = (rng.normal(0, 300, (n, 3)) * [1.0, 1.0, 0.1] + [1.5e6, -1.2e6, 1.7e3]).astype(np.float32)
+    dst = (0.5 * src.astype(np.float64) @ rot_x(25.0).T + [10.0, -40.0, 900.0]).astype(np.float32)
+    dst[: n // 3] += rng.normal(0, 200.0, (n // 3, 3)).astype(np.float32)
+    src, dst = src.astype(np.float64), dst.astype(np.float64)
+    selected = {
+        "partial": rng.random(n) < 0.6,
+        "all": np.ones(n, dtype=bool),
+        "three": np.isin(np.arange(n), [5, 900, 2999]),
+        "indices": rng.choice(n, size=3, replace=False),
+    }[rows]
+    for a, b in ((src, dst), (np.asfortranarray(src), np.asfortranarray(dst))):
+        got, expected = umeyama(a, b, selected), umeyama(a[selected], b[selected])
+        assert got.scale == expected.scale
+        assert got.rotation.tobytes() == expected.rotation.tobytes()
+        assert got.translation.tobytes() == expected.translation.tobytes()
+
+
+def test_umeyama_counts_selected_rows():
+    pts = np.arange(12.0).reshape(4, 3) ** 2
+    for rows in (np.array([True, False, True, False]), np.zeros(4, dtype=bool), np.array([0, 2])):
+        with pytest.raises(ValueError, match=">= 3 paired points"):
+            umeyama(pts, pts, rows)
+    assert umeyama(pts, pts, np.array([True, True, False, True])).scale == pytest.approx(1.0)
 
 
 def test_hypotheses_needed_stopping_rule():
