@@ -50,11 +50,11 @@ the origins and directions, or from the shared row, rather than holding them
 per ray, and a segment's end heights are recomputed from t each step.  So a
 live camera ray holds 74 B (its row, t, t_stop, the two cell indices and
 t_max, dz, the steps and t_delta) and a live shadow ray 56 B.  A step's
-crossing candidates are tested a quarter of the walk's rays at a time, and
-each test builds its sums in place, so its temporaries stay within the
-first step's.  All arithmetic is elementwise per ray, so results are
-bitwise identical regardless of how rays are batched, tiled or sliced, and
-whether a row is shared or written out.
+crossing candidates are tested an eighth of the walk's rays at a time, and
+each test computes its formulas in the order written, so its temporaries
+stay within the first step's.  All arithmetic is elementwise per ray, so
+results are bitwise identical regardless of how rays are batched, tiled or
+sliced, and whether a row is shared or written out.
 
 Each step moves every live ray into its next cell without a branch:
 ix += step_x * go_x and t_max_x += t_delta_x * go_x, and the same on y with
@@ -281,12 +281,13 @@ def _walk(dem: DemGrid, o: np.ndarray, d: np.ndarray, ceiling):
     step_y, t_delta_y, t_max_y = _axis(dem.origin_y, cs, iy, oy, dy)
     del oy, dy
 
-    # The crossing test holds about a dozen temporaries per candidate, the
-    # early-out three per live ray (cell, lower end, cell maximum).  Taken a
-    # quarter of the walk's rays at a time, the candidates' temporaries stay
-    # within the first step's early-out, and a step makes more than one
-    # crossing test only when over a quarter of the rays are candidates.
-    part_size = len(ray) // 4 + 1
+    # The crossing test computes its formulas in the order written, so it
+    # holds about a dozen temporaries per candidate, the early-out three per
+    # live ray (cell, lower end, cell maximum).  Taken an eighth of the
+    # walk's rays at a time, the candidates' temporaries stay within the
+    # first step's early-out, and a step makes more than one crossing test
+    # only when over an eighth of the rays are candidates.
+    part_size = len(ray) // 8 + 1
     end = below
     while True:
         if end.any():  # one array at a time, so old and new state never coexist
@@ -365,118 +366,51 @@ def _cell_hits(dem, e, o, d, r, sel, ix, iy, t0, t1):
     each is read from its row of o or d, and is one value for a broadcast
     row.  Returns (found, t): the positions in sel of the segments that dip
     below the cell's bilinear patch, and where each first does.  Each
-    temporary is dropped once it is used, and each sum is built in place,
-    term by term in the order of the formula it stands for."""
+    formula is computed in the order written, and the cell's corners and the
+    ray's terms are dropped once the quadratic's coefficients exist; the
+    walk bounds the temporaries by passing an eighth of its rays at a time."""
     cs, w = dem.cell_size, dem.width
     cx, cy = ix[sel], iy[sel]
     z00, z10, z01, z11 = _corners(e, _flat(cy, cx, w), w)
     alpha = z10 - z00
     beta = z01 - z00
-    gamma = z00 + z11
-    gamma -= z10
-    gamma -= z01
+    gamma = z00 + z11 - z10 - z01
     del z10, z01, z11
     au = (_rows(o, r, 0) - dem.origin_x) / cs - cx
     av = (_rows(o, r, 1) - dem.origin_y) / cs - cy
     del cx, cy
-    # qc = oz - z00 - alpha au - beta av - gamma au av
-    qc = np.subtract(_rows(o, r, 2), z00)
-    del z00
-    term = alpha * au
-    qc -= term
-    np.multiply(beta, av, out=term)
-    qc -= term
-    np.multiply(gamma, au, out=term)
-    term *= av
-    qc -= term
-    del term
     bu, bv = _rows(d, r, 0) / cs, _rows(d, r, 1) / cs
-    # qb = dz - alpha bu - beta bv - gamma (au bv + av bu), in alpha's buffer
-    qb = np.multiply(alpha, bu, out=alpha)
-    del alpha
-    np.subtract(_rows(d, r, 2), qb, out=qb)
-    beta *= bv
-    qb -= beta
-    del beta
-    au *= bv
-    av *= bu
-    au += av
-    del av
-    # qa = -gamma bu bv
-    qa = np.negative(gamma)
-    qa *= bu
-    qa *= bv
+    qa = -gamma * bu * bv
+    qb = _rows(d, r, 2) - alpha * bu - beta * bv - gamma * (au * bv + av * bu)
     del bu, bv
-    au *= gamma
-    qb -= au
-    del au, gamma
+    qc = _rows(o, r, 2) - z00 - alpha * au - beta * av - gamma * au * av
+    del z00, alpha, beta, gamma, au, av
     t0, t1 = t0[sel], t1[sel]
 
-    f1 = qa * t1  # (qa t1 + qb) t1 + qc
-    f1 += qb
-    f1 *= t1
-    f1 += qc
+    f1 = (qa * t1 + qb) * t1 + qc
     end_cross = f1 < 0
-    tv = np.multiply(qa, -2, out=f1)  # qb / (-2 qa)
     del f1
-    np.divide(qb, tv, out=tv)
-    fv = qa * tv  # (qa tv + qb) tv + qc
-    fv += qb
-    fv *= tv
-    fv += qc
-    dip = fv < 0
+    tv = qb / (-2 * qa)
+    fv = (qa * tv + qb) * tv + qc
+    found = np.flatnonzero(end_cross | ((tv > t0) & (tv < t1) & (fv < 0)))
     del fv
-    dip &= tv > t0
-    dip &= tv < t1
-    dip |= end_cross
-    found = np.flatnonzero(dip)
-    del dip
     if not found.size:
         return found, t0[found]
-    # Cut down to the found segments one array at a time.
-    hi = t1[found]  # the segment's end, or the vertex where it does not cross
-    del t1
-    np.copyto(hi, tv[found], where=~end_cross[found])
-    del end_cross, tv
-    qa = qa[found]
-    qb = qb[found]
-    qc = qc[found]
-    lo = t0[found]
-    del t0
+    hi = np.where(end_cross, t1, tv)[found]  # the end, or the vertex where it does not cross
+    qa, qb, qc, lo = qa[found], qb[found], qc[found], t0[found]
     # The hit is the downward root (f' = -sqrt(disc)) of
     # f(lo + s) = qa s^2 + b s + c, taken from the cancellation-free form of
     # the quadratic formula; c/q is also the root of a planar cell (qa = 0).
     # It is not the smallest root: for qa < 0 the ray is above the surface
     # between the two roots.
-    b = qa * 2  # 2 qa lo + qb
-    b *= lo
-    b += qb
-    c = qa * lo  # (qa lo + qb) lo + qc
-    c += qb
-    del qb
-    c *= lo
-    c += qc
-    del qc
+    b = 2 * qa * lo + qb
+    c = (qa * lo + qb) * lo + qc
     up = b > 0
-    sq = b * b  # sqrt(max(b^2 - 4 qa c, 0)), negated where not up
-    disc = qa * 4
-    disc *= c
-    sq -= disc
-    del disc
-    np.maximum(sq, 0.0, out=sq)
-    np.sqrt(sq, out=sq)
-    np.negative(sq, out=sq, where=~up)
-    q = np.add(b, sq, out=sq)  # -0.5 (b -+ sq)
-    del b, sq
-    q *= -0.5
-    root = np.divide(c, q, out=c)  # lo + (q / qa if up else c / q)
-    np.divide(q, qa, out=root, where=up)
-    del q, qa, up
-    root += lo
+    sq = np.sqrt(np.maximum(b * b - 4 * qa * c, 0.0))
+    q = -0.5 * (b + np.where(up, sq, -sq))
+    root = lo + np.where(up, q / qa, c / q)
     # fmax/fmin map a NaN root (f = f' = 0 at lo) to lo.
-    np.fmax(root, lo, out=root)
-    np.fmin(root, hi, out=root)
-    return found, root
+    return found, np.fmin(np.fmax(root, lo), hi)
 
 
 def shadow_mask(dem: DemGrid, points: np.ndarray, sun_dir: np.ndarray, ceiling: np.ndarray) -> np.ndarray:

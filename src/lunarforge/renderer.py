@@ -26,12 +26,10 @@ per sun: shade_points takes the cosines, not the normals.  Each sun's mu0
 goes once that sun is shaded, the lowest sun, whose shadow walk traces the
 most rays, is shaded last, and each sun's radiance goes straight into the
 view's buffer, so the band's memory does not grow with the suns.  Each phase
-frees what it no longer needs, so at 4 PSF rays per pixel under a 15-70
-degree sun the traced peak per PSF ray is about 161 B in the primary walk,
-153 B at the surface normals, 139 B in the shadow test and 147 B in the
-shading; under a 3 degree sun the shadow walk peaks at about 182 B.  The
-walks keep a row that every ray shares, the camera's origin or the sun's
-direction, as one value (see _heightfield).
+frees what it no longer needs, so the primary walk sets the band's peak
+under a 15-70 degree sun, and under a 3 degree sun the shadow walk, which
+traces most rays.  The walks keep a row that every ray shares, the camera's
+origin or the sun's direction, as one value (see _heightfield).
 
 A view is the pool's task: one pool of resolve_workers() threads renders a
 rig's two views, and a 1-thread pool renders view a, then view b.  Each view
@@ -58,11 +56,10 @@ from .camera import CameraRig, Intrinsics, Pose, gsd, pixel_rays, project_points
 from .radiometry import HapkeParams, SunConfig, shade_points, sun_direction
 from .terrain import DemGrid, NodataError, OutOfBoundsError, bilinear, sample_height, surface_normal
 
-# Pixels per row band at most.  At 4 PSF rays per pixel a band's trace and
-# shading peak at about 161 B per PSF ray under a 15-70 degree sun, in its
-# one primary walk of the central and jittered rays, so near 5.3 MB per view
-# task; a 3 degree sun's shadow walk traces most rays and peaks near 182 B,
-# with or without higher suns.
+# Pixels per row band at most.  A band's memory grows with it, and its one
+# primary walk (or a 3 degree sun's shadow walk) sets the peak; 8192 pixels
+# keep each numpy call long enough for a rig's two view threads to overlap,
+# and 2048, 4096, 16384 and 32768 all render slower.
 BAND_PIXELS = 8192
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lunarforge import DemGrid
-from lunarforge._heightfield import SWEEP_COLUMNS, _clip, intersect_rays, shadow_mask, sun_ceiling
+from lunarforge import DemGrid, _heightfield
+from lunarforge._heightfield import SWEEP_COLUMNS, _cell_hits, _clip, intersect_rays, shadow_mask, sun_ceiling
 from lunarforge.radiometry import SunConfig, sun_direction
-from lunarforge.terrain import synth_crater_dem
+from lunarforge.terrain import _corners, _flat, synth_crater_dem
 
 CELL = 4.0
 ORIGIN = (250.0, -130.0)
@@ -272,6 +272,63 @@ def test_broadcast_rows_give_the_bits_of_the_same_rows_written_out():
         t_rows, hit_rows = intersect_rays(dem, origins, np.tile(s, (len(origins), 1)), ceiling)
         assert hit.any() and not hit.all()
         assert t.tobytes() == t_rows.tobytes() and np.array_equal(hit, hit_rows)
+
+
+@pytest.mark.parametrize("rows", ["camera", "sun", "written_out"])
+def test_crossing_test_is_elementwise(monkeypatch, rows):
+    """_cell_hits on one candidate selection gives the bits of the same call
+    on any split of it, concatenated: the walk may pass its candidates in
+    batches of any size.  The candidates are every segment the walk tests
+    over a DEM with NaN corners, for rays from a broadcast camera origin, for
+    shadow rays (a broadcast sun direction) from per-ray origins, and for
+    camera rays with their rows written out."""
+    rng = np.random.default_rng(0xC311)
+    base = synth_crater_dem(5, 33, 30, 4.0, 3, 3)
+    e = base.elevations.copy()
+    e[rng.random(e.shape) < 0.05] = np.nan
+    dem = DemGrid(cell_size=base.cell_size, origin_x=ORIGIN[0], origin_y=ORIGIN[1], elevations=e)
+    n = 400
+    ceiling = None
+    if rows == "sun":
+        s = _sun(200.0, 8.0)
+        x, y = _cell_points(dem, rng, n)
+        points = np.column_stack([x, y, oracles.bilinear(dem, x, y)])
+        o = points[np.isfinite(points[:, 2])] + 0.5 * dem.cell_size * s
+        d = np.broadcast_to(s, o.shape)
+        ceiling = sun_ceiling(dem, s)
+    else:
+        center = [(dem.x_min + dem.x_max) / 2, (dem.y_min + dem.y_max) / 2, float(np.nanmax(e)) + 200.0]
+        d = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), -np.ones(n)])
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        o = np.broadcast_to(center, d.shape)
+        if rows == "written_out":
+            o = np.array(o)
+
+    # Every segment the walk tests, each with its ray's row, cell and ends.
+    segments = []
+
+    def record(dem, e, o, d, r, sel, ix, iy, t0, t1):
+        segments.append((r, ix[sel], iy[sel], t0[sel], t1[sel]))
+        return _cell_hits(dem, e, o, d, r, sel, ix, iy, t0, t1)
+
+    monkeypatch.setattr(_heightfield, "_cell_hits", record)
+    intersect_rays(dem, o, d, ceiling)
+    ray, ix, iy, t0, t1 = (np.concatenate(c) for c in zip(*segments))
+    sel = np.flatnonzero(rng.random(len(ray)) < 0.8)
+    assert np.isnan(_corners(e.ravel(), _flat(iy[sel], ix[sel], dem.width), dem.width)).any()
+
+    def hits(part):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            found, t = _cell_hits(dem, e.ravel(), o, d, ray[part], part, ix, iy, t0, t1)
+        return part[found], t
+
+    found, t = hits(sel)
+    assert 0 < len(found) < len(sel)
+    for _ in range(4):
+        cuts = [0, 0, 1, *sorted(rng.choice(np.arange(2, len(sel)), 5, replace=False)), len(sel)]
+        parts = [hits(sel[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), found)
+        assert np.concatenate([p[1] for p in parts]).tobytes() == t.tobytes()
 
 
 # Horizontal direction components for which cell_size / d overflows or is
